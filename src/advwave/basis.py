@@ -56,16 +56,32 @@ def gauss_points(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
+def legendre_tables(degree: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices V[m, k] = P_k(x_m) and D[m, k] = P_k'(x_m), k = 0..degree.
+
+    One pass of the recurrences of legendre_eval and legendre_derivative,
+    with the same arithmetic, so the entries are bitwise equal to theirs.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    vals = np.empty((x.shape[0], degree + 1))
+    ders = np.empty_like(vals)
+    vals[:, 0], ders[:, 0] = 1.0, 0.0
+    if degree >= 1:
+        vals[:, 1], ders[:, 1] = x, 1.0
+    for j in range(1, degree):
+        vals[:, j + 1] = ((2 * j + 1) * x * vals[:, j] - j * vals[:, j - 1]) / (j + 1)
+        ders[:, j + 1] = ders[:, j - 1] + (2 * j + 1) * vals[:, j]
+    return vals, ders
+
+
 def vandermonde(degree: int, x: np.ndarray) -> np.ndarray:
     """Matrix V[m, k] = P_k(x_m) for k = 0..degree."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.stack([legendre_eval(k, x) for k in range(degree + 1)], axis=1)
+    return legendre_tables(degree, x)[0]
 
 
 def vandermonde_derivative(degree: int, x: np.ndarray) -> np.ndarray:
     """Matrix D[m, k] = P_k'(x_m) for k = 0..degree."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.stack([legendre_derivative(k, x) for k in range(degree + 1)], axis=1)
+    return legendre_tables(degree, x)[1]
 
 
 def modal_derivative_matrix(degree: int) -> np.ndarray:
@@ -95,8 +111,8 @@ def tensor_eval(degree: int, dim: int, pts: np.ndarray):
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     modes = tensor_modes(degree, dim)
-    per_dim_vals = [vandermonde(degree, pts[:, d]) for d in range(dim)]
-    per_dim_ders = [vandermonde_derivative(degree, pts[:, d]) for d in range(dim)]
+    per_dim_vals, per_dim_ders = zip(*(legendre_tables(degree, pts[:, d])
+                                       for d in range(dim)))
     n = len(modes)
     vals = np.ones((pts.shape[0], n))
     for d in range(dim):

@@ -104,12 +104,17 @@ def load_config(path: str) -> RunConfig:
     return cfg
 
 
+def _is_int(x) -> bool:
+    """True for JSON integers; JSON booleans load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate_config(cfg: RunConfig) -> None:
     if cfg.problem not in ("periodic1d", "periodic2d", "mixed2d"):
         raise ConfigError(f"problem: unknown problem {cfg.problem!r}")
-    if not isinstance(cfg.q, int) or cfg.q < 1:
+    if not _is_int(cfg.q) or cfg.q < 1:
         raise ConfigError("q: polynomial degree must be an integer >= 1")
-    if cfg.s is not None and (not isinstance(cfg.s, int) or not 0 <= cfg.s <= cfg.q):
+    if cfg.s is not None and (not _is_int(cfg.s) or not 0 <= cfg.s <= cfg.q):
         raise ConfigError("s: must be an integer with 0 <= s <= q")
     if cfg.flux_preset not in ("sommerfeld", "upwind", "central", "custom"):
         raise ConfigError(f"flux: unknown preset {cfg.flux_preset!r} "
@@ -121,7 +126,7 @@ def validate_config(cfg: RunConfig) -> None:
     w = np.atleast_1d(np.asarray(cfg.w, dtype=float))
     if len(w) != cfg.dim:
         raise ConfigError(f"w: expected {cfg.dim} component(s) for {cfg.problem}")
-    if not isinstance(cfg.n, int) or cfg.n < 2:
+    if not _is_int(cfg.n) or cfg.n < 2:
         raise ConfigError("n: need an integer number of elements >= 2")
     if cfg.T < 0:
         raise ConfigError("T: final time must be nonnegative")
@@ -131,10 +136,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("dt: must be positive")
     if cfg.n_list is not None:
         if (not isinstance(cfg.n_list, list) or len(cfg.n_list) < 2
-                or any(not isinstance(g, int) or g < 2 for g in cfg.n_list)):
+                or any(not _is_int(g) or g < 2 for g in cfg.n_list)):
             raise ConfigError("n_list: need a list of at least 2 integers >= 2")
-    if cfg.n_states < 1:
-        raise ConfigError("n_states: must be at least 1")
+    if not _is_int(cfg.n_states) or cfg.n_states < 1:
+        raise ConfigError("n_states: must be an integer >= 1")
     if cfg.energy_tol <= 0:
         raise ConfigError("energy_tol: must be positive")
 

@@ -101,43 +101,43 @@ def build_mesh(dim: int, n: int, boundary_mode: str = "periodic") -> MeshTopolog
     h = 1.0 / n
     n_elements = n ** dim
 
-    axis_l, owner_l, neighbor_l, sign_l, oside_l, nside_l = [], [], [], [], [], []
+    # Faces are listed line by line (the other coordinate in 2D), then by
+    # axis, then along the line; arrays below have shape (line, axis, face).
+    other = np.arange(n if dim == 2 else 1)[:, None, None]
+    axis = np.arange(dim)[None, :, None]
 
-    def elem(ix, iy=0):
-        return ix * n + iy if dim == 2 else ix
+    def cell(i):
+        """Element at position i along the line (C order: e = ix * n + iy)."""
+        if dim == 1:
+            return i
+        return np.where(axis == 0, i * n + other, other * n + i)
 
-    def add_face(axis, left, right):
-        """Face between `left` (low side) and `right` (high side); right=-1 or
-        left=-1 marks a physical boundary face owned by the other element."""
-        if left >= 0 and right >= 0:
-            if left <= right:
-                axis_l.append(axis); owner_l.append(left); neighbor_l.append(right)
-                sign_l.append(1.0); oside_l.append(1); nside_l.append(0)
-            else:  # wrap face: the lower-indexed element sits on the high side
-                axis_l.append(axis); owner_l.append(right); neighbor_l.append(left)
-                sign_l.append(-1.0); oside_l.append(0); nside_l.append(1)
-        elif right < 0:  # boundary on the high side of `left`
-            axis_l.append(axis); owner_l.append(left); neighbor_l.append(-1)
-            sign_l.append(1.0); oside_l.append(1); nside_l.append(1)
-        else:            # boundary on the low side of `right`
-            axis_l.append(axis); owner_l.append(right); neighbor_l.append(-1)
-            sign_l.append(-1.0); oside_l.append(0); nside_l.append(0)
+    if periodic:
+        # face i joins cells i and i+1; the wrap face (i = n-1) is owned by
+        # the lower-indexed cell 0, which sits on its high side
+        i = np.arange(n)
+        wrap = i == n - 1
+        left, right = cell(i), cell((i + 1) % n)
+        owner = np.where(wrap, right, left)
+        neighbor = np.where(wrap, left, right)
+        sign = np.where(wrap, -1.0, 1.0)
+        oside = np.where(wrap, 0, 1)
+        nside = np.where(wrap, 1, 0)
+    else:
+        # face j sits below cell j: j = 0 and j = n are boundary faces owned
+        # by the first and the last cell
+        j = np.arange(n + 1)
+        low, high = j == 0, j == n
+        owner = cell(np.clip(j - 1, 0, n - 1))
+        neighbor = np.where(low | high, -1, cell(np.minimum(j, n - 1)))
+        sign = np.where(low, -1.0, 1.0)
+        oside = np.where(low, 0, 1)
+        nside = np.where(high, 1, 0)
 
-    lines = range(n) if dim == 2 else [0]
-    for other in lines:
-        for axis in range(dim):
-            def cell(i):
-                if dim == 1:
-                    return elem(i)
-                return elem(i, other) if axis == 0 else elem(other, i)
-            if periodic:
-                for i in range(n):
-                    add_face(axis, cell(i), cell((i + 1) % n))
-            else:
-                add_face(axis, -1, cell(0))
-                for i in range(n - 1):
-                    add_face(axis, cell(i), cell(i + 1))
-                add_face(axis, cell(n - 1), -1)
+    shape = np.broadcast_shapes(owner.shape, axis.shape)
+
+    def flat(a, dtype):
+        return np.broadcast_to(a, shape).astype(dtype).ravel()
 
     centers_1d = (np.arange(n) + 0.5) * h
     if dim == 1:
@@ -148,12 +148,12 @@ def build_mesh(dim: int, n: int, boundary_mode: str = "periodic") -> MeshTopolog
 
     return MeshTopology(
         dim=dim, n=n, h=h, periodic=periodic, n_elements=n_elements,
-        face_axis=np.array(axis_l, dtype=int),
-        face_owner=np.array(owner_l, dtype=int),
-        face_neighbor=np.array(neighbor_l, dtype=int),
-        face_sign=np.array(sign_l, dtype=float),
-        face_owner_side=np.array(oside_l, dtype=int),
-        face_neighbor_side=np.array(nside_l, dtype=int),
+        face_axis=flat(axis, int),
+        face_owner=flat(owner, int),
+        face_neighbor=flat(neighbor, int),
+        face_sign=flat(sign, float),
+        face_owner_side=flat(oside, int),
+        face_neighbor_side=flat(nside, int),
         element_centers=element_centers,
     )
 
@@ -186,12 +186,15 @@ def classify_face(face: Face, w, c: float) -> FaceClass:
 
 
 def classify_mesh(mesh: MeshTopology, w, c: float):
-    """Vectorized classification; returns (kinds, wn) arrays over all faces."""
+    """Vectorized classification; returns (kinds, wn) arrays over all faces.
+
+    A face's kind depends only on its axis, its sign and whether it is
+    interior, so each of those combinations is classified once.
+    """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     wn = w[mesh.face_axis] * mesh.face_sign
     interior = mesh.face_neighbor >= 0
-    kinds = np.array(
-        [classify_wn(float(x), c, bool(i)) for x, i in zip(wn, interior)],
-        dtype=int,
-    )
+    table = np.array([[[classify_wn(w[a] * s, c, i) for i in (False, True)]
+                       for s in (-1.0, 1.0)] for a in range(mesh.dim)], dtype=int)
+    kinds = table[mesh.face_axis, (mesh.face_sign > 0).astype(int), interior.astype(int)]
     return kinds, wn

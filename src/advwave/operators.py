@@ -1,15 +1,32 @@
-"""Semidiscrete DG operator: volume terms, face-flux gathering, element solves.
+"""Semidiscrete DG operator, assembled once and applied as a block stencil.
 
 The evolving unknown is a pair of modal coefficient arrays, one row per
-element.  A single factorized reference-element system serves every element
-(uniform spacing).  The operator is applied in two phases: all face flux
-states are computed from the read-only state, then every element is updated
-independently; both phases are vectorized over elements/faces.
+element.  On a uniform Cartesian mesh with constant w the operator is linear,
+time-invariant and translation-invariant: every interior face of an axis has
+the same flux kind, so the derivative of an element depends only on its own
+coefficients and on those of its 2*dim face neighbours, through the same
+dense blocks for every element.
+
+``Discretization.__init__`` builds these blocks once, with the u-system solve
+and the v mass inverse folded in (the LIFT = M^-1 E idiom of nodal DG
+methods): one self block, one block per neighbour side and, on physical
+meshes, one self-block correction per boundary side.  The blocks come from
+the flux functions and the face-lifting code applied to the face traces of
+the basis functions, so the flux code stays the single source of truth.
+``rhs`` is then one matrix product of the stacked [u v] coefficients with all
+blocks, 2*dim shifted adds, the boundary-strip corrections, and the
+separable forcing as a combination of projections made at build time.
+
+``matrix_free_rhs`` keeps the face-by-face evaluation: flux states of every
+face from the current traces (``face_flux_states``), then face lifting and
+the element solves.  It is the reference the assembled operator is tested
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -17,7 +34,7 @@ from scipy.linalg import lu_factor, lu_solve
 from . import fluxes
 from .basis import ReferenceElement
 from .fluxes import FluxParams, Trace
-from .mesh import FaceKind, MeshTopology, classify_mesh
+from .mesh import FaceKind, MeshTopology, classify_mesh, classify_wn
 
 
 @dataclass
@@ -33,6 +50,22 @@ class ModalState:
 
     def copy(self) -> "ModalState":
         return ModalState(self.u.copy(), self.v.copy(), self.t)
+
+
+@dataclass(frozen=True)
+class SeparableForcing:
+    """v-equation forcing f(x, t) = sum_k time(t)[k] * space(x)[k].
+
+    space maps positions of shape (..., dim) to an array (K, ...); time maps
+    a scalar time to an array (K,).  The operator projects the K space
+    factors once and combines them with the time factors on every call.
+    """
+
+    space: Callable
+    time: Callable
+
+    def __call__(self, x, t):
+        return np.tensordot(self.time(t), self.space(x), axes=1)
 
 
 @dataclass(frozen=True)
@@ -86,14 +119,15 @@ class _FaceGroup:
 class Discretization:
     """Everything needed to apply the semidiscrete operator repeatedly.
 
-    forcing, if given, is a callable f(x, t) for the v equation, with x of
-    shape (..., dim).
+    forcing, if given, is a SeparableForcing for the v equation.
     """
 
     def __init__(self, mesh: MeshTopology, ref: ReferenceElement,
                  params: FluxParams, w, c: float, forcing=None):
         if ref.dim != mesh.dim:
             raise ValueError("mesh and reference element dimensions differ")
+        if forcing is not None and not isinstance(forcing, SeparableForcing):
+            raise TypeError("forcing must be a SeparableForcing")
         self.mesh = mesh
         self.ref = ref
         self.params = params
@@ -131,23 +165,52 @@ class Discretization:
         self.face_kinds, self.face_wn = classify_mesh(mesh, self.w, self.c)
         self._groups = self._build_face_groups()
 
+        blocks = self._assemble_blocks()
+        self._stencil = blocks[:1 + 2 * dim]        # self, then one per side
+        self._corrections = blocks[1 + 2 * dim:]    # one per boundary side
+        self._build_index()
+        # work arrays of rhs: the stacked [u v] rows and their products with
+        # every stencil block (allocating them per call costs page faults)
+        nb = ref.n_u + ref.n_v
+        self._x = np.empty((mesh.n_elements, nb))
+        self._y = np.empty((1 + 2 * dim, mesh.n_elements, nb))
+        self._forcing_time = self._forcing_proj = None
+        if forcing is not None:
+            space = forcing.space(self.quad_points)
+            proj = self._load_v(space) * self.solvers.v_mass_inv
+            self._forcing_time = forcing.time
+            self._forcing_proj = proj.reshape(len(space), -1)
+
     def _build_face_groups(self) -> list[_FaceGroup]:
+        """Faces grouped by (kind, axis).
+
+        Trace 1 of an interior face is always the element on its low side
+        (outward normal +e_axis).  The mesh's periodic wrap faces are owned
+        by the element on the high side, so they are flipped here; without
+        that, the parametrized flux with sigma != 1/2 would treat the wrap
+        face differently from every other face of its axis.
+        """
         m = self.mesh
+        flip = (m.face_neighbor >= 0) & (m.face_sign < 0)
+        owner = np.where(flip, m.face_neighbor, m.face_owner)
+        neighbor = np.where(flip, m.face_owner, m.face_neighbor)
+        owner_side = np.where(flip, m.face_neighbor_side, m.face_owner_side)
+        neighbor_side = np.where(flip, m.face_owner_side, m.face_neighbor_side)
+        sign = np.where(flip, -m.face_sign, m.face_sign)
+        key = self.face_kinds * m.dim + m.face_axis
         groups = []
-        for kind in FaceKind:
-            for axis in range(m.dim):
-                sel = np.nonzero((self.face_kinds == kind) & (m.face_axis == axis))[0]
-                if len(sel) == 0:
-                    continue
-                groups.append(_FaceGroup(
-                    kind=FaceKind(kind),
-                    axis=axis,
-                    owner=m.face_owner[sel],
-                    neighbor=m.face_neighbor[sel],
-                    sign=m.face_sign[sel],
-                    owner_side=2 * axis + m.face_owner_side[sel],
-                    neighbor_side=2 * axis + m.face_neighbor_side[sel],
-                ))
+        for k in np.unique(key):
+            kind, axis = divmod(int(k), m.dim)
+            sel = np.nonzero(key == k)[0]
+            groups.append(_FaceGroup(
+                kind=FaceKind(kind),
+                axis=axis,
+                owner=owner[sel],
+                neighbor=neighbor[sel],
+                sign=sign[sel],
+                owner_side=2 * axis + owner_side[sel],
+                neighbor_side=2 * axis + neighbor_side[sel],
+            ))
         return groups
 
     # --- traces and fluxes ------------------------------------------------
@@ -177,7 +240,7 @@ class Discretization:
         return t1, t2
 
     def face_flux_states(self, u: np.ndarray, v: np.ndarray):
-        """Phase 1: flux states for every element side.
+        """Flux states for every element side, face by face.
 
         Each interior face's state is computed once and scattered to both
         incident sides, so the conservation pairing is exact by
@@ -199,22 +262,21 @@ class Discretization:
                 gstar[g.neighbor_side, g.neighbor] = state.grad_u_star
         return vstar, gstar, vtr, gtr
 
-    # --- operator application ----------------------------------------------
+    # --- element terms shared by the assembly and the reference path ------
 
-    def rhs(self, u: np.ndarray, v: np.ndarray, t: float):
-        """Semidiscrete right-hand side (du/dt, dv/dt)."""
+    def _volume_terms(self, u: np.ndarray, v: np.ndarray):
+        """Volume parts of the u and v right-hand sides, and w . grad u - v
+        as coefficients in the u space (exact, modal)."""
+        p = u @ self.adv_modal_u.T - v @ self.ref.embed_v.T
+        rhs_v = -(v @ self.adv_v.T) - (u @ self.stiff_vu.T)
+        rhs_u = -(p @ self.solvers.stiffness.T)
+        return rhs_u, rhs_v, p
+
+    def _lift_faces(self, rhs_u, rhs_v, vstar, gstar, vtr, gtr) -> None:
+        """Add the face terms of every side to rhs_u and rhs_v in place."""
         ref, dim = self.ref, self.mesh.dim
         c2 = self.c * self.c
         wf = ref.face_weights
-
-        # w . grad u - v as coefficients in the u space (exact, modal)
-        p = u @ self.adv_modal_u.T - v @ ref.embed_v.T
-
-        rhs_v = -(v @ self.adv_v.T) - (u @ self.stiff_vu.T)
-        rhs_u = -(p @ self.solvers.stiffness.T)
-
-        vstar, gstar, vtr, gtr = self.face_flux_states(u, v)
-
         for side in range(2 * dim):
             axis, hi = divmod(side, 2)
             sign_out = 1.0 if hi else -1.0
@@ -232,18 +294,151 @@ class Discretization:
                 rhs_u -= (self.jac_face * c2 * wn_out * self.dscale
                           * ((wf * diff) @ ref.face_grads_u[side, d]))
 
-        if self.forcing is not None:
-            f = self.forcing(self.quad_points, t)
-            rhs_v += self.jac_vol * ((f * ref.vol_weights) @ ref.vol_vals_v)
+    def _load_v(self, f: np.ndarray) -> np.ndarray:
+        """Integrals of f times each v basis function over each element;
+        f holds values at the volume quadrature points, (..., Nq)."""
+        ref = self.ref
+        return self.jac_vol * ((f * ref.vol_weights) @ ref.vol_vals_v)
 
+    def _element_solve(self, rhs_u, rhs_v, p):
+        """Impose the mean constraint and apply the element inverses."""
         # mean constraint replaces the constant-test row
-        rhs_u[:, 0] = -self.jac_vol * 2.0 ** dim * p[:, 0]
-
-        # check_finite off: the time integrator checks the state after each
-        # step and reports instabilities with the step index
-        du = lu_solve(self.solvers.u_lu, rhs_u.T, check_finite=False).T
+        rhs_u[:, 0] = -self.jac_vol * 2.0 ** self.mesh.dim * p[:, 0]
+        du = lu_solve(self.solvers.u_lu, rhs_u.T).T
         dv = rhs_v * self.solvers.v_mass_inv
         return du, dv
+
+    # --- assembly ------------------------------------------------------------
+
+    def _assemble_blocks(self):
+        """Dense element blocks of the operator, element solves included.
+
+        Returns blocks of shape (n_blocks, N, N), N = Nu+Nv: the self
+        block; for each side s the block of the neighbour across side s;
+        on a physical mesh, for each side s the change of the self block on
+        an element whose side s is a boundary.  Row j of a block is the
+        derivative [du dv] produced by a unit coefficient j of [u v].
+
+        Every block is one batch of the face-lifting code: the self batch
+        holds the basis functions, whose own traces and flux states enter;
+        a neighbour batch has no own traces and only the flux state that
+        the neighbour's basis functions produce on the shared face.
+        """
+        ref, dim, periodic = self.ref, self.mesh.dim, self.mesh.periodic
+        nu, nb = ref.n_u, ref.n_u + ref.n_v
+        nfq = ref.face_weights.shape[0]
+        sides = 2 * dim
+        n_blocks = 1 + sides + (0 if periodic else sides)
+
+        eye = np.eye(nb)
+        vtr = np.zeros((sides, n_blocks, nb, nfq))
+        gtr = np.zeros((sides, n_blocks, nb, nfq, dim))
+        vtr[:, 0], gtr[:, 0] = self.side_traces(eye[:, :nu], eye[:, nu:])
+        vstar, gstar = np.zeros_like(vtr), np.zeros_like(gtr)
+
+        def flux(kind, t1, t2=None):
+            state = fluxes.compute_flux(kind, t1, t2, self.params, self.w, self.c)
+            return state.v_star, state.grad_u_star
+
+        zero_v, zero_g = np.zeros_like(vtr[0, 0]), np.zeros_like(gtr[0, 0])
+        for axis in range(dim):
+            lo, hi = 2 * axis, 2 * axis + 1
+            normal = np.zeros(dim)
+            normal[axis] = 1.0
+            # one batch: the basis as the face's low element (trace 1),
+            # then as its high element (trace 2)
+            t1 = Trace(v=np.concatenate([vtr[hi, 0], zero_v]),
+                       grad_u=np.concatenate([gtr[hi, 0], zero_g]), n=normal)
+            t2 = Trace(v=np.concatenate([zero_v, vtr[lo, 0]]),
+                       grad_u=np.concatenate([zero_g, gtr[lo, 0]]), n=-normal)
+            vs, gs = flux(classify_wn(self.w[axis], self.c, True), t1, t2)
+            from_low, from_high = (vs[:nb], gs[:nb]), (vs[nb:], gs[nb:])
+            vstar[hi, 0], gstar[hi, 0] = from_low
+            vstar[lo, 0], gstar[lo, 0] = from_high
+            vstar[hi, 1 + hi], gstar[hi, 1 + hi] = from_high
+            vstar[lo, 1 + lo], gstar[lo, 1 + lo] = from_low
+            if periodic:
+                continue
+            for side, sign, own in ((lo, -1.0, from_high), (hi, 1.0, from_low)):
+                kind = classify_wn(sign * self.w[axis], self.c, False)
+                bv, bg = flux(kind, Trace(v=vtr[side, 0], grad_u=gtr[side, 0],
+                                          n=sign * normal))
+                block = 1 + sides + side
+                vstar[side, block] = bv - own[0]
+                gstar[side, block] = bg - own[1]
+
+        rows = n_blocks * nb
+        x = np.zeros((n_blocks, nb, nb))
+        x[0] = eye
+        x = x.reshape(rows, nb)
+        rhs_u, rhs_v, p = self._volume_terms(x[:, :nu], x[:, nu:])
+        self._lift_faces(rhs_u, rhs_v,
+                         vstar.reshape(sides, rows, nfq),
+                         gstar.reshape(sides, rows, nfq, dim),
+                         vtr.reshape(sides, rows, nfq),
+                         gtr.reshape(sides, rows, nfq, dim))
+        du, dv = self._element_solve(rhs_u, rhs_v, p)
+        return np.concatenate([du, dv], axis=1).reshape(n_blocks, nb, nb)
+
+    def _build_index(self) -> None:
+        """Index tuples of the shifted adds and boundary strips on the
+        element grid of the block products (axes: block, grid..., coefficient)."""
+        dim, n = self.mesh.dim, self.mesh.n
+        self._grid_shape = (1 + 2 * dim,) + (n,) * dim + (self.ref.n_u + self.ref.n_v,)
+
+        def at(axis, index):
+            grid = [slice(None)] * dim
+            grid[axis] = index
+            return tuple(grid)
+
+        # the neighbour across side s sits one step up (hi) or down (lo)
+        # along the side's axis: y_0[i] += y_s[i + step]
+        self._shifts, self._strips = [], []
+        inner, outer = slice(0, -1), slice(1, None)
+        for side in range(2 * dim):
+            axis, hi = divmod(side, 2)
+            dst, src = (inner, outer) if hi else (outer, inner)
+            self._shifts.append(((0,) + at(axis, dst), (1 + side,) + at(axis, src)))
+            if self.mesh.periodic:
+                dst, src = (-1, 0) if hi else (0, -1)
+                self._shifts.append(((0,) + at(axis, dst), (1 + side,) + at(axis, src)))
+            else:
+                self._strips.append(at(axis, -1 if hi else 0))
+
+    # --- operator application ----------------------------------------------
+
+    def rhs(self, u: np.ndarray, v: np.ndarray, t: float):
+        """Semidiscrete right-hand side (du/dt, dv/dt).
+
+        Works in arrays owned by the discretization, so concurrent calls on
+        one instance from several threads are not supported.
+        """
+        nu = self.ref.n_u
+        x = self._x
+        x[:, :nu] = u
+        x[:, nu:] = v
+        y = np.matmul(x, self._stencil, out=self._y)
+        grid = y.reshape(self._grid_shape)
+        for dst, src in self._shifts:
+            grid[dst] += grid[src]
+        x_grid = x.reshape(self._grid_shape[1:])
+        for strip, block in zip(self._strips, self._corrections):
+            grid[(0,) + strip] += x_grid[strip] @ block
+        du, dv = y[0, :, :nu].copy(), y[0, :, nu:]
+        if self._forcing_proj is None:
+            return du, dv.copy()
+        f = np.dot(self._forcing_time(t), self._forcing_proj)
+        return du, dv + f.reshape(dv.shape)
+
+    def matrix_free_rhs(self, u: np.ndarray, v: np.ndarray, t: float):
+        """Face-by-face evaluation of ``rhs`` with the forcing integrated at
+        the quadrature points on each call; the reference for the
+        assembled operator."""
+        rhs_u, rhs_v, p = self._volume_terms(u, v)
+        self._lift_faces(rhs_u, rhs_v, *self.face_flux_states(u, v))
+        if self.forcing is not None:
+            rhs_v += self._load_v(self.forcing(self.quad_points, t))
+        return self._element_solve(rhs_u, rhs_v, p)
 
     def boundary_energy_rate(self, u: np.ndarray, v: np.ndarray) -> float:
         """Sum of the closed-form face energy rates over all face groups."""

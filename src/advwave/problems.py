@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import Discretization, ModalState
+from .operators import Discretization, ModalState, SeparableForcing
 
 TWO_PI = 2.0 * np.pi
 
@@ -36,7 +36,7 @@ class ProblemSpec:
     c: float
     exact_u: Callable
     exact_v: Callable
-    forcing: Callable | None      # v-equation forcing, None means zero
+    forcing: SeparableForcing | None   # v-equation forcing, None means zero
     boundary_mode: str            # "periodic" | "physical"
     lift: bool = False
     initial_data: InitialData | None = None
@@ -44,21 +44,23 @@ class ProblemSpec:
 
 def _spot_check_v(spec: ProblemSpec, n_samples: int = 5, eps: float = 1e-6,
                   tol: float = 1e-4) -> None:
-    """Verify v = u_t + w . grad u by central differences at random points."""
+    """Verify v = u_t + w . grad u by central differences at random points.
+
+    All stencil points of all samples go through one call of exact_u, with
+    the sample times as an array matching the points.
+    """
+    dim = spec.dim
     rng = np.random.default_rng(1234)
-    x = rng.uniform(0.1, 0.9, size=(n_samples, spec.dim))
+    x = rng.uniform(0.1, 0.9, size=(n_samples, dim))
     t = rng.uniform(0.1, 0.7, size=n_samples)
-    for i in range(n_samples):
-        xi, ti = x[i:i + 1], float(t[i])
-        ut = (spec.exact_u(xi, ti + eps) - spec.exact_u(xi, ti - eps)) / (2 * eps)
-        adv = 0.0
-        for d in range(spec.dim):
-            dx = np.zeros(spec.dim)
-            dx[d] = eps
-            adv += spec.w[d] * (spec.exact_u(xi + dx, ti) - spec.exact_u(xi - dx, ti)) / (2 * eps)
-        v = spec.exact_v(xi, ti)
-        if np.max(np.abs(ut + adv - v)) > tol:
-            raise AssertionError(f"exact v inconsistent with u_t + w.grad u for {spec.kind}")
+    # stencil rows: t + eps, t - eps, then x + eps e_d and x - eps e_d
+    dx = np.concatenate([np.zeros((2, dim)), eps * np.eye(dim), -eps * np.eye(dim)])
+    dt = np.concatenate([[eps, -eps], np.zeros(2 * dim)])
+    u = spec.exact_u(x + dx[:, None, :], t + dt[:, None])
+    ut = (u[0] - u[1]) / (2 * eps)
+    adv = spec.w @ (u[2:2 + dim] - u[2 + dim:]) / (2 * eps)
+    if np.max(np.abs(ut + adv - spec.exact_v(x, t))) > tol:
+        raise AssertionError(f"exact v inconsistent with u_t + w.grad u for {spec.kind}")
 
 
 def exact_periodic_1d(x, t, w: float, c: float):
@@ -98,16 +100,21 @@ def exact_mixed_2d(x, y, t, w=(0.5, 0.5)):
     return u, v
 
 
-def forcing_mixed_2d(x, y, t, w, c: float):
-    """f = (d/dt + w . grad)^2 u - c^2 Lap u for the mixed-BC solution."""
+def forcing_mixed_2d_factors(x, y, w, c: float):
+    """Space factors (a, b) of the mixed-BC forcing f = a sin t + b cos t."""
     X, Xp, Xpp = _poly_factors(np.asarray(x, dtype=float))
     Y, Yp, Ypp = _poly_factors(np.asarray(y, dtype=float))
-    sin_t, cos_t = np.sin(t), np.cos(t)
-    utt = -X * Y * sin_t
-    cross = 2.0 * (w[0] * Xp * Y + w[1] * X * Yp) * cos_t
-    adv2 = (w[0] ** 2 * Xpp * Y + 2.0 * w[0] * w[1] * Xp * Yp + w[1] ** 2 * X * Ypp) * sin_t
-    lap = (Xpp * Y + X * Ypp) * sin_t
-    return utt + cross + adv2 - c * c * lap
+    utt = -X * Y
+    adv2 = w[0] ** 2 * Xpp * Y + 2.0 * w[0] * w[1] * Xp * Yp + w[1] ** 2 * X * Ypp
+    lap = Xpp * Y + X * Ypp
+    cross = 2.0 * (w[0] * Xp * Y + w[1] * X * Yp)
+    return utt + adv2 - c * c * lap, cross
+
+
+def forcing_mixed_2d(x, y, t, w, c: float):
+    """f = (d/dt + w . grad)^2 u - c^2 Lap u for the mixed-BC solution."""
+    a, b = forcing_mixed_2d_factors(x, y, w, c)
+    return a * np.sin(t) + b * np.cos(t)
 
 
 def periodic_1d(w: float, c: float, lift: bool = True) -> ProblemSpec:
@@ -169,9 +176,10 @@ def mixed_2d(w, c: float, lift: bool = False) -> ProblemSpec:
     def ev(x, t):
         return exact_mixed_2d(x[..., 0], x[..., 1], t, w_vec)[1]
 
-    def f(x, t):
-        return forcing_mixed_2d(x[..., 0], x[..., 1], t, w_vec, c)
-
+    forcing = SeparableForcing(
+        space=lambda x: np.stack(forcing_mixed_2d_factors(x[..., 0], x[..., 1], w_vec, c)),
+        time=lambda t: np.array([np.sin(t), np.cos(t)]),
+    )
     initial = InitialData(
         u0=lambda x: np.zeros(x.shape[:-1]),
         grad_u0=lambda x: np.zeros(x.shape),
@@ -180,7 +188,7 @@ def mixed_2d(w, c: float, lift: bool = False) -> ProblemSpec:
     )
     spec = ProblemSpec(
         kind="mixed2d", dim=2, w=w_vec, c=float(c),
-        exact_u=eu, exact_v=ev, forcing=f,
+        exact_u=eu, exact_v=ev, forcing=forcing,
         boundary_mode="physical", lift=lift, initial_data=initial,
     )
     _spot_check_v(spec)
@@ -201,33 +209,35 @@ def lift_initial_data(spec: ProblemSpec) -> ProblemSpec:
     w, c = spec.w, spec.c
     base_u, base_v, base_f = spec.exact_u, spec.exact_v, spec.forcing
 
-    def g(t):
-        return np.exp(-t * t)
-
-    def gp(t):
-        return -2.0 * t * np.exp(-t * t)
-
-    def gpp(t):
-        return (4.0 * t * t - 2.0) * np.exp(-t * t)
+    def lift_time(t):
+        """g(t) = exp(-t^2) and its first two derivatives."""
+        g = np.exp(-t * t)
+        return np.array([g, -2.0 * t * g, (4.0 * t * t - 2.0) * g])
 
     def lifted_u(x, t):
-        return base_u(x, t) - data.u0(x) * g(t)
+        return base_u(x, t) - data.u0(x) * lift_time(t)[0]
 
     def lifted_v(x, t):
+        g, gp, _ = lift_time(t)
         adv = np.einsum("...d,d->...", data.grad_u0(x), w)
-        return base_v(x, t) - (data.u0(x) * gp(t) + adv * g(t))
+        return base_v(x, t) - (data.u0(x) * gp + adv * g)
 
-    def lifted_f(x, t):
-        base = base_f(x, t) if base_f is not None else 0.0
+    # the lifting adds g (c^2 Lap u0 - (w . grad)^2 u0) - 2 g' w . grad u0
+    # - g'' u0 to the forcing
+    def lift_space(x):
         adv = np.einsum("...d,d->...", data.grad_u0(x), w)
-        return (base
-                + c * c * g(t) * data.lap_u0(x)
-                - data.u0(x) * gpp(t)
-                - 2.0 * gp(t) * adv
-                - g(t) * data.adv2_u0(x, w))
+        return np.stack([c * c * data.lap_u0(x) - data.adv2_u0(x, w),
+                         -2.0 * adv, -data.u0(x)])
 
+    if base_f is None:
+        forcing = SeparableForcing(space=lift_space, time=lift_time)
+    else:
+        forcing = SeparableForcing(
+            space=lambda x: np.concatenate([base_f.space(x), lift_space(x)]),
+            time=lambda t: np.concatenate([base_f.time(t), lift_time(t)]),
+        )
     return replace(spec, exact_u=lifted_u, exact_v=lifted_v,
-                   forcing=lifted_f, lift=True)
+                   forcing=forcing, lift=True)
 
 
 def project_initial(spec: ProblemSpec, disc: Discretization) -> ModalState:

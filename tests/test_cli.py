@@ -43,6 +43,7 @@ def test_unknown_field_rejected(tmp_path):
     ({"n_list": [4]}, "n_list"),
     ({"xi": -1.0}, "xi"),
     ({"dim": 2}, "dim"),
+    ({"q": True}, "q"),
 ])
 def test_invalid_configs(tmp_path, overrides, field):
     with pytest.raises(ConfigError, match=field):

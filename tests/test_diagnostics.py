@@ -6,7 +6,7 @@ from advwave.diagnostics import (discrete_energy, energy_identity_residual,
                                  fit_rate, l2_error, spectral_radius_probe)
 from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
-from advwave.operators import Discretization, ModalState
+from advwave.operators import Discretization, ModalState, SeparableForcing
 
 
 def make_disc(dim=1, n=8, q=2, w=(0.5,), c=1.0, mode="periodic", params=None):
@@ -95,8 +95,9 @@ def test_energy_identity(dim, n, w, mode, params):
 def test_energy_identity_rejects_forcing():
     ref = build_reference(2, 2, dim=1)
     mesh = build_mesh(1, 4, "periodic")
-    disc = Discretization(mesh, ref, FluxParams.central(), [0.5], 1.0,
-                          forcing=lambda x, t: np.zeros(x.shape[:-1]))
+    zero = SeparableForcing(space=lambda x: np.zeros((1,) + x.shape[:-1]),
+                            time=lambda t: np.ones(1))
+    disc = Discretization(mesh, ref, FluxParams.central(), [0.5], 1.0, forcing=zero)
     with pytest.raises(ValueError):
         energy_identity_residual(random_state(disc), disc)
 

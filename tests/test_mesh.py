@@ -44,6 +44,52 @@ def test_2d_element_indexing():
     assert np.allclose(mesh.element_centers[3], [3 / 6, 1 / 6])
 
 
+def reference_faces(dim, n, mode):
+    """Face arrays built face by face, in the mesh's face order."""
+    def cell(i, other, axis):
+        if dim == 1:
+            return i
+        return i * n + other if axis == 0 else other * n + i
+
+    rows = []
+    for other in (range(n) if dim == 2 else [0]):
+        for axis in range(dim):
+            if mode == "periodic":
+                for i in range(n):
+                    a, b = cell(i, other, axis), cell((i + 1) % n, other, axis)
+                    rows.append((axis, a, b, 1.0, 1, 0) if a < b
+                                else (axis, b, a, -1.0, 0, 1))
+                continue
+            rows.append((axis, cell(0, other, axis), -1, -1.0, 0, 0))
+            for i in range(n - 1):
+                rows.append((axis, cell(i, other, axis), cell(i + 1, other, axis),
+                             1.0, 1, 0))
+            rows.append((axis, cell(n - 1, other, axis), -1, 1.0, 1, 1))
+    return [np.array(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mode", ["periodic", "physical"])
+def test_face_arrays_match_face_by_face_construction(dim, mode):
+    for n in (2, 3, 5):
+        mesh = build_mesh(dim, n, mode)
+        got = (mesh.face_axis, mesh.face_owner, mesh.face_neighbor, mesh.face_sign,
+               mesh.face_owner_side, mesh.face_neighbor_side)
+        for g, e in zip(got, reference_faces(dim, n, mode)):
+            assert np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("w", [[0.5, -0.3], [2.0, 1.0], [-1.0, 0.0], [0.0, -1.5]])
+def test_classify_mesh_matches_per_face(w):
+    for mode in ("periodic", "physical"):
+        mesh = build_mesh(2, 3, mode)
+        kinds, wn = classify_mesh(mesh, w, 1.0)
+        for i in range(mesh.n_faces):
+            fc = classify_face(mesh.face(i), w, 1.0)
+            assert kinds[i] == fc.kind
+            assert wn[i] == fc.wn
+
+
 def test_owner_is_lower_indexed():
     for mode in ("periodic", "physical"):
         mesh = build_mesh(2, 4, mode)

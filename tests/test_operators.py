@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advwave.basis import build_reference
 from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
-from advwave.operators import (Discretization, ModalState, apply_dg_operator,
-                               build_element_solvers, trace_extract)
+from advwave.operators import (Discretization, ModalState, SeparableForcing,
+                               apply_dg_operator, build_element_solvers,
+                               trace_extract)
 
 
 def make_disc(dim=1, n=8, q=3, s=None, w=(0.5,), c=1.0, mode="periodic",
@@ -114,11 +117,13 @@ def test_galerkin_consistency_polynomial():
     # time derivative since everything is in the polynomial space.
     w, c = -2.0, 1.0
 
-    def forcing(x, t):
+    # f = -4 w (1-x) + (2 w^2 - 2 c^2)(1+t), split as 1 * F_0(x) + t * F_1(x)
+    def space(x):
         xx = x[..., 0]
-        return (-4.0 * w * (1.0 - xx)
-                + (2.0 * w * w - 2.0 * c * c) * (1.0 + t))
+        k = 2.0 * w * w - 2.0 * c * c
+        return np.stack([-4.0 * w * (1.0 - xx) + k, np.full_like(xx, k)])
 
+    forcing = SeparableForcing(space=space, time=lambda t: np.array([1.0, t]))
     disc = make_disc(dim=1, n=5, q=3, w=[w], c=c, mode="physical",
                      params=FluxParams.sommerfeld(), forcing=forcing)
     ref = disc.ref
@@ -140,6 +145,59 @@ def test_galerkin_consistency_polynomial():
     vt = project(vt_exact, ref.vol_vals_v, ref.mass_v)
     assert np.allclose(du, ut, atol=1e-11)
     assert np.allclose(dv, vt, atol=1e-11)
+
+
+# --- assembled operator ---------------------------------------------------------
+
+REGIMES = {"subsonic": [0.5, -0.3], "sonic": [1.0, -1.0], "supersonic": [2.0, -1.5]}
+FLUXES = {"central": FluxParams.central(), "sommerfeld": FluxParams.sommerfeld(),
+          "sigma": FluxParams(sigma=0.7),
+          "sigma-dissipative": FluxParams(sigma=0.2, beta=0.3, eta=0.1, xi=0.8)}
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+@pytest.mark.parametrize("flux", sorted(FLUXES))
+@pytest.mark.parametrize("dim,mode", [(1, "periodic"), (1, "physical"),
+                                      (2, "periodic"), (2, "physical")])
+def test_assembled_rhs_matches_matrix_free(dim, mode, flux, regime):
+    # the block stencil reproduces the face-by-face evaluation, including
+    # n = 2 (both neighbours are the same element) and s < q
+    for n in (2, 3, 5):
+        for q, s in ((2, 2), (3, 1)):
+            disc = make_disc(dim=dim, n=n, q=q, s=s, w=REGIMES[regime][:dim],
+                             mode=mode, params=FLUXES[flux])
+            state = random_state(disc, n)
+            du, dv = disc.rhs(state.u, state.v, 0.0)
+            ru, rv = disc.matrix_free_rhs(state.u, state.v, 0.0)
+            scale = max(np.abs(ru).max(), np.abs(rv).max())
+            assert np.abs(du - ru).max() <= 1e-13 * scale
+            assert np.abs(dv - rv).max() <= 1e-13 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(sigma=st.floats(0.0, 1.0))
+def test_periodic_operator_commutes_with_shift(sigma):
+    # the periodic wrap face is oriented like every other face of its axis,
+    # so shifting the state by one element shifts the derivative
+    for dim, n, w in ((1, 8, [0.4]), (2, 4, [0.4, -0.7])):
+        disc = make_disc(dim=dim, n=n, q=3, w=w, params=FluxParams(sigma=sigma))
+        state = random_state(disc, 6)
+        for axis in range(dim):
+            def shift(a):
+                grid = a.reshape((n,) * dim + a.shape[1:])
+                return np.roll(grid, 1, axis=axis).reshape(a.shape)
+
+            for apply in (disc.rhs, disc.matrix_free_rhs):
+                du, dv = apply(state.u, state.v, 0.0)
+                su, sv = apply(shift(state.u), shift(state.v), 0.0)
+                scale = max(np.abs(du).max(), np.abs(dv).max())
+                assert np.abs(su - shift(du)).max() <= 1e-12 * scale
+                assert np.abs(sv - shift(dv)).max() <= 1e-12 * scale
+
+
+def test_plain_callable_forcing_rejected():
+    with pytest.raises(TypeError):
+        make_disc(forcing=lambda x, t: np.zeros(x.shape[:-1]))
 
 
 def test_worker_independent_determinism():

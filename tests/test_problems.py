@@ -124,10 +124,16 @@ def test_mixed_2d_forcing_matches_fd():
     def f_of(x, t):
         return forcing_mixed_2d(x[0], x[1], t, w, c)
 
+    separable = mixed_2d(w, c).forcing   # the form the operator projects
+
+    def f_sep(x, t):
+        return separable(x[None, :], t)[0]
+
     for _ in range(20):
         x = RNG.uniform(0.05, 0.95, 2)
         t = RNG.uniform(0.1, 1.5)
         assert abs(fd_pde_residual(u_of, f_of, x, t, w, c)) < 1e-5
+        assert abs(fd_pde_residual(u_of, f_sep, x, t, w, c)) < 1e-5
 
 
 @pytest.mark.parametrize("factory,args", [
@@ -190,6 +196,33 @@ def make_disc(spec, n, q):
     ref = build_reference(q, q, dim=spec.dim)
     mesh = build_mesh(spec.dim, n, spec.boundary_mode)
     return Discretization(mesh, ref, FluxParams.central(), spec.w, spec.c)
+
+
+@pytest.mark.parametrize("lift", [False, True])
+@pytest.mark.parametrize("factory,args", [
+    (periodic_1d, (0.5, 1.0)),
+    (periodic_2d, ([0.5, 0.25], 1.0)),
+    (mixed_2d, ([0.5, 0.5], 1.0)),
+])
+def test_projected_forcing_matches_quadrature(factory, args, lift):
+    # the projection made at build time equals the quadrature of
+    # sum_k g_k(t) F_k(x) at the time of the call, mass-inverted
+    spec = factory(*args, lift=lift)
+    ref = build_reference(3, 2, dim=spec.dim)
+    mesh = build_mesh(spec.dim, 4, spec.boundary_mode)
+    disc = Discretization(mesh, ref, FluxParams.sommerfeld(), spec.w, spec.c,
+                          forcing=spec.forcing)
+    u = np.zeros((mesh.n_elements, ref.n_u))
+    v = np.zeros((mesh.n_elements, ref.n_v))
+    for t in (0.0, 0.37, 1.2):
+        du, dv = disc.rhs(u, v, t)
+        assert np.all(du == 0.0)
+        if spec.forcing is None:
+            assert np.all(dv == 0.0)
+            continue
+        f = spec.forcing(disc.quad_points, t)
+        expect = ((f * ref.vol_weights) @ ref.vol_vals_v) / np.diag(ref.mass_v)
+        assert np.abs(dv - expect).max() <= 1e-13 * max(1.0, np.abs(expect).max())
 
 
 def test_projection_exact_for_polynomials():
