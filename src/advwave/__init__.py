@@ -2,9 +2,8 @@
 equation (d/dt + w . grad)^2 u = c^2 Lap u in one and two dimensions."""
 
 from .basis import ReferenceElement, build_reference
-from .diagnostics import (ConvergenceReport, discrete_energy,
-                          energy_identity_residual, fit_rate, l2_error,
-                          spectral_radius_probe)
+from .diagnostics import (discrete_energy, energy_identity_residual, fit_rate,
+                          l2_error, spectral_radius_probe)
 from .fluxes import FluxParams, FluxState, Trace, compute_flux, face_energy_rate
 from .mesh import Face, FaceClass, FaceKind, MeshTopology, build_mesh, classify_face
 from .operators import Discretization, ModalState, apply_dg_operator, trace_extract
@@ -16,7 +15,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ReferenceElement", "build_reference",
-    "ConvergenceReport", "discrete_energy", "energy_identity_residual",
+    "discrete_energy", "energy_identity_residual",
     "fit_rate", "l2_error", "spectral_radius_probe",
     "FluxParams", "FluxState", "Trace", "compute_flux", "face_energy_rate",
     "Face", "FaceClass", "FaceKind", "MeshTopology", "build_mesh", "classify_face",

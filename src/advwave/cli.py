@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -109,6 +110,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    """True for finite JSON numbers (booleans excluded)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+# number fields; None selects the default of the optional ones
+REAL_FIELDS = ("sigma", "beta", "eta", "xi", "c", "T", "cfl", "dt", "energy_tol")
+OPTIONAL_REAL_FIELDS = frozenset({"xi", "cfl", "dt"})
+
+
 def validate_config(cfg: RunConfig) -> None:
     if cfg.problem not in ("periodic1d", "periodic2d", "mixed2d"):
         raise ConfigError(f"problem: unknown problem {cfg.problem!r}")
@@ -116,14 +127,22 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("q: polynomial degree must be an integer >= 1")
     if cfg.s is not None and (not _is_int(cfg.s) or not 0 <= cfg.s <= cfg.q):
         raise ConfigError("s: must be an integer with 0 <= s <= q")
+    if cfg.n_quad is not None and (not _is_int(cfg.n_quad) or cfg.n_quad < cfg.q + 1):
+        raise ConfigError("n_quad: must be an integer >= q + 1")
     if cfg.flux_preset not in ("sommerfeld", "upwind", "central", "custom"):
         raise ConfigError(f"flux: unknown preset {cfg.flux_preset!r} "
                           "(central|sommerfeld|upwind|custom)")
+    for name in REAL_FIELDS:
+        value = getattr(cfg, name)
+        if not (_is_real(value) or (value is None and name in OPTIONAL_REAL_FIELDS)):
+            raise ConfigError(f"{name}: must be a finite number, got {value!r}")
     if cfg.c <= 0:
         raise ConfigError("c: wave speed must be positive")
     if cfg.xi is not None and cfg.xi <= 0:
         raise ConfigError("xi: splitting speed must be positive")
-    w = np.atleast_1d(np.asarray(cfg.w, dtype=float))
+    w = cfg.w if isinstance(cfg.w, (list, tuple)) else [cfg.w]
+    if not all(_is_real(x) for x in w):
+        raise ConfigError(f"w: components must be finite numbers, got {cfg.w!r}")
     if len(w) != cfg.dim:
         raise ConfigError(f"w: expected {cfg.dim} component(s) for {cfg.problem}")
     if not _is_int(cfg.n) or cfg.n < 2:
@@ -142,6 +161,14 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("n_states: must be an integer >= 1")
     if cfg.energy_tol <= 0:
         raise ConfigError("energy_tol: must be positive")
+    if not _is_int(cfg.record_stride) or cfg.record_stride < 0:
+        raise ConfigError("record_stride: must be an integer >= 0")
+    if not _is_int(cfg.seed) or cfg.seed < 0:
+        raise ConfigError("seed: must be an integer >= 0")
+    if cfg.lift is not None and not isinstance(cfg.lift, bool):
+        raise ConfigError("lift: must be true or false")
+    if not isinstance(cfg.output_dir, str):
+        raise ConfigError("output_dir: must be a string")
 
 
 def flux_params(cfg: RunConfig) -> FluxParams:
@@ -361,10 +388,10 @@ def cmd_spectrum(cfg: RunConfig, outdir, seed: int, workers: int) -> int:
     for n in grids:
         disc, _ = build_discretization(cfg, n=n, with_forcing=False)
         radius, converged = spectral_radius_probe(disc, seed=seed)
-        rows.append((cfg.q, n, disc.mesh.h, radius))
+        rows.append((cfg.q, n, disc.mesh.h, radius, bool(converged)))
         print(f"spectrum: q={cfg.q} n={n} radius={radius:.6e} "
               f"converged={bool(converged)}")
-    write_csv(outdir / "spectrum.csv", ["q", "n", "h", "radius"], rows)
+    write_csv(outdir / "spectrum.csv", ["q", "n", "h", "radius", "converged"], rows)
     return EXIT_OK
 
 
@@ -400,6 +427,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     if args.workers < 1:
         print("config error: --workers must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.seed is not None and args.seed < 0:
+        print("config error: --seed must be >= 0", file=sys.stderr)
         return EXIT_CONFIG
 
     seed = args.seed if args.seed is not None else cfg.seed

@@ -3,22 +3,10 @@ spectral-radius probe for the semidiscrete operator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import tensor_eval
-from .operators import Discretization, ModalState
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    grids: list          # (n, h) pairs, coarse to fine
-    errors_u: np.ndarray
-    errors_v: np.ndarray
-    rate_u: float
-    rate_v: float
-    fit_window: int
+from .operators import Discretization, FieldTable, ModalState
 
 
 def discrete_energy(state: ModalState, disc: Discretization) -> float:
@@ -51,34 +39,47 @@ def energy_identity_residual(state: ModalState, disc: Discretization):
     return lhs, rhs, residual
 
 
+class _ErrorQuadrature:
+    """A Gauss rule n_extra points per direction finer than the operator's,
+    on every element of one discretization: the weights with the element
+    Jacobian folded in, the u and v basis tables, and the exact fields at
+    the physical points."""
+
+    def __init__(self, disc: Discretization, n_extra: int):
+        ref, mesh = disc.ref, disc.mesh
+        dim = mesh.dim
+        nodes, weights = np.polynomial.legendre.leggauss(ref.n_quad + n_extra)
+        grids = np.meshgrid(*([nodes] * dim), indexing="ij")
+        pts_ref = np.stack([g.ravel() for g in grids], axis=1)
+        wgrids = np.meshgrid(*([weights] * dim), indexing="ij")
+        self.weights = disc.jac_vol * np.prod(np.stack([wg.ravel() for wg in wgrids]), axis=0)
+        self.vals_u_t = tensor_eval(ref.q, dim, pts_ref)[0].T.copy()
+        self.vals_v_t = tensor_eval(ref.s, dim, pts_ref)[0].T.copy()
+        self.exact = FieldTable(mesh.element_centers[:, None, :] + (mesh.h / 2.0) * pts_ref)
+
+
 def l2_error(state: ModalState, spec, t: float, disc: Discretization,
              n_extra: int = 2):
-    """Global L2 errors of u^h and v^h against the exact evaluators.
+    """Global L2 errors of u^h and v^h against the exact solutions.
 
     Uses a quadrature rule n_extra points finer than the operator's to keep
-    aliasing below the discretization error.
+    aliasing below the discretization error.  The rule, its basis tables and
+    the space factors of spec's Separable exact fields are built on the
+    first call for a discretization and n_extra and kept in
+    ``disc.error_quadratures``; later calls combine the cached factors with
+    the time factors at t.
     """
-    ref = disc.ref
-    mesh = disc.mesh
-    nodes, weights = np.polynomial.legendre.leggauss(ref.n_quad + n_extra)
-    dim = mesh.dim
-    grids = np.meshgrid(*([nodes] * dim), indexing="ij")
-    pts_ref = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([weights] * dim), indexing="ij")
-    wq = np.prod(np.stack([wg.ravel() for wg in wgrids]), axis=0)
+    quad = disc.error_quadratures.get(n_extra)
+    if quad is None:
+        quad = disc.error_quadratures[n_extra] = _ErrorQuadrature(disc, n_extra)
 
-    vals_u, _ = tensor_eval(ref.q, dim, pts_ref)
-    vals_v, _ = tensor_eval(ref.s, dim, pts_ref)
-    pts = mesh.element_centers[:, None, :] + (mesh.h / 2.0) * pts_ref[None, :, :]
-    jac = (mesh.h / 2.0) ** dim
+    def error(coeffs, vals_t, field):
+        diff = coeffs @ vals_t
+        diff -= quad.exact(field, t)
+        return float(np.sqrt(np.sum(np.square(diff, out=diff) @ quad.weights)))
 
-    uh = state.u @ vals_u.T
-    vh = state.v @ vals_v.T
-    du = uh - spec.exact_u(pts, t)
-    dv = vh - spec.exact_v(pts, t)
-    err_u = np.sqrt(jac * np.sum(du * du * wq))
-    err_v = np.sqrt(jac * np.sum(dv * dv * wq))
-    return float(err_u), float(err_v)
+    return (error(state.u, quad.vals_u_t, spec.exact_u),
+            error(state.v, quad.vals_v_t, spec.exact_v))
 
 
 def fit_rate(hs, errs, window: int | None = None) -> float:

@@ -53,19 +53,54 @@ class ModalState:
 
 
 @dataclass(frozen=True)
-class SeparableForcing:
-    """v-equation forcing f(x, t) = sum_k time(t)[k] * space(x)[k].
+class Separable:
+    """A field f(x, t) = sum_k time(t)[k] * space(x)[k].
 
     space maps positions of shape (..., dim) to an array (K, ...); time maps
-    a scalar time to an array (K,).  The operator projects the K space
-    factors once and combines them with the time factors on every call.
+    a time to an array (K,), or an array of times to (K,) + its shape.  The
+    v-equation forcing and the exact solutions have this form, so their
+    space factors can be evaluated once at fixed points (the operator's
+    projection, the quadrature of ``diagnostics.l2_error``) and combined
+    with the time factors on every call.
     """
 
     space: Callable
     time: Callable
 
     def __call__(self, x, t):
-        return np.tensordot(self.time(t), self.space(x), axes=1)
+        return _combine(self.time(t), self.space(x))
+
+
+def _combine(g, f):
+    """sum_k g[k] * f[k] for time factors g and space factors f."""
+    g = np.asarray(g)
+    if g.ndim == 1:
+        return (g @ f.reshape(len(g), -1)).reshape(f.shape[1:])
+    # array times broadcast against the leading shape of the positions
+    return sum(gk * fk for gk, fk in zip(g, f))
+
+
+class FieldTable:
+    """Separable fields at fixed points.
+
+    Each distinct space callable is evaluated at the points once, on first
+    use, so fields that share one (u and v of the periodic problems) share
+    one array; a call then only combines it with the time factors.  Keying
+    by the callable itself means a field of another problem never reads
+    another's values.
+    """
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+        self._space = {}
+
+    def __call__(self, field: Separable, t: float) -> np.ndarray:
+        if not isinstance(field, Separable):
+            raise TypeError("expected a Separable field")
+        values = self._space.get(field.space)
+        if values is None:
+            values = self._space[field.space] = field.space(self.points)
+        return _combine(field.time(t), values)
 
 
 @dataclass(frozen=True)
@@ -119,15 +154,15 @@ class _FaceGroup:
 class Discretization:
     """Everything needed to apply the semidiscrete operator repeatedly.
 
-    forcing, if given, is a SeparableForcing for the v equation.
+    forcing, if given, is a Separable field for the v equation.
     """
 
     def __init__(self, mesh: MeshTopology, ref: ReferenceElement,
                  params: FluxParams, w, c: float, forcing=None):
         if ref.dim != mesh.dim:
             raise ValueError("mesh and reference element dimensions differ")
-        if forcing is not None and not isinstance(forcing, SeparableForcing):
-            raise TypeError("forcing must be a SeparableForcing")
+        if forcing is not None and not isinstance(forcing, Separable):
+            raise TypeError("forcing must be a Separable field")
         self.mesh = mesh
         self.ref = ref
         self.params = params
@@ -162,7 +197,7 @@ class Discretization:
             mesh.element_centers[:, None, :] + (h / 2.0) * ref.vol_nodes[None, :, :]
         )
 
-        self.face_kinds, self.face_wn = classify_mesh(mesh, self.w, self.c)
+        self.face_kinds, _ = classify_mesh(mesh, self.w, self.c)
         self._groups = self._build_face_groups()
 
         blocks = self._assemble_blocks()
@@ -180,6 +215,9 @@ class Discretization:
             proj = self._load_v(space) * self.solvers.v_mass_inv
             self._forcing_time = forcing.time
             self._forcing_proj = proj.reshape(len(space), -1)
+        # the finer quadratures of diagnostics.l2_error by n_extra, built
+        # there on first use
+        self.error_quadratures = {}
 
     def _build_face_groups(self) -> list[_FaceGroup]:
         """Faces grouped by (kind, axis).

@@ -1,18 +1,21 @@
 """Manufactured solutions, forcing terms, initial projection, and lifting.
 
-Exact evaluators take positions of shape (..., dim) and a time, and return
-arrays of shape (...,).  The v evaluator is always the advective derivative
-of u; every factory spot-checks this with finite differences.
+The exact solutions and the forcing are ``Separable`` fields: a few space
+factors, evaluated at positions of shape (..., dim), combined with time
+factors.  The v solution is always the advective derivative of u; every
+factory spot-checks this with finite differences.  The closed forms
+``exact_*`` give the same solutions unfactored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .operators import Discretization, ModalState, SeparableForcing
+from .operators import Discretization, FieldTable, ModalState, Separable
 
 TWO_PI = 2.0 * np.pi
 
@@ -34,12 +37,31 @@ class ProblemSpec:
     dim: int
     w: np.ndarray
     c: float
-    exact_u: Callable
-    exact_v: Callable
-    forcing: SeparableForcing | None   # v-equation forcing, None means zero
+    exact_u: Separable
+    exact_v: Separable
+    forcing: Separable | None     # v-equation forcing, None means zero
     boundary_mode: str            # "periodic" | "physical"
     lift: bool = False
     initial_data: InitialData | None = None
+
+
+@cache
+def _spot_samples(dim: int, n_samples: int, eps: float):
+    """Random sample points and times of the spot check, and its stencil.
+
+    The same for every problem of a dimension, so they are drawn once; the
+    arrays are read-only because every caller shares them.
+    """
+    rng = np.random.default_rng(1234)
+    x = rng.uniform(0.1, 0.9, size=(n_samples, dim))
+    t = rng.uniform(0.1, 0.7, size=n_samples)
+    # stencil rows: t + eps, t - eps, then x + eps e_d and x - eps e_d
+    dx = np.concatenate([np.zeros((2, dim)), eps * np.eye(dim), -eps * np.eye(dim)])
+    dt = np.concatenate([[eps, -eps], np.zeros(2 * dim)])
+    arrays = (x, t, x + dx[:, None, :], t + dt[:, None])
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _spot_check_v(spec: ProblemSpec, n_samples: int = 5, eps: float = 1e-6,
@@ -50,13 +72,8 @@ def _spot_check_v(spec: ProblemSpec, n_samples: int = 5, eps: float = 1e-6,
     the sample times as an array matching the points.
     """
     dim = spec.dim
-    rng = np.random.default_rng(1234)
-    x = rng.uniform(0.1, 0.9, size=(n_samples, dim))
-    t = rng.uniform(0.1, 0.7, size=n_samples)
-    # stencil rows: t + eps, t - eps, then x + eps e_d and x - eps e_d
-    dx = np.concatenate([np.zeros((2, dim)), eps * np.eye(dim), -eps * np.eye(dim)])
-    dt = np.concatenate([[eps, -eps], np.zeros(2 * dim)])
-    u = spec.exact_u(x + dx[:, None, :], t + dt[:, None])
+    x, t, x_stencil, t_stencil = _spot_samples(dim, n_samples, eps)
+    u = spec.exact_u(x_stencil, t_stencil)
     ut = (u[0] - u[1]) / (2 * eps)
     adv = spec.w @ (u[2:2 + dim] - u[2 + dim:]) / (2 * eps)
     if np.max(np.abs(ut + adv - spec.exact_v(x, t))) > tol:
@@ -117,14 +134,33 @@ def forcing_mixed_2d(x, y, t, w, c: float):
     return a * np.sin(t) + b * np.cos(t)
 
 
+def _traveling_sines(w: np.ndarray):
+    """Space and time factors of sum_d sin 2 pi (x_d - w_d t), expanded as
+    sin(2 pi x_d) cos(2 pi w_d t) - cos(2 pi x_d) sin(2 pi w_d t)."""
+
+    def space(x):
+        dim = x.shape[-1]
+        out = np.empty((2 * dim,) + x.shape[:-1])
+        for d in range(dim):
+            # the angle goes into the cosine slot first: no temporary array
+            theta = np.multiply(x[..., d], TWO_PI, out=out[dim + d])
+            np.sin(theta, out=out[d])
+            np.cos(theta, out=theta)
+        return out
+
+    def time(t):
+        phase = np.multiply.outer(TWO_PI * w, t)
+        return np.concatenate([np.cos(phase), -np.sin(phase)])
+
+    return space, time
+
+
 def periodic_1d(w: float, c: float, lift: bool = True) -> ProblemSpec:
     w_vec = np.array([float(w)])
-
-    def eu(x, t):
-        return exact_periodic_1d(x[..., 0], t, w, c)[0]
-
-    def ev(x, t):
-        return exact_periodic_1d(x[..., 0], t, w, c)[1]
+    space, phase = _traveling_sines(w_vec)
+    omega = 2.0 * c * np.pi
+    eu = Separable(space, lambda t: np.cos(omega * t) * phase(t))
+    ev = Separable(space, lambda t: -omega * np.sin(omega * t) * phase(t))
 
     initial = InitialData(
         u0=lambda x: np.sin(TWO_PI * x[..., 0]),
@@ -143,12 +179,10 @@ def periodic_1d(w: float, c: float, lift: bool = True) -> ProblemSpec:
 
 def periodic_2d(w, c: float, lift: bool = False) -> ProblemSpec:
     w_vec = np.asarray(w, dtype=float)
-
-    def eu(x, t):
-        return exact_periodic_2d(x[..., 0], x[..., 1], t, w_vec, c)[0]
-
-    def ev(x, t):
-        return exact_periodic_2d(x[..., 0], x[..., 1], t, w_vec, c)[1]
+    space, phase = _traveling_sines(w_vec)
+    omega = 2.0 * c * np.pi
+    eu = Separable(space, lambda t: np.sin(omega * t) * phase(t))
+    ev = Separable(space, lambda t: omega * np.cos(omega * t) * phase(t))
 
     # u(., 0) = 0: the lifting transform is the identity here
     initial = InitialData(
@@ -170,13 +204,17 @@ def mixed_2d(w, c: float, lift: bool = False) -> ProblemSpec:
     """Dirichlet inflow / radiation outflow problem on the unit square."""
     w_vec = np.asarray(w, dtype=float)
 
-    def eu(x, t):
-        return exact_mixed_2d(x[..., 0], x[..., 1], t, w_vec)[0]
+    def u_space(x):
+        return (_poly_factors(x[..., 0])[0] * _poly_factors(x[..., 1])[0])[None]
 
-    def ev(x, t):
-        return exact_mixed_2d(x[..., 0], x[..., 1], t, w_vec)[1]
+    def v_space(x):
+        X, Xp, _ = _poly_factors(x[..., 0])
+        Y, Yp, _ = _poly_factors(x[..., 1])
+        return np.stack([X * Y, w_vec[0] * Xp * Y + w_vec[1] * X * Yp])
 
-    forcing = SeparableForcing(
+    eu = Separable(u_space, lambda t: np.array([np.sin(t)]))
+    ev = Separable(v_space, lambda t: np.array([np.cos(t), np.sin(t)]))
+    forcing = Separable(
         space=lambda x: np.stack(forcing_mixed_2d_factors(x[..., 0], x[..., 1], w_vec, c)),
         time=lambda t: np.array([np.sin(t), np.cos(t)]),
     )
@@ -199,9 +237,11 @@ def lift_initial_data(spec: ProblemSpec) -> ProblemSpec:
     """Transform to zero initial displacement via u = u_tilde + u0(x) e^{-t^2}.
 
     The lifted problem evolves u_tilde with an extra forcing; its exact
-    evaluators are shifted so errors computed in lifted variables equal
-    errors of the reconstructed solution.  Note the lifted v initial data
-    is v(., 0) - w . grad u0, which need not vanish.
+    solutions are shifted so errors computed in lifted variables equal
+    errors of the reconstructed solution.  Both fields get the factors u0
+    and w . grad u0 appended, with weights (-g, 0) in u and (-g', -g) in v.  Note
+    the lifted v initial data is v(., 0) - w . grad u0, which need not
+    vanish.
     """
     if spec.initial_data is None:
         raise ValueError("lifting requires the problem's initial-data derivatives")
@@ -214,25 +254,35 @@ def lift_initial_data(spec: ProblemSpec) -> ProblemSpec:
         g = np.exp(-t * t)
         return np.array([g, -2.0 * t * g, (4.0 * t * t - 2.0) * g])
 
-    def lifted_u(x, t):
-        return base_u(x, t) - data.u0(x) * lift_time(t)[0]
+    def adv_u0(x):
+        return data.grad_u0(x) @ w
 
-    def lifted_v(x, t):
-        g, gp, _ = lift_time(t)
-        adv = np.einsum("...d,d->...", data.grad_u0(x), w)
-        return base_v(x, t) - (data.u0(x) * gp + adv * g)
+    def extend(space):
+        return lambda x: np.concatenate([space(x), np.stack([data.u0(x), adv_u0(x)])])
+
+    # u and v keep sharing one space callable (one evaluation) if they did;
+    # u gives the w . grad u0 factor zero weight
+    space_u = extend(base_u.space)
+    space_v = space_u if base_v.space is base_u.space else extend(base_v.space)
+
+    def time_u(t):
+        g = lift_time(t)[0]
+        return np.concatenate([base_u.time(t), [-g, 0.0 * g]])
+
+    lifted_u = Separable(space_u, time_u)
+    lifted_v = Separable(
+        space_v, lambda t: np.concatenate([base_v.time(t), -lift_time(t)[1::-1]]))
 
     # the lifting adds g (c^2 Lap u0 - (w . grad)^2 u0) - 2 g' w . grad u0
     # - g'' u0 to the forcing
     def lift_space(x):
-        adv = np.einsum("...d,d->...", data.grad_u0(x), w)
         return np.stack([c * c * data.lap_u0(x) - data.adv2_u0(x, w),
-                         -2.0 * adv, -data.u0(x)])
+                         -2.0 * adv_u0(x), -data.u0(x)])
 
     if base_f is None:
-        forcing = SeparableForcing(space=lift_space, time=lift_time)
+        forcing = Separable(space=lift_space, time=lift_time)
     else:
-        forcing = SeparableForcing(
+        forcing = Separable(
             space=lambda x: np.concatenate([base_f.space(x), lift_space(x)]),
             time=lambda t: np.concatenate([base_f.time(t), lift_time(t)]),
         )
@@ -243,10 +293,10 @@ def lift_initial_data(spec: ProblemSpec) -> ProblemSpec:
 def project_initial(spec: ProblemSpec, disc: Discretization) -> ModalState:
     """Elementwise L2 projection of the exact data at t = 0 onto (q, s)."""
     ref = disc.ref
-    pts = disc.quad_points
+    exact = FieldTable(disc.quad_points)
     wq = ref.vol_weights
-    u0 = spec.exact_u(pts, 0.0)
-    v0 = spec.exact_v(pts, 0.0)
+    u0 = exact(spec.exact_u, 0.0)
+    v0 = exact(spec.exact_v, 0.0)
     mass_u_diag = np.diag(ref.mass_u)
     mass_v_diag = np.diag(ref.mass_v)
     u_hat = ((u0 * wq) @ ref.vol_vals_u) / mass_u_diag

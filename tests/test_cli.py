@@ -44,6 +44,18 @@ def test_unknown_field_rejected(tmp_path):
     ({"xi": -1.0}, "xi"),
     ({"dim": 2}, "dim"),
     ({"q": True}, "q"),
+    ({"T": "1"}, "T"),
+    ({"T": float("inf")}, "T"),
+    ({"c": float("nan")}, "c"),
+    ({"w": "a"}, "w"),
+    ({"n_quad": 2, "q": 3}, "n_quad"),
+    ({"w": [float("nan")]}, "w"),
+    ({"flux": {"preset": "custom", "sigma": "0.5"}}, "sigma"),
+    ({"dt": True}, "dt"),
+    ({"record_stride": "a"}, "record_stride"),
+    ({"seed": -1}, "seed"),
+    ({"lift": "no"}, "lift"),
+    ({"output_dir": 5}, "output_dir"),
 ])
 def test_invalid_configs(tmp_path, overrides, field):
     with pytest.raises(ConfigError, match=field):
@@ -119,6 +131,8 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", path, "--output", str(tmp_path)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json"),
                  "--output", str(tmp_path)]) == 2
+    assert main(["energy", "--config", write_config(tmp_path), "--seed", "-1",
+                 "--output", str(tmp_path)]) == 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -166,7 +180,8 @@ def test_spectrum_smoke(tmp_path):
     out = tmp_path / "s"
     assert main(["spectrum", "--config", path, "--output", str(out)]) == 0
     lines = (out / "spectrum.csv").read_text().splitlines()
-    assert lines[0] == "q,n,h,radius"
+    assert lines[0] == "q,n,h,radius,converged"
+    assert [line.split(",")[4] for line in lines[1:]] == ["True", "True"]
     r4 = float(lines[1].split(",")[3])
     r8 = float(lines[2].split(",")[3])
     assert r8 / r4 == pytest.approx(2.0, rel=0.2)

@@ -6,7 +6,9 @@ from advwave.diagnostics import (discrete_energy, energy_identity_residual,
                                  fit_rate, l2_error, spectral_radius_probe)
 from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
-from advwave.operators import Discretization, ModalState, SeparableForcing
+from advwave.operators import Discretization, ModalState, Separable
+from advwave.problems import (exact_mixed_2d, exact_periodic_1d, exact_periodic_2d,
+                              mixed_2d, periodic_1d, periodic_2d)
 
 
 def make_disc(dim=1, n=8, q=2, w=(0.5,), c=1.0, mode="periodic", params=None):
@@ -95,7 +97,7 @@ def test_energy_identity(dim, n, w, mode, params):
 def test_energy_identity_rejects_forcing():
     ref = build_reference(2, 2, dim=1)
     mesh = build_mesh(1, 4, "periodic")
-    zero = SeparableForcing(space=lambda x: np.zeros((1,) + x.shape[:-1]),
+    zero = Separable(space=lambda x: np.zeros((1,) + x.shape[:-1]),
                             time=lambda t: np.ones(1))
     disc = Discretization(mesh, ref, FluxParams.central(), [0.5], 1.0, forcing=zero)
     with pytest.raises(ValueError):
@@ -104,12 +106,15 @@ def test_energy_identity_rejects_forcing():
 
 # --- errors and rates -----------------------------------------------------------
 
+ZERO_FIELD = Separable(space=lambda x: np.zeros((1,) + x.shape[:-1]),
+                       time=lambda t: np.ones(1))
+
+
 def test_l2_error_zero():
     from dataclasses import replace
     from advwave.problems import periodic_1d
     spec = periodic_1d(0.5, 1.0, lift=False)
-    zero = replace(spec, exact_u=lambda x, t: np.zeros(x.shape[:-1]),
-                   exact_v=lambda x, t: np.zeros(x.shape[:-1]))
+    zero = replace(spec, exact_u=ZERO_FIELD, exact_v=ZERO_FIELD)
     disc = make_disc()
     st = ModalState(np.zeros((8, 3)), np.zeros((8, 3)))
     assert l2_error(st, zero, 0.0, disc) == (0.0, 0.0)
@@ -121,14 +126,107 @@ def test_l2_error_known_perturbation():
     from dataclasses import replace
     from advwave.problems import periodic_1d
     spec = periodic_1d(0.5, 1.0, lift=False)
-    zero = replace(spec, exact_u=lambda x, t: np.zeros(x.shape[:-1]),
-                   exact_v=lambda x, t: np.zeros(x.shape[:-1]))
+    zero = replace(spec, exact_u=ZERO_FIELD, exact_v=ZERO_FIELD)
     disc = make_disc(n=4)
     st = ModalState(np.zeros((4, 3)), np.zeros((4, 3)))
     a = 0.3
     st.u[2, 1] = a
     expect = np.sqrt(a ** 2 * (disc.mesh.h / 2.0) * (2.0 / 3.0))
     assert l2_error(st, zero, 0.0, disc)[0] == pytest.approx(expect, rel=1e-12)
+
+
+def reference_l2_error(state, kind, spec, t, disc, n_extra=2):
+    """l2_error from scratch: fresh quadrature and basis tables, and the
+    closed-form solutions (minus the lifting's u0 e^{-t^2} terms)."""
+    ref, mesh = disc.ref, disc.mesh
+    dim = mesh.dim
+    nodes, weights = np.polynomial.legendre.leggauss(ref.n_quad + n_extra)
+    pts_ref = np.stack([g.ravel() for g in np.meshgrid(*[nodes] * dim, indexing="ij")],
+                       axis=1)
+    wq = np.prod(np.stack([g.ravel() for g in
+                           np.meshgrid(*[weights] * dim, indexing="ij")]), axis=0)
+    vals_u, _ = tensor_eval(ref.q, dim, pts_ref)
+    vals_v, _ = tensor_eval(ref.s, dim, pts_ref)
+    x = mesh.element_centers[:, None, :] + (mesh.h / 2.0) * pts_ref
+    w, c = spec.w, spec.c
+    if kind == "periodic1d":
+        u, v = exact_periodic_1d(x[..., 0], t, w[0], c)
+        if spec.lift:
+            g = np.exp(-t * t)
+            u0 = np.sin(2 * np.pi * x[..., 0])
+            adv = w[0] * 2 * np.pi * np.cos(2 * np.pi * x[..., 0])
+            u = u - u0 * g
+            v = v - (u0 * (-2.0 * t * g) + adv * g)
+    elif kind == "periodic2d":   # u0 = 0: the lifting changes nothing
+        u, v = exact_periodic_2d(x[..., 0], x[..., 1], t, w, c)
+    else:
+        u, v = exact_mixed_2d(x[..., 0], x[..., 1], t, w)
+    jac = (mesh.h / 2.0) ** dim
+    du = state.u @ vals_u.T - u
+    dv = state.v @ vals_v.T - v
+    return np.sqrt(jac * np.sum(du * du * wq)), np.sqrt(jac * np.sum(dv * dv * wq))
+
+
+PROBLEMS = {
+    "periodic1d": (periodic_1d, (0.5, 1.0), "periodic"),
+    "periodic2d": (periodic_2d, ([0.5, 0.25], 1.3), "periodic"),
+    "mixed2d": (mixed_2d, ([0.5, 0.5], 1.0), "physical"),
+}
+
+
+@pytest.mark.parametrize("lift", [False, True])
+@pytest.mark.parametrize("kind", sorted(PROBLEMS))
+def test_l2_error_matches_reference(kind, lift):
+    factory, args, mode = PROBLEMS[kind]
+    spec = factory(*args, lift=lift)
+    disc = Discretization(build_mesh(spec.dim, 4, mode), build_reference(3, 2, dim=spec.dim),
+                          FluxParams.sommerfeld(), spec.w, spec.c)
+    st = random_state(disc, 3)
+    for _ in range(2):   # the second round reads the cache
+        for t in (0.0, 0.3, 1.1, 2.7):
+            got = l2_error(st, spec, t, disc)
+            expect = reference_l2_error(st, kind, spec, t, disc)
+            assert np.allclose(got, expect, rtol=1e-13, atol=0.0)
+
+
+def test_l2_error_builds_tables_once(monkeypatch):
+    import advwave.diagnostics as diagnostics
+    calls = []
+
+    def counting(*args):
+        calls.append(args[:2])
+        return tensor_eval(*args)
+
+    monkeypatch.setattr(diagnostics, "tensor_eval", counting)
+    spec = periodic_2d([0.5, 0.25], 1.0)
+    disc = make_disc(dim=2, n=3, q=3, w=spec.w)
+    st = random_state(disc)
+    for k in range(10):
+        l2_error(st, spec, 0.1 * k, disc)
+    assert len(calls) == 2   # u and v tables of the one finer rule
+
+
+def test_l2_error_cache_not_stale_across_specs():
+    # specs with different space factors, interleaved on one discretization
+    disc = Discretization(build_mesh(2, 4, "physical"), build_reference(2, 2, dim=2),
+                          FluxParams.sommerfeld(), [0.5, 0.5], 1.0)
+    st = random_state(disc, 4)
+    specs = [("periodic2d", periodic_2d([0.5, 0.5], 1.0)),
+             ("mixed2d", mixed_2d([0.5, 0.5], 1.0)),
+             ("periodic2d", periodic_2d([0.5, 0.5], 2.0))]
+    for t in (0.2, 0.9):
+        for kind, spec in specs + specs[::-1]:
+            expect = reference_l2_error(st, kind, spec, t, disc)
+            assert np.allclose(l2_error(st, spec, t, disc), expect, rtol=1e-13, atol=0.0)
+
+
+def test_l2_error_rejects_plain_callable_fields():
+    from dataclasses import replace
+    spec = periodic_1d(0.5, 1.0, lift=False)
+    plain = replace(spec, exact_u=lambda x, t: np.zeros(x.shape[:-1]))
+    disc = make_disc()
+    with pytest.raises(TypeError):
+        l2_error(random_state(disc), plain, 0.0, disc)
 
 
 def test_fit_rate_exact_power():

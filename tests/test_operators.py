@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from advwave.basis import build_reference
 from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
-from advwave.operators import (Discretization, ModalState, SeparableForcing,
+from advwave.operators import (Discretization, ModalState, Separable,
                                apply_dg_operator, build_element_solvers,
                                trace_extract)
 
@@ -123,7 +123,7 @@ def test_galerkin_consistency_polynomial():
         k = 2.0 * w * w - 2.0 * c * c
         return np.stack([-4.0 * w * (1.0 - xx) + k, np.full_like(xx, k)])
 
-    forcing = SeparableForcing(space=space, time=lambda t: np.array([1.0, t]))
+    forcing = Separable(space=space, time=lambda t: np.array([1.0, t]))
     disc = make_disc(dim=1, n=5, q=3, w=[w], c=c, mode="physical",
                      params=FluxParams.sommerfeld(), forcing=forcing)
     ref = disc.ref

@@ -4,7 +4,7 @@ import pytest
 from advwave.basis import build_reference
 from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
-from advwave.operators import Discretization
+from advwave.operators import Discretization, Separable
 from advwave.problems import (exact_mixed_2d, exact_periodic_1d,
                               exact_periodic_2d, forcing_mixed_2d,
                               lift_initial_data, mixed_2d, periodic_1d,
@@ -156,6 +156,27 @@ def test_v_is_advective_derivative(factory, args):
         assert np.max(np.abs(ut + adv - spec.exact_v(x, t))) < 1e-5
 
 
+@pytest.mark.parametrize("factory,args,closed", [
+    (periodic_1d, (0.5, 1.3), lambda x, t: exact_periodic_1d(x[..., 0], t, 0.5, 1.3)),
+    (periodic_2d, ([0.5, 0.25], 1.3),
+     lambda x, t: exact_periodic_2d(x[..., 0], x[..., 1], t, [0.5, 0.25], 1.3)),
+    (mixed_2d, ([0.5, 0.25], 1.0),
+     lambda x, t: exact_mixed_2d(x[..., 0], x[..., 1], t, [0.5, 0.25])),
+])
+def test_separable_exact_fields_match_closed_forms(factory, args, closed):
+    spec = factory(*args, lift=False)
+    x = RNG.uniform(0, 1, (3, 7, spec.dim))
+    times = RNG.uniform(0, 2, (3, 7))
+    for t in (0.0, 0.45, 1.7):                 # scalar t
+        u, v = closed(x, t)
+        assert np.max(np.abs(spec.exact_u(x, t) - u)) < 1e-13
+        assert np.max(np.abs(spec.exact_v(x, t) - v)) < 1e-13
+    for t in (times, times[0]):                # one time per point, broadcast
+        u, v = closed(x, t)
+        assert np.max(np.abs(spec.exact_u(x, t) - u)) < 1e-13
+        assert np.max(np.abs(spec.exact_v(x, t) - v)) < 1e-13
+
+
 def test_lifting_identities():
     base = periodic_1d(0.5, 1.0, lift=False)
     lifted = lift_initial_data(base)
@@ -229,8 +250,11 @@ def test_projection_exact_for_polynomials():
     from dataclasses import replace
     spec = periodic_1d(0.5, 1.0, lift=False)
     # replace evaluators with a quadratic: projection must reproduce it
-    poly = replace(spec, exact_u=lambda x, t: 3 * x[..., 0] ** 2 - x[..., 0],
-                   exact_v=lambda x, t: np.zeros(x.shape[:-1]))
+    poly = replace(spec,
+                   exact_u=Separable(space=lambda x: (3 * x[..., 0] ** 2 - x[..., 0])[None],
+                                     time=lambda t: np.ones(1)),
+                   exact_v=Separable(space=lambda x: np.zeros((1,) + x.shape[:-1]),
+                                     time=lambda t: np.ones(1)))
     disc = make_disc(poly, 4, 3)
     st = project_initial(poly, disc)
     vals = st.u @ disc.ref.vol_vals_u.T
