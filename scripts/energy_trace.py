@@ -7,15 +7,12 @@ and the worst per-step increase.
 """
 
 import argparse
-import sys
 
 import numpy as np
 
-sys.path.insert(0, "src")
-
-from advwave import (Discretization, FluxParams, ModalState,  # noqa: E402
-                     TimeControls, build_mesh, build_reference,
-                     discrete_energy, evolve, periodic_1d, project_initial)
+from advwave import (Discretization, FluxParams, ModalState, TimeControls,
+                     build_mesh, build_reference, discrete_energy, evolve,
+                     periodic_1d, project_initial)
 
 
 def trace_run(disc, state, controls, label, stride=50):

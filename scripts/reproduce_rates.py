@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Reproduce the main convergence-rate tables.
 
-Runs the grid-refinement studies for the 1D periodic (upwind and central),
-1D supersonic, 2D periodic, and 2D mixed-boundary cases and prints the
-fitted rates.  Pass --quick for a shorter grid list.
+Runs ``advwave converge`` on the 1D periodic (upwind and central), 1D
+supersonic, 2D periodic, and 2D mixed-boundary cases; it prints each
+case's fitted rates.  Each case's config, errors.csv and rates.csv go to a
+directory of its own under --output (default: a temporary directory,
+removed at exit).
+Pass --quick for a shorter grid list.
 """
 
 import argparse
-import sys
-import time
+import json
+import tempfile
+from pathlib import Path
 
-sys.path.insert(0, "src")
-
-from advwave.cli import RunConfig, run_convergence  # noqa: E402
+from advwave import cli
 
 CASES = [
     ("1D upwind q=2", dict(problem="periodic1d", q=2, flux="sommerfeld",
@@ -40,23 +42,36 @@ CASES = [
 QUICK_GRIDS = {1: [10, 14, 20, 28, 40], 2: [5, 7, 10, 14]}
 
 
+def run_cases(outdir: Path, quick: bool, workers: int) -> int:
+    failed = 0
+    for i, (label, config) in enumerate(CASES):
+        config = dict(config)
+        if quick:
+            config["n_list"] = QUICK_GRIDS[1 if config["problem"] == "periodic1d" else 2]
+        case_dir = outdir / f"case{i}"
+        case_dir.mkdir(parents=True, exist_ok=True)
+        path = case_dir / "config.json"
+        path.write_text(json.dumps(config, indent=2) + "\n")
+        print(f"{label}:", flush=True)
+        code = cli.main(["converge", "--config", str(path), "--output", str(case_dir),
+                         "--workers", str(workers)])
+        failed += code != cli.EXIT_OK
+    return 1 if failed else 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="use shorter grid lists")
     parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--output", default=None,
+                        help="keep each case's config and CSVs under this directory")
     args = parser.parse_args()
-
-    print(f"{'case':26s} {'rate_u':>8s} {'rate_v':>8s} {'finest err_u':>13s} {'secs':>6s}")
-    for label, kw in CASES:
-        cfg = RunConfig(**kw)
-        if args.quick:
-            cfg.n_list = QUICK_GRIDS[cfg.dim]
-        t0 = time.time()
-        rows, rate_u, rate_v, _ = run_convergence(cfg, workers=args.workers)
-        print(f"{label:26s} {rate_u:8.3f} {rate_v:8.3f} {rows[-1][2]:13.3e} "
-              f"{time.time() - t0:6.1f}")
+    if args.output is not None:
+        return run_cases(Path(args.output), args.quick, args.workers)
+    with tempfile.TemporaryDirectory() as tmp:
+        return run_cases(Path(tmp), args.quick, args.workers)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

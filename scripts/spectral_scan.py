@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Scan the semidiscrete operator's spectral radius over n and q.
 
-The estimates should scale like (c + |w|) q^2 / h, i.e. double under
-n -> 2n and roughly quadruple under q -> 2q.
+Runs ``advwave spectrum`` once per degree on the 1D periodic problem with
+the Sommerfeld flux.  The estimates should scale like (c + |w|) q^2 / h,
+i.e. double under n -> 2n and roughly quadruple under q -> 2q.
 """
 
 import argparse
-import sys
+import contextlib
+import csv
+import io
+import json
+import tempfile
+from pathlib import Path
 
-sys.path.insert(0, "src")
-
-from advwave import (Discretization, FluxParams, build_mesh,  # noqa: E402
-                     build_reference, spectral_radius_probe)
+from advwave import cli
 
 
 def main():
@@ -23,17 +26,23 @@ def main():
     args = parser.parse_args()
 
     print(f"{'q':>3s} {'n':>5s} {'radius':>12s} {'radius*h/q^2':>13s} {'conv':>5s}")
-    for q in args.qs:
-        ref = build_reference(q, q, dim=1)
-        for n in args.ns:
-            mesh = build_mesh(1, n, "periodic")
-            disc = Discretization(mesh, ref, FluxParams.sommerfeld(),
-                                  [args.w], args.c)
-            radius, converged = spectral_radius_probe(disc)
-            scaled = radius * mesh.h / q ** 2
-            print(f"{q:3d} {n:5d} {radius:12.4e} {scaled:13.4e} "
-                  f"{'yes' if converged else 'no':>5s}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for q in args.qs:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(dict(problem="periodic1d", q=q, flux="sommerfeld",
+                                            w=args.w, c=args.c, n_list=args.ns)))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["spectrum", "--config", str(path), "--output", tmp])
+            if code != cli.EXIT_OK:
+                return code
+            with open(Path(tmp) / "spectrum.csv", newline="") as fh:
+                for row in csv.DictReader(fh):
+                    radius, h = float(row["radius"]), float(row["h"])
+                    print(f"{q:3d} {int(row['n']):5d} {radius:12.4e} "
+                          f"{radius * h / q ** 2:13.4e} "
+                          f"{'yes' if row['converged'] == 'True' else 'no':>5s}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

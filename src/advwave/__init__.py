@@ -4,9 +4,9 @@ equation (d/dt + w . grad)^2 u = c^2 Lap u in one and two dimensions."""
 from .basis import ReferenceElement, build_reference
 from .diagnostics import (discrete_energy, energy_identity_residual, fit_rate,
                           l2_error, spectral_radius_probe)
-from .fluxes import FluxParams, FluxState, Trace, compute_flux, face_energy_rate
-from .mesh import Face, FaceClass, FaceKind, MeshTopology, build_mesh, classify_face
-from .operators import Discretization, ModalState, apply_dg_operator, trace_extract
+from .fluxes import FluxParams, FluxState, Trace, compute_flux, energy_rate_density
+from .mesh import FaceKind, MeshTopology, build_mesh, classify_mesh
+from .operators import Discretization, ModalState
 from .problems import (InitialData, ProblemSpec, lift_initial_data, mixed_2d,
                        periodic_1d, periodic_2d, project_initial)
 from .timeint import InstabilityError, TimeControls, compute_dt, evolve, rk4_step
@@ -17,9 +17,9 @@ __all__ = [
     "ReferenceElement", "build_reference",
     "discrete_energy", "energy_identity_residual",
     "fit_rate", "l2_error", "spectral_radius_probe",
-    "FluxParams", "FluxState", "Trace", "compute_flux", "face_energy_rate",
-    "Face", "FaceClass", "FaceKind", "MeshTopology", "build_mesh", "classify_face",
-    "Discretization", "ModalState", "apply_dg_operator", "trace_extract",
+    "FluxParams", "FluxState", "Trace", "compute_flux", "energy_rate_density",
+    "FaceKind", "MeshTopology", "build_mesh", "classify_mesh",
+    "Discretization", "ModalState",
     "InitialData", "ProblemSpec", "lift_initial_data", "mixed_2d",
     "periodic_1d", "periodic_2d", "project_initial",
     "InstabilityError", "TimeControls", "compute_dt", "evolve", "rk4_step",

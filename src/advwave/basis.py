@@ -74,16 +74,6 @@ def legendre_tables(degree: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return vals, ders
 
 
-def vandermonde(degree: int, x: np.ndarray) -> np.ndarray:
-    """Matrix V[m, k] = P_k(x_m) for k = 0..degree."""
-    return legendre_tables(degree, x)[0]
-
-
-def vandermonde_derivative(degree: int, x: np.ndarray) -> np.ndarray:
-    """Matrix D[m, k] = P_k'(x_m) for k = 0..degree."""
-    return legendre_tables(degree, x)[1]
-
-
 def modal_derivative_matrix(degree: int) -> np.ndarray:
     """Coefficient matrix of d/dz in the Legendre basis.
 
@@ -142,8 +132,6 @@ class ReferenceElement:
     s: int
     dim: int
     n_quad: int
-    quad_nodes: np.ndarray       # 1D Gauss rule
-    quad_weights: np.ndarray
     modes_u: np.ndarray          # (Nu, dim)
     modes_v: np.ndarray          # (Nv, dim)
     mass_u: np.ndarray           # (Nu, Nu) diagonal
@@ -158,11 +146,9 @@ class ReferenceElement:
     vol_grads_v: np.ndarray      # (dim, Nq, Nv)
     deriv_u: np.ndarray          # (dim, Nu, Nu) modal d/dz_d in u space
     embed_v: np.ndarray          # (Nu, Nv): v coefficients injected into u space
-    face_vals_u: np.ndarray      # (2*dim, nfq, Nu); side index = 2*d + (0 low / 1 high)
-    face_grads_u: np.ndarray     # (2*dim, dim, nfq, Nu)
+    face_grads_u: np.ndarray     # (2*dim, dim, nfq, Nu); side index = 2*d + (0 low / 1 high)
     face_vals_v: np.ndarray      # (2*dim, nfq, Nv)
     face_weights: np.ndarray     # (nfq,)
-    face_tangent_nodes: np.ndarray  # (nfq, dim-1)
 
     @property
     def n_u(self) -> int:
@@ -224,42 +210,28 @@ def build_reference(q: int, s: int, n_quad: int | None = None, dim: int = 1) -> 
     for j, m in enumerate(modes_v):
         embed_v[index_u[tuple(m)], j] = 1.0
 
-    # face quadrature: tensor rule in the dim-1 tangential directions
-    if dim == 1:
-        face_tangent = np.zeros((1, 0))
-        face_weights = np.array([1.0])
-    else:
-        face_tangent = nodes[:, None]
-        face_weights = weights.copy()
-    nfq = face_tangent.shape[0]
-
-    face_vals_u = np.empty((2 * dim, nfq, nu))
+    # face quadrature: the 1D rule along the tangential direction in 2D
+    face_weights = weights.copy() if dim == 2 else np.array([1.0])
+    nfq = len(face_weights)
     face_grads_u = np.empty((2 * dim, dim, nfq, nu))
     face_vals_v = np.empty((2 * dim, nfq, nv))
-    for d in range(dim):
-        for hi in (0, 1):
-            pts = np.empty((nfq, dim))
-            pts[:, d] = -1.0 if hi == 0 else 1.0
-            tangential = [t for t in range(dim) if t != d]
-            for j, t in enumerate(tangential):
-                pts[:, t] = face_tangent[:, j]
-            side = 2 * d + hi
-            vu, gu = tensor_eval(q, dim, pts)
-            vv, _ = tensor_eval(s, dim, pts)
-            face_vals_u[side] = vu
-            face_grads_u[side] = gu
-            face_vals_v[side] = vv
+    for side in range(2 * dim):
+        d, hi = divmod(side, 2)
+        pts = np.empty((nfq, dim))
+        pts[:, d] = 1.0 if hi else -1.0
+        if dim == 2:
+            pts[:, 1 - d] = nodes
+        face_grads_u[side] = tensor_eval(q, dim, pts)[1]
+        face_vals_v[side] = tensor_eval(s, dim, pts)[0]
 
     return ReferenceElement(
         q=q, s=s, dim=dim, n_quad=n_quad,
-        quad_nodes=nodes, quad_weights=weights,
         modes_u=modes_u, modes_v=modes_v,
         mass_u=mass_u, mass_v=mass_v, stiff_u=stiff_u, mean_row=mean_row,
         vol_nodes=vol_nodes, vol_weights=vol_weights,
         vol_vals_u=vol_vals_u, vol_grads_u=vol_grads_u,
         vol_vals_v=vol_vals_v, vol_grads_v=vol_grads_v,
         deriv_u=deriv_u, embed_v=embed_v,
-        face_vals_u=face_vals_u, face_grads_u=face_grads_u,
-        face_vals_v=face_vals_v, face_weights=face_weights,
-        face_tangent_nodes=face_tangent,
+        face_grads_u=face_grads_u, face_vals_v=face_vals_v,
+        face_weights=face_weights,
     )

@@ -9,6 +9,8 @@ stepping, 4 energy-audit failure.  All CSV output is byte-deterministic
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -48,10 +50,6 @@ class RunConfig:
     q: int = 3
     s: int | None = None          # defaults to q
     flux: object = "sommerfeld"   # preset name or {"preset", "sigma", "beta", "eta", "xi"}
-    sigma: float = 0.5            # only read when the preset is "custom"
-    beta: float = 0.0
-    eta: float = 0.0
-    xi: float | None = None       # defaults to c
     w: object = 0.5               # scalar (1D) or [wx, wy] (2D)
     c: float = 1.0
     n: int = 20
@@ -76,6 +74,11 @@ class RunConfig:
         f = self.flux
         return f.get("preset", "custom") if isinstance(f, dict) else f
 
+    @property
+    def flux_keys(self) -> dict:
+        """The flux object's keys; empty when flux is a preset name."""
+        return self.flux if isinstance(self.flux, dict) else {}
+
 
 def load_config(path: str) -> RunConfig:
     try:
@@ -95,10 +98,6 @@ def load_config(path: str) -> RunConfig:
         if key not in known:
             raise ConfigError(f"unknown config field {key!r}")
         setattr(cfg, key, value)
-    if isinstance(cfg.flux, dict):
-        for name in ("sigma", "beta", "eta", "xi"):
-            if name in cfg.flux:
-                setattr(cfg, name, cfg.flux[name])
     if "dim" in raw and raw["dim"] != cfg.dim:
         raise ConfigError(f"dim: {raw['dim']} conflicts with problem {cfg.problem!r}")
     validate_config(cfg)
@@ -116,8 +115,13 @@ def _is_real(x) -> bool:
 
 
 # number fields; None selects the default of the optional ones
-REAL_FIELDS = ("sigma", "beta", "eta", "xi", "c", "T", "cfl", "dt", "energy_tol")
-OPTIONAL_REAL_FIELDS = frozenset({"xi", "cfl", "dt"})
+REAL_FIELDS = ("c", "T", "cfl", "dt", "energy_tol")
+OPTIONAL_REAL_FIELDS = frozenset({"cfl", "dt"})
+
+# flux presets, each built from the splitting speed xi
+FLUX_PRESETS = {"central": FluxParams.central, "sommerfeld": FluxParams.sommerfeld,
+                "upwind": FluxParams.sommerfeld, "custom": lambda xi: FluxParams(xi=xi)}
+FLUX_KEYS = ("sigma", "beta", "eta", "xi")
 
 
 def validate_config(cfg: RunConfig) -> None:
@@ -129,17 +133,22 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("s: must be an integer with 0 <= s <= q")
     if cfg.n_quad is not None and (not _is_int(cfg.n_quad) or cfg.n_quad < cfg.q + 1):
         raise ConfigError("n_quad: must be an integer >= q + 1")
-    if cfg.flux_preset not in ("sommerfeld", "upwind", "central", "custom"):
+    if not isinstance(cfg.flux_preset, str) or cfg.flux_preset not in FLUX_PRESETS:
         raise ConfigError(f"flux: unknown preset {cfg.flux_preset!r} "
                           "(central|sommerfeld|upwind|custom)")
+    for key, value in cfg.flux_keys.items():
+        if key != "preset" and key not in FLUX_KEYS:
+            raise ConfigError(f"flux: unknown key {key!r} (preset|sigma|beta|eta|xi)")
+        if key in FLUX_KEYS and not _is_real(value):
+            raise ConfigError(f"flux.{key}: must be a finite number, got {value!r}")
     for name in REAL_FIELDS:
         value = getattr(cfg, name)
         if not (_is_real(value) or (value is None and name in OPTIONAL_REAL_FIELDS)):
             raise ConfigError(f"{name}: must be a finite number, got {value!r}")
     if cfg.c <= 0:
         raise ConfigError("c: wave speed must be positive")
-    if cfg.xi is not None and cfg.xi <= 0:
-        raise ConfigError("xi: splitting speed must be positive")
+    if cfg.flux_keys.get("xi", 1.0) <= 0:
+        raise ConfigError("flux.xi: splitting speed must be positive")
     w = cfg.w if isinstance(cfg.w, (list, tuple)) else [cfg.w]
     if not all(_is_real(x) for x in w):
         raise ConfigError(f"w: components must be finite numbers, got {cfg.w!r}")
@@ -169,19 +178,18 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("lift: must be true or false")
     if not isinstance(cfg.output_dir, str):
         raise ConfigError("output_dir: must be a string")
+    flux_params(cfg)
 
 
 def flux_params(cfg: RunConfig) -> FluxParams:
-    xi = cfg.xi if cfg.xi is not None else cfg.c
+    """The flux of cfg.flux: its preset built with xi (default c), then the
+    object's other keys applied over the preset's values."""
+    keys = {k: v for k, v in cfg.flux_keys.items() if k != "preset"}
+    xi = keys.pop("xi", cfg.c)
     try:
-        preset = cfg.flux_preset
-        if preset == "central":
-            return FluxParams.central(xi=xi)
-        if preset in ("sommerfeld", "upwind"):
-            return FluxParams.sommerfeld(xi=xi)
-        return FluxParams(sigma=cfg.sigma, beta=cfg.beta, eta=cfg.eta, xi=xi)
+        return dataclasses.replace(FLUX_PRESETS[cfg.flux_preset](xi), **keys)
     except ValueError as e:
-        raise ConfigError(f"flux parameters: {e}")
+        raise ConfigError(f"flux: {e}")
 
 
 def default_cfl(cfg: RunConfig, params: FluxParams) -> float:
@@ -206,6 +214,16 @@ def default_cfl(cfg: RunConfig, params: FluxParams) -> float:
         if cfg.q >= 6:
             base /= 10.0
     return base / TWO_PI
+
+
+def time_controls(cfg: RunConfig, disc: Discretization):
+    """(controls, dt) of a time-stepped solve to cfg.T."""
+    cfl = cfg.cfl if cfg.cfl is not None else default_cfl(cfg, disc.params)
+    controls = TimeControls(cfl=cfl, T=cfg.T, dt_override=cfg.dt)
+    try:
+        return controls, compute_dt(disc.mesh.h, controls)
+    except ValueError as e:
+        raise ConfigError(f"T, dt: {e}")
 
 
 def build_problem(cfg: RunConfig) -> ProblemSpec:
@@ -243,20 +261,11 @@ def write_csv(path, header: list[str], rows) -> None:
                               for c in row) + "\n")
 
 
-def resolved_summary(cfg: RunConfig, extra: dict) -> dict:
-    out = asdict(cfg)
-    out.update(extra)
-    return out
-
-
 # --- subcommands -------------------------------------------------------------
 
-def cmd_run(cfg: RunConfig, outdir, seed: int, workers: int) -> int:
+def cmd_run(cfg: RunConfig, outdir, seed: int) -> int:
     disc, spec = build_discretization(cfg)
-    params = disc.params
-    cfl = cfg.cfl if cfg.cfl is not None else default_cfl(cfg, params)
-    controls = TimeControls(cfl=cfl, T=cfg.T, dt_override=cfg.dt)
-    dt = compute_dt(disc.mesh.h, controls)
+    controls, dt = time_controls(cfg, disc)
     if dt > 0:
         check_cfl_margin(dt, disc.mesh.h, cfg.q, spec.w, spec.c)
     state = project_initial(spec, disc)
@@ -280,11 +289,12 @@ def cmd_run(cfg: RunConfig, outdir, seed: int, workers: int) -> int:
 
     write_csv(outdir / "run.csv", ["step", "t", "energy", "err_u", "err_v"], rows)
     eu, ev = l2_error(final, spec, final.t, disc)
-    summary = resolved_summary(cfg, {
-        "cfl_resolved": cfl, "dt": dt, "n_steps": n_steps,
+    summary = asdict(cfg) | {
+        "flux_params": asdict(disc.params),
+        "cfl_resolved": controls.cfl, "dt": dt, "n_steps": n_steps,
         "err_u": eu, "err_v": ev, "energy_final": discrete_energy(final, disc),
         "seed": seed,
-    })
+    }
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -296,8 +306,7 @@ def _converge_one(cfg_dict: dict, n: int):
     """Worker body for one grid of a convergence sweep (picklable)."""
     cfg = RunConfig(**cfg_dict)
     disc, spec = build_discretization(cfg, n=n)
-    cfl = cfg.cfl if cfg.cfl is not None else default_cfl(cfg, disc.params)
-    controls = TimeControls(cfl=cfl, T=cfg.T, dt_override=cfg.dt)
+    controls, _ = time_controls(cfg, disc)
     state = project_initial(spec, disc)
     final = evolve(state, controls, disc)
     eu, ev = l2_error(final, spec, final.t, disc)
@@ -318,8 +327,11 @@ def run_convergence(cfg: RunConfig, grids=None, workers: int = 1):
     results.sort(key=lambda r: r[0])  # deterministic order regardless of pool
     hs = [r[1] for r in results]
     window = min(10, len(grids))
-    rate_u = fit_rate(hs, [r[2] for r in results], window)
-    rate_v = fit_rate(hs, [r[3] for r in results], window)
+    try:
+        rate_u = fit_rate(hs, [r[2] for r in results], window)
+        rate_v = fit_rate(hs, [r[3] for r in results], window)
+    except ValueError as e:
+        raise ConfigError(f"T: no rate to fit, {e} (T = 0 with lift has zero error)")
     return results, rate_u, rate_v, window
 
 
@@ -348,7 +360,7 @@ def random_state(disc: Discretization, rng) -> ModalState:
     )
 
 
-def cmd_energy(cfg: RunConfig, outdir, seed: int, workers: int) -> int:
+def cmd_energy(cfg: RunConfig, outdir, seed: int) -> int:
     disc, spec = build_discretization(cfg, with_forcing=False)
     rng = np.random.default_rng(seed)
     rows, worst = [], 0.0
@@ -382,7 +394,7 @@ def cmd_energy(cfg: RunConfig, outdir, seed: int, workers: int) -> int:
     return EXIT_OK if ok else EXIT_ENERGY
 
 
-def cmd_spectrum(cfg: RunConfig, outdir, seed: int, workers: int) -> int:
+def cmd_spectrum(cfg: RunConfig, outdir, seed: int) -> int:
     grids = cfg.n_list if cfg.n_list is not None else DEFAULT_GRIDS[cfg.dim][:4]
     rows = []
     for n in grids:
@@ -435,9 +447,13 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     outdir = Path(args.output if args.output is not None else cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    dispatch = {"run": cmd_run, "converge": cmd_converge,
-                "energy": cmd_energy, "spectrum": cmd_spectrum}
-    return dispatch[args.command](cfg, outdir, seed, args.workers)
+    dispatch = {"run": cmd_run, "energy": cmd_energy, "spectrum": cmd_spectrum,
+                "converge": functools.partial(cmd_converge, workers=args.workers)}
+    try:
+        return dispatch[args.command](cfg, outdir, seed)
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -244,14 +244,3 @@ def energy_rate_density(kind: FaceKind, t1: Trace, t2: Trace | None,
     if kind == FaceKind.BOUNDARY_OUTFLOW:
         return outflow_energy_density(t1, w, c, p.xi)
     return supersonic_boundary_energy_density(t1, kind, w, c)
-
-
-def face_energy_rate(kind: FaceKind, t1: Trace, t2: Trace | None,
-                     p: FluxParams, w, c: float,
-                     weights=None, jacobian: float = 1.0) -> float:
-    """Integrate the energy-rate density over one face's quadrature points."""
-    density = energy_rate_density(kind, t1, t2, p, w, c)
-    density = np.atleast_1d(density)
-    if weights is None:
-        weights = np.ones(density.shape[-1])
-    return float(jacobian * np.sum(density * weights, axis=-1))

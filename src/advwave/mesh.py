@@ -24,39 +24,6 @@ class FaceKind(IntEnum):
     BOUNDARY_OUTFLOW_SUPERSONIC = 5
 
 
-INTERIOR_KINDS = (FaceKind.INTERIOR_SUBSONIC, FaceKind.INTERIOR_SUPERSONIC)
-
-
-@dataclass(frozen=True)
-class FaceClass:
-    kind: FaceKind
-    wn: float  # w . n using the owner-side normal
-
-
-@dataclass(frozen=True)
-class Face:
-    """Per-face view assembled from the topology arrays."""
-
-    index: int
-    axis: int
-    owner: int
-    neighbor: int        # -1 on a physical boundary
-    sign: float          # owner outward normal component along `axis`
-    owner_side: int      # 0: face on owner's low-z side, 1: high side
-    neighbor_side: int
-    dim: int
-
-    @property
-    def is_boundary(self) -> bool:
-        return self.neighbor < 0
-
-    @property
-    def normal(self) -> np.ndarray:
-        n = np.zeros(self.dim)
-        n[self.axis] = self.sign
-        return n
-
-
 @dataclass(frozen=True)
 class MeshTopology:
     dim: int
@@ -75,18 +42,6 @@ class MeshTopology:
     @property
     def n_faces(self) -> int:
         return len(self.face_axis)
-
-    def face(self, i: int) -> Face:
-        return Face(
-            index=i,
-            axis=int(self.face_axis[i]),
-            owner=int(self.face_owner[i]),
-            neighbor=int(self.face_neighbor[i]),
-            sign=float(self.face_sign[i]),
-            owner_side=int(self.face_owner_side[i]),
-            neighbor_side=int(self.face_neighbor_side[i]),
-            dim=self.dim,
-        )
 
 
 def build_mesh(dim: int, n: int, boundary_mode: str = "periodic") -> MeshTopology:
@@ -178,23 +133,14 @@ def classify_wn(wn: float, c: float, interior: bool) -> FaceKind:
     return FaceKind.BOUNDARY_OUTFLOW_SUPERSONIC
 
 
-def classify_face(face: Face, w, c: float) -> FaceClass:
-    """Classify one face for background velocity w and wave speed c."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    wn = float(w[face.axis] * face.sign)
-    return FaceClass(kind=classify_wn(wn, c, not face.is_boundary), wn=wn)
-
-
-def classify_mesh(mesh: MeshTopology, w, c: float):
-    """Vectorized classification; returns (kinds, wn) arrays over all faces.
+def classify_mesh(mesh: MeshTopology, w, c: float) -> np.ndarray:
+    """Vectorized classification; returns the kind of every face.
 
     A face's kind depends only on its axis, its sign and whether it is
     interior, so each of those combinations is classified once.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    wn = w[mesh.face_axis] * mesh.face_sign
     interior = mesh.face_neighbor >= 0
     table = np.array([[[classify_wn(w[a] * s, c, i) for i in (False, True)]
                        for s in (-1.0, 1.0)] for a in range(mesh.dim)], dtype=int)
-    kinds = table[mesh.face_axis, (mesh.face_sign > 0).astype(int), interior.astype(int)]
-    return kinds, wn
+    return table[mesh.face_axis, (mesh.face_sign > 0).astype(int), interior.astype(int)]

@@ -197,7 +197,7 @@ class Discretization:
             mesh.element_centers[:, None, :] + (h / 2.0) * ref.vol_nodes[None, :, :]
         )
 
-        self.face_kinds, _ = classify_mesh(mesh, self.w, self.c)
+        self.face_kinds = classify_mesh(mesh, self.w, self.c)
         self._groups = self._build_face_groups()
 
         blocks = self._assemble_blocks()
@@ -488,23 +488,3 @@ class Discretization:
             density = fluxes.energy_rate_density(g.kind, t1, t2, self.params, self.w, self.c)
             total += self.jac_face * float(np.sum(density @ wf))
         return total
-
-
-def apply_dg_operator(state: ModalState, disc: Discretization) -> ModalState:
-    """Apply the semidiscrete operator; returns the state derivative."""
-    du, dv = disc.rhs(state.u, state.v, state.t)
-    return ModalState(u=du, v=dv, t=state.t)
-
-
-def trace_extract(state: ModalState, disc: Discretization, element: int, side: int) -> Trace:
-    """Trace of (v, grad u) of one element at one local side's face points.
-
-    side = 2*axis + (0 for the low-coordinate face, 1 for the high one).
-    """
-    ref, dim = disc.ref, disc.mesh.dim
-    axis, hi = divmod(side, 2)
-    n = np.zeros(dim)
-    n[axis] = 1.0 if hi else -1.0
-    v = ref.face_vals_v[side] @ state.v[element]
-    g = disc.dscale * np.einsum("dfj,j->fd", ref.face_grads_u[side], state.u[element])
-    return Trace(v=v, grad_u=g, n=np.broadcast_to(n, g.shape).copy())

@@ -33,13 +33,19 @@ class TimeControls:
 
 
 def compute_dt(h: float, controls: TimeControls) -> float:
-    """dt = CFL * h (or the override), shrunk minimally so T/dt is an integer."""
+    """dt = CFL * h (or the override), shrunk minimally so T/dt is an integer.
+
+    Raises ValueError when T/dt overflows to infinity.
+    """
     if h <= 0:
         raise ValueError("spacing must be positive")
     if controls.T == 0.0:
         return 0.0
     base = controls.dt_override if controls.dt_override is not None else controls.cfl * h
-    steps = max(1, math.ceil(controls.T / base - 1e-12))
+    ratio = controls.T / base
+    if not math.isfinite(ratio):
+        raise ValueError(f"T / dt = {controls.T!r} / {base!r} is not a finite number of steps")
+    steps = max(1, math.ceil(ratio - 1e-12))
     return controls.T / steps
 
 

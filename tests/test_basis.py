@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advwave.basis import (build_reference, gauss_points, legendre_derivative,
-                           legendre_eval, modal_derivative_matrix, tensor_eval,
-                           tensor_modes, vandermonde, vandermonde_derivative)
+                           legendre_eval, legendre_tables, modal_derivative_matrix,
+                           tensor_eval, tensor_modes)
 
 # closed-form values frozen from the explicit low-degree polynomials:
 # P_2 = (3x^2 - 1)/2, P_3 = (5x^3 - 3x)/2, P_4 = (35x^4 - 30x^2 + 3)/8
@@ -77,8 +77,9 @@ def test_modal_derivative_matrix(degree, coeffs):
     a[:min(len(coeffs), degree + 1)] = coeffs[:degree + 1]
     x = np.linspace(-1, 1, 17)
     D = modal_derivative_matrix(degree)
-    lhs = vandermonde_derivative(degree, x) @ a
-    rhs = vandermonde(degree, x) @ (D @ a)
+    vals, ders = legendre_tables(degree, x)
+    lhs = ders @ a
+    rhs = vals @ (D @ a)
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -141,11 +142,12 @@ def test_embed_v_roundtrip():
 def test_face_trace_matches_volume_basis():
     ref = build_reference(3, 3, dim=2)
     # side 2*d + hi puts coordinate d at -1 (hi=0) or +1 (hi=1)
-    pts = np.empty((len(ref.face_tangent_nodes), 2))
+    nodes = gauss_points(ref.n_quad)[0]
+    pts = np.empty((len(nodes), 2))
     pts[:, 0] = 1.0
-    pts[:, 1] = ref.face_tangent_nodes[:, 0]
+    pts[:, 1] = nodes
     vals, grads = tensor_eval(3, 2, pts)
-    assert np.allclose(ref.face_vals_u[1], vals, atol=1e-13)
+    assert np.allclose(ref.face_vals_v[1], vals, atol=1e-13)  # s = q = 3
     assert np.allclose(ref.face_grads_u[1], grads, atol=1e-13)
 
 

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advwave.cli import (ConfigError, RunConfig, default_cfl, flux_params,
                          load_config, main, validate_config)
+from advwave.fluxes import FluxParams
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -41,7 +48,7 @@ def test_unknown_field_rejected(tmp_path):
     ({"T": -0.1}, "T"),
     ({"cfl": 0.0}, "cfl"),
     ({"n_list": [4]}, "n_list"),
-    ({"xi": -1.0}, "xi"),
+    ({"flux": {"preset": "sommerfeld", "xi": -1.0}}, "xi"),
     ({"dim": 2}, "dim"),
     ({"q": True}, "q"),
     ({"T": "1"}, "T"),
@@ -56,6 +63,10 @@ def test_unknown_field_rejected(tmp_path):
     ({"seed": -1}, "seed"),
     ({"lift": "no"}, "lift"),
     ({"output_dir": 5}, "output_dir"),
+    ({"sigma": 0.8}, "sigma"),
+    ({"flux": {"preset": "custom", "sigmaa": 0.8}}, "sigmaa"),
+    ({"flux": {"preset": "custom", "sigma": 1.5}}, "sigma"),
+    ({"problem": "periodic2d"}, "w"),
 ])
 def test_invalid_configs(tmp_path, overrides, field):
     with pytest.raises(ConfigError, match=field):
@@ -69,6 +80,14 @@ def test_nested_flux_object(tmp_path):
     assert p.sigma == 0.6
     assert p.eta == 0.1
     assert p.xi == 1.0  # defaults to c
+
+
+def test_flux_object_overrides_preset(tmp_path):
+    cfg = load_config(write_config(tmp_path, flux={"preset": "sommerfeld", "sigma": 0.8}))
+    assert flux_params(cfg) == FluxParams(sigma=0.8, beta=0.5, eta=0.5)
+    # sommerfeld is built with the given xi before the other keys apply
+    cfg = load_config(write_config(tmp_path, flux={"preset": "upwind", "xi": 2.0, "eta": 0.1}))
+    assert flux_params(cfg) == FluxParams(sigma=0.5, beta=0.25, eta=0.1, xi=2.0)
 
 
 def test_not_json(tmp_path):
@@ -110,6 +129,15 @@ def test_run_smoke(tmp_path):
     assert header == "step,t,energy,err_u,err_v"
 
 
+def test_run_summary_records_resolved_flux(tmp_path):
+    path = write_config(tmp_path, n=6, T=0.02, flux={"preset": "sommerfeld", "sigma": 0.8})
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--output", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert FluxParams(**summary["flux_params"]) == flux_params(load_config(path))
+    assert not {"sigma", "beta", "eta", "xi"} & set(summary)
+
+
 def test_run_t_zero_projection_error(tmp_path):
     path = write_config(tmp_path, T=0.0, n=16, lift=False)
     out = tmp_path / "t0"
@@ -132,6 +160,11 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.json"),
                  "--output", str(tmp_path)]) == 2
     assert main(["energy", "--config", write_config(tmp_path), "--seed", "-1",
+                 "--output", str(tmp_path)]) == 2
+    # T / dt overflows to infinity: a config error, not an OverflowError
+    assert main(["run", "--config", write_config(tmp_path, n=6, T=1e308),
+                 "--output", str(tmp_path)]) == 2
+    assert main(["converge", "--config", write_config(tmp_path, dt=1e-320, n_list=[4, 6]),
                  "--output", str(tmp_path)]) == 2
 
 
@@ -192,3 +225,52 @@ def test_seed_and_output_from_config(tmp_path):
     path = write_config(tmp_path, n=6, output_dir=str(outdir), seed=7)
     assert main(["energy", "--config", path]) == 0
     assert (outdir / "energy.csv").exists()
+
+
+# --- exit-code contract -----------------------------------------------------------
+
+# Per-field pools of valid and invalid values.  Grids, degrees and times are
+# small enough to keep an example to milliseconds, and always present where
+# their defaults are not (n, n_list, T, n_states).  Every step is at most 0.5,
+# so T = 1e308 overflows T / dt instead of asking for ~1e308 steps.
+REQUIRED_POOLS = {
+    "problem": ["periodic1d", "periodic2d", "mixed2d", "nope"],
+    "n": [2, 3, 4, 1, 2.5],
+    "n_list": [[2, 3], [2, 3, 4], [4], "a", [1, 2]],
+    "T": [0.0, 0.01, 0.02, 1e308, -0.1, float("inf"), "1"],
+    "n_states": [1, 3, 0],
+}
+OPTIONAL_POOLS = {
+    "q": [1, 2, 3, 0, True, "2"],
+    "s": [None, 0, 1, 5],
+    "flux": ["sommerfeld", "central", "upwind", "roe", 5, ["central"], {"preset": ["a"]},
+             {"preset": "sommerfeld", "sigma": 0.8}, {"sigma": 0.7, "eta": 0.1},
+             {"preset": "central", "xi": 0.5}, {"preset": "custom", "sigmaa": 0.8},
+             {"sigma": 1.5}, {"preset": "upwind", "xi": -1.0}, {"beta": "a"}],
+    "w": [0.5, 2.0, -0.3, [0.5, 0.5], [0.3, -0.2], [2.0, 0.5], "a", [float("nan")]],
+    "c": [1.0, 0.5, 0.0, float("nan")],
+    "cfl": [None, 0.05, 0.5, 0.0, -1.0],
+    "dt": [None, 0.005, 1e-320, 0.0, True],
+    "lift": [None, True, False, "no"],
+    "n_quad": [None, 5, 2],
+    "record_stride": [0, 1, -1],
+    "energy_tol": [1e-9, 1e-30, -1.0],
+    "seed": [0, 5, -1],
+    "sigma": [0.5],
+}
+configs = st.fixed_dictionaries(
+    {name: st.sampled_from(pool) for name, pool in REQUIRED_POOLS.items()},
+    optional={name: st.sampled_from(pool) for name, pool in OPTIONAL_POOLS.items()})
+
+
+@pytest.mark.filterwarnings("ignore")
+@given(command=st.sampled_from(["run", "converge", "energy", "spectrum"]), cfg=configs)
+@settings(max_examples=150, deadline=None)
+def test_main_returns_only_contract_exit_codes(command, cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(path), "--output", tmp])
+    assert code in (0, 2, 3, 4)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advwave.fluxes import (FluxParams, Trace, compute_flux, face_energy_rate,
+from advwave.fluxes import (FluxParams, Trace, compute_flux, energy_rate_density,
                             inflow_flux, interior_energy_density, interior_flux,
                             outflow_flux, supersonic_boundary_flux,
                             supersonic_interior_flux)
@@ -61,8 +61,8 @@ def test_interior_central_example():
 @settings(max_examples=200)
 def test_central_energy_rate_is_zero(v1, g1, v2, g2):
     t1, t2 = pair_1d(v1, g1, v2, g2)
-    rate = face_energy_rate(FaceKind.INTERIOR_SUBSONIC, t1, t2,
-                            FluxParams.central(), w=[0.4], c=1.0)
+    rate = np.sum(energy_rate_density(FaceKind.INTERIOR_SUBSONIC, t1, t2,
+                                      FluxParams.central(), w=[0.4], c=1.0))
     assert rate == 0.0
 
 
@@ -110,8 +110,8 @@ def test_supersonic_interior_energy_nonpositive():
     for w in ([1.0], [-1.0], [2.5], [-0.9]):
         if abs(w[0]) <= 0.5:
             continue
-        rate = face_energy_rate(FaceKind.INTERIOR_SUPERSONIC, t1, t2,
-                                FluxParams.sommerfeld(), w=w, c=0.5)
+        rate = np.sum(energy_rate_density(FaceKind.INTERIOR_SUPERSONIC, t1, t2,
+                                          FluxParams.sommerfeld(), w=w, c=0.5))
         assert rate <= 1e-12
 
 
@@ -227,5 +227,5 @@ def test_continuous_traces_zero_energy_rate():
     t1, t2 = pair_1d(1.5, -0.3, 1.5, -0.3)
     for kind in (FaceKind.INTERIOR_SUBSONIC,):
         for p in (FluxParams.central(), FluxParams.sommerfeld(), FluxParams(sigma=0.8)):
-            rate = face_energy_rate(kind, t1, t2, p, w=[0.4], c=1.0)
+            rate = np.sum(energy_rate_density(kind, t1, t2, p, w=[0.4], c=1.0))
             assert abs(rate) <= 1e-14

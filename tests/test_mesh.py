@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from advwave.mesh import (FaceKind, build_mesh, classify_face, classify_mesh,
-                          classify_wn)
+from advwave.mesh import FaceKind, build_mesh, classify_mesh, classify_wn
 
 
 def test_1d_periodic_topology():
@@ -11,21 +10,19 @@ def test_1d_periodic_topology():
     assert mesh.n_faces == 4
     assert np.allclose(mesh.element_centers[:, 0], [0.125, 0.375, 0.625, 0.875])
     # wrap face is owned by element 0 on its low side with normal -1
-    wrap = [mesh.face(i) for i in range(4) if mesh.face(i).owner == 0
-            and mesh.face(i).neighbor == 3]
+    wrap = np.nonzero((mesh.face_owner == 0) & (mesh.face_neighbor == 3))[0]
     assert len(wrap) == 1
-    assert wrap[0].sign == -1.0
-    assert wrap[0].owner_side == 0
-    assert wrap[0].neighbor_side == 1
+    assert mesh.face_sign[wrap[0]] == -1.0
+    assert mesh.face_owner_side[wrap[0]] == 0
+    assert mesh.face_neighbor_side[wrap[0]] == 1
 
 
 def test_1d_physical_topology():
     mesh = build_mesh(1, 3, "physical")
     assert mesh.n_faces == 4
-    boundary = [mesh.face(i) for i in range(4) if mesh.face(i).is_boundary]
-    assert len(boundary) == 2
-    signs = sorted(f.sign for f in boundary)
-    assert signs == [-1.0, 1.0]
+    boundary = mesh.face_neighbor < 0
+    assert np.count_nonzero(boundary) == 2
+    assert sorted(mesh.face_sign[boundary]) == [-1.0, 1.0]
 
 
 def test_2d_face_counts():
@@ -83,11 +80,11 @@ def test_face_arrays_match_face_by_face_construction(dim, mode):
 def test_classify_mesh_matches_per_face(w):
     for mode in ("periodic", "physical"):
         mesh = build_mesh(2, 3, mode)
-        kinds, wn = classify_mesh(mesh, w, 1.0)
+        kinds = classify_mesh(mesh, w, 1.0)
         for i in range(mesh.n_faces):
-            fc = classify_face(mesh.face(i), w, 1.0)
-            assert kinds[i] == fc.kind
-            assert wn[i] == fc.wn
+            axis, sign = mesh.face_axis[i], mesh.face_sign[i]
+            interior = mesh.face_neighbor[i] >= 0
+            assert kinds[i] == classify_wn(w[axis] * sign, 1.0, interior)
 
 
 def test_owner_is_lower_indexed():
@@ -100,11 +97,10 @@ def test_owner_is_lower_indexed():
 def test_each_element_has_all_sides():
     mesh = build_mesh(2, 3, "periodic")
     seen = np.zeros((mesh.n_elements, 4), dtype=int)
-    for i in range(mesh.n_faces):
-        f = mesh.face(i)
-        seen[f.owner, 2 * f.axis + f.owner_side] += 1
-        if not f.is_boundary:
-            seen[f.neighbor, 2 * f.axis + f.neighbor_side] += 1
+    interior = mesh.face_neighbor >= 0
+    np.add.at(seen, (mesh.face_owner, 2 * mesh.face_axis + mesh.face_owner_side), 1)
+    np.add.at(seen, (mesh.face_neighbor[interior],
+                     2 * mesh.face_axis[interior] + mesh.face_neighbor_side[interior]), 1)
     assert np.all(seen == 1)
 
 
@@ -128,18 +124,14 @@ def test_classify_requires_positive_speed():
         classify_wn(0.5, 0.0, True)
 
 
-def test_classify_face_uses_owner_normal():
+def test_classify_mesh_uses_owner_normal():
     mesh = build_mesh(1, 3, "physical")
-    w, c = [0.5], 1.0
-    kinds, wn = classify_mesh(mesh, w, c)
-    for i in range(mesh.n_faces):
-        fc = classify_face(mesh.face(i), w, c)
-        assert fc.kind == kinds[i]
-        assert fc.wn == pytest.approx(wn[i])
-    # left boundary has outward normal -1: inflow for w > 0
-    left = [i for i in range(mesh.n_faces)
-            if mesh.face(i).is_boundary and mesh.face(i).sign == -1.0][0]
-    assert kinds[left] == FaceKind.BOUNDARY_INFLOW
+    kinds = classify_mesh(mesh, [0.5], 1.0)
+    boundary = mesh.face_neighbor < 0
+    # left boundary has outward normal -1: inflow for w > 0; right: outflow
+    assert kinds[boundary & (mesh.face_sign < 0)].tolist() == [FaceKind.BOUNDARY_INFLOW]
+    assert kinds[boundary & (mesh.face_sign > 0)].tolist() == [FaceKind.BOUNDARY_OUTFLOW]
+    assert np.all(kinds[~boundary] == FaceKind.INTERIOR_SUBSONIC)
 
 
 def test_build_mesh_validation():

@@ -7,8 +7,7 @@ from advwave.basis import build_reference
 from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
 from advwave.operators import (Discretization, ModalState, Separable,
-                               apply_dg_operator, build_element_solvers,
-                               trace_extract)
+                               build_element_solvers)
 
 
 def make_disc(dim=1, n=8, q=3, s=None, w=(0.5,), c=1.0, mode="periodic",
@@ -211,37 +210,31 @@ def test_worker_independent_determinism():
     assert np.array_equal(dva, dvb)
 
 
-def test_apply_dg_operator_wrapper():
-    disc = make_disc()
-    st = random_state(disc, 4)
-    out = apply_dg_operator(st, disc)
-    du, dv = disc.rhs(st.u, st.v, st.t)
-    assert np.array_equal(out.u, du)
-    assert np.array_equal(out.v, dv)
+# --- side traces ------------------------------------------------------------------
 
-
-# --- trace extraction -----------------------------------------------------------
-
-def test_trace_extract_constant():
+def test_side_traces_constant():
     disc = make_disc(q=2, n=4)
-    st = ModalState(np.zeros((4, 3)), np.zeros((4, 3)))
-    st.u[:, 0] = 5.0
-    tr = trace_extract(st, disc, element=1, side=1)
-    assert np.allclose(tr.grad_u, 0.0, atol=1e-14)
+    u, v = np.zeros((4, 3)), np.zeros((4, 3))
+    u[:, 0] = 5.0
+    v[:, 0] = 2.0
+    vtr, gtr = disc.side_traces(u, v)
+    assert np.allclose(gtr, 0.0, atol=1e-14)
+    assert np.allclose(vtr, 2.0, atol=1e-14)
 
 
-def test_trace_extract_linear_and_quadratic():
+def test_side_traces_linear_and_quadratic():
+    # side 0 is an element's low face, side 1 its high face
     h = 0.25
     disc = make_disc(q=2, n=4)
-    st = ModalState(np.zeros((4, 3)), np.zeros((4, 3)))
-    st.u[2, 1] = 1.0  # P1 mode: physical slope 2/h
-    tr = trace_extract(st, disc, element=2, side=0)
-    assert tr.grad_u[0, 0] == pytest.approx(2.0 / h)
-    assert tr.n[0, 0] == -1.0
-    st.u[:] = 0.0
-    st.u[2, 2] = 1.0  # P2 mode: P2'(1) = 3
-    tr = trace_extract(st, disc, element=2, side=1)
-    assert tr.grad_u[0, 0] == pytest.approx(3.0 * 2.0 / h)
+    u, v = np.zeros((4, 3)), np.zeros((4, 3))
+    u[2, 1] = 1.0  # P1 mode: physical slope 2/h
+    _, gtr = disc.side_traces(u, v)
+    assert gtr[0, 2, 0, 0] == pytest.approx(2.0 / h)
+    assert np.all(gtr[:, [0, 1, 3]] == 0.0)
+    u[:] = 0.0
+    u[2, 2] = 1.0  # P2 mode: P2'(1) = 3
+    _, gtr = disc.side_traces(u, v)
+    assert gtr[1, 2, 0, 0] == pytest.approx(3.0 * 2.0 / h)
 
 
 def test_dimension_mismatch_rejected():

@@ -36,6 +36,10 @@ def test_compute_dt_snapping():
     assert compute_dt(0.1, TimeControls(cfl=1.0, T=0.0)) == 0.0
     with pytest.raises(ValueError):
         compute_dt(0.0, controls)
+    # T / dt overflowing to infinity is a ValueError, not an OverflowError
+    for T, dt in ((1e308, None), (0.1, 1e-320)):
+        with pytest.raises(ValueError, match="finite"):
+            compute_dt(0.01, TimeControls(cfl=0.05, T=T, dt_override=dt))
 
 
 def test_rk4_scalar_stability_polynomial():
