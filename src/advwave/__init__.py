@@ -9,7 +9,8 @@ from .mesh import FaceKind, MeshTopology, build_mesh, classify_mesh
 from .operators import Discretization, ModalState
 from .problems import (InitialData, ProblemSpec, lift_initial_data, mixed_2d,
                        periodic_1d, periodic_2d, project_initial)
-from .timeint import InstabilityError, TimeControls, compute_dt, evolve, rk4_step
+from .timeint import (InstabilityError, RK4Buffers, TimeControls, compute_dt, evolve,
+                      rk4_step)
 
 __version__ = "0.1.0"
 
@@ -22,5 +23,6 @@ __all__ = [
     "Discretization", "ModalState",
     "InitialData", "ProblemSpec", "lift_initial_data", "mixed_2d",
     "periodic_1d", "periodic_2d", "project_initial",
-    "InstabilityError", "TimeControls", "compute_dt", "evolve", "rk4_step",
+    "InstabilityError", "RK4Buffers", "TimeControls", "compute_dt", "evolve",
+    "rk4_step",
 ]

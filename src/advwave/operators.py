@@ -15,7 +15,8 @@ the flux functions and the face-lifting code applied to the face traces of
 the basis functions, so the flux code stays the single source of truth.
 ``rhs`` is then one matrix product of the stacked [u v] coefficients with all
 blocks, 2*dim shifted adds, the boundary-strip corrections, and the
-separable forcing as a combination of projections made at build time.
+separable forcing as a combination of projections made at build time,
+written into an array the caller may pass.
 
 ``matrix_free_rhs`` keeps the face-by-face evaluation: flux states of every
 face from the current traces (``face_flux_states``), then face lifting and
@@ -118,7 +119,6 @@ class ElementSolvers:
     v_mass_diag: np.ndarray
     v_mass_inv: np.ndarray
     stiffness: np.ndarray   # c^2 * grad-grad bilinear form on the element
-    mean_row: np.ndarray
 
 
 def build_element_solvers(ref: ReferenceElement, h: float, c: float) -> ElementSolvers:
@@ -126,9 +126,8 @@ def build_element_solvers(ref: ReferenceElement, h: float, c: float) -> ElementS
     jac = (h / 2.0) ** dim
     dscale = 2.0 / h
     stiffness = c * c * jac * dscale * dscale * ref.stiff_u
-    mean_row = jac * ref.mean_row
     u_system = stiffness.copy()
-    u_system[0, :] = mean_row
+    u_system[0, :] = jac * ref.mean_row
     v_mass_diag = jac * np.diag(ref.mass_v)
     return ElementSolvers(
         u_system=u_system,
@@ -136,7 +135,6 @@ def build_element_solvers(ref: ReferenceElement, h: float, c: float) -> ElementS
         v_mass_diag=v_mass_diag,
         v_mass_inv=1.0 / v_mass_diag,
         stiffness=stiffness,
-        mean_row=mean_row,
     )
 
 
@@ -203,18 +201,25 @@ class Discretization:
         blocks = self._assemble_blocks()
         self._stencil = blocks[:1 + 2 * dim]        # self, then one per side
         self._corrections = blocks[1 + 2 * dim:]    # one per boundary side
-        self._build_index()
-        # work arrays of rhs: the stacked [u v] rows and their products with
-        # every stencil block (allocating them per call costs page faults)
-        nb = ref.n_u + ref.n_v
+        # work arrays of rhs: the stacked [u v] rows, their products with
+        # every stencil block and the forcing (allocating them per call
+        # costs page faults), and the fixed views rhs works through.
+        # rhs reads [u v] from _x; passed input_uv itself it skips the
+        # copy, so a caller (the RK4 stages) can write a state there directly
+        nu, nb = ref.n_u, ref.n_u + ref.n_v
         self._x = np.empty((mesh.n_elements, nb))
+        self.input_uv = self._x[:, :nu], self._x[:, nu:]
         self._y = np.empty((1 + 2 * dim, mesh.n_elements, nb))
+        self._build_views()
         self._forcing_time = self._forcing_proj = None
         if forcing is not None:
             space = forcing.space(self.quad_points)
-            proj = self._load_v(space) * self.solvers.v_mass_inv
+            proj = np.zeros((len(space), mesh.n_elements, nb))
+            proj[:, :, nu:] = self._load_v(space) * self.solvers.v_mass_inv
             self._forcing_time = forcing.time
             self._forcing_proj = proj.reshape(len(space), -1)
+            self._f = np.empty_like(self._x)
+            self._f_flat = self._f.reshape(-1)
         # the finer quadratures of diagnostics.l2_error by n_extra, built
         # there on first use
         self.error_quadratures = {}
@@ -418,11 +423,14 @@ class Discretization:
         du, dv = self._element_solve(rhs_u, rhs_v, p)
         return np.concatenate([du, dv], axis=1).reshape(n_blocks, nb, nb)
 
-    def _build_index(self) -> None:
-        """Index tuples of the shifted adds and boundary strips on the
-        element grid of the block products (axes: block, grid..., coefficient)."""
+    def _build_views(self) -> None:
+        """Views of the rhs work arrays for the shifted adds and the
+        boundary strips (with their correction blocks), on the element grid
+        of the block products (axes: block, grid..., coefficient)."""
         dim, n = self.mesh.dim, self.mesh.n
-        self._grid_shape = (1 + 2 * dim,) + (n,) * dim + (self.ref.n_u + self.ref.n_v,)
+        grid = self._y.reshape((1 + 2 * dim,) + (n,) * dim + (self._y.shape[-1],))
+        x_grid = self._x.reshape(grid.shape[1:])
+        self._y0 = self._y[0]
 
         def at(axis, index):
             grid = [slice(None)] * dim
@@ -435,38 +443,48 @@ class Discretization:
         inner, outer = slice(0, -1), slice(1, None)
         for side in range(2 * dim):
             axis, hi = divmod(side, 2)
-            dst, src = (inner, outer) if hi else (outer, inner)
-            self._shifts.append(((0,) + at(axis, dst), (1 + side,) + at(axis, src)))
+            pairs = [(inner, outer) if hi else (outer, inner)]
             if self.mesh.periodic:
-                dst, src = (-1, 0) if hi else (0, -1)
-                self._shifts.append(((0,) + at(axis, dst), (1 + side,) + at(axis, src)))
+                pairs.append((-1, 0) if hi else (0, -1))
             else:
-                self._strips.append(at(axis, -1 if hi else 0))
+                strip = at(axis, -1 if hi else 0)
+                self._strips.append((grid[(0,) + strip], x_grid[strip],
+                                     self._corrections[side]))
+            for dst, src in pairs:
+                self._shifts.append((grid[(0,) + at(axis, dst)],
+                                     grid[(1 + side,) + at(axis, src)]))
 
     # --- operator application ----------------------------------------------
 
-    def rhs(self, u: np.ndarray, v: np.ndarray, t: float):
+    def rhs(self, u: np.ndarray, v: np.ndarray, t: float, out: np.ndarray | None = None):
         """Semidiscrete right-hand side (du/dt, dv/dt).
 
-        Works in arrays owned by the discretization, so concurrent calls on
-        one instance from several threads are not supported.
+        With out, an (n_elements, Nu+Nv) array, the stacked [du dv] is
+        written into it and its two column views are returned; without,
+        the views of a new array.  u and v are copied into a work array
+        unless they are ``input_uv``, that array's own views.  Works in
+        arrays owned by the discretization, so concurrent calls on one
+        instance from several threads are not supported.
         """
-        nu = self.ref.n_u
-        x = self._x
-        x[:, :nu] = u
-        x[:, nu:] = v
-        y = np.matmul(x, self._stencil, out=self._y)
-        grid = y.reshape(self._grid_shape)
+        x_u, x_v = self.input_uv
+        if u is not x_u or v is not x_v:
+            x_u[...] = u
+            x_v[...] = v
+        np.matmul(self._x, self._stencil, out=self._y)
         for dst, src in self._shifts:
-            grid[dst] += grid[src]
-        x_grid = x.reshape(self._grid_shape[1:])
-        for strip, block in zip(self._strips, self._corrections):
-            grid[(0,) + strip] += x_grid[strip] @ block
-        du, dv = y[0, :, :nu].copy(), y[0, :, nu:]
+            dst += src
+        for dst, x_strip, block in self._strips:
+            dst += x_strip @ block
+        if out is None:
+            out = np.empty_like(self._x)
         if self._forcing_proj is None:
-            return du, dv.copy()
-        f = np.dot(self._forcing_time(t), self._forcing_proj)
-        return du, dv + f.reshape(dv.shape)
+            np.copyto(out, self._y0)
+        else:
+            # the forcing's u columns are zero
+            np.dot(self._forcing_time(t), self._forcing_proj, out=self._f_flat)
+            np.add(self._y0, self._f, out=out)
+        nu = self.ref.n_u
+        return out[:, :nu], out[:, nu:]
 
     def matrix_free_rhs(self, u: np.ndarray, v: np.ndarray, t: float):
         """Face-by-face evaluation of ``rhs`` with the forcing integrated at

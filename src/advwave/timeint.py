@@ -62,32 +62,80 @@ def check_cfl_margin(dt: float, h: float, q: int, w, c: float) -> None:
         )
 
 
-def rk4_step(state: ModalState, dt: float, rhs) -> ModalState:
-    """One classic 4-stage RK4 step; rhs(u, v, t) -> (du, dv)."""
-    u, v, t = state.u, state.v, state.t
-    k1u, k1v = rhs(u, v, t)
-    k2u, k2v = rhs(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, t + 0.5 * dt)
-    k3u, k3v = rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, t + 0.5 * dt)
-    k4u, k4v = rhs(u + dt * k3u, v + dt * k3v, t + dt)
-    un = u + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    vn = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return ModalState(u=un, v=vn, t=t + dt)
+class RK4Buffers:
+    """The arrays one RK4 solve steps in, allocated once per solve.
+
+    x is the stacked state [u v] of shape (n_elements, Nu+Nv), a copy of
+    the given state; k holds the four stage derivatives and stage the
+    state each of the last three is evaluated at.  x_uv and stage_uv are
+    the u and v column views passed to rhs.  The stages are written into
+    the array whose column views stage_uv are: evolve passes the
+    discretization's ``input_uv``, which rhs reads without a copy.
+    """
+
+    def __init__(self, state: ModalState, stage_uv):
+        nu = state.u.shape[1]
+        self.x = np.concatenate([state.u, state.v], axis=1)
+        self.k = np.empty((4,) + self.x.shape)
+        self.finite = np.empty(self.x.shape, dtype=bool)
+        self.x_uv = self.x[:, :nu], self.x[:, nu:]
+        self.stage, self.stage_uv = stage_uv[0].base, stage_uv
+
+
+def rk4_step(buf: RK4Buffers, t: float, dt: float, rhs) -> float:
+    """One classic 4-stage RK4 step of buf.x from time t, in place; returns
+    t + dt.  rhs(u, v, t, out=k) writes the stacked [du dv] into k.
+
+    The stages are x + (dt/2) k and the update x + dt/6 (k1 + 2 k2 + 2 k3
+    + k4), each rounded in that order, so the result is bitwise that of
+    the same formulas on separate arrays.
+    """
+    x, stage = buf.x, buf.stage
+    k1, k2, k3, k4 = buf.k
+    half = 0.5 * dt
+    rhs(*buf.x_uv, t, out=k1)
+    np.multiply(k1, half, out=stage)
+    stage += x
+    rhs(*buf.stage_uv, t + half, out=k2)
+    np.multiply(k2, half, out=stage)
+    stage += x
+    rhs(*buf.stage_uv, t + half, out=k3)
+    np.multiply(k3, dt, out=stage)
+    stage += x
+    rhs(*buf.stage_uv, t + dt, out=k4)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    x += k2
+    return t + dt
 
 
 def evolve(state0: ModalState, controls: TimeControls, disc: Discretization,
            observers=()) -> ModalState:
     """Integrate to exactly t = T; observers are called as obs(step, state),
-    including once with step 0 for the initial state."""
+    including once with step 0 for the initial state.
+
+    The state is stepped in place in the buffers of one RK4Buffers, so the
+    state an observer receives is valid only during the call: an observer
+    that keeps it must copy it.  The returned state's arrays belong to it
+    alone; state0 is not modified.
+    """
     dt = compute_dt(disc.mesh.h, controls)
-    state = state0.copy()
+    buf = RK4Buffers(state0, disc.input_uv)
+    state = ModalState(*buf.x_uv, state0.t)
     for obs in observers:
         obs(0, state)
     if controls.T == 0.0:
         return state
     n_steps = round(controls.T / dt)
+    rhs = disc.rhs
     for step in range(1, n_steps + 1):
-        state = rk4_step(state, dt, disc.rhs)
-        if not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.v))):
+        state.t = rk4_step(buf, state.t, dt, rhs)
+        # one check on the stacked array covers u and v
+        if not np.isfinite(buf.x, out=buf.finite).all():
             raise InstabilityError(step)
         for obs in observers:
             obs(step, state)

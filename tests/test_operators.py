@@ -194,6 +194,63 @@ def test_periodic_operator_commutes_with_shift(sigma):
                 assert np.abs(sv - shift(dv)).max() <= 1e-12 * scale
 
 
+def _work_arrays(disc):
+    """Every array the discretization holds, directly or in tuples and lists."""
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from walk(item)
+
+    for value in vars(disc).values():
+        yield from walk(value)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("dim,mode", [(1, "periodic"), (1, "physical"),
+                                      (2, "periodic"), (2, "physical")])
+def test_rhs_out_matches_rhs(dim, mode, forced):
+    def space(x):
+        return np.stack([np.sin(2 * np.pi * x.sum(axis=-1)), x[..., 0] ** 2])
+
+    forcing = Separable(space, lambda t: np.array([np.cos(t), 1.0 + t])) if forced else None
+    disc = make_disc(dim=dim, n=4 if dim == 1 else 3, w=[0.5, -0.3][:dim], mode=mode,
+                     forcing=forcing)
+    nu, nb = disc.ref.n_u, disc.ref.n_u + disc.ref.n_v
+    a, b = random_state(disc, 1), random_state(disc, 2)
+    t = 0.37
+    du, dv = disc.rhs(a.u, a.v, t)
+
+    out = np.full((disc.mesh.n_elements, nb), np.nan)
+    ou, ov = disc.rhs(a.u, a.v, t, out=out)
+    assert np.shares_memory(ou, out) and np.shares_memory(ov, out)
+    assert np.array_equal(out[:, :nu], du) and np.array_equal(out[:, nu:], dv)
+    assert np.array_equal(ou, du) and np.array_equal(ov, dv)
+    # a strided out, and the input given as the discretization's own views
+    strided = np.full((disc.mesh.n_elements, 2 * nb), np.nan)[:, ::2]
+    disc.input_uv[0][...], disc.input_uv[1][...] = a.u, a.v
+    disc.rhs(*disc.input_uv, t, out=strided)
+    assert np.array_equal(strided, out)
+    # only u given as the own view: v is still read from the argument
+    disc.input_uv[1][...] = b.v
+    disc.rhs(disc.input_uv[0], a.v, t, out=strided)
+    assert np.array_equal(strided, out)
+
+    # out-less calls own their results
+    du2, dv2 = disc.rhs(b.u, b.v, t)
+    kept = du.copy(), dv.copy()
+    assert not np.shares_memory(du, dv) and not np.shares_memory(du2, dv2)
+    for first in (du, dv):
+        for second in (du2, dv2):
+            assert not np.shares_memory(first, second)
+    for result in (du, dv, du2, dv2):
+        for work in _work_arrays(disc):
+            assert not np.shares_memory(result, work)
+    assert np.array_equal(du, kept[0]) and np.array_equal(dv, kept[1])
+    assert not np.array_equal(du2, du)
+
+
 def test_plain_callable_forcing_rejected():
     with pytest.raises(TypeError):
         make_disc(forcing=lambda x, t: np.zeros(x.shape[:-1]))

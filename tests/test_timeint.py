@@ -8,8 +8,8 @@ from advwave.fluxes import FluxParams
 from advwave.basis import build_reference
 from advwave.mesh import build_mesh
 from advwave.operators import Discretization, ModalState
-from advwave.timeint import (InstabilityError, TimeControls, check_cfl_margin,
-                             compute_dt, evolve, rk4_step)
+from advwave.timeint import (InstabilityError, RK4Buffers, TimeControls,
+                             check_cfl_margin, compute_dt, evolve, rk4_step)
 
 
 def test_controls_validation():
@@ -42,6 +42,29 @@ def test_compute_dt_snapping():
             compute_dt(0.01, TimeControls(cfl=0.05, T=T, dt_override=dt))
 
 
+def _writing(rhs):
+    """rhs(u, v, t) -> (du, dv) as the form rk4_step calls, which writes
+    the stacked [du dv] into out."""
+    def write(u, v, t, out):
+        nu = u.shape[1]
+        out[:, :nu], out[:, nu:] = rhs(u, v, t)
+        return out[:, :nu], out[:, nu:]
+    return write
+
+
+def _stage_views(n_el, nu, nv):
+    """u and v column views of a new stage array."""
+    stage = np.empty((n_el, nu + nv))
+    return stage[:, :nu], stage[:, nu:]
+
+
+def _step(state, dt, rhs):
+    """One rk4_step from state, as a new state."""
+    buf = RK4Buffers(state, _stage_views(*state.u.shape, state.v.shape[1]))
+    t = rk4_step(buf, state.t, dt, _writing(rhs))
+    return ModalState(*buf.x_uv, t)
+
+
 def test_rk4_scalar_stability_polynomial():
     # du/dt = lambda u: one step multiplies by the degree-4 Taylor
     # polynomial of exp(z)
@@ -54,7 +77,7 @@ def test_rk4_scalar_stability_polynomial():
         return lam * u, lam * v
 
     state = ModalState(np.array([[1.0]]), np.array([[1.0]]), 0.0)
-    out = rk4_step(state, dt, rhs)
+    out = _step(state, dt, rhs)
     assert out.u[0, 0] == pytest.approx(expected, rel=1e-15)
     assert out.t == pytest.approx(dt)
 
@@ -78,13 +101,13 @@ def test_rk4_matrix_exponential_oracle():
     taylor = np.eye(3)
     for k in range(1, 5):
         taylor += np.linalg.matrix_power(dt * A, k) / math.factorial(k)
-    out = rk4_step(state, dt, rhs)
+    out = _step(state, dt, rhs)
     got = np.concatenate([out.u.ravel(), out.v.ravel()])
     assert np.allclose(got, taylor @ x0, atol=1e-14)
 
     n = 50
     for _ in range(n):
-        state = rk4_step(state, dt, rhs)
+        state = _step(state, dt, rhs)
     exact = expm(n * dt * A) @ x0
     got = np.concatenate([state.u.ravel(), state.v.ravel()])
     assert np.allclose(got, exact, atol=n * dt ** 5 * 50)
@@ -95,22 +118,25 @@ def test_zero_operator_fixed_point():
         return np.zeros_like(u), np.zeros_like(v)
 
     state = ModalState(np.ones((2, 2)), np.ones((2, 2)), 0.0)
-    out = rk4_step(state, 0.1, rhs)
+    out = _step(state, 0.1, rhs)
     assert np.array_equal(out.u, state.u)
 
 
 class _FakeDisc:
-    """Minimal stand-in exposing .mesh.h and .rhs for evolve tests."""
+    """Minimal stand-in exposing .mesh.h, .rhs and .input_uv for evolve
+    tests on one u and one v coefficient per element; rhs(u, v, t) ->
+    (du, dv) is given out of place."""
 
     class mesh:
         h = 0.1
 
-    def __init__(self, rhs):
-        self.rhs = rhs
+    def __init__(self, rhs, n_el=1):
+        self.rhs = _writing(rhs)
+        self.input_uv = _stage_views(n_el, 1, 1)
 
 
 def test_evolve_t_zero_returns_initial():
-    disc = _FakeDisc(lambda u, v, t: (np.zeros_like(u), np.zeros_like(v)))
+    disc = _FakeDisc(lambda u, v, t: (np.zeros_like(u), np.zeros_like(v)), n_el=2)
     s0 = ModalState(np.ones((2, 1)), np.ones((2, 1)), 0.0)
     out = evolve(s0, TimeControls(cfl=0.1, T=0.0), disc)
     assert np.array_equal(out.u, s0.u)
@@ -137,6 +163,20 @@ def test_instability_detection():
     with pytest.raises(InstabilityError) as err:
         evolve(s0, TimeControls(cfl=1.0, T=1.0, dt_override=0.5), disc)
     assert err.value.step == 1
+
+
+def test_instability_detected_in_v_alone():
+    # u stays finite; v turns NaN once a stage passes t = 0.33, in step 4
+    def v_blowup(u, v, t):
+        return np.zeros_like(u), np.full_like(v, np.nan if t > 0.33 else 0.0)
+
+    calls = []
+    s0 = ModalState(np.ones((2, 1)), np.ones((2, 1)), 0.0)
+    with pytest.raises(InstabilityError) as err:
+        evolve(s0, TimeControls(cfl=1.0, T=1.0, dt_override=0.1), _FakeDisc(v_blowup, n_el=2),
+               observers=[lambda k, s: calls.append(k)])
+    assert err.value.step == 4
+    assert calls == [0, 1, 2, 3]
 
 
 def test_cfl_margin_warning():
@@ -167,3 +207,50 @@ def test_dt_refinement_reduces_time_error():
                             + np.sum((final.v - reference.v) ** 2)))
     assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.3)
     assert errs[1] / errs[2] == pytest.approx(16.0, rel=0.3)
+
+
+def _reference_rk4(u, v, t, dt, rhs):
+    """One RK4 step on separate arrays, the formulas evolve applies in place."""
+    k1u, k1v = rhs(u, v, t)
+    k2u, k2v = rhs(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, t + 0.5 * dt)
+    k3u, k3v = rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, t + 0.5 * dt)
+    k4u, k4v = rhs(u + dt * k3u, v + dt * k3v, t + dt)
+    un = u + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    vn = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return un, vn, t + dt
+
+
+@pytest.mark.parametrize("problem", ["periodic1d", "periodic2d", "mixed2d"])
+def test_evolve_matches_out_of_place_rk4_bitwise(problem):
+    from advwave import problems
+
+    spec = {"periodic1d": lambda: problems.periodic_1d(0.5, 1.0, lift=True),
+            "periodic2d": lambda: problems.periodic_2d([0.5, 0.25], 1.0),
+            "mixed2d": lambda: problems.mixed_2d([0.5, 0.5], 1.0)}[problem]()
+    ref = build_reference(3, 3, dim=spec.dim)
+    mesh = build_mesh(spec.dim, 6 if spec.dim == 1 else 3, spec.boundary_mode)
+    disc = Discretization(mesh, ref, FluxParams.sommerfeld(), spec.w, spec.c,
+                          forcing=spec.forcing)
+    state0 = problems.project_initial(spec, disc)
+    controls = TimeControls(cfl=1.0, T=0.08, dt_override=0.01)
+    seen = []
+    final = evolve(state0, controls, disc,
+                   observers=[lambda k, s: seen.append((k, s.t, s.u.copy(), s.v.copy()))])
+
+    u, v, t = state0.u, state0.v, state0.t
+    assert [k for k, *_ in seen] == list(range(9))
+    for k, tk, uk, vk in seen:
+        if k:
+            u, v, t = _reference_rk4(u, v, t, 0.01, disc.rhs)
+        assert tk == t
+        assert np.array_equal(uk, u) and np.array_equal(vk, v)
+    assert final.t == 0.08
+    assert np.array_equal(final.u, u) and np.array_equal(final.v, v)
+
+    # the returned state owns its arrays: a second solve on the same
+    # discretization leaves it, and the initial state, as they were
+    kept = final.u.copy(), final.v.copy()
+    evolve(ModalState(2.0 * state0.u, -state0.v, 0.0), controls, disc)
+    assert np.array_equal(final.u, kept[0]) and np.array_equal(final.v, kept[1])
+    again = problems.project_initial(spec, disc)
+    assert np.array_equal(state0.u, again.u) and np.array_equal(state0.v, again.v)
