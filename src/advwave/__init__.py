@@ -5,7 +5,7 @@ from .basis import ReferenceElement, build_reference
 from .diagnostics import (discrete_energy, energy_identity_residual, fit_rate,
                           l2_error, spectral_radius_probe)
 from .fluxes import FluxParams, FluxState, Trace, compute_flux, energy_rate_density
-from .mesh import FaceKind, MeshTopology, build_mesh, classify_mesh
+from .mesh import FaceKind, MeshTopology, build_mesh
 from .operators import Discretization, ModalState
 from .problems import (InitialData, ProblemSpec, lift_initial_data, mixed_2d,
                        periodic_1d, periodic_2d, project_initial)
@@ -19,7 +19,7 @@ __all__ = [
     "discrete_energy", "energy_identity_residual",
     "fit_rate", "l2_error", "spectral_radius_probe",
     "FluxParams", "FluxState", "Trace", "compute_flux", "energy_rate_density",
-    "FaceKind", "MeshTopology", "build_mesh", "classify_mesh",
+    "FaceKind", "MeshTopology", "build_mesh",
     "Discretization", "ModalState",
     "InitialData", "ProblemSpec", "lift_initial_data", "mixed_2d",
     "periodic_1d", "periodic_2d", "project_initial",

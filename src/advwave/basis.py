@@ -56,6 +56,19 @@ def gauss_points(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
+def tensor_points(x: np.ndarray, dim: int) -> np.ndarray:
+    """All dim-tuples of the 1D points x in C order, shape (len(x)^dim, dim)."""
+    grids = np.meshgrid(*([x] * dim), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def tensor_gauss(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre rule on [-1, 1]^dim with n points per direction:
+    the nodes in C order and their weights."""
+    nodes, weights = gauss_points(n)
+    return tensor_points(nodes, dim), np.prod(tensor_points(weights, dim), axis=1)
+
+
 def legendre_tables(degree: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Matrices V[m, k] = P_k(x_m) and D[m, k] = P_k'(x_m), k = 0..degree.
 
@@ -181,11 +194,7 @@ def build_reference(q: int, s: int, n_quad: int | None = None, dim: int = 1) -> 
     modes_v = tensor_modes(s, dim)
     nu, nv = len(modes_u), len(modes_v)
 
-    # tensor volume quadrature
-    grids = np.meshgrid(*([nodes] * dim), indexing="ij")
-    vol_nodes = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([weights] * dim), indexing="ij")
-    vol_weights = np.prod(np.stack([wg.ravel() for wg in wgrids]), axis=0)
+    vol_nodes, vol_weights = tensor_gauss(n_quad, dim)
 
     vol_vals_u, vol_grads_u = tensor_eval(q, dim, vol_nodes)
     vol_vals_v, vol_grads_v = tensor_eval(s, dim, vol_nodes)

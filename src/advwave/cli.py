@@ -319,6 +319,8 @@ def run_convergence(cfg: RunConfig, grids=None, workers: int = 1):
     if grids is None:
         grids = cfg.n_list if cfg.n_list is not None else DEFAULT_GRIDS[cfg.dim]
     cfg_dict = asdict(cfg)
+    # the pool starts all its processes at once: no more than there are grids
+    workers = min(workers, len(grids))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_converge_one, [cfg_dict] * len(grids), grids))

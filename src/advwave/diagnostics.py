@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import tensor_eval
+from .basis import tensor_eval, tensor_gauss
 from .operators import Discretization, FieldTable, ModalState
 
 
@@ -48,11 +48,8 @@ class _ErrorQuadrature:
     def __init__(self, disc: Discretization, n_extra: int):
         ref, mesh = disc.ref, disc.mesh
         dim = mesh.dim
-        nodes, weights = np.polynomial.legendre.leggauss(ref.n_quad + n_extra)
-        grids = np.meshgrid(*([nodes] * dim), indexing="ij")
-        pts_ref = np.stack([g.ravel() for g in grids], axis=1)
-        wgrids = np.meshgrid(*([weights] * dim), indexing="ij")
-        self.weights = disc.jac_vol * np.prod(np.stack([wg.ravel() for wg in wgrids]), axis=0)
+        pts_ref, weights = tensor_gauss(ref.n_quad + n_extra, dim)
+        self.weights = disc.jac_vol * weights
         self.vals_u_t = tensor_eval(ref.q, dim, pts_ref)[0].T.copy()
         self.vals_v_t = tensor_eval(ref.s, dim, pts_ref)[0].T.copy()
         self.exact = FieldTable(mesh.element_centers[:, None, :] + (mesh.h / 2.0) * pts_ref)

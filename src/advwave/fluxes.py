@@ -81,8 +81,9 @@ def value_jump(t1: Trace, t2: Trace) -> np.ndarray:
     return t1.v[..., None] * t1.n + t2.v[..., None] * t2.n
 
 
-def interior_flux(t1: Trace, t2: Trace, p: FluxParams, w) -> FluxState:
-    """General parametrized interior flux; trace 1 belongs to the owner."""
+def interior_flux(t1: Trace, t2: Trace, p: FluxParams) -> FluxState:
+    """General parametrized interior flux; sigma weights trace 1, the low
+    element of the face in the operator (outward normal +e_axis)."""
     jg = grad_jump(t1, t2)
     jv = value_jump(t1, t2)
     v_star = p.sigma * t1.v + (1.0 - p.sigma) * t2.v - p.eta * jg
@@ -140,11 +141,11 @@ def compute_flux(kind: FaceKind, t1: Trace, t2: Trace | None,
                  p: FluxParams, w, c: float) -> FluxState:
     """Dispatch to the flux for a classified face."""
     if kind == FaceKind.INTERIOR_SUBSONIC:
-        return interior_flux(t1, t2, p, w)
+        return interior_flux(t1, t2, p)
     if kind == FaceKind.INTERIOR_SUPERSONIC:
         if p.dissipative:
             return supersonic_interior_flux(t1, t2, w, c)
-        return interior_flux(t1, t2, p, w)
+        return interior_flux(t1, t2, p)
     if kind == FaceKind.BOUNDARY_INFLOW:
         return inflow_flux(t1, w, p.xi)
     if kind == FaceKind.BOUNDARY_OUTFLOW:

@@ -1,10 +1,11 @@
-"""Uniform Cartesian meshes on the unit interval/square with oriented faces.
+"""Uniform Cartesian meshes on the unit interval/square.
 
-Elements are indexed in C order (2D: e = ix * n + iy).  Each face stores the
-owner element (the lower-indexed incident element), the neighbor (-1 on a
-physical boundary), the axis it is normal to, and the sign of the owner's
-outward normal along that axis.  Topology is immutable after construction
-and shared read-only.
+Elements are indexed in C order on the n^dim element grid (2D:
+e = ix * n + iy), so the neighbour of an element along an axis is one step
+along that axis of ``np.arange(n_elements).reshape((n,) * dim)``;
+``operators`` takes the faces from that grid.  Side 2*axis of an element
+is its low face along the axis, side 2*axis + 1 its high face.  Topology
+is immutable after construction and shared read-only.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
+
+from .basis import tensor_points
 
 
 class FaceKind(IntEnum):
@@ -31,17 +34,7 @@ class MeshTopology:
     h: float
     periodic: bool
     n_elements: int
-    face_axis: np.ndarray
-    face_owner: np.ndarray
-    face_neighbor: np.ndarray
-    face_sign: np.ndarray
-    face_owner_side: np.ndarray
-    face_neighbor_side: np.ndarray
     element_centers: np.ndarray  # (n_elements, dim)
-
-    @property
-    def n_faces(self) -> int:
-        return len(self.face_axis)
 
 
 def build_mesh(dim: int, n: int, boundary_mode: str = "periodic") -> MeshTopology:
@@ -52,64 +45,10 @@ def build_mesh(dim: int, n: int, boundary_mode: str = "periodic") -> MeshTopolog
         raise ValueError("need at least 2 elements per direction")
     if boundary_mode not in ("periodic", "physical"):
         raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
-    periodic = boundary_mode == "periodic"
     h = 1.0 / n
-    n_elements = n ** dim
-
-    # Faces are listed line by line (the other coordinate in 2D), then by
-    # axis, then along the line; arrays below have shape (line, axis, face).
-    other = np.arange(n if dim == 2 else 1)[:, None, None]
-    axis = np.arange(dim)[None, :, None]
-
-    def cell(i):
-        """Element at position i along the line (C order: e = ix * n + iy)."""
-        if dim == 1:
-            return i
-        return np.where(axis == 0, i * n + other, other * n + i)
-
-    if periodic:
-        # face i joins cells i and i+1; the wrap face (i = n-1) is owned by
-        # the lower-indexed cell 0, which sits on its high side
-        i = np.arange(n)
-        wrap = i == n - 1
-        left, right = cell(i), cell((i + 1) % n)
-        owner = np.where(wrap, right, left)
-        neighbor = np.where(wrap, left, right)
-        sign = np.where(wrap, -1.0, 1.0)
-        oside = np.where(wrap, 0, 1)
-        nside = np.where(wrap, 1, 0)
-    else:
-        # face j sits below cell j: j = 0 and j = n are boundary faces owned
-        # by the first and the last cell
-        j = np.arange(n + 1)
-        low, high = j == 0, j == n
-        owner = cell(np.clip(j - 1, 0, n - 1))
-        neighbor = np.where(low | high, -1, cell(np.minimum(j, n - 1)))
-        sign = np.where(low, -1.0, 1.0)
-        oside = np.where(low, 0, 1)
-        nside = np.where(high, 1, 0)
-
-    shape = np.broadcast_shapes(owner.shape, axis.shape)
-
-    def flat(a, dtype):
-        return np.broadcast_to(a, shape).astype(dtype).ravel()
-
-    centers_1d = (np.arange(n) + 0.5) * h
-    if dim == 1:
-        element_centers = centers_1d[:, None]
-    else:
-        cx, cy = np.meshgrid(centers_1d, centers_1d, indexing="ij")
-        element_centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
-
     return MeshTopology(
-        dim=dim, n=n, h=h, periodic=periodic, n_elements=n_elements,
-        face_axis=flat(axis, int),
-        face_owner=flat(owner, int),
-        face_neighbor=flat(neighbor, int),
-        face_sign=flat(sign, float),
-        face_owner_side=flat(oside, int),
-        face_neighbor_side=flat(nside, int),
-        element_centers=element_centers,
+        dim=dim, n=n, h=h, periodic=boundary_mode == "periodic", n_elements=n ** dim,
+        element_centers=tensor_points((np.arange(n) + 0.5) * h, dim),
     )
 
 
@@ -133,14 +72,16 @@ def classify_wn(wn: float, c: float, interior: bool) -> FaceKind:
     return FaceKind.BOUNDARY_OUTFLOW_SUPERSONIC
 
 
-def classify_mesh(mesh: MeshTopology, w, c: float) -> np.ndarray:
-    """Vectorized classification; returns the kind of every face.
+def classify_mesh(mesh: MeshTopology, w, c: float) -> list[tuple]:
+    """Flux kinds of the face classes of each axis of the grid.
 
-    A face's kind depends only on its axis, its sign and whether it is
-    interior, so each of those combinations is classified once.
+    Every face of a class has the same w.n, so each axis has three kinds:
+    (interior, low boundary, high boundary), the low boundary having
+    outward normal -e_axis.  The boundary kinds are None on a periodic mesh.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    interior = mesh.face_neighbor >= 0
-    table = np.array([[[classify_wn(w[a] * s, c, i) for i in (False, True)]
-                       for s in (-1.0, 1.0)] for a in range(mesh.dim)], dtype=int)
-    return table[mesh.face_axis, (mesh.face_sign > 0).astype(int), interior.astype(int)]
+    boundary = not mesh.periodic
+    return [(classify_wn(w[a], c, True),
+             classify_wn(-w[a], c, False) if boundary else None,
+             classify_wn(w[a], c, False) if boundary else None)
+            for a in range(mesh.dim)]

@@ -21,7 +21,9 @@ written into an array the caller may pass.
 ``matrix_free_rhs`` keeps the face-by-face evaluation: flux states of every
 face from the current traces (``face_flux_states``), then face lifting and
 the element solves.  It is the reference the assembled operator is tested
-against.
+against.  It and the energy audit (``boundary_energy_rate``) take the faces
+from the element grid, one interior set and on physical meshes two boundary
+sets per axis (``_grid_faces``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from scipy.linalg import lu_factor, lu_solve
 from . import fluxes
 from .basis import ReferenceElement
 from .fluxes import FluxParams, Trace
-from .mesh import FaceKind, MeshTopology, classify_mesh, classify_wn
+from .mesh import MeshTopology, classify_mesh
 
 
 @dataclass
@@ -138,15 +140,32 @@ def build_element_solvers(ref: ReferenceElement, h: float, c: float) -> ElementS
     )
 
 
-@dataclass(frozen=True)
-class _FaceGroup:
-    kind: FaceKind
-    axis: int
-    owner: np.ndarray
-    neighbor: np.ndarray        # -1 entries for boundary groups
-    sign: np.ndarray
-    owner_side: np.ndarray      # global side index 2*axis + lo/hi
-    neighbor_side: np.ndarray
+def _grid_faces(mesh: MeshTopology, w: np.ndarray, c: float):
+    """The faces of the element grid, one set per axis and face class.
+
+    Yields (kind, sides): sides lists, for trace 1 and on interior faces
+    trace 2, the (side, elements) pair that holds the trace.  An interior
+    face joins side 2a+1 of element i (trace 1, outward normal +e_a) to
+    side 2a of element i + e_a, wrapping around on a periodic mesh.  A
+    physical mesh adds the boundary faces of the first and last layer
+    along each axis.
+    """
+    n = mesh.n
+    grid = np.arange(mesh.n_elements).reshape((n,) * mesh.dim)
+    for a, (interior, low_kind, high_kind) in enumerate(classify_mesh(mesh, w, c)):
+        lo, hi = 2 * a, 2 * a + 1
+
+        def layer(index):
+            return np.take(grid, index, axis=a).ravel()
+
+        if mesh.periodic:
+            low, high = grid.ravel(), np.roll(grid, -1, axis=a).ravel()
+        else:
+            low, high = layer(range(n - 1)), layer(range(1, n))
+        yield interior, ((hi, low), (lo, high))
+        if not mesh.periodic:
+            yield low_kind, ((lo, layer(0)),)
+            yield high_kind, ((hi, layer(n - 1)),)
 
 
 class Discretization:
@@ -195,9 +214,6 @@ class Discretization:
             mesh.element_centers[:, None, :] + (h / 2.0) * ref.vol_nodes[None, :, :]
         )
 
-        self.face_kinds = classify_mesh(mesh, self.w, self.c)
-        self._groups = self._build_face_groups()
-
         blocks = self._assemble_blocks()
         self._stencil = blocks[:1 + 2 * dim]        # self, then one per side
         self._corrections = blocks[1 + 2 * dim:]    # one per boundary side
@@ -224,38 +240,6 @@ class Discretization:
         # there on first use
         self.error_quadratures = {}
 
-    def _build_face_groups(self) -> list[_FaceGroup]:
-        """Faces grouped by (kind, axis).
-
-        Trace 1 of an interior face is always the element on its low side
-        (outward normal +e_axis).  The mesh's periodic wrap faces are owned
-        by the element on the high side, so they are flipped here; without
-        that, the parametrized flux with sigma != 1/2 would treat the wrap
-        face differently from every other face of its axis.
-        """
-        m = self.mesh
-        flip = (m.face_neighbor >= 0) & (m.face_sign < 0)
-        owner = np.where(flip, m.face_neighbor, m.face_owner)
-        neighbor = np.where(flip, m.face_owner, m.face_neighbor)
-        owner_side = np.where(flip, m.face_neighbor_side, m.face_owner_side)
-        neighbor_side = np.where(flip, m.face_owner_side, m.face_neighbor_side)
-        sign = np.where(flip, -m.face_sign, m.face_sign)
-        key = self.face_kinds * m.dim + m.face_axis
-        groups = []
-        for k in np.unique(key):
-            kind, axis = divmod(int(k), m.dim)
-            sel = np.nonzero(key == k)[0]
-            groups.append(_FaceGroup(
-                kind=FaceKind(kind),
-                axis=axis,
-                owner=owner[sel],
-                neighbor=neighbor[sel],
-                sign=sign[sel],
-                owner_side=2 * axis + owner_side[sel],
-                neighbor_side=2 * axis + neighbor_side[sel],
-            ))
-        return groups
-
     # --- traces and fluxes ------------------------------------------------
 
     def side_traces(self, u: np.ndarray, v: np.ndarray):
@@ -269,18 +253,15 @@ class Discretization:
         gtr = self.dscale * np.einsum("sdfj,ej->sefd", ref.face_grads_u, u)
         return vtr, gtr
 
-    def _group_traces(self, g: _FaceGroup, vtr, gtr):
-        dim = self.mesh.dim
-        e_axis = np.zeros(dim)
-        e_axis[g.axis] = 1.0
-        n1 = g.sign[:, None, None] * e_axis
-        t1 = Trace(v=vtr[g.owner_side, g.owner],
-                   grad_u=gtr[g.owner_side, g.owner], n=n1)
-        t2 = None
-        if g.kind in (FaceKind.INTERIOR_SUBSONIC, FaceKind.INTERIOR_SUPERSONIC):
-            t2 = Trace(v=vtr[g.neighbor_side, g.neighbor],
-                       grad_u=gtr[g.neighbor_side, g.neighbor], n=-n1)
-        return t1, t2
+    def _face_traces(self, vtr, gtr):
+        """Traces of every face set of the grid: yields (kind, sides, t1,
+        t2), t2 None on a boundary face; see ``_grid_faces``."""
+        eye = np.eye(self.mesh.dim)
+        for kind, sides in _grid_faces(self.mesh, self.w, self.c):
+            traces = [Trace(v=vtr[side, el], grad_u=gtr[side, el],
+                            n=(1.0 if side % 2 else -1.0) * eye[side // 2])
+                      for side, el in sides]
+            yield kind, sides, traces[0], traces[1] if len(traces) == 2 else None
 
     def face_flux_states(self, u: np.ndarray, v: np.ndarray):
         """Flux states for every element side, face by face.
@@ -295,14 +276,11 @@ class Discretization:
         vtr, gtr = self.side_traces(u, v)
         vstar = np.zeros((2 * dim, n_el, nfq))
         gstar = np.zeros((2 * dim, n_el, nfq, dim))
-        for g in self._groups:
-            t1, t2 = self._group_traces(g, vtr, gtr)
-            state = fluxes.compute_flux(g.kind, t1, t2, self.params, self.w, self.c)
-            vstar[g.owner_side, g.owner] = state.v_star
-            gstar[g.owner_side, g.owner] = state.grad_u_star
-            if t2 is not None:
-                vstar[g.neighbor_side, g.neighbor] = state.v_star
-                gstar[g.neighbor_side, g.neighbor] = state.grad_u_star
+        for kind, sides, t1, t2 in self._face_traces(vtr, gtr):
+            state = fluxes.compute_flux(kind, t1, t2, self.params, self.w, self.c)
+            for side, el in sides:
+                vstar[side, el] = state.v_star
+                gstar[side, el] = state.grad_u_star
         return vstar, gstar, vtr, gtr
 
     # --- element terms shared by the assembly and the reference path ------
@@ -384,7 +362,8 @@ class Discretization:
             return state.v_star, state.grad_u_star
 
         zero_v, zero_g = np.zeros_like(vtr[0, 0]), np.zeros_like(gtr[0, 0])
-        for axis in range(dim):
+        kinds = classify_mesh(self.mesh, self.w, self.c)
+        for axis, (interior, low_kind, high_kind) in enumerate(kinds):
             lo, hi = 2 * axis, 2 * axis + 1
             normal = np.zeros(dim)
             normal[axis] = 1.0
@@ -394,7 +373,7 @@ class Discretization:
                        grad_u=np.concatenate([gtr[hi, 0], zero_g]), n=normal)
             t2 = Trace(v=np.concatenate([zero_v, vtr[lo, 0]]),
                        grad_u=np.concatenate([zero_g, gtr[lo, 0]]), n=-normal)
-            vs, gs = flux(classify_wn(self.w[axis], self.c, True), t1, t2)
+            vs, gs = flux(interior, t1, t2)
             from_low, from_high = (vs[:nb], gs[:nb]), (vs[nb:], gs[nb:])
             vstar[hi, 0], gstar[hi, 0] = from_low
             vstar[lo, 0], gstar[lo, 0] = from_high
@@ -402,8 +381,8 @@ class Discretization:
             vstar[lo, 1 + lo], gstar[lo, 1 + lo] = from_low
             if periodic:
                 continue
-            for side, sign, own in ((lo, -1.0, from_high), (hi, 1.0, from_low)):
-                kind = classify_wn(sign * self.w[axis], self.c, False)
+            for side, sign, kind, own in ((lo, -1.0, low_kind, from_high),
+                                          (hi, 1.0, high_kind, from_low)):
                 bv, bg = flux(kind, Trace(v=vtr[side, 0], grad_u=gtr[side, 0],
                                           n=sign * normal))
                 block = 1 + sides + side
@@ -497,12 +476,11 @@ class Discretization:
         return self._element_solve(rhs_u, rhs_v, p)
 
     def boundary_energy_rate(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Sum of the closed-form face energy rates over all face groups."""
+        """Sum of the closed-form face energy rates over all faces."""
         vtr, gtr = self.side_traces(u, v)
         wf = self.ref.face_weights
         total = 0.0
-        for g in self._groups:
-            t1, t2 = self._group_traces(g, vtr, gtr)
-            density = fluxes.energy_rate_density(g.kind, t1, t2, self.params, self.w, self.c)
+        for kind, _, t1, t2 in self._face_traces(vtr, gtr):
+            density = fluxes.energy_rate_density(kind, t1, t2, self.params, self.w, self.c)
             total += self.jac_face * float(np.sum(density @ wf))
         return total

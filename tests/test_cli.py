@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advwave import cli
 from advwave.cli import (ConfigError, RunConfig, default_cfl, flux_params,
                          load_config, main, validate_config)
 from advwave.fluxes import FluxParams
@@ -187,6 +188,31 @@ def test_converge_smoke_and_worker_determinism(tmp_path):
     assert (out1 / "rates.csv").read_bytes() == (out2 / "rates.csv").read_bytes()
     header = (out1 / "rates.csv").read_text().splitlines()[0]
     assert header == "q,s,flux,w,c,rate_u,rate_v"
+
+
+def test_converge_pool_capped_at_grid_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Records the requested pool size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    path = write_config(tmp_path, T=0.05, n_list=[4, 6, 8])
+    assert main(["converge", "--config", path, "--output", str(tmp_path / "c"),
+                 "--workers", "5000"]) == 0
+    assert sizes == [3]
 
 
 def test_energy_audit_pass_and_fail(tmp_path):

@@ -35,7 +35,7 @@ def test_interior_consistency(v, grad, sigma, beta, eta):
     t1 = make_trace(v, grad, n)
     t2 = make_trace(v, grad, -n)
     p = FluxParams(sigma=sigma, beta=beta, eta=eta)
-    out = interior_flux(t1, t2, p, w=[0.1, 0.1])
+    out = interior_flux(t1, t2, p)
     assert abs(out.v_star - v) <= 1e-14 * max(1, abs(v))
     assert np.all(np.abs(out.grad_u_star - np.asarray(grad))
                   <= 1e-14 * np.maximum(1, np.abs(grad)))
@@ -44,7 +44,7 @@ def test_interior_consistency(v, grad, sigma, beta, eta):
 def test_interior_sommerfeld_example():
     # xi=1, n1=+1, v1=1, v2=0, grads zero
     t1, t2 = pair_1d(1.0, 0.0, 0.0, 0.0)
-    out = interior_flux(t1, t2, FluxParams.sommerfeld(xi=1.0), w=[0.2])
+    out = interior_flux(t1, t2, FluxParams.sommerfeld(xi=1.0))
     assert out.v_star == pytest.approx(0.5)
     assert out.grad_u_star[0] == pytest.approx(-0.5)
 
@@ -52,7 +52,7 @@ def test_interior_sommerfeld_example():
 def test_interior_central_example():
     # v* is the plain average; grad u* the shared gradient when continuous
     t1, t2 = pair_1d(1.0, 2.0, 3.0, 2.0)
-    out = interior_flux(t1, t2, FluxParams.central(), w=[0.2])
+    out = interior_flux(t1, t2, FluxParams.central())
     assert out.v_star == pytest.approx(2.0)
     assert out.grad_u_star[0] == pytest.approx(2.0)
 
@@ -208,7 +208,7 @@ def test_compute_flux_dispatch():
     # central keeps the parametrized form at supersonic faces
     pc = FluxParams.central()
     a = compute_flux(FaceKind.INTERIOR_SUPERSONIC, t1, t2, pc, w=[2.0], c=1.0)
-    b = interior_flux(t1, t2, pc, w=[2.0])
+    b = interior_flux(t1, t2, pc)
     assert np.array_equal(a.v_star, b.v_star)
 
 

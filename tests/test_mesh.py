@@ -1,37 +1,45 @@
 import numpy as np
 import pytest
 
-from advwave.mesh import FaceKind, build_mesh, classify_mesh, classify_wn
+from advwave.mesh import FaceKind, build_mesh, classify_wn
+from advwave.operators import _grid_faces
+
+
+def faces(mesh, w=(0.5, 0.5), c=1.0):
+    """The face sets of _grid_faces as (kind, [(side, element list), ...])."""
+    w = np.asarray(w[:mesh.dim], dtype=float)
+    return [(kind, [(side, el.tolist()) for side, el in sides])
+            for kind, sides in _grid_faces(mesh, w, c)]
 
 
 def test_1d_periodic_topology():
     mesh = build_mesh(1, 4, "periodic")
     assert mesh.n_elements == 4
-    assert mesh.n_faces == 4
     assert np.allclose(mesh.element_centers[:, 0], [0.125, 0.375, 0.625, 0.875])
-    # wrap face is owned by element 0 on its low side with normal -1
-    wrap = np.nonzero((mesh.face_owner == 0) & (mesh.face_neighbor == 3))[0]
-    assert len(wrap) == 1
-    assert mesh.face_sign[wrap[0]] == -1.0
-    assert mesh.face_owner_side[wrap[0]] == 0
-    assert mesh.face_neighbor_side[wrap[0]] == 1
+    # one interior set; the wrap face joins the high side of element 3 to
+    # the low side of element 0, like every other face of the axis
+    assert faces(mesh) == [(FaceKind.INTERIOR_SUBSONIC,
+                            [(1, [0, 1, 2, 3]), (0, [1, 2, 3, 0])])]
 
 
 def test_1d_physical_topology():
     mesh = build_mesh(1, 3, "physical")
-    assert mesh.n_faces == 4
-    boundary = mesh.face_neighbor < 0
-    assert np.count_nonzero(boundary) == 2
-    assert sorted(mesh.face_sign[boundary]) == [-1.0, 1.0]
+    assert [sides for _, sides in faces(mesh)] == [
+        [(1, [0, 1]), (0, [1, 2])],   # interior faces
+        [(0, [0])],                   # low boundary
+        [(1, [2])],                   # high boundary
+    ]
 
 
 def test_2d_face_counts():
     for n in (2, 3, 5):
-        per = build_mesh(2, n, "periodic")
-        phys = build_mesh(2, n, "physical")
-        assert per.n_faces == 2 * n * n
-        assert phys.n_faces == 2 * n * (n + 1)
-        assert per.n_elements == n * n
+        for mode, per_axis in (("periodic", n * n), ("physical", n * (n + 1))):
+            mesh = build_mesh(2, n, mode)
+            assert mesh.n_elements == n * n
+            for axis in range(2):
+                counts = [len(sides[0][1]) for _, sides in faces(mesh)
+                          if sides[0][0] // 2 == axis]
+                assert sum(counts) == per_axis
 
 
 def test_2d_element_indexing():
@@ -41,67 +49,59 @@ def test_2d_element_indexing():
     assert np.allclose(mesh.element_centers[3], [3 / 6, 1 / 6])
 
 
-def reference_faces(dim, n, mode):
-    """Face arrays built face by face, in the mesh's face order."""
-    def cell(i, other, axis):
-        if dim == 1:
-            return i
-        return i * n + other if axis == 0 else other * n + i
+def neighbour_pairs(mesh, axis):
+    """(i, j) for every element j one step h above element i along axis,
+    found by comparing element centres (modulo 1 on a periodic mesh)."""
+    d = mesh.element_centers[None, :, :] - mesh.element_centers[:, None, :]
+    step = d[..., axis] % 1.0 if mesh.periodic else d[..., axis]
+    same_line = np.all(np.delete(d, axis, axis=-1) == 0.0, axis=-1)
+    return sorted(zip(*np.nonzero(np.isclose(step, mesh.h) & same_line)))
 
-    rows = []
-    for other in (range(n) if dim == 2 else [0]):
-        for axis in range(dim):
-            if mode == "periodic":
-                for i in range(n):
-                    a, b = cell(i, other, axis), cell((i + 1) % n, other, axis)
-                    rows.append((axis, a, b, 1.0, 1, 0) if a < b
-                                else (axis, b, a, -1.0, 0, 1))
-                continue
-            rows.append((axis, cell(0, other, axis), -1, -1.0, 0, 0))
-            for i in range(n - 1):
-                rows.append((axis, cell(i, other, axis), cell(i + 1, other, axis),
-                             1.0, 1, 0))
-            rows.append((axis, cell(n - 1, other, axis), -1, 1.0, 1, 1))
-    return [np.array(col) for col in zip(*rows)]
+
+def check_grid_faces(mesh, w, c):
+    """The face sets against a brute-force neighbour search: interior faces
+    pair every element with its neighbour above, boundary faces hold the
+    sides with no neighbour, and each kind (from classify_mesh) is
+    classify_wn of the outward w . n of trace 1."""
+    for kind, sides in _grid_faces(mesh, np.asarray(w, dtype=float), c):
+        axis, hi = divmod(sides[0][0], 2)
+        pairs = neighbour_pairs(mesh, axis)
+        wn_out = w[axis] if hi else -w[axis]
+        if len(sides) == 2:
+            (s1, low), (s2, high) = sides
+            assert (s1, s2) == (2 * axis + 1, 2 * axis)
+            assert sorted(zip(low, high)) == pairs
+            assert kind == classify_wn(wn_out, c, True)
+        else:
+            (side, el), = sides
+            across = {i for i, _ in pairs} if hi else {j for _, j in pairs}
+            assert sorted(el) == sorted(set(range(mesh.n_elements)) - across)
+            assert kind == classify_wn(wn_out, c, False)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("mode", ["periodic", "physical"])
-def test_face_arrays_match_face_by_face_construction(dim, mode):
+def test_grid_faces_match_neighbour_search(dim, mode):
     for n in (2, 3, 5):
-        mesh = build_mesh(dim, n, mode)
-        got = (mesh.face_axis, mesh.face_owner, mesh.face_neighbor, mesh.face_sign,
-               mesh.face_owner_side, mesh.face_neighbor_side)
-        for g, e in zip(got, reference_faces(dim, n, mode)):
-            assert np.array_equal(g, e)
+        check_grid_faces(build_mesh(dim, n, mode), [0.5, -1.5][:dim], 1.0)
 
 
 @pytest.mark.parametrize("w", [[0.5, -0.3], [2.0, 1.0], [-1.0, 0.0], [0.0, -1.5]])
 def test_classify_mesh_matches_per_face(w):
     for mode in ("periodic", "physical"):
-        mesh = build_mesh(2, 3, mode)
-        kinds = classify_mesh(mesh, w, 1.0)
-        for i in range(mesh.n_faces):
-            axis, sign = mesh.face_axis[i], mesh.face_sign[i]
-            interior = mesh.face_neighbor[i] >= 0
-            assert kinds[i] == classify_wn(w[axis] * sign, 1.0, interior)
-
-
-def test_owner_is_lower_indexed():
-    for mode in ("periodic", "physical"):
-        mesh = build_mesh(2, 4, mode)
-        interior = mesh.face_neighbor >= 0
-        assert np.all(mesh.face_owner[interior] < mesh.face_neighbor[interior])
+        check_grid_faces(build_mesh(2, 3, mode), w, 1.0)
 
 
 def test_each_element_has_all_sides():
-    mesh = build_mesh(2, 3, "periodic")
-    seen = np.zeros((mesh.n_elements, 4), dtype=int)
-    interior = mesh.face_neighbor >= 0
-    np.add.at(seen, (mesh.face_owner, 2 * mesh.face_axis + mesh.face_owner_side), 1)
-    np.add.at(seen, (mesh.face_neighbor[interior],
-                     2 * mesh.face_axis[interior] + mesh.face_neighbor_side[interior]), 1)
-    assert np.all(seen == 1)
+    for dim in (1, 2):
+        for mode in ("periodic", "physical"):
+            for n in (2, 3, 5):
+                mesh = build_mesh(dim, n, mode)
+                seen = np.zeros((mesh.n_elements, 2 * dim), dtype=int)
+                for _, sides in faces(mesh):
+                    for side, el in sides:
+                        np.add.at(seen, (el, side), 1)
+                assert np.all(seen == 1)
 
 
 @pytest.mark.parametrize("wn,c,interior,expected", [
@@ -124,14 +124,11 @@ def test_classify_requires_positive_speed():
         classify_wn(0.5, 0.0, True)
 
 
-def test_classify_mesh_uses_owner_normal():
+def test_boundary_kinds_follow_outward_normal():
     mesh = build_mesh(1, 3, "physical")
-    kinds = classify_mesh(mesh, [0.5], 1.0)
-    boundary = mesh.face_neighbor < 0
-    # left boundary has outward normal -1: inflow for w > 0; right: outflow
-    assert kinds[boundary & (mesh.face_sign < 0)].tolist() == [FaceKind.BOUNDARY_INFLOW]
-    assert kinds[boundary & (mesh.face_sign > 0)].tolist() == [FaceKind.BOUNDARY_OUTFLOW]
-    assert np.all(kinds[~boundary] == FaceKind.INTERIOR_SUBSONIC)
+    # the low boundary has outward normal -1: inflow for w > 0; high: outflow
+    assert [kind for kind, _ in faces(mesh)] == [
+        FaceKind.INTERIOR_SUBSONIC, FaceKind.BOUNDARY_INFLOW, FaceKind.BOUNDARY_OUTFLOW]
 
 
 def test_build_mesh_validation():
