@@ -2,7 +2,7 @@
 """Scan the semidiscrete operator's spectral radius over n and q.
 
 Runs ``advwave spectrum`` once per degree on the 1D periodic problem with
-the Sommerfeld flux.  The estimates should scale like (c + |w|) q^2 / h,
+the Sommerfeld flux.  The radii should scale like (c + |w|) q^2 / h,
 i.e. double under n -> 2n and roughly quadruple under q -> 2q.
 """
 

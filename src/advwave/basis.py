@@ -9,8 +9,9 @@ multi-indices are flattened in C order, so the constant mode is index 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -138,7 +139,7 @@ class ReferenceElement:
     Jacobians.  mass_v is diagonal with entries prod_d 2/(2 k_d + 1);
     stiff_u is sum_d int dP/dz_d dP/dz_d, symmetric PSD with the constant
     mode in its nullspace; mean_row integrates each u basis function.
-    Immutable after construction; safe to share across workers.
+    Immutable after construction (every array is read-only); safe to share.
     """
 
     q: int
@@ -176,7 +177,8 @@ def build_reference(q: int, s: int, n_quad: int | None = None, dim: int = 1) -> 
     """Assemble all reference-element matrices for degrees (q, s).
 
     n_quad defaults to q + 2 Gauss points per direction, exact for every
-    mass/stiffness entry with margin for flux products.
+    mass/stiffness entry with margin for flux products.  The element is
+    built once per process: equal arguments return the same object.
     """
     if q < 1:
         raise ValueError("u degree q must be >= 1")
@@ -188,7 +190,11 @@ def build_reference(q: int, s: int, n_quad: int | None = None, dim: int = 1) -> 
         n_quad = q + 2
     if n_quad < q + 1:
         raise ValueError("n_quad must be at least q + 1")
+    return _build_reference(q, s, n_quad, dim)
 
+
+@functools.cache
+def _build_reference(q: int, s: int, n_quad: int, dim: int) -> ReferenceElement:
     nodes, weights = gauss_points(n_quad)
     modes_u = tensor_modes(q, dim)
     modes_v = tensor_modes(s, dim)
@@ -233,7 +239,7 @@ def build_reference(q: int, s: int, n_quad: int | None = None, dim: int = 1) -> 
         face_grads_u[side] = tensor_eval(q, dim, pts)[1]
         face_vals_v[side] = tensor_eval(s, dim, pts)[0]
 
-    return ReferenceElement(
+    ref = ReferenceElement(
         q=q, s=s, dim=dim, n_quad=n_quad,
         modes_u=modes_u, modes_v=modes_v,
         mass_u=mass_u, mass_v=mass_v, stiff_u=stiff_u, mean_row=mean_row,
@@ -244,3 +250,8 @@ def build_reference(q: int, s: int, n_quad: int | None = None, dim: int = 1) -> 
         face_grads_u=face_grads_u, face_vals_v=face_vals_v,
         face_weights=face_weights,
     )
+    for f in fields(ref):
+        value = getattr(ref, f.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return ref

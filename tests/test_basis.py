@@ -160,3 +160,18 @@ def test_build_reference_validation():
         build_reference(3, 3, n_quad=2)
     with pytest.raises(ValueError):
         build_reference(2, 2, dim=3)
+
+
+def test_build_reference_built_once():
+    ref = build_reference(3, 2, dim=2)
+    assert build_reference(3, 2, n_quad=5, dim=2) is ref
+    assert build_reference(3, 3, dim=2) is not ref
+
+
+def test_reference_arrays_read_only():
+    ref = build_reference(2, 1, dim=2)
+    arrays = [value for value in vars(ref).values() if isinstance(value, np.ndarray)]
+    assert len(arrays) == 17
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0

@@ -246,6 +246,32 @@ def test_spectrum_smoke(tmp_path):
     assert r8 / r4 == pytest.approx(2.0, rel=0.2)
 
 
+def test_spectrum_csv_repeats_in_one_process(tmp_path):
+    # ARPACK keeps its own random state between calls; the probe must not use it
+    path = write_config(tmp_path, n_list=[4, 8])
+    assert main(["spectrum", "--config", path, "--output", str(tmp_path / "a")]) == 0
+    assert main(["spectrum", "--config", path, "--output", str(tmp_path / "b"),
+                 "--seed", "5"]) == 0
+    assert main(["spectrum", "--config", path, "--output", str(tmp_path / "c")]) == 0
+    first = (tmp_path / "a" / "spectrum.csv").read_bytes()
+    assert (tmp_path / "c" / "spectrum.csv").read_bytes() == first
+
+
+def test_spectrum_reports_no_convergence(tmp_path, monkeypatch, capsys):
+    import scipy.sparse.linalg as sla
+
+    def stalled(*args, **kwargs):
+        raise sla.ArpackNoConvergence("stalled", np.array([2.0 + 0j]), None)
+
+    monkeypatch.setattr(sla, "eigs", stalled)
+    path = write_config(tmp_path, n_list=[4, 8])
+    out = tmp_path / "s"
+    assert main(["spectrum", "--config", path, "--output", str(out)]) == 0
+    assert "spectrum: q=2 n=4 radius=2.000000e+00 converged=False" in capsys.readouterr().out
+    rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["False", "False"]
+
+
 def test_seed_and_output_from_config(tmp_path):
     outdir = tmp_path / "from_config"
     path = write_config(tmp_path, n=6, output_dir=str(outdir), seed=7)

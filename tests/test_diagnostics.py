@@ -259,24 +259,31 @@ def test_fit_rate_validation():
 
 # --- spectral probe --------------------------------------------------------------
 
+def dense_operator(disc):
+    """The operator as a dense matrix on the stacked per-element [u v]
+    layout, assembled column by column."""
+    n_el, nu = disc.mesh.n_elements, disc.ref.n_u
+    size = n_el * (nu + disc.ref.n_v)
+    A = np.zeros((size, size))
+    for j in range(size):
+        x = np.zeros((n_el, size // n_el))
+        x.flat[j] = 1.0
+        du, dv = disc.rhs(x[:, :nu], x[:, nu:], 0.0)
+        A[:, j] = np.hstack([du, dv]).ravel()
+    return A
+
+
 def test_spectral_probe_against_dense_eigenvalues():
-    # assemble the full operator matrix column by column and compare with
-    # numpy's eigenvalues (independent oracle)
-    disc = make_disc(n=4, q=2)
-    n_el, nu, nv = 4, 3, 3
-    dim_total = n_el * (nu + nv)
-    A = np.zeros((dim_total, dim_total))
-    for j in range(dim_total):
-        x = np.zeros(dim_total)
-        x[j] = 1.0
-        u = x[:n_el * nu].reshape(n_el, nu)
-        v = x[n_el * nu:].reshape(n_el, nv)
-        du, dv = disc.rhs(u, v, 0.0)
-        A[:, j] = np.concatenate([du.ravel(), dv.ravel()])
-    exact = np.max(np.abs(np.linalg.eigvals(A)))
-    radius, converged = spectral_radius_probe(disc, iters=600)
-    assert converged
-    assert radius == pytest.approx(exact, rel=0.05)
+    # numpy's eigenvalues of the assembled matrix are the independent oracle;
+    # mixed2d n=3 includes the boundary strips and corrections
+    cases = [make_disc(n=4, q=2),
+             make_disc(dim=2, n=3, q=2, w=(0.5, 0.5), mode="physical"),
+             make_disc(dim=2, n=4, q=2, w=(0.5, 0.5), params=FluxParams.central())]
+    for disc in cases:
+        exact = np.max(np.abs(np.linalg.eigvals(dense_operator(disc))))
+        radius, converged = spectral_radius_probe(disc)
+        assert converged
+        assert radius == pytest.approx(exact, rel=1e-5)
 
 
 def test_spectral_probe_zero_operator():
@@ -286,12 +293,28 @@ def test_spectral_probe_zero_operator():
         ref = type("R", (), {"n_u": 2, "n_v": 2})
 
         @staticmethod
-        def rhs(u, v, t):
-            return np.zeros_like(u), np.zeros_like(v)
+        def rhs(u, v, t, out=None):
+            out[...] = 0.0
+            return out[:, :2], out[:, 2:]
 
     radius, converged = spectral_radius_probe(Zero())
     assert radius == 0.0
     assert converged
+
+
+def test_spectral_probe_no_convergence(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    def stalled(ritz):
+        def eigs(*args, **kwargs):
+            raise sla.ArpackNoConvergence("stalled", ritz, None)
+        return eigs
+
+    monkeypatch.setattr(sla, "eigs", stalled(np.array([3.0 + 4.0j])))
+    assert spectral_radius_probe(make_disc(n=4, q=2)) == (5.0, False)
+    monkeypatch.setattr(sla, "eigs", stalled(np.zeros(0, dtype=complex)))
+    radius, converged = spectral_radius_probe(make_disc(n=4, q=2))
+    assert np.isnan(radius) and not converged
 
 
 def test_spectral_probe_scaling():
