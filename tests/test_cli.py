@@ -248,7 +248,7 @@ def test_spectrum_smoke(tmp_path):
 
 def test_spectrum_csv_repeats_in_one_process(tmp_path):
     # ARPACK keeps its own random state between calls; the probe must not use it
-    path = write_config(tmp_path, n_list=[4, 8])
+    path = write_config(tmp_path, problem="mixed2d", w=[0.5, 0.5], n_list=[4, 5])
     assert main(["spectrum", "--config", path, "--output", str(tmp_path / "a")]) == 0
     assert main(["spectrum", "--config", path, "--output", str(tmp_path / "b"),
                  "--seed", "5"]) == 0
@@ -264,7 +264,7 @@ def test_spectrum_reports_no_convergence(tmp_path, monkeypatch, capsys):
         raise sla.ArpackNoConvergence("stalled", np.array([2.0 + 0j]), None)
 
     monkeypatch.setattr(sla, "eigs", stalled)
-    path = write_config(tmp_path, n_list=[4, 8])
+    path = write_config(tmp_path, problem="mixed2d", w=[0.5, 0.5], n_list=[4, 8])
     out = tmp_path / "s"
     assert main(["spectrum", "--config", path, "--output", str(out)]) == 0
     assert "spectrum: q=2 n=4 radius=2.000000e+00 converged=False" in capsys.readouterr().out

@@ -275,21 +275,36 @@ def dense_operator(disc):
 
 def test_spectral_probe_against_dense_eigenvalues():
     # numpy's eigenvalues of the assembled matrix are the independent oracle;
-    # mixed2d n=3 includes the boundary strips and corrections
+    # mixed2d includes the boundary strips and corrections, and n=5 and 10
+    # are the first and third default 2D spectrum grids
     cases = [make_disc(n=4, q=2),
-             make_disc(dim=2, n=3, q=2, w=(0.5, 0.5), mode="physical"),
              make_disc(dim=2, n=4, q=2, w=(0.5, 0.5), params=FluxParams.central())]
+    cases += [make_disc(dim=2, n=n, q=2, w=(0.5, 0.5), mode="physical")
+              for n in (3, 5, 10)]
     for disc in cases:
         exact = np.max(np.abs(np.linalg.eigvals(dense_operator(disc))))
         radius, converged = spectral_radius_probe(disc)
         assert converged
-        assert radius == pytest.approx(exact, rel=1e-5)
+        assert radius == pytest.approx(exact, rel=1e-7)
+
+
+@pytest.mark.parametrize("dim,n,q,params", [
+    (1, 56, 3, FluxParams.sommerfeld()),   # a tight top cluster
+    (1, 40, 4, FluxParams.central()),
+    (1, 2, 3, FluxParams.sommerfeld()),    # both neighbours are one element
+    (2, 2, 2, FluxParams.sommerfeld()),
+    (2, 5, 3, FluxParams.central()),
+])
+def test_periodic_radius_is_exact(dim, n, q, params):
+    disc = make_disc(dim=dim, n=n, q=q, w=(0.5,) * dim, params=params)
+    exact = np.max(np.abs(np.linalg.eigvals(dense_operator(disc))))
+    assert spectral_radius_probe(disc) == (pytest.approx(exact, rel=1e-12), True)
 
 
 def test_spectral_probe_zero_operator():
     class Zero:
         forcing = None
-        mesh = type("M", (), {"n_elements": 2})
+        mesh = type("M", (), {"n_elements": 2, "periodic": False})
         ref = type("R", (), {"n_u": 2, "n_v": 2})
 
         @staticmethod
@@ -310,10 +325,11 @@ def test_spectral_probe_no_convergence(monkeypatch):
             raise sla.ArpackNoConvergence("stalled", ritz, None)
         return eigs
 
+    disc = make_disc(dim=2, n=3, q=2, w=(0.5, 0.5), mode="physical")
     monkeypatch.setattr(sla, "eigs", stalled(np.array([3.0 + 4.0j])))
-    assert spectral_radius_probe(make_disc(n=4, q=2)) == (5.0, False)
+    assert spectral_radius_probe(disc) == (5.0, False)
     monkeypatch.setattr(sla, "eigs", stalled(np.zeros(0, dtype=complex)))
-    radius, converged = spectral_radius_probe(make_disc(n=4, q=2))
+    radius, converged = spectral_radius_probe(disc)
     assert np.isnan(radius) and not converged
 
 
