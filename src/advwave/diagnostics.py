@@ -104,6 +104,11 @@ def fit_rate(hs, errs, window: int | None = None) -> float:
     return float(slope)
 
 
+# largest operator whose dense eigenvalues stand in for a failed ARPACK run:
+# about 3 s for numpy's eigvals on one core at N = 2,000
+_DENSE_LIMIT = 2000
+
+
 def _symbol_radius(disc: Discretization) -> float:
     """Exact spectral radius of the operator on a periodic mesh.
 
@@ -134,14 +139,17 @@ def spectral_radius_probe(disc: Discretization, seed: int = 0):
     Returns (radius, converged).  On a periodic mesh the radius is exact,
     from the Bloch symbols (``_symbol_radius``; Nu+Nv ``rhs`` calls), and
     converged is True.  On a physical mesh it comes from implicitly
-    restarted Arnoldi (ARPACK ``eigs``, k=1, which="LM", tol=1e-10) on a
-    LinearOperator whose product is one ``rhs`` call on the stacked
-    per-element [u v] layout, started from a vector drawn from
-    ``default_rng(seed)``, so equal seeds give equal radii.  converged is
-    True when ARPACK's residual test accepted the dominant Ritz value; the
-    test bounds the residual, not the eigenvalue error, which on this
-    non-normal operator can be larger.  Otherwise the largest accepted
-    Ritz value (NaN if there is none) comes back with converged = False.
+    restarted Arnoldi (ARPACK ``eigs``, k=1, which="LM", tol=1e-10, at
+    most 50 restarts) on a LinearOperator whose product is one ``rhs``
+    call on the stacked per-element [u v] layout, started from a vector
+    drawn from ``default_rng(seed)``, so equal seeds give equal radii.
+    converged is True when ARPACK's residual test accepted the dominant
+    Ritz value; the test bounds the residual, not the eigenvalue error,
+    which on this non-normal operator can be larger.  If ARPACK does not
+    converge, an operator with at most _DENSE_LIMIT unknowns is assembled
+    and its dense eigenvalues give the radius (converged True); a larger
+    one returns the largest accepted Ritz value (NaN if there is none)
+    with converged = False.
     """
     if disc.forcing is not None:
         raise ValueError("spectral probe requires the homogeneous operator")
@@ -163,9 +171,21 @@ def spectral_radius_probe(disc: Discretization, seed: int = 0):
         return 0.0, True  # ARPACK rejects the zero operator
     op = LinearOperator((buf.size, buf.size), matvec=matvec, dtype=float)
     try:
+        # 50 restarts (~2,000 products) cover the subsonic mixed2d grids up
+        # to n=20 in ~1,000; with a supersonic inflow the top eigenvalues
+        # are badly conditioned and ARPACK stalls at any budget
         ritz = eigs(op, k=1, which="LM", v0=v0, ncv=min(buf.size, 40), tol=1e-10,
-                    return_eigenvectors=False)
+                    maxiter=50, return_eigenvectors=False)
     except ArpackNoConvergence as err:
+        if buf.size <= _DENSE_LIMIT:
+            # the operator's transpose: row j is its product with unit vector j
+            dense_t = np.empty((buf.size, buf.size))
+            unit = np.zeros(buf.size)
+            for j in range(buf.size):
+                unit[j] = 1.0
+                dense_t[j] = matvec(unit)
+                unit[j] = 0.0
+            return float(np.max(np.abs(np.linalg.eigvals(dense_t)))), True
         if len(err.eigenvalues) == 0:
             return float("nan"), False
         return float(np.max(np.abs(err.eigenvalues))), False

@@ -264,10 +264,11 @@ def test_spectrum_reports_no_convergence(tmp_path, monkeypatch, capsys):
         raise sla.ArpackNoConvergence("stalled", np.array([2.0 + 0j]), None)
 
     monkeypatch.setattr(sla, "eigs", stalled)
-    path = write_config(tmp_path, problem="mixed2d", w=[0.5, 0.5], n_list=[4, 8])
+    # grids above the dense fallback's size limit
+    path = write_config(tmp_path, problem="mixed2d", w=[0.5, 0.5], n_list=[11, 12])
     out = tmp_path / "s"
     assert main(["spectrum", "--config", path, "--output", str(out)]) == 0
-    assert "spectrum: q=2 n=4 radius=2.000000e+00 converged=False" in capsys.readouterr().out
+    assert "spectrum: q=2 n=11 radius=2.000000e+00 converged=False" in capsys.readouterr().out
     rows = (out / "spectrum.csv").read_text().splitlines()[1:]
     assert [row.split(",")[4] for row in rows] == ["False", "False"]
 

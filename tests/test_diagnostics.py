@@ -325,12 +325,34 @@ def test_spectral_probe_no_convergence(monkeypatch):
             raise sla.ArpackNoConvergence("stalled", ritz, None)
         return eigs
 
-    disc = make_disc(dim=2, n=3, q=2, w=(0.5, 0.5), mode="physical")
+    # small enough for the dense fallback: 162 unknowns
+    small = make_disc(dim=2, n=3, q=2, w=(0.5, 0.5), mode="physical")
     monkeypatch.setattr(sla, "eigs", stalled(np.array([3.0 + 4.0j])))
-    assert spectral_radius_probe(disc) == (5.0, False)
+    exact = np.max(np.abs(np.linalg.eigvals(dense_operator(small))))
+    assert spectral_radius_probe(small) == (pytest.approx(exact, rel=1e-10), True)
+    # too large for it: 2,178 unknowns
+    large = make_disc(dim=2, n=11, q=2, w=(0.5, 0.5), mode="physical")
+    assert spectral_radius_probe(large) == (5.0, False)
     monkeypatch.setattr(sla, "eigs", stalled(np.zeros(0, dtype=complex)))
-    radius, converged = spectral_radius_probe(disc)
+    radius, converged = spectral_radius_probe(large)
     assert np.isnan(radius) and not converged
+
+
+def test_spectral_probe_supersonic_inflow():
+    # supersonic in x with s = q - 1: the top eigenvalues are ill-conditioned
+    # and ARPACK stalls; the dense fallback still returns a radius
+    disc = Discretization(build_mesh(2, 5, "physical"), build_reference(2, 1, dim=2),
+                          FluxParams.sommerfeld(), [1.5, 0.3], 1.0)
+    exact = np.max(np.abs(np.linalg.eigvals(dense_operator(disc))))
+    calls = []
+    rhs = disc.rhs
+    disc.rhs = lambda *args, **kwargs: calls.append(1) or rhs(*args, **kwargs)
+    radius, converged = spectral_radius_probe(disc)
+    assert converged
+    # ill-conditioned: LAPACK on the operator and on its transpose differ
+    assert radius == pytest.approx(exact, rel=1e-3)
+    # ARPACK's bounded restarts, then one product per unknown
+    assert len(calls) <= 2000 + disc.mesh.n_elements * (disc.ref.n_u + disc.ref.n_v)
 
 
 def test_spectral_probe_scaling():
