@@ -7,8 +7,7 @@ from .diagnostics import (discrete_energy, energy_identity_residual, fit_rate,
 from .fluxes import FluxParams, FluxState, Trace, compute_flux, energy_rate_density
 from .mesh import FaceKind, MeshTopology, build_mesh
 from .operators import Discretization, ModalState
-from .problems import (InitialData, ProblemSpec, lift_initial_data, mixed_2d,
-                       periodic_1d, periodic_2d, project_initial)
+from .problems import ProblemSpec, mixed_2d, periodic_1d, periodic_2d, project_initial
 from .timeint import (InstabilityError, RK4Buffers, TimeControls, compute_dt, evolve,
                       rk4_step)
 
@@ -21,8 +20,7 @@ __all__ = [
     "FluxParams", "FluxState", "Trace", "compute_flux", "energy_rate_density",
     "FaceKind", "MeshTopology", "build_mesh",
     "Discretization", "ModalState",
-    "InitialData", "ProblemSpec", "lift_initial_data", "mixed_2d",
-    "periodic_1d", "periodic_2d", "project_initial",
+    "ProblemSpec", "mixed_2d", "periodic_1d", "periodic_2d", "project_initial",
     "InstabilityError", "RK4Buffers", "TimeControls", "compute_dt", "evolve",
     "rk4_step",
 ]

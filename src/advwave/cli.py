@@ -57,7 +57,6 @@ class RunConfig:
     T: float = 1.0
     cfl: float | None = None      # defaults from the problem/flux table
     dt: float | None = None
-    lift: bool | None = None      # defaults to True for periodic1d
     n_quad: int | None = None
     record_stride: int = 0        # 0 means about 100 rows per run
     n_states: int = 20            # energy-audit sample count
@@ -166,6 +165,8 @@ def validate_config(cfg: RunConfig) -> None:
         if (not isinstance(cfg.n_list, list) or len(cfg.n_list) < 2
                 or any(not _is_int(g) or g < 2 for g in cfg.n_list)):
             raise ConfigError("n_list: need a list of at least 2 integers >= 2")
+        if len(set(cfg.n_list)) < len(cfg.n_list):
+            raise ConfigError("n_list: grid sizes must be distinct")
     if not _is_int(cfg.n_states) or cfg.n_states < 1:
         raise ConfigError("n_states: must be an integer >= 1")
     if cfg.energy_tol <= 0:
@@ -174,8 +175,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("record_stride: must be an integer >= 0")
     if not _is_int(cfg.seed) or cfg.seed < 0:
         raise ConfigError("seed: must be an integer >= 0")
-    if cfg.lift is not None and not isinstance(cfg.lift, bool):
-        raise ConfigError("lift: must be true or false")
     if not isinstance(cfg.output_dir, str):
         raise ConfigError("output_dir: must be a string")
     flux_params(cfg)
@@ -229,12 +228,10 @@ def time_controls(cfg: RunConfig, disc: Discretization):
 def build_problem(cfg: RunConfig) -> ProblemSpec:
     w = np.atleast_1d(np.asarray(cfg.w, dtype=float))
     if cfg.problem == "periodic1d":
-        lift = True if cfg.lift is None else cfg.lift
-        return periodic_1d(float(w[0]), cfg.c, lift=lift)
-    lift = False if cfg.lift is None else cfg.lift
+        return periodic_1d(float(w[0]), cfg.c)
     if cfg.problem == "periodic2d":
-        return periodic_2d(w, cfg.c, lift=lift)
-    return mixed_2d(w, cfg.c, lift=lift)
+        return periodic_2d(w, cfg.c)
+    return mixed_2d(w, cfg.c)
 
 
 def build_discretization(cfg: RunConfig, n: int | None = None,
@@ -333,7 +330,8 @@ def run_convergence(cfg: RunConfig, grids=None, workers: int = 1):
         rate_u = fit_rate(hs, [r[2] for r in results], window)
         rate_v = fit_rate(hs, [r[3] for r in results], window)
     except ValueError as e:
-        raise ConfigError(f"T: no rate to fit, {e} (T = 0 with lift has zero error)")
+        raise ConfigError(f"T: no rate to fit, {e} (lifted periodic1d starts "
+                          "from u = 0, so T = 0 has zero error)")
     return results, rate_u, rate_v, window
 
 

@@ -100,6 +100,8 @@ def fit_rate(hs, errs, window: int | None = None) -> float:
     hs, errs = hs[-window:], errs[-window:]
     if np.any(errs <= 0):
         raise ValueError("nonpositive error values in the fit window")
+    if len(np.unique(hs)) < 2:
+        raise ValueError("need at least 2 distinct h in the fit window")
     slope, _ = np.polyfit(np.log(hs), np.log(errs), 1)
     return float(slope)
 

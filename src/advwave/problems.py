@@ -1,17 +1,21 @@
-"""Manufactured solutions, forcing terms, initial projection, and lifting.
+"""Manufactured solutions, forcing terms and the initial projection.
 
 The exact solutions and the forcing are ``Separable`` fields: a few space
 factors, evaluated at positions of shape (..., dim), combined with time
 factors.  The v solution is always the advective derivative of u; every
 factory spot-checks this with finite differences.  The closed forms
 ``exact_*`` give the same solutions unfactored.
+
+periodic1d is the only problem whose initial displacement is not zero.  By
+default it is lifted: u0(x) e^{-t^2} is subtracted, so the solved problem
+starts from u = 0 and carries a forcing, written in the same sine/cosine
+factors as its exact fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
 import numpy as np
 
@@ -21,18 +25,10 @@ TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
-class InitialData:
-    """Closed-form initial displacement with the derivatives the lifting
-    transform needs: gradient, Laplacian, and (w . grad)^2 u0."""
-
-    u0: Callable
-    grad_u0: Callable     # (..., dim)
-    lap_u0: Callable
-    adv2_u0: Callable     # takes (x, w)
-
-
-@dataclass(frozen=True)
 class ProblemSpec:
+    """One test problem: its exact u and v = u_t + w . grad u, the v-equation
+    forcing, and the boundary treatment of the mesh it runs on."""
+
     kind: str
     dim: int
     w: np.ndarray
@@ -41,8 +37,6 @@ class ProblemSpec:
     exact_v: Separable
     forcing: Separable | None     # v-equation forcing, None means zero
     boundary_mode: str            # "periodic" | "physical"
-    lift: bool = False
-    initial_data: InitialData | None = None
 
 
 @cache
@@ -156,51 +150,62 @@ def _traveling_sines(w: np.ndarray):
 
 
 def periodic_1d(w: float, c: float, lift: bool = True) -> ProblemSpec:
+    """Traveling wave u = cos(omega t) sin 2 pi (x - w t), omega = 2 pi c.
+
+    Lifted, the fields are those of u - u0 g with u0 = sin 2 pi x and
+    g = e^{-t^2}, which starts from 0 (its v from -w u0') and is driven by
+    g (c^2 Lap u0 - (w d/dx)^2 u0) - 2 g' w u0' - g'' u0.  With a = 2 pi w,
+    all three are combinations of the two factors [sin 2 pi x, cos 2 pi x].
+    """
     w_vec = np.array([float(w)])
     space, phase = _traveling_sines(w_vec)
     omega = 2.0 * c * np.pi
-    eu = Separable(space, lambda t: np.cos(omega * t) * phase(t))
-    ev = Separable(space, lambda t: -omega * np.sin(omega * t) * phase(t))
+    a = TWO_PI * w_vec[0]
 
-    initial = InitialData(
-        u0=lambda x: np.sin(TWO_PI * x[..., 0]),
-        grad_u0=lambda x: TWO_PI * np.cos(TWO_PI * x[..., 0])[..., None],
-        lap_u0=lambda x: -TWO_PI ** 2 * np.sin(TWO_PI * x[..., 0]),
-        adv2_u0=lambda x, wv: -(wv[0] * TWO_PI) ** 2 * np.sin(TWO_PI * x[..., 0]),
-    )
+    def time_u(t):
+        out = np.cos(omega * t) * phase(t)
+        if lift:
+            out[0] -= np.exp(-t * t)
+        return out
+
+    def time_v(t):
+        out = -omega * np.sin(omega * t) * phase(t)
+        if lift:
+            g = np.exp(-t * t)
+            out[0] += 2.0 * t * g
+            out[1] -= a * g
+        return out
+
+    def time_f(t):
+        g = np.exp(-t * t)
+        return np.array([(a * a - omega * omega - 4.0 * t * t + 2.0) * g, 4.0 * a * t * g])
+
     spec = ProblemSpec(
         kind="periodic1d", dim=1, w=w_vec, c=float(c),
-        exact_u=eu, exact_v=ev, forcing=None,
-        boundary_mode="periodic", lift=lift, initial_data=initial,
+        exact_u=Separable(space, time_u), exact_v=Separable(space, time_v),
+        forcing=Separable(space, time_f) if lift else None,
+        boundary_mode="periodic",
     )
     _spot_check_v(spec)
-    return lift_initial_data(spec) if lift else spec
+    return spec
 
 
-def periodic_2d(w, c: float, lift: bool = False) -> ProblemSpec:
+def periodic_2d(w, c: float) -> ProblemSpec:
     w_vec = np.asarray(w, dtype=float)
     space, phase = _traveling_sines(w_vec)
     omega = 2.0 * c * np.pi
     eu = Separable(space, lambda t: np.sin(omega * t) * phase(t))
     ev = Separable(space, lambda t: omega * np.cos(omega * t) * phase(t))
-
-    # u(., 0) = 0: the lifting transform is the identity here
-    initial = InitialData(
-        u0=lambda x: np.zeros(x.shape[:-1]),
-        grad_u0=lambda x: np.zeros(x.shape),
-        lap_u0=lambda x: np.zeros(x.shape[:-1]),
-        adv2_u0=lambda x, wv: np.zeros(x.shape[:-1]),
-    )
     spec = ProblemSpec(
         kind="periodic2d", dim=2, w=w_vec, c=float(c),
         exact_u=eu, exact_v=ev, forcing=None,
-        boundary_mode="periodic", lift=lift, initial_data=initial,
+        boundary_mode="periodic",
     )
     _spot_check_v(spec)
-    return lift_initial_data(spec) if lift else spec
+    return spec
 
 
-def mixed_2d(w, c: float, lift: bool = False) -> ProblemSpec:
+def mixed_2d(w, c: float) -> ProblemSpec:
     """Dirichlet inflow / radiation outflow problem on the unit square."""
     w_vec = np.asarray(w, dtype=float)
 
@@ -218,76 +223,13 @@ def mixed_2d(w, c: float, lift: bool = False) -> ProblemSpec:
         space=lambda x: np.stack(forcing_mixed_2d_factors(x[..., 0], x[..., 1], w_vec, c)),
         time=lambda t: np.array([np.sin(t), np.cos(t)]),
     )
-    initial = InitialData(
-        u0=lambda x: np.zeros(x.shape[:-1]),
-        grad_u0=lambda x: np.zeros(x.shape),
-        lap_u0=lambda x: np.zeros(x.shape[:-1]),
-        adv2_u0=lambda x, wv: np.zeros(x.shape[:-1]),
-    )
     spec = ProblemSpec(
         kind="mixed2d", dim=2, w=w_vec, c=float(c),
         exact_u=eu, exact_v=ev, forcing=forcing,
-        boundary_mode="physical", lift=lift, initial_data=initial,
+        boundary_mode="physical",
     )
     _spot_check_v(spec)
-    return lift_initial_data(spec) if lift else spec
-
-
-def lift_initial_data(spec: ProblemSpec) -> ProblemSpec:
-    """Transform to zero initial displacement via u = u_tilde + u0(x) e^{-t^2}.
-
-    The lifted problem evolves u_tilde with an extra forcing; its exact
-    solutions are shifted so errors computed in lifted variables equal
-    errors of the reconstructed solution.  Both fields get the factors u0
-    and w . grad u0 appended, with weights (-g, 0) in u and (-g', -g) in v.  Note
-    the lifted v initial data is v(., 0) - w . grad u0, which need not
-    vanish.
-    """
-    if spec.initial_data is None:
-        raise ValueError("lifting requires the problem's initial-data derivatives")
-    data = spec.initial_data
-    w, c = spec.w, spec.c
-    base_u, base_v, base_f = spec.exact_u, spec.exact_v, spec.forcing
-
-    def lift_time(t):
-        """g(t) = exp(-t^2) and its first two derivatives."""
-        g = np.exp(-t * t)
-        return np.array([g, -2.0 * t * g, (4.0 * t * t - 2.0) * g])
-
-    def adv_u0(x):
-        return data.grad_u0(x) @ w
-
-    def extend(space):
-        return lambda x: np.concatenate([space(x), np.stack([data.u0(x), adv_u0(x)])])
-
-    # u and v keep sharing one space callable (one evaluation) if they did;
-    # u gives the w . grad u0 factor zero weight
-    space_u = extend(base_u.space)
-    space_v = space_u if base_v.space is base_u.space else extend(base_v.space)
-
-    def time_u(t):
-        g = lift_time(t)[0]
-        return np.concatenate([base_u.time(t), [-g, 0.0 * g]])
-
-    lifted_u = Separable(space_u, time_u)
-    lifted_v = Separable(
-        space_v, lambda t: np.concatenate([base_v.time(t), -lift_time(t)[1::-1]]))
-
-    # the lifting adds g (c^2 Lap u0 - (w . grad)^2 u0) - 2 g' w . grad u0
-    # - g'' u0 to the forcing
-    def lift_space(x):
-        return np.stack([c * c * data.lap_u0(x) - data.adv2_u0(x, w),
-                         -2.0 * adv_u0(x), -data.u0(x)])
-
-    if base_f is None:
-        forcing = Separable(space=lift_space, time=lift_time)
-    else:
-        forcing = Separable(
-            space=lambda x: np.concatenate([base_f.space(x), lift_space(x)]),
-            time=lambda t: np.concatenate([base_f.time(t), lift_time(t)]),
-        )
-    return replace(spec, exact_u=lifted_u, exact_v=lifted_v,
-                   forcing=forcing, lift=True)
+    return spec
 
 
 def project_initial(spec: ProblemSpec, disc: Discretization) -> ModalState:

@@ -62,12 +62,13 @@ def test_unknown_field_rejected(tmp_path):
     ({"dt": True}, "dt"),
     ({"record_stride": "a"}, "record_stride"),
     ({"seed": -1}, "seed"),
-    ({"lift": "no"}, "lift"),
+    ({"lift": True}, "lift"),
     ({"output_dir": 5}, "output_dir"),
     ({"sigma": 0.8}, "sigma"),
     ({"flux": {"preset": "custom", "sigmaa": 0.8}}, "sigmaa"),
     ({"flux": {"preset": "custom", "sigma": 1.5}}, "sigma"),
     ({"problem": "periodic2d"}, "w"),
+    ({"n_list": [10, 10]}, "n_list"),
 ])
 def test_invalid_configs(tmp_path, overrides, field):
     with pytest.raises(ConfigError, match=field):
@@ -140,11 +141,14 @@ def test_run_summary_records_resolved_flux(tmp_path):
 
 
 def test_run_t_zero_projection_error(tmp_path):
-    path = write_config(tmp_path, T=0.0, n=16, lift=False)
+    path = write_config(tmp_path, T=0.0, n=16)
     out = tmp_path / "t0"
     assert main(["run", "--config", path, "--output", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert 0 < summary["err_u"] < 1e-2  # pure projection error
+    # lifted u starts from 0; lifted v0 = -w u0' is not zero, so err_v is
+    # pure projection error
+    assert summary["err_u"] == 0.0
+    assert 0 < summary["err_v"] < 1e-2
 
 
 def test_run_determinism(tmp_path):
@@ -304,7 +308,6 @@ OPTIONAL_POOLS = {
     "c": [1.0, 0.5, 0.0, float("nan")],
     "cfl": [None, 0.05, 0.5, 0.0, -1.0],
     "dt": [None, 0.005, 1e-320, 0.0, True],
-    "lift": [None, True, False, "no"],
     "n_quad": [None, 5, 2],
     "record_stride": [0, 1, -1],
     "energy_tol": [1e-9, 1e-30, -1.0],

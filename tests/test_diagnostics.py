@@ -151,13 +151,13 @@ def reference_l2_error(state, kind, spec, t, disc, n_extra=2):
     w, c = spec.w, spec.c
     if kind == "periodic1d":
         u, v = exact_periodic_1d(x[..., 0], t, w[0], c)
-        if spec.lift:
+        if spec.forcing is not None:   # lifted
             g = np.exp(-t * t)
             u0 = np.sin(2 * np.pi * x[..., 0])
             adv = w[0] * 2 * np.pi * np.cos(2 * np.pi * x[..., 0])
             u = u - u0 * g
             v = v - (u0 * (-2.0 * t * g) + adv * g)
-    elif kind == "periodic2d":   # u0 = 0: the lifting changes nothing
+    elif kind == "periodic2d":
         u, v = exact_periodic_2d(x[..., 0], x[..., 1], t, w, c)
     else:
         u, v = exact_mixed_2d(x[..., 0], x[..., 1], t, w)
@@ -174,11 +174,11 @@ PROBLEMS = {
 }
 
 
-@pytest.mark.parametrize("lift", [False, True])
-@pytest.mark.parametrize("kind", sorted(PROBLEMS))
+@pytest.mark.parametrize("kind,lift", [("mixed2d", False), ("periodic1d", False),
+                                       ("periodic1d", True), ("periodic2d", False)])
 def test_l2_error_matches_reference(kind, lift):
     factory, args, mode = PROBLEMS[kind]
-    spec = factory(*args, lift=lift)
+    spec = factory(*args, lift=lift) if kind == "periodic1d" else factory(*args)
     disc = Discretization(build_mesh(spec.dim, 4, mode), build_reference(3, 2, dim=spec.dim),
                           FluxParams.sommerfeld(), spec.w, spec.c)
     st = random_state(disc, 3)
@@ -227,6 +227,14 @@ def test_l2_error_rejects_plain_callable_fields():
     disc = make_disc()
     with pytest.raises(TypeError):
         l2_error(random_state(disc), plain, 0.0, disc)
+
+
+def test_fit_rate_needs_two_distinct_h():
+    # repeated grids make the least-squares fit rank-deficient
+    with pytest.raises(ValueError, match="distinct"):
+        fit_rate([0.1, 0.1], [1e-3, 2e-3])
+    with pytest.raises(ValueError, match="distinct"):
+        fit_rate([0.2, 0.1, 0.1], [1e-2, 1e-3, 2e-3], window=2)
 
 
 def test_fit_rate_exact_power():

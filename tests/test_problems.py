@@ -6,9 +6,8 @@ from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
 from advwave.operators import Discretization, Separable
 from advwave.problems import (exact_mixed_2d, exact_periodic_1d,
-                              exact_periodic_2d, forcing_mixed_2d,
-                              lift_initial_data, mixed_2d, periodic_1d,
-                              periodic_2d, project_initial)
+                              exact_periodic_2d, forcing_mixed_2d, mixed_2d,
+                              periodic_1d, periodic_2d, project_initial)
 
 RNG = np.random.default_rng(2024)
 
@@ -137,12 +136,12 @@ def test_mixed_2d_forcing_matches_fd():
 
 
 @pytest.mark.parametrize("factory,args", [
-    (periodic_1d, (0.5, 1.0)),
+    (periodic_1d, (0.5, 1.0, False)),
     (periodic_2d, ([0.5, 0.25], 1.0)),
     (mixed_2d, ([0.5, 0.5], 1.0)),
 ])
 def test_v_is_advective_derivative(factory, args):
-    spec = factory(*args, lift=False)
+    spec = factory(*args)
     eps = 1e-6
     x = RNG.uniform(0.1, 0.9, (100, spec.dim))
     for t in RNG.uniform(0.1, 1.0, 3):
@@ -157,14 +156,15 @@ def test_v_is_advective_derivative(factory, args):
 
 
 @pytest.mark.parametrize("factory,args,closed", [
-    (periodic_1d, (0.5, 1.3), lambda x, t: exact_periodic_1d(x[..., 0], t, 0.5, 1.3)),
+    (periodic_1d, (0.5, 1.3, False),
+     lambda x, t: exact_periodic_1d(x[..., 0], t, 0.5, 1.3)),
     (periodic_2d, ([0.5, 0.25], 1.3),
      lambda x, t: exact_periodic_2d(x[..., 0], x[..., 1], t, [0.5, 0.25], 1.3)),
     (mixed_2d, ([0.5, 0.25], 1.0),
      lambda x, t: exact_mixed_2d(x[..., 0], x[..., 1], t, [0.5, 0.25])),
 ])
 def test_separable_exact_fields_match_closed_forms(factory, args, closed):
-    spec = factory(*args, lift=False)
+    spec = factory(*args)
     x = RNG.uniform(0, 1, (3, 7, spec.dim))
     times = RNG.uniform(0, 2, (3, 7))
     for t in (0.0, 0.45, 1.7):                 # scalar t
@@ -178,23 +178,26 @@ def test_separable_exact_fields_match_closed_forms(factory, args, closed):
 
 
 def test_lifting_identities():
-    base = periodic_1d(0.5, 1.0, lift=False)
-    lifted = lift_initial_data(base)
+    w, c = 0.5, 1.0
+    lifted = periodic_1d(w, c)
+    a = 2 * np.pi * w
     x = RNG.uniform(0, 1, (50, 1))
+    sin, cos = np.sin(2 * np.pi * x[..., 0]), np.cos(2 * np.pi * x[..., 0])
     # zero initial displacement by construction
-    assert np.max(np.abs(lifted.exact_u(x, 0.0))) < 1e-14
-    # reconstruction: u = u_lifted + u0 e^{-t^2}
+    assert np.all(lifted.exact_u(x, 0.0) == 0.0)
+    # reconstruction: u = u_lifted + u0 g and v = v_lifted + u0 g' + w u0' g,
+    # with u0 = sin 2 pi x and g = e^{-t^2}
     for t in (0.0, 0.4, 1.3):
-        rebuilt = lifted.exact_u(x, t) + base.initial_data.u0(x) * np.exp(-t * t)
-        assert np.max(np.abs(rebuilt - base.exact_u(x, t))) < 1e-13
-    # lifted v initial data is v(.,0) - w . grad u0 (nonzero here)
-    v0 = lifted.exact_v(x, 0.0)
-    expect = base.exact_v(x, 0.0) - base.w[0] * base.initial_data.grad_u0(x)[..., 0]
-    assert np.max(np.abs(v0 - expect)) < 1e-13
+        g = np.exp(-t * t)
+        u, v = exact_periodic_1d(x[..., 0], t, w, c)
+        assert np.max(np.abs(lifted.exact_u(x, t) + sin * g - u)) < 1e-13
+        lift_v = -2.0 * t * g * sin + a * g * cos
+        assert np.max(np.abs(lifted.exact_v(x, t) + lift_v - v)) < 1e-13
 
 
-def test_lifted_forcing_closes_the_pde():
-    lifted = periodic_1d(0.5, 1.0, lift=True)
+@pytest.mark.parametrize("w,c", [(0.5, 1.0), (-0.3, 1.3), (1.5, 1.0)])
+def test_lifted_forcing_closes_the_pde(w, c):
+    lifted = periodic_1d(w, c, lift=True)
 
     def u_of(x, t):
         return lifted.exact_u(x[None, :], t)[0]
@@ -210,7 +213,7 @@ def test_lifted_forcing_closes_the_pde():
 
 def test_homogeneous_forcing_for_periodic_unlifted():
     assert periodic_1d(0.5, 1.0, lift=False).forcing is None
-    assert periodic_2d([0.5, 0.25], 1.0, lift=False).forcing is None
+    assert periodic_2d([0.5, 0.25], 1.0).forcing is None
 
 
 def make_disc(spec, n, q):
@@ -219,16 +222,16 @@ def make_disc(spec, n, q):
     return Discretization(mesh, ref, FluxParams.central(), spec.w, spec.c)
 
 
-@pytest.mark.parametrize("lift", [False, True])
-@pytest.mark.parametrize("factory,args", [
-    (periodic_1d, (0.5, 1.0)),
-    (periodic_2d, ([0.5, 0.25], 1.0)),
-    (mixed_2d, ([0.5, 0.5], 1.0)),
+@pytest.mark.parametrize("factory,args,lift", [
+    (periodic_1d, (0.5, 1.0), False),
+    (periodic_2d, ([0.5, 0.25], 1.0), False),
+    (mixed_2d, ([0.5, 0.5], 1.0), False),
+    (periodic_1d, (0.5, 1.0), True),
 ])
 def test_projected_forcing_matches_quadrature(factory, args, lift):
     # the projection made at build time equals the quadrature of
     # sum_k g_k(t) F_k(x) at the time of the call, mass-inverted
-    spec = factory(*args, lift=lift)
+    spec = factory(*args, lift=lift) if factory is periodic_1d else factory(*args)
     ref = build_reference(3, 2, dim=spec.dim)
     mesh = build_mesh(spec.dim, 4, spec.boundary_mode)
     disc = Discretization(mesh, ref, FluxParams.sommerfeld(), spec.w, spec.c,
