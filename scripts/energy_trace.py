@@ -10,14 +10,15 @@ import argparse
 
 import numpy as np
 
-from advwave import (Discretization, FluxParams, ModalState, TimeControls,
-                     build_mesh, build_reference, discrete_energy, evolve,
+from advwave import (Discretization, FluxParams, ModalState, build_mesh,
+                     build_reference, compute_dt, discrete_energy, evolve,
                      periodic_1d, project_initial)
 
 
-def trace_run(disc, state, controls, label, stride=50):
+def trace_run(disc, state, T, cfl, label, stride=50):
+    """Evolve state to T in steps of at most cfl * h and print its energy."""
     energies = []
-    evolve(state, controls, disc,
+    evolve(state, disc, T, compute_dt(T, cfl * disc.mesh.h),
            observers=[lambda k, s: energies.append(discrete_energy(s, disc))])
     e = np.asarray(energies)
     print(f"\n{label}: {len(e) - 1} steps, E(0) = {e[0]:.8e}")
@@ -44,13 +45,13 @@ def main():
     disc = Discretization(mesh, ref, FluxParams.sommerfeld(), [0.5], 1.0)
     state = ModalState(rng.standard_normal((mesh.n_elements, ref.n_u)),
                        rng.standard_normal((mesh.n_elements, ref.n_v)))
-    trace_run(disc, state, TimeControls(cfl=0.1125 / (2 * np.pi), T=args.T),
+    trace_run(disc, state, args.T, 0.1125 / (2 * np.pi),
               "upwind flux, random data (should decay monotonically)")
 
     spec = periodic_1d(0.5, 1.0, lift=False)
     disc = Discretization(mesh, ref, FluxParams.central(), spec.w, spec.c)
     state = project_initial(spec, disc)
-    trace_run(disc, state, TimeControls(cfl=0.075 / (2 * np.pi), T=args.T),
+    trace_run(disc, state, args.T, 0.075 / (2 * np.pi),
               "central flux, traveling wave (should conserve)")
 
 

@@ -8,8 +8,7 @@ from .fluxes import FluxParams, FluxState, Trace, compute_flux, energy_rate_dens
 from .mesh import FaceKind, MeshTopology, build_mesh
 from .operators import Discretization, ModalState
 from .problems import ProblemSpec, mixed_2d, periodic_1d, periodic_2d, project_initial
-from .timeint import (InstabilityError, RK4Buffers, TimeControls, compute_dt, evolve,
-                      rk4_step)
+from .timeint import InstabilityError, RK4Buffers, compute_dt, evolve, rk4_step
 
 __version__ = "0.1.0"
 
@@ -21,6 +20,5 @@ __all__ = [
     "FaceKind", "MeshTopology", "build_mesh",
     "Discretization", "ModalState",
     "ProblemSpec", "mixed_2d", "periodic_1d", "periodic_2d", "project_initial",
-    "InstabilityError", "RK4Buffers", "TimeControls", "compute_dt", "evolve",
-    "rk4_step",
+    "InstabilityError", "RK4Buffers", "compute_dt", "evolve", "rk4_step",
 ]

@@ -173,10 +173,10 @@ class ReferenceElement:
         return self.modes_v.shape[0]
 
 
-def build_reference(q: int, s: int, n_quad: int | None = None, dim: int = 1) -> ReferenceElement:
+def build_reference(q: int, s: int, dim: int = 1) -> ReferenceElement:
     """Assemble all reference-element matrices for degrees (q, s).
 
-    n_quad defaults to q + 2 Gauss points per direction, exact for every
+    Quadrature uses q + 2 Gauss points per direction, exact for every
     mass/stiffness entry with margin for flux products.  The element is
     built once per process: equal arguments return the same object.
     """
@@ -186,15 +186,12 @@ def build_reference(q: int, s: int, n_quad: int | None = None, dim: int = 1) -> 
         raise ValueError("v degree s must satisfy 0 <= s <= q")
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
-    if n_quad is None:
-        n_quad = q + 2
-    if n_quad < q + 1:
-        raise ValueError("n_quad must be at least q + 1")
-    return _build_reference(q, s, n_quad, dim)
+    return _build_reference(q, s, dim)
 
 
 @functools.cache
-def _build_reference(q: int, s: int, n_quad: int, dim: int) -> ReferenceElement:
+def _build_reference(q: int, s: int, dim: int) -> ReferenceElement:
+    n_quad = q + 2
     nodes, weights = gauss_points(n_quad)
     modes_u = tensor_modes(q, dim)
     modes_v = tensor_modes(s, dim)

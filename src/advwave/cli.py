@@ -20,14 +20,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .basis import build_reference
-from .diagnostics import (discrete_energy, energy_identity_residual, fit_rate,
-                          l2_error, spectral_radius_probe)
+from .diagnostics import (FIT_WINDOW, discrete_energy, energy_identity_residual,
+                          fit_rate, l2_error, spectral_radius_probe)
 from .fluxes import FluxParams
 from .mesh import build_mesh
 from .operators import Discretization, ModalState
 from .problems import ProblemSpec, mixed_2d, periodic_1d, periodic_2d, project_initial
-from .timeint import (InstabilityError, TimeControls, check_cfl_margin,
-                      compute_dt, evolve)
+from .timeint import InstabilityError, check_cfl_margin, compute_dt, evolve
 
 TWO_PI = 2.0 * np.pi
 
@@ -57,12 +56,8 @@ class RunConfig:
     T: float = 1.0
     cfl: float | None = None      # defaults from the problem/flux table
     dt: float | None = None
-    n_quad: int | None = None
-    record_stride: int = 0        # 0 means about 100 rows per run
     n_states: int = 20            # energy-audit sample count
     energy_tol: float = 1e-9
-    seed: int = 0                 # overridden by --seed when given
-    output_dir: str = "."         # overridden by --output when given
 
     @property
     def dim(self) -> int:
@@ -130,8 +125,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("q: polynomial degree must be an integer >= 1")
     if cfg.s is not None and (not _is_int(cfg.s) or not 0 <= cfg.s <= cfg.q):
         raise ConfigError("s: must be an integer with 0 <= s <= q")
-    if cfg.n_quad is not None and (not _is_int(cfg.n_quad) or cfg.n_quad < cfg.q + 1):
-        raise ConfigError("n_quad: must be an integer >= q + 1")
     if not isinstance(cfg.flux_preset, str) or cfg.flux_preset not in FLUX_PRESETS:
         raise ConfigError(f"flux: unknown preset {cfg.flux_preset!r} "
                           "(central|sommerfeld|upwind|custom)")
@@ -171,12 +164,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("n_states: must be an integer >= 1")
     if cfg.energy_tol <= 0:
         raise ConfigError("energy_tol: must be positive")
-    if not _is_int(cfg.record_stride) or cfg.record_stride < 0:
-        raise ConfigError("record_stride: must be an integer >= 0")
-    if not _is_int(cfg.seed) or cfg.seed < 0:
-        raise ConfigError("seed: must be an integer >= 0")
-    if not isinstance(cfg.output_dir, str):
-        raise ConfigError("output_dir: must be a string")
     flux_params(cfg)
 
 
@@ -215,14 +202,23 @@ def default_cfl(cfg: RunConfig, params: FluxParams) -> float:
     return base / TWO_PI
 
 
-def time_controls(cfg: RunConfig, disc: Discretization):
-    """(controls, dt) of a time-stepped solve to cfg.T."""
+def time_step(cfg: RunConfig, disc: Discretization, steps: int | None = None):
+    """(cfl, T, dt) of a time-stepped solve on disc.
+
+    cfl is cfg.cfl, or default_cfl's when unset.  The solve runs to cfg.T,
+    or for the given number of steps; its step is cfg.dt if given, otherwise
+    cfl * h, shrunk just enough that T / dt is a whole number.  Warns when
+    the step is likely unstable.
+    """
     cfl = cfg.cfl if cfg.cfl is not None else default_cfl(cfg, disc.params)
-    controls = TimeControls(cfl=cfl, T=cfg.T, dt_override=cfg.dt)
+    dt_max = cfg.dt if cfg.dt is not None else cfl * disc.mesh.h
+    T = cfg.T if steps is None else steps * dt_max
     try:
-        return controls, compute_dt(disc.mesh.h, controls)
+        dt = compute_dt(T, dt_max)
     except ValueError as e:
         raise ConfigError(f"T, dt: {e}")
+    check_cfl_margin(dt, disc.mesh.h, cfg.q, disc.w, disc.c)
+    return cfl, T, dt
 
 
 def build_problem(cfg: RunConfig) -> ProblemSpec:
@@ -238,7 +234,7 @@ def build_discretization(cfg: RunConfig, n: int | None = None,
                          with_forcing: bool = True) -> tuple[Discretization, ProblemSpec]:
     spec = build_problem(cfg)
     s = cfg.s if cfg.s is not None else cfg.q
-    ref = build_reference(cfg.q, s, n_quad=cfg.n_quad, dim=cfg.dim)
+    ref = build_reference(cfg.q, s, dim=cfg.dim)
     mesh = build_mesh(cfg.dim, n if n is not None else cfg.n, spec.boundary_mode)
     params = flux_params(cfg)
     forcing = spec.forcing if with_forcing else None
@@ -262,13 +258,11 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def cmd_run(cfg: RunConfig, outdir, seed: int) -> int:
     disc, spec = build_discretization(cfg)
-    controls, dt = time_controls(cfg, disc)
-    if dt > 0:
-        check_cfl_margin(dt, disc.mesh.h, cfg.q, spec.w, spec.c)
+    cfl, T, dt = time_step(cfg, disc)
     state = project_initial(spec, disc)
 
-    n_steps = 0 if cfg.T == 0 else round(cfg.T / dt)
-    stride = cfg.record_stride or max(1, n_steps // 100)
+    n_steps = 0 if T == 0 else round(T / dt)
+    stride = max(1, n_steps // 100)   # about 100 rows
     rows = []
 
     def record(step: int, st: ModalState):
@@ -279,7 +273,7 @@ def cmd_run(cfg: RunConfig, outdir, seed: int) -> int:
         rows.append((step, st.t, e, eu, ev))
 
     try:
-        final = evolve(state, controls, disc, observers=[record])
+        final = evolve(state, disc, T, dt, observers=[record])
     except InstabilityError as e:
         print(f"instability: {e}", file=sys.stderr)
         return EXIT_INSTABILITY
@@ -288,7 +282,7 @@ def cmd_run(cfg: RunConfig, outdir, seed: int) -> int:
     eu, ev = l2_error(final, spec, final.t, disc)
     summary = asdict(cfg) | {
         "flux_params": asdict(disc.params),
-        "cfl_resolved": controls.cfl, "dt": dt, "n_steps": n_steps,
+        "cfl_resolved": cfl, "dt": dt, "n_steps": n_steps,
         "err_u": eu, "err_v": ev, "energy_final": discrete_energy(final, disc),
         "seed": seed,
     }
@@ -303,18 +297,17 @@ def _converge_one(cfg_dict: dict, n: int):
     """Worker body for one grid of a convergence sweep (picklable)."""
     cfg = RunConfig(**cfg_dict)
     disc, spec = build_discretization(cfg, n=n)
-    controls, _ = time_controls(cfg, disc)
+    _, T, dt = time_step(cfg, disc)
     state = project_initial(spec, disc)
-    final = evolve(state, controls, disc)
+    final = evolve(state, disc, T, dt)
     eu, ev = l2_error(final, spec, final.t, disc)
     return n, disc.mesh.h, eu, ev
 
 
-def run_convergence(cfg: RunConfig, grids=None, workers: int = 1):
-    """Errors and fitted rates over a grid sequence; returns
+def run_convergence(cfg: RunConfig, workers: int = 1):
+    """Errors and fitted rates over cfg's grid sequence; returns
     (rows, rate_u, rate_v, window) with rows ordered coarse to fine."""
-    if grids is None:
-        grids = cfg.n_list if cfg.n_list is not None else DEFAULT_GRIDS[cfg.dim]
+    grids = cfg.n_list if cfg.n_list is not None else DEFAULT_GRIDS[cfg.dim]
     cfg_dict = asdict(cfg)
     # the pool starts all its processes at once: no more than there are grids
     workers = min(workers, len(grids))
@@ -325,14 +318,13 @@ def run_convergence(cfg: RunConfig, grids=None, workers: int = 1):
         results = [_converge_one(cfg_dict, n) for n in grids]
     results.sort(key=lambda r: r[0])  # deterministic order regardless of pool
     hs = [r[1] for r in results]
-    window = min(10, len(grids))
     try:
-        rate_u = fit_rate(hs, [r[2] for r in results], window)
-        rate_v = fit_rate(hs, [r[3] for r in results], window)
+        rate_u = fit_rate(hs, [r[2] for r in results])
+        rate_v = fit_rate(hs, [r[3] for r in results])
     except ValueError as e:
-        raise ConfigError(f"T: no rate to fit, {e} (lifted periodic1d starts "
-                          "from u = 0, so T = 0 has zero error)")
-    return results, rate_u, rate_v, window
+        raise ConfigError(f"T: no rate to fit, {e} (every problem starts "
+                          "from u = 0, so T = 0 has zero u error)")
+    return results, rate_u, rate_v, min(FIT_WINDOW, len(grids))
 
 
 def cmd_converge(cfg: RunConfig, outdir, seed: int, workers: int) -> int:
@@ -379,10 +371,9 @@ def cmd_energy(cfg: RunConfig, outdir, seed: int) -> int:
     # never see the energy grow)
     trace = []
     st = random_state(disc, rng)
-    cfl = cfg.cfl if cfg.cfl is not None else default_cfl(cfg, disc.params)
-    controls = TimeControls(cfl=cfl, T=50 * cfl * disc.mesh.h)
+    _, T, dt = time_step(cfg, disc, steps=50)
     try:
-        evolve(st, controls, disc,
+        evolve(st, disc, T, dt,
                observers=[lambda k, s: trace.append(discrete_energy(s, disc))])
         worst_rise = max((b - a for a, b in zip(trace, trace[1:])), default=0.0)
         print(f"energy trace over {len(trace) - 1} steps: "
@@ -425,10 +416,9 @@ def main(argv=None) -> int:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--output", default=None,
-                       help="output directory (default: config output_dir)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed (default: config seed)")
+        p.add_argument("--output", default=".",
+                       help="output directory (default: the current directory)")
+        p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
         p.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
 
@@ -440,17 +430,16 @@ def main(argv=None) -> int:
     if args.workers < 1:
         print("config error: --workers must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None and args.seed < 0:
+    if args.seed < 0:
         print("config error: --seed must be >= 0", file=sys.stderr)
         return EXIT_CONFIG
 
-    seed = args.seed if args.seed is not None else cfg.seed
-    outdir = Path(args.output if args.output is not None else cfg.output_dir)
+    outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     dispatch = {"run": cmd_run, "energy": cmd_energy, "spectrum": cmd_spectrum,
                 "converge": functools.partial(cmd_converge, workers=args.workers)}
     try:
-        return dispatch[args.command](cfg, outdir, seed)
+        return dispatch[args.command](cfg, outdir, args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -42,35 +42,33 @@ def energy_identity_residual(state: ModalState, disc: Discretization):
 
 
 class _ErrorQuadrature:
-    """A Gauss rule n_extra points per direction finer than the operator's,
-    on every element of one discretization: the weights with the element
+    """A Gauss rule two points per direction finer than the operator's, on
+    every element of one discretization: the weights with the element
     Jacobian folded in, the u and v basis tables, and the exact fields at
     the physical points."""
 
-    def __init__(self, disc: Discretization, n_extra: int):
+    def __init__(self, disc: Discretization):
         ref, mesh = disc.ref, disc.mesh
         dim = mesh.dim
-        pts_ref, weights = tensor_gauss(ref.n_quad + n_extra, dim)
+        pts_ref, weights = tensor_gauss(ref.n_quad + 2, dim)
         self.weights = disc.jac_vol * weights
         self.vals_u_t = tensor_eval(ref.q, dim, pts_ref)[0].T.copy()
         self.vals_v_t = tensor_eval(ref.s, dim, pts_ref)[0].T.copy()
         self.exact = FieldTable(mesh.element_centers[:, None, :] + (mesh.h / 2.0) * pts_ref)
 
 
-def l2_error(state: ModalState, spec, t: float, disc: Discretization,
-             n_extra: int = 2):
+def l2_error(state: ModalState, spec, t: float, disc: Discretization):
     """Global L2 errors of u^h and v^h against the exact solutions.
 
-    Uses a quadrature rule n_extra points finer than the operator's to keep
+    Uses a quadrature rule two points finer than the operator's to keep
     aliasing below the discretization error.  The rule, its basis tables and
     the space factors of spec's Separable exact fields are built on the
-    first call for a discretization and n_extra and kept in
-    ``disc.error_quadratures``; later calls combine the cached factors with
-    the time factors at t.
+    first call for a discretization and kept in ``disc.error_quadrature``;
+    later calls combine the cached factors with the time factors at t.
     """
-    quad = disc.error_quadratures.get(n_extra)
+    quad = disc.error_quadrature
     if quad is None:
-        quad = disc.error_quadratures[n_extra] = _ErrorQuadrature(disc, n_extra)
+        quad = disc.error_quadrature = _ErrorQuadrature(disc)
 
     def error(coeffs, vals_t, field):
         diff = coeffs @ vals_t
@@ -81,23 +79,21 @@ def l2_error(state: ModalState, spec, t: float, disc: Discretization,
             error(state.v, quad.vals_v_t, spec.exact_v))
 
 
-def fit_rate(hs, errs, window: int | None = None) -> float:
-    """Least-squares slope of log(err) vs log(h) over the finest grids.
+FIT_WINDOW = 10
 
-    window defaults to min(10, number of grids), following the
+
+def fit_rate(hs, errs) -> float:
+    """Least-squares slope of log(err) vs log(h) over the FIT_WINDOW finest
+    grids (all of them when there are fewer), following the
     ten-finest-grids convention.
     """
     hs = np.asarray(hs, dtype=float)
     errs = np.asarray(errs, dtype=float)
-    if window is None:
-        window = min(10, len(hs))
-    if window < 2:
+    if len(hs) < 2:
         raise ValueError("need at least 2 grids in the fit window")
-    if window > len(hs):
-        raise ValueError("fit window larger than the number of grids")
     order = np.argsort(hs)[::-1]  # coarse to fine
     hs, errs = hs[order], errs[order]
-    hs, errs = hs[-window:], errs[-window:]
+    hs, errs = hs[-FIT_WINDOW:], errs[-FIT_WINDOW:]
     if np.any(errs <= 0):
         raise ValueError("nonpositive error values in the fit window")
     if len(np.unique(hs)) < 2:

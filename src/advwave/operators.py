@@ -236,9 +236,8 @@ class Discretization:
             self._forcing_proj = proj.reshape(len(space), -1)
             self._f = np.empty_like(self._x)
             self._f_flat = self._f.reshape(-1)
-        # the finer quadratures of diagnostics.l2_error by n_extra, built
-        # there on first use
-        self.error_quadratures = {}
+        # diagnostics.l2_error's finer quadrature, built there on first use
+        self.error_quadrature = None
 
     # --- traces and fluxes ------------------------------------------------
 

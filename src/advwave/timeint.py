@@ -1,10 +1,9 @@
-"""Classic RK4 time integration with CFL-based step selection."""
+"""Classic RK4 time integration, with step snapping and a stability warning."""
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,34 +18,19 @@ class InstabilityError(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
-class TimeControls:
-    cfl: float
-    T: float
-    dt_override: float | None = None
+def compute_dt(T: float, dt_max: float) -> float:
+    """The largest step <= dt_max that divides T into a whole number of
+    steps; 0 when T = 0.
 
-    def __post_init__(self):
-        if self.cfl <= 0:
-            raise ValueError("cfl must be positive")
-        if self.T < 0:
-            raise ValueError("final time must be nonnegative")
-
-
-def compute_dt(h: float, controls: TimeControls) -> float:
-    """dt = CFL * h (or the override), shrunk minimally so T/dt is an integer.
-
-    Raises ValueError when T/dt overflows to infinity.
+    Raises ValueError when T / dt_max is not a finite number.
     """
-    if h <= 0:
-        raise ValueError("spacing must be positive")
-    if controls.T == 0.0:
+    if T == 0.0:
         return 0.0
-    base = controls.dt_override if controls.dt_override is not None else controls.cfl * h
-    ratio = controls.T / base
+    ratio = T / dt_max
     if not math.isfinite(ratio):
-        raise ValueError(f"T / dt = {controls.T!r} / {base!r} is not a finite number of steps")
+        raise ValueError(f"T / dt = {T!r} / {dt_max!r} is not a finite number of steps")
     steps = max(1, math.ceil(ratio - 1e-12))
-    return controls.T / steps
+    return T / steps
 
 
 def check_cfl_margin(dt: float, h: float, q: int, w, c: float) -> None:
@@ -113,24 +97,24 @@ def rk4_step(buf: RK4Buffers, t: float, dt: float, rhs) -> float:
     return t + dt
 
 
-def evolve(state0: ModalState, controls: TimeControls, disc: Discretization,
+def evolve(state0: ModalState, disc: Discretization, T: float, dt: float,
            observers=()) -> ModalState:
-    """Integrate to exactly t = T; observers are called as obs(step, state),
-    including once with step 0 for the initial state.
+    """Integrate to exactly t = T in steps of dt, which must divide T (see
+    compute_dt); observers are called as obs(step, state), including once
+    with step 0 for the initial state.
 
     The state is stepped in place in the buffers of one RK4Buffers, so the
     state an observer receives is valid only during the call: an observer
     that keeps it must copy it.  The returned state's arrays belong to it
     alone; state0 is not modified.
     """
-    dt = compute_dt(disc.mesh.h, controls)
     buf = RK4Buffers(state0, disc.input_uv)
     state = ModalState(*buf.x_uv, state0.t)
     for obs in observers:
         obs(0, state)
-    if controls.T == 0.0:
+    if T == 0.0:
         return state
-    n_steps = round(controls.T / dt)
+    n_steps = round(T / dt)
     rhs = disc.rhs
     for step in range(1, n_steps + 1):
         state.t = rk4_step(buf, state.t, dt, rhs)
@@ -139,6 +123,6 @@ def evolve(state0: ModalState, controls: TimeControls, disc: Discretization,
             raise InstabilityError(step)
         for obs in observers:
             obs(step, state)
-    # land exactly on T (dt was chosen so the product is exact up to roundoff)
-    state.t = controls.T
+    # land exactly on T (dt divides it, so the product is exact up to roundoff)
+    state.t = T
     return state

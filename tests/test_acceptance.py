@@ -17,7 +17,7 @@ from advwave.fluxes import (FluxParams, Trace, inflow_flux, outflow_flux,
 from advwave.mesh import FaceKind, build_mesh
 from advwave.operators import Discretization, ModalState
 from advwave.problems import periodic_1d, project_initial
-from advwave.timeint import TimeControls, evolve
+from advwave.timeint import compute_dt, evolve
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -132,8 +132,8 @@ def test_criterion_8_energy_sign():
         st = ModalState(rng.standard_normal((mesh.n_elements, ref.n_u)),
                         rng.standard_normal((mesh.n_elements, ref.n_v)))
         energies = []
-        controls = TimeControls(cfl=0.1125 / (2 * np.pi), T=0.05)
-        evolve(st, controls, disc,
+        dt = compute_dt(0.05, 0.1125 / (2 * np.pi) * mesh.h)
+        evolve(st, disc, 0.05, dt,
                observers=[lambda k, s: energies.append(discrete_energy(s, disc))])
         e0 = energies[0]
         rise = max(b - a for a, b in zip(energies, energies[1:]))
@@ -146,7 +146,7 @@ def test_criterion_8_energy_sign():
     disc = Discretization(mesh, ref, FluxParams.central(), spec.w, spec.c)
     st = project_initial(spec, disc)
     e0 = discrete_energy(st, disc)
-    final = evolve(st, TimeControls(cfl=0.075 / (2 * np.pi), T=0.4), disc)
+    final = evolve(st, disc, 0.4, compute_dt(0.4, 0.075 / (2 * np.pi) * mesh.h))
     drift = abs(discrete_energy(final, disc) - e0) / e0
     ok = ok and drift <= 1e-7
     details.append(f"central drift {drift:.2e}")

@@ -157,14 +157,13 @@ def test_build_reference_validation():
     with pytest.raises(ValueError):
         build_reference(2, 3)
     with pytest.raises(ValueError):
-        build_reference(3, 3, n_quad=2)
-    with pytest.raises(ValueError):
         build_reference(2, 2, dim=3)
 
 
 def test_build_reference_built_once():
     ref = build_reference(3, 2, dim=2)
-    assert build_reference(3, 2, n_quad=5, dim=2) is ref
+    assert build_reference(3, 2, dim=2) is ref
+    assert ref.n_quad == 5  # q + 2
     assert build_reference(3, 3, dim=2) is not ref
 
 

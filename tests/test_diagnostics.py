@@ -233,8 +233,9 @@ def test_fit_rate_needs_two_distinct_h():
     # repeated grids make the least-squares fit rank-deficient
     with pytest.raises(ValueError, match="distinct"):
         fit_rate([0.1, 0.1], [1e-3, 2e-3])
+    # two distinct h among 12 grids, but the ten finest share one
     with pytest.raises(ValueError, match="distinct"):
-        fit_rate([0.2, 0.1, 0.1], [1e-2, 1e-3, 2e-3], window=2)
+        fit_rate([0.4, 0.2] + [0.1] * 10, [1e-1, 1e-2] + [1e-3] * 10)
 
 
 def test_fit_rate_exact_power():
@@ -251,18 +252,28 @@ def test_fit_rate_noisy_power():
 
 
 def test_fit_rate_window_selects_finest():
-    hs = np.array([0.4, 0.2, 0.1, 0.05])
-    errs = np.array([1.0, 1.0, 0.1, 0.025])  # rate 2 on the finest pair
-    assert fit_rate(hs, errs, window=2) == pytest.approx(2.0, abs=1e-12)
+    # 12 grids: rate 2 on the ten finest, the two coarsest off the line
+    hs = 0.5 ** np.arange(1, 13)
+    errs = 3.0 * hs ** 2
+    errs[:2] = 1.0
+    assert fit_rate(hs, errs) == pytest.approx(2.0, abs=1e-12)
+    # the grids' order does not matter
+    assert fit_rate(hs[::-1], errs[::-1]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_fit_rate_validation():
     with pytest.raises(ValueError):
-        fit_rate([0.1, 0.05], [1.0, 0.5], window=3)
-    with pytest.raises(ValueError):
         fit_rate([0.1], [1.0])
     with pytest.raises(ValueError):
         fit_rate([0.1, 0.05], [1.0, 0.0])
+    # a zero error outside the ten finest grids is not fitted
+    hs = 0.5 ** np.arange(1, 13)
+    errs = hs ** 2
+    errs[0] = 0.0
+    assert fit_rate(hs, errs) == pytest.approx(2.0, abs=1e-12)
+    errs[2] = 0.0
+    with pytest.raises(ValueError, match="nonpositive"):
+        fit_rate(hs, errs)
 
 
 # --- spectral probe --------------------------------------------------------------

@@ -8,38 +8,29 @@ from advwave.fluxes import FluxParams
 from advwave.basis import build_reference
 from advwave.mesh import build_mesh
 from advwave.operators import Discretization, ModalState
-from advwave.timeint import (InstabilityError, RK4Buffers, TimeControls,
-                             check_cfl_margin, compute_dt, evolve, rk4_step)
-
-
-def test_controls_validation():
-    with pytest.raises(ValueError):
-        TimeControls(cfl=0.0, T=1.0)
-    with pytest.raises(ValueError):
-        TimeControls(cfl=0.1, T=-1.0)
+from advwave.timeint import (InstabilityError, RK4Buffers, check_cfl_margin,
+                             compute_dt, evolve, rk4_step)
 
 
 def test_compute_dt_snapping():
-    controls = TimeControls(cfl=0.075 / (2 * np.pi), T=0.2)
-    dt = compute_dt(0.1, controls)
-    base = 0.075 / (2 * np.pi) * 0.1
-    assert dt <= base * (1 + 1e-12)
-    steps = controls.T / dt
+    dt_max = 0.075 / (2 * np.pi) * 0.1
+    dt = compute_dt(0.2, dt_max)
+    assert dt <= dt_max * (1 + 1e-12)
+    steps = 0.2 / dt
     assert steps == pytest.approx(round(steps), abs=1e-12)
+    # one step fewer would be longer than dt_max
+    assert 0.2 / (round(steps) - 1) > dt_max
     # already-integer ratio passes through unchanged
-    controls = TimeControls(cfl=1.0, T=1.0, dt_override=0.25)
-    assert compute_dt(0.1, controls) == pytest.approx(0.25)
-    # override snapped to land on T
-    controls = TimeControls(cfl=1.0, T=1.0, dt_override=0.3)
-    dt = compute_dt(0.1, controls)
-    assert dt == pytest.approx(0.25)
-    assert compute_dt(0.1, TimeControls(cfl=1.0, T=0.0)) == 0.0
-    with pytest.raises(ValueError):
-        compute_dt(0.0, controls)
-    # T / dt overflowing to infinity is a ValueError, not an OverflowError
-    for T, dt in ((1e308, None), (0.1, 1e-320)):
+    assert compute_dt(1.0, 0.25) == 0.25
+    # shrunk to land on T
+    assert compute_dt(1.0, 0.3) == 0.25
+    # a step longer than T is cut to T
+    assert compute_dt(0.1, 0.5) == 0.1
+    assert compute_dt(0.0, 0.3) == 0.0
+    # T / dt_max overflowing to infinity is a ValueError, not an OverflowError
+    for T, dt_max in ((1e308, 0.05 * 0.01), (0.1, 1e-320)):
         with pytest.raises(ValueError, match="finite"):
-            compute_dt(0.01, TimeControls(cfl=0.05, T=T, dt_override=dt))
+            compute_dt(T, dt_max)
 
 
 def _writing(rhs):
@@ -123,12 +114,9 @@ def test_zero_operator_fixed_point():
 
 
 class _FakeDisc:
-    """Minimal stand-in exposing .mesh.h, .rhs and .input_uv for evolve
-    tests on one u and one v coefficient per element; rhs(u, v, t) ->
-    (du, dv) is given out of place."""
-
-    class mesh:
-        h = 0.1
+    """Minimal stand-in exposing .rhs and .input_uv for evolve tests on
+    one u and one v coefficient per element; rhs(u, v, t) -> (du, dv) is
+    given out of place."""
 
     def __init__(self, rhs, n_el=1):
         self.rhs = _writing(rhs)
@@ -138,7 +126,7 @@ class _FakeDisc:
 def test_evolve_t_zero_returns_initial():
     disc = _FakeDisc(lambda u, v, t: (np.zeros_like(u), np.zeros_like(v)), n_el=2)
     s0 = ModalState(np.ones((2, 1)), np.ones((2, 1)), 0.0)
-    out = evolve(s0, TimeControls(cfl=0.1, T=0.0), disc)
+    out = evolve(s0, disc, 0.0, 0.0)
     assert np.array_equal(out.u, s0.u)
     assert out.t == 0.0
 
@@ -147,8 +135,8 @@ def test_evolve_observers_and_exact_landing():
     calls = []
     disc = _FakeDisc(lambda u, v, t: (v, np.zeros_like(v)))
     s0 = ModalState(np.zeros((1, 1)), np.ones((1, 1)), 0.0)
-    controls = TimeControls(cfl=1.0, T=0.7, dt_override=0.1)
-    out = evolve(s0, controls, disc, observers=[lambda k, s: calls.append(k)])
+    out = evolve(s0, disc, 0.7, compute_dt(0.7, 0.1),
+                 observers=[lambda k, s: calls.append(k)])
     assert calls == list(range(8))  # step 0 plus 7 steps
     assert out.t == 0.7
     assert out.u[0, 0] == pytest.approx(0.7, rel=1e-12)  # du/dt = v = 1
@@ -161,7 +149,7 @@ def test_instability_detection():
     disc = _FakeDisc(blowup)
     s0 = ModalState(np.ones((1, 1)), np.ones((1, 1)), 0.0)
     with pytest.raises(InstabilityError) as err:
-        evolve(s0, TimeControls(cfl=1.0, T=1.0, dt_override=0.5), disc)
+        evolve(s0, disc, 1.0, 0.5)
     assert err.value.step == 1
 
 
@@ -173,7 +161,7 @@ def test_instability_detected_in_v_alone():
     calls = []
     s0 = ModalState(np.ones((2, 1)), np.ones((2, 1)), 0.0)
     with pytest.raises(InstabilityError) as err:
-        evolve(s0, TimeControls(cfl=1.0, T=1.0, dt_override=0.1), _FakeDisc(v_blowup, n_el=2),
+        evolve(s0, _FakeDisc(v_blowup, n_el=2), 1.0, 0.1,
                observers=[lambda k, s: calls.append(k)])
     assert err.value.step == 4
     assert calls == [0, 1, 2, 3]
@@ -197,7 +185,7 @@ def test_dt_refinement_reduces_time_error():
 
     def solve(dt):
         st = project_initial(spec, disc)
-        return evolve(st, TimeControls(cfl=1.0, T=0.2, dt_override=dt), disc)
+        return evolve(st, disc, 0.2, dt)
 
     reference = solve(2.5e-4)
     errs = []
@@ -232,9 +220,8 @@ def test_evolve_matches_out_of_place_rk4_bitwise(problem):
     disc = Discretization(mesh, ref, FluxParams.sommerfeld(), spec.w, spec.c,
                           forcing=spec.forcing)
     state0 = problems.project_initial(spec, disc)
-    controls = TimeControls(cfl=1.0, T=0.08, dt_override=0.01)
     seen = []
-    final = evolve(state0, controls, disc,
+    final = evolve(state0, disc, 0.08, 0.01,
                    observers=[lambda k, s: seen.append((k, s.t, s.u.copy(), s.v.copy()))])
 
     u, v, t = state0.u, state0.v, state0.t
@@ -250,7 +237,7 @@ def test_evolve_matches_out_of_place_rk4_bitwise(problem):
     # the returned state owns its arrays: a second solve on the same
     # discretization leaves it, and the initial state, as they were
     kept = final.u.copy(), final.v.copy()
-    evolve(ModalState(2.0 * state0.u, -state0.v, 0.0), controls, disc)
+    evolve(ModalState(2.0 * state0.u, -state0.v, 0.0), disc, 0.08, 0.01)
     assert np.array_equal(final.u, kept[0]) and np.array_equal(final.v, kept[1])
     again = problems.project_initial(spec, disc)
     assert np.array_equal(state0.u, again.u) and np.array_equal(state0.v, again.v)
