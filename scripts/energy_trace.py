@@ -13,6 +13,7 @@ import numpy as np
 from advwave import (Discretization, FluxParams, ModalState, build_mesh,
                      build_reference, compute_dt, discrete_energy, evolve,
                      periodic_1d, project_initial)
+from advwave.cli import RunConfig, default_cfl
 
 
 def trace_run(disc, state, T, cfl, label, stride=50):
@@ -41,17 +42,20 @@ def main():
     rng = np.random.default_rng(args.seed)
     ref = build_reference(args.q, args.q, dim=1)
     mesh = build_mesh(1, args.n, "periodic")
+    cfg = RunConfig(problem="periodic1d", q=args.q)
 
-    disc = Discretization(mesh, ref, FluxParams.sommerfeld(), [0.5], 1.0)
+    params = FluxParams.sommerfeld()
+    disc = Discretization(mesh, ref, params, [0.5], 1.0)
     state = ModalState(rng.standard_normal((mesh.n_elements, ref.n_u)),
                        rng.standard_normal((mesh.n_elements, ref.n_v)))
-    trace_run(disc, state, args.T, 0.1125 / (2 * np.pi),
+    trace_run(disc, state, args.T, default_cfl(cfg, params),
               "upwind flux, random data (should decay monotonically)")
 
     spec = periodic_1d(0.5, 1.0, lift=False)
-    disc = Discretization(mesh, ref, FluxParams.central(), spec.w, spec.c)
+    params = FluxParams.central()
+    disc = Discretization(mesh, ref, params, spec.w, spec.c)
     state = project_initial(spec, disc)
-    trace_run(disc, state, args.T, 0.075 / (2 * np.pi),
+    trace_run(disc, state, args.T, default_cfl(cfg, params),
               "central flux, traveling wave (should conserve)")
 
 

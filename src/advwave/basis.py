@@ -16,40 +16,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 
-def legendre_eval(k: int, x) -> np.ndarray:
-    """Evaluate P_k(x) via the three-term recurrence.
-
-    Works for scalar or array x; evaluation outside [-1, 1] is permitted
-    but unchecked.
-    """
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if k == 0:
-        return p_prev[()]
-    p = x.copy()
-    for j in range(1, k):
-        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-    return p[()]
-
-
-def legendre_derivative(k: int, x) -> np.ndarray:
-    """Evaluate P_k'(x) via the derivative recurrence P_k' = P_{k-2}' + (2k-1) P_{k-1}."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if k == 0:
-        return np.zeros_like(x)[()]
-    # track (P_{j-1}, P_j) and (P_{j-1}', P_j')
-    p_prev, p = np.ones_like(x), x.copy()
-    d_prev, d = np.zeros_like(x), np.ones_like(x)
-    for j in range(1, k):
-        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-        d_prev, d = d, d_prev + (2 * j + 1) * p_prev
-    return d[()]
-
-
 def gauss_points(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1] (exact for degree <= 2n-1)."""
     if n < 1:
@@ -73,8 +39,9 @@ def tensor_gauss(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
 def legendre_tables(degree: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Matrices V[m, k] = P_k(x_m) and D[m, k] = P_k'(x_m), k = 0..degree.
 
-    One pass of the recurrences of legendre_eval and legendre_derivative,
-    with the same arithmetic, so the entries are bitwise equal to theirs.
+    One pass of the three-term recurrence
+    (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1} and of the derivative
+    recurrence P_{j+1}' = P_{j-1}' + (2j + 1) P_j, for all points at once.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     vals = np.empty((x.shape[0], degree + 1))

@@ -87,13 +87,9 @@ def load_config(path: str) -> RunConfig:
     cfg = RunConfig()
     known = set(cfg.__dataclass_fields__)
     for key, value in raw.items():
-        if key == "dim":
-            continue  # validated below against the problem
         if key not in known:
             raise ConfigError(f"unknown config field {key!r}")
         setattr(cfg, key, value)
-    if "dim" in raw and raw["dim"] != cfg.dim:
-        raise ConfigError(f"dim: {raw['dim']} conflicts with problem {cfg.problem!r}")
     validate_config(cfg)
     return cfg
 

@@ -60,11 +60,11 @@ class Separable:
     """A field f(x, t) = sum_k time(t)[k] * space(x)[k].
 
     space maps positions of shape (..., dim) to an array (K, ...); time maps
-    a time to an array (K,), or an array of times to (K,) + its shape.  The
-    v-equation forcing and the exact solutions have this form, so their
-    space factors can be evaluated once at fixed points (the operator's
-    projection, the quadrature of ``diagnostics.l2_error``) and combined
-    with the time factors on every call.
+    a scalar time to an array (K,).  The v-equation forcing and the exact
+    solutions have this form, so their space factors can be evaluated once
+    at fixed points (the operator's projection, the quadrature of
+    ``diagnostics.l2_error``) and combined with the time factors on every
+    call.
     """
 
     space: Callable
@@ -76,11 +76,7 @@ class Separable:
 
 def _combine(g, f):
     """sum_k g[k] * f[k] for time factors g and space factors f."""
-    g = np.asarray(g)
-    if g.ndim == 1:
-        return (g @ f.reshape(len(g), -1)).reshape(f.shape[1:])
-    # array times broadcast against the leading shape of the positions
-    return sum(gk * fk for gk, fk in zip(g, f))
+    return (g @ f.reshape(len(g), -1)).reshape(f.shape[1:])
 
 
 class FieldTable:

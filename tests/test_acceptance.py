@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from advwave.basis import build_reference
-from advwave.cli import RunConfig, default_cfl, flux_params, run_convergence
+from advwave.cli import RunConfig, run_convergence
 from advwave.diagnostics import (discrete_energy, energy_identity_residual,
                                  spectral_radius_probe)
 from advwave.fluxes import (FluxParams, Trace, inflow_flux, outflow_flux,

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import legendre as npleg
 
-from advwave.basis import (build_reference, gauss_points, legendre_derivative,
-                           legendre_eval, legendre_tables, modal_derivative_matrix,
-                           tensor_eval, tensor_modes)
+from advwave.basis import (build_reference, gauss_points, legendre_tables,
+                           modal_derivative_matrix, tensor_eval, tensor_modes)
 
 # closed-form values frozen from the explicit low-degree polynomials:
 # P_2 = (3x^2 - 1)/2, P_3 = (5x^3 - 3x)/2, P_4 = (35x^4 - 30x^2 + 3)/8
@@ -29,28 +29,53 @@ FROZEN_DERIVS = [
 ]
 
 
+def legendre(k, x):
+    """P_k and P_k' at the points x, read from the last columns of the tables."""
+    vals, ders = legendre_tables(k, x)
+    return vals[:, k], ders[:, k]
+
+
+def numpy_legendre(k, x):
+    """P_k and P_k' from numpy's Legendre series (Clenshaw), an independent
+    algorithm."""
+    unit = np.zeros(k + 1)
+    unit[k] = 1.0
+    return npleg.legval(x, unit), npleg.legval(x, npleg.legder(unit))
+
+
 @pytest.mark.parametrize("k,x,expected", FROZEN_VALUES)
 def test_legendre_values(k, x, expected):
-    assert legendre_eval(k, x) == pytest.approx(expected, abs=1e-14)
+    assert legendre(k, x)[0][0] == pytest.approx(expected, abs=1e-14)
 
 
 @pytest.mark.parametrize("k,x,expected", FROZEN_DERIVS)
 def test_legendre_derivatives(k, x, expected):
-    assert legendre_derivative(k, x) == pytest.approx(expected, abs=1e-14)
+    assert legendre(k, x)[1][0] == pytest.approx(expected, abs=1e-14)
+
+
+def test_legendre_tables_match_numpy():
+    x = np.concatenate([[-1.0, 0.0, 1.0], np.random.default_rng(3).uniform(-1, 1, 40)])
+    vals, ders = legendre_tables(12, x)
+    for k in range(13):
+        expect_vals, expect_ders = numpy_legendre(k, x)
+        assert np.max(np.abs(vals[:, k] - expect_vals)) < 1e-13
+        assert np.max(np.abs(ders[:, k] - expect_ders)) < 1e-11
 
 
 @given(st.integers(0, 12))
 def test_endpoint_normalization(k):
-    assert legendre_eval(k, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert legendre_eval(k, -1.0) == pytest.approx((-1.0) ** k, abs=1e-12)
+    vals = legendre(k, np.array([1.0, -1.0]))[0]
+    assert vals[0] == pytest.approx(1.0, abs=1e-12)
+    assert vals[1] == pytest.approx((-1.0) ** k, abs=1e-12)
 
 
 @given(st.integers(1, 10), st.floats(-1, 1))
 @settings(max_examples=60)
 def test_derivative_matches_finite_difference(k, x):
     eps = 1e-6
-    fd = (legendre_eval(k, x + eps) - legendre_eval(k, x - eps)) / (2 * eps)
-    assert legendre_derivative(k, x) == pytest.approx(fd, rel=1e-7, abs=1e-5)
+    plus, minus = legendre(k, np.array([x + eps, x - eps]))[0]
+    fd = (plus - minus) / (2 * eps)
+    assert legendre(k, x)[1][0] == pytest.approx(fd, rel=1e-7, abs=1e-5)
 
 
 def test_gauss_three_point_rule():
@@ -96,10 +121,11 @@ def test_tensor_eval_is_product_of_1d():
     vals, grads = tensor_eval(3, 2, pts)
     modes = tensor_modes(3, 2)
     for m, (i, j) in enumerate(modes):
-        expect = legendre_eval(i, pts[:, 0]) * legendre_eval(j, pts[:, 1])
-        assert np.allclose(vals[:, m], expect, atol=1e-13)
-        gx = legendre_derivative(i, pts[:, 0]) * legendre_eval(j, pts[:, 1])
-        assert np.allclose(grads[0, :, m], gx, atol=1e-13)
+        px, dpx = numpy_legendre(i, pts[:, 0])
+        py, dpy = numpy_legendre(j, pts[:, 1])
+        assert np.allclose(vals[:, m], px * py, atol=1e-13)
+        assert np.allclose(grads[0, :, m], dpx * py, atol=1e-13)
+        assert np.allclose(grads[1, :, m], px * dpy, atol=1e-13)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

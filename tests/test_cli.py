@@ -71,6 +71,7 @@ def test_unknown_field_rejected(tmp_path):
     ({"flux": {"preset": "custom", "sigma": 1.5}}, "sigma"),
     ({"problem": "periodic2d"}, "w"),
     ({"n_list": [10, 10]}, "n_list"),
+    ({"dim": 1}, "dim"),
 ])
 def test_invalid_configs(tmp_path, overrides, field):
     with pytest.raises(ConfigError, match=field):
@@ -83,7 +84,7 @@ def test_readme_lists_every_config_field():
     named = set(re.findall(r"`(\w+)`", fields_list))
     assert {f.name for f in dataclasses.fields(RunConfig)} <= named
     # fields of earlier versions, now rejected as unknown
-    assert not {"lift", "n_quad", "record_stride", "seed", "output_dir"} & named
+    assert not {"dim", "lift", "n_quad", "record_stride", "seed", "output_dir"} & named
 
 
 def test_nested_flux_object(tmp_path):

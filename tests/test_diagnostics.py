@@ -320,22 +320,6 @@ def test_periodic_radius_is_exact(dim, n, q, params):
     assert spectral_radius_probe(disc) == (pytest.approx(exact, rel=1e-12), True)
 
 
-def test_spectral_probe_zero_operator():
-    class Zero:
-        forcing = None
-        mesh = type("M", (), {"n_elements": 2, "periodic": False})
-        ref = type("R", (), {"n_u": 2, "n_v": 2})
-
-        @staticmethod
-        def rhs(u, v, t, out=None):
-            out[...] = 0.0
-            return out[:, :2], out[:, 2:]
-
-    radius, converged = spectral_radius_probe(Zero())
-    assert radius == 0.0
-    assert converged
-
-
 def test_spectral_probe_no_convergence(monkeypatch):
     import scipy.sparse.linalg as sla
 
