@@ -5,6 +5,8 @@ matrix-free product on physical ones."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .basis import tensor_eval, tensor_gauss
@@ -41,19 +43,30 @@ def energy_identity_residual(state: ModalState, disc: Discretization):
     return lhs, rhs, residual
 
 
+@functools.cache
+def _error_rule(q: int, s: int, n_quad: int, dim: int):
+    """A Gauss rule two points per direction finer than the operator's
+    n_quad on the reference element: its points, its weights and the u and
+    v basis tables transposed.  Built once per process for each reference
+    element; the arrays are read-only."""
+    pts, weights = tensor_gauss(n_quad + 2, dim)
+    vals_u_t = tensor_eval(q, dim, pts)[0].T.copy()
+    vals_v_t = tensor_eval(s, dim, pts)[0].T.copy()
+    for a in (pts, weights, vals_u_t, vals_v_t):
+        a.flags.writeable = False
+    return pts, weights, vals_u_t, vals_v_t
+
+
 class _ErrorQuadrature:
-    """A Gauss rule two points per direction finer than the operator's, on
-    every element of one discretization: the weights with the element
-    Jacobian folded in, the u and v basis tables, and the exact fields at
-    the physical points."""
+    """``_error_rule`` on every element of one discretization: the weights
+    with the element Jacobian folded in, the shared u and v basis tables,
+    and the exact fields at the physical points."""
 
     def __init__(self, disc: Discretization):
         ref, mesh = disc.ref, disc.mesh
-        dim = mesh.dim
-        pts_ref, weights = tensor_gauss(ref.n_quad + 2, dim)
+        pts_ref, weights, self.vals_u_t, self.vals_v_t = _error_rule(
+            ref.q, ref.s, ref.n_quad, mesh.dim)
         self.weights = disc.jac_vol * weights
-        self.vals_u_t = tensor_eval(ref.q, dim, pts_ref)[0].T.copy()
-        self.vals_v_t = tensor_eval(ref.s, dim, pts_ref)[0].T.copy()
         self.exact = FieldTable(mesh.element_centers[:, None, :] + (mesh.h / 2.0) * pts_ref)
 
 

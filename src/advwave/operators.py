@@ -64,7 +64,8 @@ class Separable:
     solutions have this form, so their space factors can be evaluated once
     at fixed points (the operator's projection, the quadrature of
     ``diagnostics.l2_error``) and combined with the time factors on every
-    call.
+    call.  time must be a pure function of t: ``Discretization.rhs`` reuses
+    the forcing it built at the time of its previous call.
     """
 
     space: Callable
@@ -172,6 +173,9 @@ class Discretization:
 
     def __init__(self, mesh: MeshTopology, ref: ReferenceElement,
                  params: FluxParams, w, c: float, forcing=None):
+        # before the element solvers, whose factorization is singular at c = 0
+        if not c > 0:
+            raise ValueError("wave speed c must be positive")
         if ref.dim != mesh.dim:
             raise ValueError("mesh and reference element dimensions differ")
         if forcing is not None and not isinstance(forcing, Separable):
@@ -219,11 +223,13 @@ class Discretization:
         # rhs reads [u v] from _x; passed input_uv itself it skips the
         # copy, so a caller (the RK4 stages) can write a state there directly
         nu, nb = ref.n_u, ref.n_u + ref.n_v
+        self._nu = nu
         self._x = np.empty((mesh.n_elements, nb))
         self.input_uv = self._x[:, :nu], self._x[:, nu:]
         self._y = np.empty((1 + 2 * dim, mesh.n_elements, nb))
         self._build_views()
-        self._forcing_time = self._forcing_proj = None
+        # _f_t is the time _f was built at (None: not built yet)
+        self._forcing_time = self._forcing_proj = self._f_t = None
         if forcing is not None:
             space = forcing.space(self.quad_points)
             proj = np.zeros((len(space), mesh.n_elements, nb))
@@ -436,9 +442,12 @@ class Discretization:
         With out, an (n_elements, Nu+Nv) array, the stacked [du dv] is
         written into it and its two column views are returned; without,
         the views of a new array.  u and v are copied into a work array
-        unless they are ``input_uv``, that array's own views.  Works in
-        arrays owned by the discretization, so concurrent calls on one
-        instance from several threads are not supported.
+        unless they are ``input_uv``, that array's own views.  The forcing
+        is built once per distinct t: a call at the t of the previous one
+        reuses it, so an RK4 step builds it twice (k2 and k3 share t + dt/2,
+        and k4's t + dt is the next step's t).  Works in arrays owned by
+        the discretization, so concurrent calls on one instance from
+        several threads are not supported.
         """
         x_u, x_v = self.input_uv
         if u is not x_u or v is not x_v:
@@ -455,9 +464,11 @@ class Discretization:
             np.copyto(out, self._y0)
         else:
             # the forcing's u columns are zero
-            np.dot(self._forcing_time(t), self._forcing_proj, out=self._f_flat)
+            if t != self._f_t:
+                np.dot(self._forcing_time(t), self._forcing_proj, out=self._f_flat)
+                self._f_t = t
             np.add(self._y0, self._f, out=out)
-        nu = self.ref.n_u
+        nu = self._nu
         return out[:, :nu], out[:, nu:]
 
     def matrix_free_rhs(self, u: np.ndarray, v: np.ndarray, t: float):

@@ -51,10 +51,10 @@ class RK4Buffers:
 
     x is the stacked state [u v] of shape (n_elements, Nu+Nv), a copy of
     the given state; k holds the four stage derivatives and stage the
-    state each of the last three is evaluated at.  x_uv and stage_uv are
-    the u and v column views passed to rhs.  The stages are written into
-    the array whose column views stage_uv are: evolve passes the
-    discretization's ``input_uv``, which rhs reads without a copy.
+    state each of them is evaluated at.  x_uv are the u and v column views
+    of x, stage_uv those of stage, which are passed to rhs.  The stages are
+    written into the array whose column views stage_uv are: evolve passes
+    the discretization's ``input_uv``, which rhs reads without a copy.
     """
 
     def __init__(self, state: ModalState, stage_uv):
@@ -70,23 +70,25 @@ def rk4_step(buf: RK4Buffers, t: float, dt: float, rhs) -> float:
     """One classic 4-stage RK4 step of buf.x from time t, in place; returns
     t + dt.  rhs(u, v, t, out=k) writes the stacked [du dv] into k.
 
-    The stages are x + (dt/2) k and the update x + dt/6 (k1 + 2 k2 + 2 k3
-    + k4), each rounded in that order, so the result is bitwise that of
-    the same formulas on separate arrays.
+    The stages are x (copied into the stage array), x + (dt/2) k and the
+    update x + dt/6 (k1 + 2 k2 + 2 k3 + k4), each rounded in that order, so
+    the result is bitwise that of the same formulas on separate arrays.
     """
-    x, stage = buf.x, buf.stage
+    x, stage, stage_uv = buf.x, buf.stage, buf.stage_uv
     k1, k2, k3, k4 = buf.k
     half = 0.5 * dt
-    rhs(*buf.x_uv, t, out=k1)
+    t_half = t + half
+    np.copyto(stage, x)
+    rhs(*stage_uv, t, out=k1)
     np.multiply(k1, half, out=stage)
     stage += x
-    rhs(*buf.stage_uv, t + half, out=k2)
+    rhs(*stage_uv, t_half, out=k2)
     np.multiply(k2, half, out=stage)
     stage += x
-    rhs(*buf.stage_uv, t + half, out=k3)
+    rhs(*stage_uv, t_half, out=k3)
     np.multiply(k3, dt, out=stage)
     stage += x
-    rhs(*buf.stage_uv, t + dt, out=k4)
+    rhs(*stage_uv, t + dt, out=k4)
     k2 *= 2.0
     k2 += k1
     k3 *= 2.0
@@ -118,8 +120,9 @@ def evolve(state0: ModalState, disc: Discretization, T: float, dt: float,
     rhs = disc.rhs
     for step in range(1, n_steps + 1):
         state.t = rk4_step(buf, state.t, dt, rhs)
-        # one check on the stacked array covers u and v
-        if not np.isfinite(buf.x, out=buf.finite).all():
+        # one check on the stacked array covers u and v; the ufunc reduce
+        # is ndarray.all without its Python-level wrapper
+        if not np.logical_and.reduce(np.isfinite(buf.x, out=buf.finite), axis=None):
             raise InstabilityError(step)
         for obs in observers:
             obs(step, state)

@@ -198,12 +198,20 @@ def test_l2_error_builds_tables_once(monkeypatch):
         return tensor_eval(*args)
 
     monkeypatch.setattr(diagnostics, "tensor_eval", counting)
+    # the tables are cached per reference element for the whole process
+    diagnostics._error_rule.cache_clear()
     spec = periodic_2d([0.5, 0.25], 1.0)
     disc = make_disc(dim=2, n=3, q=3, w=spec.w)
     st = random_state(disc)
     for k in range(10):
         l2_error(st, spec, 0.1 * k, disc)
     assert len(calls) == 2   # u and v tables of the one finer rule
+    # a second grid of the same reference element reuses them
+    other = make_disc(dim=2, n=4, q=3, w=spec.w)
+    expect = reference_l2_error(random_state(other), "periodic2d", spec, 0.3, other)
+    got = l2_error(random_state(other), spec, 0.3, other)
+    assert np.allclose(got, expect, rtol=1e-13, atol=0.0)
+    assert len(calls) == 2
 
 
 def test_l2_error_cache_not_stale_across_specs():

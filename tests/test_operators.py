@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,40 @@ def test_rhs_out_matches_rhs(dim, mode, forced):
             assert not np.shares_memory(result, work)
     assert np.array_equal(du, kept[0]) and np.array_equal(dv, kept[1])
     assert not np.array_equal(du2, du)
+
+
+@pytest.mark.parametrize("problem", ["periodic1d", "mixed2d"])
+def test_rhs_reused_forcing_matches_fresh_instance(problem):
+    # rhs builds the forcing once per distinct t; every call must still
+    # equal, bit for bit, the same call on an instance that never ran
+    from advwave import problems
+    spec = (problems.periodic_1d(0.5, 1.0) if problem == "periodic1d"
+            else problems.mixed_2d([0.5, 0.5], 1.0))
+
+    def fresh():
+        mesh = build_mesh(spec.dim, 6 if spec.dim == 1 else 3, spec.boundary_mode)
+        return Discretization(mesh, build_reference(3, 3, dim=spec.dim),
+                              FluxParams.sommerfeld(), spec.w, spec.c, forcing=spec.forcing)
+
+    disc = fresh()
+    a, b = random_state(disc, 1), random_state(disc, 2)
+    t1, t2 = 0.3, 0.7
+    results = []
+    for st, t in ((a, t1), (a, t2), (a, t2), (a, t1), (b, t1)):
+        du, dv = disc.rhs(st.u, st.v, t)
+        eu, ev = fresh().rhs(st.u, st.v, t)
+        assert np.array_equal(du, eu) and np.array_equal(dv, ev)
+        results.append(dv)
+    # the two times give different forcings, so a stale one would show
+    assert not np.array_equal(results[0], results[1])
+
+
+def test_nonpositive_wave_speed_rejected_before_factorizing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (0.0, -1.0):
+            with pytest.raises(ValueError, match="wave speed c must be positive"):
+                make_disc(c=c)
 
 
 def test_plain_callable_forcing_rejected():

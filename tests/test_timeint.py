@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from advwave.fluxes import FluxParams
 from advwave.basis import build_reference
 from advwave.mesh import build_mesh
-from advwave.operators import Discretization, ModalState
+from advwave.operators import Discretization, ModalState, Separable
 from advwave.timeint import (InstabilityError, RK4Buffers, check_cfl_margin,
                              compute_dt, evolve, rk4_step)
 
@@ -224,11 +224,16 @@ def test_evolve_matches_out_of_place_rk4_bitwise(problem):
     final = evolve(state0, disc, 0.08, 0.01,
                    observers=[lambda k, s: seen.append((k, s.t, s.u.copy(), s.v.copy()))])
 
+    def rebuilt_rhs(u, v, t):
+        # a new instance per stage builds the forcing at every stage
+        return Discretization(mesh, ref, FluxParams.sommerfeld(), spec.w, spec.c,
+                              forcing=spec.forcing).rhs(u, v, t)
+
     u, v, t = state0.u, state0.v, state0.t
     assert [k for k, *_ in seen] == list(range(9))
     for k, tk, uk, vk in seen:
         if k:
-            u, v, t = _reference_rk4(u, v, t, 0.01, disc.rhs)
+            u, v, t = _reference_rk4(u, v, t, 0.01, rebuilt_rhs)
         assert tk == t
         assert np.array_equal(uk, u) and np.array_equal(vk, v)
     assert final.t == 0.08
@@ -241,3 +246,24 @@ def test_evolve_matches_out_of_place_rk4_bitwise(problem):
     assert np.array_equal(final.u, kept[0]) and np.array_equal(final.v, kept[1])
     again = problems.project_initial(spec, disc)
     assert np.array_equal(state0.u, again.u) and np.array_equal(state0.v, again.v)
+
+
+def test_forced_evolve_builds_forcing_once_per_stage_time():
+    # k2 and k3 share t + dt/2 and a step's t + dt is the next step's t,
+    # so N steps build the forcing at the 2N + 1 distinct stage times
+    from advwave import problems
+
+    spec = problems.periodic_1d(0.5, 1.0)
+    times = []
+
+    def time(t):
+        times.append(t)
+        return spec.forcing.time(t)
+
+    disc = Discretization(build_mesh(1, 6, "periodic"), build_reference(3, 3),
+                          FluxParams.sommerfeld(), spec.w, spec.c,
+                          forcing=Separable(spec.forcing.space, time))
+    n_steps = 8
+    evolve(problems.project_initial(spec, disc), disc, 0.08, 0.01)
+    assert len(times) == 2 * n_steps + 1
+    assert len(set(times)) == len(times)
