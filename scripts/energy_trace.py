@@ -11,15 +11,16 @@ import argparse
 import numpy as np
 
 from advwave import (Discretization, FluxParams, ModalState, build_mesh,
-                     build_reference, compute_dt, discrete_energy, evolve,
-                     periodic_1d, project_initial)
-from advwave.cli import RunConfig, default_cfl
+                     build_reference, discrete_energy, evolve, periodic_1d,
+                     project_initial)
+from advwave.cli import RunConfig, time_step
 
 
-def trace_run(disc, state, T, cfl, label, stride=50):
-    """Evolve state to T in steps of at most cfl * h and print its energy."""
+def trace_run(disc, state, cfg, label, stride=50):
+    """Evolve state to cfg.T in the CLI's step for cfg and print its energy."""
     energies = []
-    evolve(state, disc, T, compute_dt(T, cfl * disc.mesh.h),
+    _, T, dt = time_step(cfg, disc)
+    evolve(state, disc, T, dt,
            observers=[lambda k, s: energies.append(discrete_energy(s, disc))])
     e = np.asarray(energies)
     print(f"\n{label}: {len(e) - 1} steps, E(0) = {e[0]:.8e}")
@@ -42,21 +43,19 @@ def main():
     rng = np.random.default_rng(args.seed)
     ref = build_reference(args.q, args.q, dim=1)
     mesh = build_mesh(1, args.n, "periodic")
-    cfg = RunConfig(problem="periodic1d", q=args.q)
+    cfg = RunConfig(problem="periodic1d", q=args.q, T=args.T)
 
     params = FluxParams.sommerfeld()
     disc = Discretization(mesh, ref, params, [0.5], 1.0)
     state = ModalState(rng.standard_normal((mesh.n_elements, ref.n_u)),
                        rng.standard_normal((mesh.n_elements, ref.n_v)))
-    trace_run(disc, state, args.T, default_cfl(cfg, params),
-              "upwind flux, random data (should decay monotonically)")
+    trace_run(disc, state, cfg, "upwind flux, random data (should decay monotonically)")
 
     spec = periodic_1d(0.5, 1.0, lift=False)
     params = FluxParams.central()
     disc = Discretization(mesh, ref, params, spec.w, spec.c)
     state = project_initial(spec, disc)
-    trace_run(disc, state, args.T, default_cfl(cfg, params),
-              "central flux, traveling wave (should conserve)")
+    trace_run(disc, state, cfg, "central flux, traveling wave (should conserve)")
 
 
 if __name__ == "__main__":

@@ -18,12 +18,13 @@ blocks, 2*dim shifted adds, the boundary-strip corrections, and the
 separable forcing as a combination of projections made at build time,
 written into an array the caller may pass.
 
-``matrix_free_rhs`` keeps the face-by-face evaluation: flux states of every
-face from the current traces (``face_flux_states``), then face lifting and
-the element solves.  It is the reference the assembled operator is tested
-against.  It and the energy audit (``boundary_energy_rate``) take the faces
-from the element grid, one interior set and on physical meshes two boundary
-sets per axis (``_grid_faces``).
+``matrix_free_rhs`` keeps the face-by-face evaluation of the homogeneous
+operator: flux states of every face from the current traces
+(``face_flux_states``), then face lifting and the element solves.  It is the
+reference the assembled operator is tested against.  It and the energy
+audit (``boundary_energy_rate``) take the faces from the element grid, one
+interior set and on physical meshes two boundary sets per axis
+(``_grid_faces``).
 """
 
 from __future__ import annotations
@@ -233,7 +234,9 @@ class Discretization:
         if forcing is not None:
             space = forcing.space(self.quad_points)
             proj = np.zeros((len(space), mesh.n_elements, nb))
-            proj[:, :, nu:] = self._load_v(space) * self.solvers.v_mass_inv
+            # the integrals of each space factor times each v basis function
+            load = self.jac_vol * ((space * ref.vol_weights) @ ref.vol_vals_v)
+            proj[:, :, nu:] = load * self.solvers.v_mass_inv
             self._forcing_time = forcing.time
             self._forcing_proj = proj.reshape(len(space), -1)
             self._f = np.empty_like(self._x)
@@ -315,12 +318,6 @@ class Discretization:
                 diff = gstar[side][..., d] - gtr[side][..., d]
                 rhs_u -= (self.jac_face * c2 * wn_out * self.dscale
                           * ((wf * diff) @ ref.face_grads_u[side, d]))
-
-    def _load_v(self, f: np.ndarray) -> np.ndarray:
-        """Integrals of f times each v basis function over each element;
-        f holds values at the volume quadrature points, (..., Nq)."""
-        ref = self.ref
-        return self.jac_vol * ((f * ref.vol_weights) @ ref.vol_vals_v)
 
     def _element_solve(self, rhs_u, rhs_v, p):
         """Impose the mean constraint and apply the element inverses."""
@@ -472,13 +469,13 @@ class Discretization:
         return out[:, :nu], out[:, nu:]
 
     def matrix_free_rhs(self, u: np.ndarray, v: np.ndarray, t: float):
-        """Face-by-face evaluation of ``rhs`` with the forcing integrated at
-        the quadrature points on each call; the reference for the
-        assembled operator."""
+        """Face-by-face evaluation of the homogeneous ``rhs``; the reference
+        for the assembled operator.  t, unused, keeps the signature of
+        ``rhs``."""
+        if self.forcing is not None:
+            raise ValueError("matrix-free reference requires the homogeneous operator")
         rhs_u, rhs_v, p = self._volume_terms(u, v)
         self._lift_faces(rhs_u, rhs_v, *self.face_flux_states(u, v))
-        if self.forcing is not None:
-            rhs_v += self._load_v(self.forcing(self.quad_points, t))
         return self._element_solve(rhs_u, rhs_v, p)
 
     def boundary_energy_rate(self, u: np.ndarray, v: np.ndarray) -> float:

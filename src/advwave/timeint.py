@@ -1,9 +1,8 @@
-"""Classic RK4 time integration, with step snapping and a stability warning."""
+"""Classic RK4 time integration, with step snapping and instability detection."""
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -31,19 +30,6 @@ def compute_dt(T: float, dt_max: float) -> float:
         raise ValueError(f"T / dt = {T!r} / {dt_max!r} is not a finite number of steps")
     steps = max(1, math.ceil(ratio - 1e-12))
     return T / steps
-
-
-def check_cfl_margin(dt: float, h: float, q: int, w, c: float) -> None:
-    """Warn when dt exceeds the RK4 stability bound for the expected
-    spectral-radius scaling (c + |w|) q^2 / h."""
-    speed = c + float(np.linalg.norm(np.atleast_1d(w)))
-    radius_estimate = speed * q * q / h
-    if dt * radius_estimate > 2.8:
-        warnings.warn(
-            f"dt = {dt:.3e} likely unstable: estimated spectral radius "
-            f"{radius_estimate:.3e} exceeds the RK4 stability interval",
-            stacklevel=2,
-        )
 
 
 class RK4Buffers:

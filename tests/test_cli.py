@@ -1,9 +1,11 @@
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advwave import cli
-from advwave.cli import (ConfigError, RunConfig, default_cfl, flux_params,
-                         load_config, main, validate_config)
+from advwave.cli import (ConfigError, RunConfig, build_discretization, default_cfl,
+                         flux_params, load_config, main, time_step, validate_config)
 from advwave.fluxes import FluxParams
 
 
@@ -129,6 +131,26 @@ def test_default_cfl_table():
         assert default_cfl(cfg, flux_params(cfg)) == pytest.approx(expect)
 
 
+def test_cfl_margin_warning(tmp_path, monkeypatch):
+    # a large cfl warns: dt (c + |w|) q^2 / h = 1.5 * 16 = 24 > 2.8
+    cfg = load_config(write_config(tmp_path, q=4, n=100, cfl=1.0))
+    disc, _ = build_discretization(cfg)
+    with pytest.warns(UserWarning, match="likely unstable"):
+        time_step(cfg, disc)
+    # the default steps of the benchmark's configs do not
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    steps = [s for ss in workloads.WORKLOADS.values() for s in ss if s.command != "spectrum"]
+    assert {s.command for s in steps} == {"run", "converge", "energy"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for step in steps:
+            cfg = RunConfig(**step.config)
+            validate_config(cfg)
+            for n in cfg.n_list or [cfg.n]:
+                disc, _ = build_discretization(cfg, n=n, with_forcing=False)
+                time_step(cfg, disc, steps=50 if step.command == "energy" else None)
+
 # --- subcommands ----------------------------------------------------------------
 
 def test_run_smoke(tmp_path):
@@ -171,24 +193,34 @@ def test_run_determinism(tmp_path):
     assert (out1 / "run.csv").read_bytes() == (out2 / "run.csv").read_bytes()
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, q=0)
     assert main(["run", "--config", path, "--output", str(tmp_path)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json"),
                  "--output", str(tmp_path)]) == 2
     assert main(["energy", "--config", write_config(tmp_path), "--seed", "-1",
                  "--output", str(tmp_path)]) == 2
-    # T / dt overflows to infinity: a config error, not an OverflowError
-    assert main(["run", "--config", write_config(tmp_path, n=6, T=1e308),
-                 "--output", str(tmp_path)]) == 2
-    assert main(["converge", "--config", write_config(tmp_path, dt=1e-320, n_list=[4, 6]),
-                 "--output", str(tmp_path)]) == 2
+    capsys.readouterr()
+    # more than MAX_STEPS steps, up to a T / dt that overflows to infinity
+    # or a cfl h that underflows to 0: a config error naming the step's
+    # fields, not an endless run or a traceback
+    for command, overrides, fields in [
+            ("run", dict(n=6, T=1e308), "T, cfl"), ("run", dict(n=6, T=1e300), "T, cfl"),
+            ("run", dict(n=4, cfl=1e-300), "T, cfl"), ("run", dict(n=4, cfl=5e-324), "T, cfl"),
+            ("converge", dict(cfl=1e-320, n_list=[4, 6]), "T, cfl"),
+            ("converge", dict(dt=1e-320, n_list=[4, 6]), "T, dt"),
+            ("energy", dict(n=4, cfl=1e308), "T, cfl")]:
+        assert main([command, "--config", write_config(tmp_path, **overrides),
+                     "--output", str(tmp_path)]) == 2
+        assert fields in capsys.readouterr().err
+    # energy resolves its trace's step before the audit writes anything
+    assert not (tmp_path / "energy.csv").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_instability_exit_code(tmp_path):
-    # dt far beyond the RK4 stability limit
-    path = write_config(tmp_path, q=4, n=40, T=30.0, dt=0.5)
+    # a step far beyond the RK4 stability limit
+    path = write_config(tmp_path, q=4, n=40, T=30.0, cfl=20.0)
     with pytest.warns(UserWarning):
         code = main(["run", "--config", path, "--output", str(tmp_path / "u")])
     assert code == 3
@@ -196,7 +228,7 @@ def test_instability_exit_code(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_converge_warns_on_unstable_dt(tmp_path):
-    path = write_config(tmp_path, T=1.0, dt=0.5, n_list=[4, 6])
+    path = write_config(tmp_path, T=1.0, cfl=2.0, n_list=[4, 6])
     with pytest.warns(UserWarning, match="likely unstable"):
         main(["converge", "--config", path, "--output", str(tmp_path / "c")])
 
@@ -268,14 +300,14 @@ def test_energy_csv_shape(tmp_path):
 
 def test_energy_trace_takes_its_step_from_the_config(tmp_path, capsys):
     # at c = 30 the default Courant number is unstable for upwind q=3 n=40:
-    # the trace warns; with a small dt its energy decays at every step
+    # the trace warns; with a small cfl its energy decays at every step
     trace = re.compile(r"energy trace over 50 steps: E\(0\)=(\S+) E\(T\)=(\S+) "
                        r"max per-step increase (\S+)")
     path = write_config(tmp_path, q=3, n=40, c=30.0, n_states=1)
     with pytest.warns(UserWarning, match="likely unstable"):
         assert main(["energy", "--config", path, "--output", str(tmp_path / "a")]) == 0
     capsys.readouterr()
-    path = write_config(tmp_path, q=3, n=40, c=30.0, n_states=1, dt=1e-5)
+    path = write_config(tmp_path, q=3, n=40, c=30.0, n_states=1, cfl=4e-4)
     assert main(["energy", "--config", path, "--output", str(tmp_path / "b")]) == 0
     e0, e_final, rise = map(float, trace.search(capsys.readouterr().out).groups())
     assert e_final < e0 and rise < 0
@@ -324,13 +356,13 @@ def test_spectrum_reports_no_convergence(tmp_path, monkeypatch, capsys):
 
 # Per-field pools of valid and invalid values.  Grids, degrees and times are
 # small enough to keep an example to milliseconds, and always present where
-# their defaults are not (n, n_list, T, n_states).  Every step is at most 0.5,
-# so T = 1e308 overflows T / dt instead of asking for ~1e308 steps.
+# their defaults are not (n, n_list, T, n_states).  T = 1e300 and cfl = 1e-300
+# ask for more than MAX_STEPS steps, T = 1e308 for an infinite number.
 REQUIRED_POOLS = {
     "problem": ["periodic1d", "periodic2d", "mixed2d", "nope"],
     "n": [2, 3, 4, 1, 2.5],
     "n_list": [[2, 3], [2, 3, 4], [4], "a", [1, 2]],
-    "T": [0.0, 0.01, 0.02, 1e308, -0.1, float("inf"), "1"],
+    "T": [0.0, 0.01, 0.02, 1e300, 1e308, -0.1, float("inf"), "1"],
     "n_states": [1, 3, 0],
 }
 OPTIONAL_POOLS = {
@@ -342,7 +374,7 @@ OPTIONAL_POOLS = {
              {"sigma": 1.5}, {"preset": "upwind", "xi": -1.0}, {"beta": "a"}],
     "w": [0.5, 2.0, -0.3, [0.5, 0.5], [0.3, -0.2], [2.0, 0.5], "a", [float("nan")]],
     "c": [1.0, 0.5, 0.0, float("nan")],
-    "cfl": [None, 0.05, 0.5, 0.0, -1.0],
+    "cfl": [None, 0.05, 0.5, 1e-300, 5e-324, 0.0, -1.0],
     "dt": [None, 0.005, 1e-320, 0.0, True],
     "energy_tol": [1e-9, 1e-30, -1.0],
     "sigma": [0.5],

@@ -175,6 +175,16 @@ def test_assembled_rhs_matches_matrix_free(dim, mode, flux, regime):
             assert np.abs(dv - rv).max() <= 1e-13 * scale
 
 
+def test_matrix_free_rhs_is_homogeneous_only():
+    # the forcing projection has its reference in
+    # test_projected_forcing_matches_quadrature
+    forcing = Separable(lambda x: np.sin(2 * np.pi * x[..., 0])[None], lambda t: np.array([t]))
+    disc = make_disc(forcing=forcing)
+    state = random_state(disc)
+    with pytest.raises(ValueError, match="homogeneous"):
+        disc.matrix_free_rhs(state.u, state.v, 0.0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(sigma=st.floats(0.0, 1.0))
 def test_periodic_operator_commutes_with_shift(sigma):

@@ -8,8 +8,7 @@ from advwave.fluxes import FluxParams
 from advwave.basis import build_reference
 from advwave.mesh import build_mesh
 from advwave.operators import Discretization, ModalState, Separable
-from advwave.timeint import (InstabilityError, RK4Buffers, check_cfl_margin,
-                             compute_dt, evolve, rk4_step)
+from advwave.timeint import InstabilityError, RK4Buffers, compute_dt, evolve, rk4_step
 
 
 def test_compute_dt_snapping():
@@ -165,11 +164,6 @@ def test_instability_detected_in_v_alone():
                observers=[lambda k, s: calls.append(k)])
     assert err.value.step == 4
     assert calls == [0, 1, 2, 3]
-
-
-def test_cfl_margin_warning():
-    with pytest.warns(UserWarning):
-        check_cfl_margin(dt=1.0, h=0.01, q=4, w=[0.5], c=1.0)
 
 
 def test_dt_refinement_reduces_time_error():
