@@ -42,6 +42,14 @@ DEFAULT_GRIDS = {1: [10, 14, 20, 28, 40, 56, 80, 112, 160],
 # the most steps one solve may take: about 1,900 times the longest
 # acceptance solve (the sonic sweep's n = 160 grid, about 5,400 steps)
 MAX_STEPS = 10 ** 7
+# the most unknowns one solve may have, n^dim (Nu+Nv), and the most entries
+# one element block may have, (Nu+Nv)^2: 40 times the largest acceptance
+# solve (periodic2d q=3 n=40, 51,200 unknowns), so that a config too large
+# for the memory exits 2 instead of being killed
+MAX_UNKNOWNS = 2 * 10 ** 6
+# the most unknowns of the random states the energy audit stacks into one
+# pass of its face side (its traces take a few times as many numbers)
+AUDIT_UNKNOWNS = 2 ** 17
 
 
 class ConfigError(ValueError):
@@ -165,7 +173,28 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("n_states: must be an integer >= 1")
     if cfg.energy_tol <= 0:
         raise ConfigError("energy_tol: must be positive")
+    if _block_size(cfg) ** 2 > MAX_UNKNOWNS:
+        raise ConfigError(f"q, s: an element block of (Nu+Nv)^2 = {_block_size(cfg) ** 2} "
+                          f"entries is more than {MAX_UNKNOWNS}")
+    _check_unknowns(cfg, cfg.n, "n")
+    for n in cfg.n_list or ():
+        _check_unknowns(cfg, n, "n_list")
     flux_params(cfg)
+
+
+def _block_size(cfg: RunConfig) -> int:
+    """Nu+Nv, the coefficients of one element."""
+    s = cfg.s if cfg.s is not None else cfg.q
+    return (cfg.q + 1) ** cfg.dim + (s + 1) ** cfg.dim
+
+
+def _check_unknowns(cfg: RunConfig, n: int, field: str) -> None:
+    """Raise ConfigError naming field when a solve on n elements per
+    direction has more than MAX_UNKNOWNS unknowns."""
+    unknowns = n ** cfg.dim * _block_size(cfg)
+    if unknowns > MAX_UNKNOWNS:
+        raise ConfigError(f"{field}: a solve with n = {n} has n^dim (Nu+Nv) = {unknowns} "
+                          f"unknowns, more than {MAX_UNKNOWNS}")
 
 
 def flux_params(cfg: RunConfig) -> FluxParams:
@@ -284,17 +313,18 @@ def cmd_run(cfg: RunConfig, outdir, seed: int) -> int:
         rows.append((step, st.t, e, eu, ev))
 
     try:
-        final = evolve(state, disc, T, dt, observers=[record])
+        evolve(state, disc, T, dt, observers=[record])
     except InstabilityError as e:
         print(f"instability: {e}", file=sys.stderr)
         return EXIT_INSTABILITY
 
     write_csv(outdir / "run.csv", ["step", "t", "energy", "err_u", "err_v"], rows)
-    eu, ev = l2_error(final, spec, final.t, disc)
+    # the last row is the final state, at t = T
+    _, _, energy, eu, ev = rows[-1]
     summary = asdict(cfg) | {
         "flux_params": asdict(disc.params),
         "cfl_resolved": cfl, "dt": dt, "n_steps": n_steps,
-        "err_u": eu, "err_v": ev, "energy_final": discrete_energy(final, disc),
+        "err_u": eu, "err_v": ev, "energy_final": energy,
         "seed": seed,
     }
     with open(outdir / "summary.json", "w") as fh:
@@ -319,6 +349,10 @@ def run_convergence(cfg: RunConfig, workers: int = 1):
     """Errors and fitted rates over cfg's grid sequence; returns
     (rows, rate_u, rate_v, window) with rows ordered coarse to fine."""
     grids = cfg.n_list if cfg.n_list is not None else DEFAULT_GRIDS[cfg.dim]
+    # validate_config checked the grids a config names; the default ones
+    # can exceed the bound at degrees whose blocks are within it
+    for n in grids:
+        _check_unknowns(cfg, n, "n_list")
     cfg_dict = asdict(cfg)
     # the pool starts all its processes at once: no more than there are grids
     workers = min(workers, len(grids))
@@ -368,12 +402,19 @@ def cmd_energy(cfg: RunConfig, outdir, seed: int) -> int:
     # the trace's step, resolved first so that a bad one fails before any output
     _, T, dt = time_step(cfg, disc, steps=50)
     rng = np.random.default_rng(seed)
-    rows, worst = [], 0.0
-    for i in range(cfg.n_states):
-        st = random_state(disc, rng)
-        lhs, rhs, res = energy_identity_residual(st, disc)
-        rows.append((i, lhs, rhs, res))
-        worst = max(worst, res)
+    # the face side of a batch of states is one pass; a batch holds at
+    # most AUDIT_UNKNOWNS unknowns
+    batch = max(1, AUDIT_UNKNOWNS // (disc.mesh.n_elements * (disc.ref.n_u + disc.ref.n_v)))
+    rows = []
+    for first in range(0, cfg.n_states, batch):
+        states = [random_state(disc, rng)
+                  for _ in range(min(batch, cfg.n_states - first))]
+        stacked = ModalState(np.stack([st.u for st in states]),
+                             np.stack([st.v for st in states]))
+        rows += zip(range(first, first + len(states)),
+                    *energy_identity_residual(stacked, disc))
+    # a NaN residual fails the audit
+    worst = float(np.max([row[3] for row in rows]))
     write_csv(outdir / "energy.csv", ["state", "operator_rate", "face_rate", "residual"],
               rows)
     ok = worst <= cfg.energy_tol

@@ -33,13 +33,20 @@ def energy_identity_residual(state: ModalState, disc: Discretization):
 
     The two sides are independent code paths: the left uses the assembled
     operator, the right the closed-form per-face energy rates.  Requires
-    homogeneous forcing.  Returns (lhs, rhs, relative residual).
+    homogeneous forcing.  Returns (lhs, rhs, relative residual).  The
+    state's u and v may stack several states on a leading axis: each
+    state's left side is one ``rhs`` call, the right sides of all of them
+    come from one pass, and the results are arrays with one entry per state.
     """
     if disc.forcing is not None:
         raise ValueError("energy identity requires homogeneous forcing")
-    lhs = energy_rate_from_operator(state, disc)
+    if state.u.ndim == 2:
+        lhs = energy_rate_from_operator(state, disc)
+    else:
+        lhs = np.array([energy_rate_from_operator(ModalState(u, v, state.t), disc)
+                        for u, v in zip(state.u, state.v)])
     rhs = disc.boundary_energy_rate(state.u, state.v)
-    residual = abs(lhs - rhs) / max(1.0, abs(lhs))
+    residual = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
     return lhs, rhs, residual
 
 

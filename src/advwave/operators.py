@@ -1,4 +1,4 @@
-"""Semidiscrete DG operator, assembled once and applied as a block stencil.
+"""Semidiscrete DG operator, assembled once and applied as a stencil.
 
 The evolving unknown is a pair of modal coefficient arrays, one row per
 element.  On a uniform Cartesian mesh with constant w the operator is linear,
@@ -7,16 +7,26 @@ the same flux kind, so the derivative of an element depends only on its own
 coefficients and on those of its 2*dim face neighbours, through the same
 dense blocks for every element.
 
-``Discretization.__init__`` builds these blocks once, with the u-system solve
-and the v mass inverse folded in (the LIFT = M^-1 E idiom of nodal DG
-methods): one self block, one block per neighbour side and, on physical
-meshes, one self-block correction per boundary side.  The blocks come from
-the flux functions and the face-lifting code applied to the face traces of
-the basis functions, so the flux code stays the single source of truth.
-``rhs`` is then one matrix product of the stacked [u v] coefficients with all
-blocks, 2*dim shifted adds, the boundary-strip corrections, and the
-separable forcing as a combination of projections made at build time,
-written into an array the caller may pass.
+``Discretization.__init__`` builds these couplings once, with the u-system
+solve and the v mass inverse folded in (the LIFT = M^-1 E idiom of nodal DG
+methods): one self block, one coupling per neighbour side and, on physical
+meshes, one self-block correction per boundary side.  They come from the
+flux functions and the face-lifting code applied to face traces, so the
+flux code stays the single source of truth.  A neighbour acts on an element
+only through its traces on their shared face (v, and grad u), so in 2D,
+where a face trace has r = (s+1)+(q+1)+q Legendre coefficients along the
+face against the N = (q+1)^2+(s+1)^2 of an element (11 of 32 at q = s = 3),
+each coupling is kept as two factors: a trace map T (N x r) and the lift L
+(r x N) of unit traces, with B = T L by construction.  ``rhs`` then takes
+one product of the stacked [u v] coefficients with [self block | T of every
+side], copies each element's r-wide trace slots from its neighbours (and on
+physical meshes its own boundary traces), and takes one product of those
+slots with the stacked L, adding the self product and the separable forcing
+(a combination of projections made at build time) into an array the caller
+may pass.  A 1D face is a single point: its blocks are N x N (8 x 8 at
+q = 3), so the number of array calls, not flops, sets the cost of ``rhs``,
+and 1D keeps the full blocks: one batched product with all of them, 2*dim
+shifted adds and the boundary-strip corrections.
 
 ``matrix_free_rhs`` keeps the face-by-face evaluation of the homogeneous
 operator: flux states of every face from the current traces
@@ -29,6 +39,7 @@ interior set and on physical meshes two boundary sets per axis
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,7 +47,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import fluxes
-from .basis import ReferenceElement
+from .basis import ReferenceElement, build_reference, gauss_points, legendre_tables
 from .fluxes import FluxParams, Trace
 from .mesh import MeshTopology, classify_mesh
 
@@ -166,6 +177,92 @@ def _grid_faces(mesh: MeshTopology, w: np.ndarray, c: float):
             yield high_kind, ((hi, layer(n - 1)),)
 
 
+@functools.cache
+def _grid_couplings(dim: int, periodic: bool):
+    """The element couplings of a dim-dimensional grid, as index tuples on
+    it; built once per process for each kind of grid.
+
+    Returns (shifts, strips).  shifts holds (side, dst, src): the elements
+    at dst read their neighbour across side from src, one step up the
+    side's axis for a high side and one step down for a low one, and on a
+    periodic grid the layer at the far end wraps around.  strips holds, on
+    a physical grid, (side, layer): the elements whose side is a boundary.
+    """
+    def at(axis, index):
+        grid = [slice(None)] * dim
+        grid[axis] = index
+        return tuple(grid)
+
+    shifts, strips = [], []
+    inner, outer = slice(0, -1), slice(1, None)
+    for side in range(2 * dim):
+        axis, hi = divmod(side, 2)
+        pairs = [(inner, outer) if hi else (outer, inner)]
+        if periodic:
+            pairs.append((-1, 0) if hi else (0, -1))
+        else:
+            strips.append((side, at(axis, -1 if hi else 0)))
+        shifts += [(side, at(axis, dst), at(axis, src)) for dst, src in pairs]
+    return tuple(shifts), tuple(strips)
+
+
+# OpenBLAS runs a product of at most 10^6 multiply-adds through its
+# small-matrix kernels, which took rhs's skinny products about 30 % less
+# time per row than its general path (AVX-512 Xeon, one thread)
+SMALL_PRODUCT = 10 ** 6
+
+
+def _row_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray):
+    """(rows of a, rows of out) view pairs that compute out = a @ b in
+    equal row blocks of at most SMALL_PRODUCT multiply-adds each."""
+    per_block = max(1, SMALL_PRODUCT // b.size)
+    size = -(-len(a) // -(-len(a) // per_block))
+    return [(a[i:i + size], out[i:i + size]) for i in range(0, len(a), size)]
+
+
+@functools.cache
+def _face_trace_maps(q: int, s: int):
+    """The face traces of a 2D element of degrees (q, s) as Legendre
+    coefficients along each face.
+
+    Along a face the traces are polynomials of the tangential coordinate:
+    v of degree s, the normal derivative of u of degree q and its
+    tangential derivative of degree q-1, so r = (s+1)+(q+1)+q coefficients
+    hold them all.  Returns (maps, unit_v, unit_g): maps[side], of shape
+    (N, r), takes an element's stacked [u v] coefficients to those of its
+    traces on side (a Gauss projection along the face, exact at these
+    degrees; gradients in reference coordinates), and unit_v (4, r, nfq)
+    and unit_g (4, r, nfq, 2) are the face-point traces of the r unit
+    coefficients, so that x @ maps[side] @ unit_v[side] is v's trace.
+    Built once per process for each pair of degrees; read-only.
+    """
+    ref = build_reference(q, s, dim=2)
+    nu, nb = ref.n_u, ref.n_u + ref.n_v
+    nodes, weights = gauss_points(ref.n_quad)
+    vals = legendre_tables(q, nodes)[0]                 # (nfq, q+1)
+    # point values to coefficients: (2m + 1)/2 times the integral against P_m
+    proj = (np.arange(q + 1)[:, None] + 0.5) * (vals * weights[:, None]).T
+    r = (s + 1) + (q + 1) + q
+    maps = np.zeros((4, nb, r))
+    unit_v = np.zeros((4, r, len(nodes)))
+    unit_g = np.zeros((4, r, len(nodes), 2))
+    for side in range(4):
+        axis = side // 2
+        # (columns of [u v], point-trace table, degree along the face, unit traces)
+        parts = [(slice(nu, nb), ref.face_vals_v[side], s, unit_v[side])]
+        parts += [(slice(0, nu), ref.face_grads_u[side, d], q if d == axis else q - 1,
+                   unit_g[side, ..., d]) for d in range(2)]
+        col = 0
+        for rows, table, degree, unit in parts:
+            coeffs = slice(col, col + degree + 1)
+            maps[side, rows, coeffs] = (proj[:degree + 1] @ table).T
+            unit[coeffs] = vals[:, :degree + 1].T
+            col += degree + 1
+    for a in (maps, unit_v, unit_g):
+        a.flags.writeable = False
+    return maps, unit_v, unit_g
+
+
 class Discretization:
     """Everything needed to apply the semidiscrete operator repeatedly.
 
@@ -215,20 +312,23 @@ class Discretization:
             mesh.element_centers[:, None, :] + (h / 2.0) * ref.vol_nodes[None, :, :]
         )
 
-        blocks = self._assemble_blocks()
-        self._stencil = blocks[:1 + 2 * dim]        # self, then one per side
-        self._corrections = blocks[1 + 2 * dim:]    # one per boundary side
-        # work arrays of rhs: the stacked [u v] rows, their products with
-        # every stencil block and the forcing (allocating them per call
-        # costs page faults), and the fixed views rhs works through.
-        # rhs reads [u v] from _x; passed input_uv itself it skips the
-        # copy, so a caller (the RK4 stages) can write a state there directly
+        # work arrays of rhs (allocating them per call costs page faults)
+        # and the fixed views it works through.  rhs reads the stacked
+        # [u v] rows from _x; passed input_uv itself it skips the copy, so a
+        # caller (the RK4 stages) can write a state there directly
         nu, nb = ref.n_u, ref.n_u + ref.n_v
         self._nu = nu
         self._x = np.empty((mesh.n_elements, nb))
         self.input_uv = self._x[:, :nu], self._x[:, nu:]
-        self._y = np.empty((1 + 2 * dim, mesh.n_elements, nb))
-        self._build_views()
+        # 1D applies full blocks, 2D couples through face traces (see the
+        # module docstring)
+        if dim == 1:
+            self._lifts = None
+            self._build_blocks(*self._assemble())
+        else:
+            maps, unit_v, unit_g = _face_trace_maps(ref.q, ref.s)
+            self_block, lifts = self._assemble((unit_v, self.dscale * unit_g))
+            self._build_traces(self_block, maps, lifts)
         # _f_t is the time _f was built at (None: not built yet)
         self._forcing_time = self._forcing_proj = self._f_t = None
         if forcing is not None:
@@ -262,7 +362,7 @@ class Discretization:
         t2), t2 None on a boundary face; see ``_grid_faces``."""
         eye = np.eye(self.mesh.dim)
         for kind, sides in _grid_faces(self.mesh, self.w, self.c):
-            traces = [Trace(v=vtr[side, el], grad_u=gtr[side, el],
+            traces = [Trace(v=vtr[side][..., el, :], grad_u=gtr[side][..., el, :, :],
                             n=(1.0 if side % 2 else -1.0) * eye[side // 2])
                       for side, el in sides]
             yield kind, sides, traces[0], traces[1] if len(traces) == 2 else None
@@ -329,107 +429,139 @@ class Discretization:
 
     # --- assembly ------------------------------------------------------------
 
-    def _assemble_blocks(self):
-        """Dense element blocks of the operator, element solves included.
+    def _assemble(self, unit=None):
+        """Dense element-level pieces of the operator, element solves included.
 
-        Returns blocks of shape (n_blocks, N, N), N = Nu+Nv: the self
-        block; for each side s the block of the neighbour across side s;
-        on a physical mesh, for each side s the change of the self block on
-        an element whose side s is a boundary.  Row j of a block is the
-        derivative [du dv] produced by a unit coefficient j of [u v].
+        unit holds the (v, grad u) traces on every side of R inputs, shaped
+        like those of ``side_traces``; None takes the N = Nu+Nv basis
+        functions as the inputs.  Returns the self block (N, N), whose row j
+        is the derivative [du dv] that unit coefficient j of an element
+        produces on the element itself, and lifts (n_lifts, R, N): row j of
+        lifts[s] is the derivative an element takes from its neighbour
+        across side s when the neighbour's traces on their shared face (its
+        side s ^ 1) are input j; on a physical mesh, row j of
+        lifts[2*dim + s] is the change of the derivative of an element whose
+        side s is a boundary and whose own traces there are input j.
 
-        Every block is one batch of the face-lifting code: the self batch
-        holds the basis functions, whose own traces and flux states enter;
-        a neighbour batch has no own traces and only the flux state that
-        the neighbour's basis functions produce on the shared face.
+        All rows are one batch of the face-lifting code: the self rows hold
+        the basis functions, whose own traces and flux states enter; a lift
+        row has no own traces and only the flux state its input produces on
+        its face.
         """
         ref, dim, periodic = self.ref, self.mesh.dim, self.mesh.periodic
         nu, nb = ref.n_u, ref.n_u + ref.n_v
-        nfq = ref.face_weights.shape[0]
-        sides = 2 * dim
-        n_blocks = 1 + sides + (0 if periodic else sides)
-
         eye = np.eye(nb)
-        vtr = np.zeros((sides, n_blocks, nb, nfq))
-        gtr = np.zeros((sides, n_blocks, nb, nfq, dim))
-        vtr[:, 0], gtr[:, 0] = self.side_traces(eye[:, :nu], eye[:, nu:])
+        basis = self.side_traces(eye[:, :nu], eye[:, nu:])
+        # the flux batch: the basis functions, then the inputs from row
+        # start on, unless the inputs are the basis functions themselves
+        if unit is None:
+            unit, start, (v_in, g_in) = basis, 0, basis
+        else:
+            start = nb
+            v_in, g_in = (np.concatenate(pair, axis=1) for pair in zip(basis, unit))
+        sides, n_in = 2 * dim, unit[0].shape[1]
+        n_lifts = sides if periodic else 2 * sides
+        rows = nb + n_lifts * n_in
+
+        vtr = np.zeros((sides, rows) + basis[0].shape[2:])
+        gtr = np.zeros((sides, rows) + basis[1].shape[2:])
+        vtr[:, :nb], gtr[:, :nb] = basis
         vstar, gstar = np.zeros_like(vtr), np.zeros_like(gtr)
+
+        def lift(k):
+            """The rows of lifts[k]."""
+            return slice(nb + k * n_in, nb + (k + 1) * n_in)
 
         def flux(kind, t1, t2=None):
             state = fluxes.compute_flux(kind, t1, t2, self.params, self.w, self.c)
             return state.v_star, state.grad_u_star
 
-        zero_v, zero_g = np.zeros_like(vtr[0, 0]), np.zeros_like(gtr[0, 0])
         kinds = classify_mesh(self.mesh, self.w, self.c)
         for axis, (interior, low_kind, high_kind) in enumerate(kinds):
             lo, hi = 2 * axis, 2 * axis + 1
             normal = np.zeros(dim)
             normal[axis] = 1.0
-            # one batch: the basis as the face's low element (trace 1),
+            # one batch: every trace as the face's low element (trace 1),
             # then as its high element (trace 2)
-            t1 = Trace(v=np.concatenate([vtr[hi, 0], zero_v]),
-                       grad_u=np.concatenate([gtr[hi, 0], zero_g]), n=normal)
-            t2 = Trace(v=np.concatenate([zero_v, vtr[lo, 0]]),
-                       grad_u=np.concatenate([zero_g, gtr[lo, 0]]), n=-normal)
+            zero_v, zero_g = np.zeros_like(v_in[lo]), np.zeros_like(g_in[lo])
+            t1 = Trace(v=np.concatenate([v_in[hi], zero_v]),
+                       grad_u=np.concatenate([g_in[hi], zero_g]), n=normal)
+            t2 = Trace(v=np.concatenate([zero_v, v_in[lo]]),
+                       grad_u=np.concatenate([zero_g, g_in[lo]]), n=-normal)
             vs, gs = flux(interior, t1, t2)
-            from_low, from_high = (vs[:nb], gs[:nb]), (vs[nb:], gs[nb:])
-            vstar[hi, 0], gstar[hi, 0] = from_low
-            vstar[lo, 0], gstar[lo, 0] = from_high
-            vstar[hi, 1 + hi], gstar[hi, 1 + hi] = from_high
-            vstar[lo, 1 + lo], gstar[lo, 1 + lo] = from_low
+            k = len(v_in[hi])
+            vstar[hi, :nb], gstar[hi, :nb] = vs[:nb], gs[:nb]
+            vstar[lo, :nb], gstar[lo, :nb] = vs[k:k + nb], gs[k:k + nb]
+            from_low = vs[start:k], gs[start:k]
+            from_high = vs[k + start:], gs[k + start:]
+            vstar[hi, lift(hi)], gstar[hi, lift(hi)] = from_high
+            vstar[lo, lift(lo)], gstar[lo, lift(lo)] = from_low
             if periodic:
                 continue
             for side, sign, kind, own in ((lo, -1.0, low_kind, from_high),
                                           (hi, 1.0, high_kind, from_low)):
-                bv, bg = flux(kind, Trace(v=vtr[side, 0], grad_u=gtr[side, 0],
+                bv, bg = flux(kind, Trace(v=unit[0][side], grad_u=unit[1][side],
                                           n=sign * normal))
-                block = 1 + sides + side
-                vstar[side, block] = bv - own[0]
-                gstar[side, block] = bg - own[1]
+                vstar[side, lift(sides + side)] = bv - own[0]
+                gstar[side, lift(sides + side)] = bg - own[1]
 
-        rows = n_blocks * nb
-        x = np.zeros((n_blocks, nb, nb))
-        x[0] = eye
-        x = x.reshape(rows, nb)
+        x = np.zeros((rows, nb))
+        x[:nb] = eye
         rhs_u, rhs_v, p = self._volume_terms(x[:, :nu], x[:, nu:])
-        self._lift_faces(rhs_u, rhs_v,
-                         vstar.reshape(sides, rows, nfq),
-                         gstar.reshape(sides, rows, nfq, dim),
-                         vtr.reshape(sides, rows, nfq),
-                         gtr.reshape(sides, rows, nfq, dim))
+        self._lift_faces(rhs_u, rhs_v, vstar, gstar, vtr, gtr)
         du, dv = self._element_solve(rhs_u, rhs_v, p)
-        return np.concatenate([du, dv], axis=1).reshape(n_blocks, nb, nb)
+        pieces = np.concatenate([du, dv], axis=1)
+        return pieces[:nb], pieces[nb:].reshape(n_lifts, n_in, nb)
 
-    def _build_views(self) -> None:
-        """Views of the rhs work arrays for the shifted adds and the
-        boundary strips (with their correction blocks), on the element grid
-        of the block products (axes: block, grid..., coefficient)."""
-        dim, n = self.mesh.dim, self.mesh.n
-        grid = self._y.reshape((1 + 2 * dim,) + (n,) * dim + (self._y.shape[-1],))
-        x_grid = self._x.reshape(grid.shape[1:])
+    def _build_blocks(self, self_block, lifts) -> None:
+        """Work arrays and views of the full-block stencil: the products of
+        [u v] with the self block and each neighbour block land in one
+        array (axes: block, grid..., coefficient), then the neighbour
+        products are added onto the self product, shifted on the grid, and
+        the boundary strips get their correction blocks."""
+        dim, n, nb = self.mesh.dim, self.mesh.n, self_block.shape[0]
+        sides = 2 * dim
+        self._stencil = np.concatenate([self_block[None], lifts[:sides]])
+        self._y = np.empty((1 + sides, self.mesh.n_elements, nb))
         self._y0 = self._y[0]
+        grid = self._y.reshape((1 + sides,) + (n,) * dim + (nb,))
+        x_grid = self._x.reshape(grid.shape[1:])
+        shifts, strips = _grid_couplings(dim, self.mesh.periodic)
+        self._shifts = [(grid[(0,) + dst], grid[(1 + side,) + src])
+                        for side, dst, src in shifts]
+        self._strips = [(grid[(0,) + layer], x_grid[layer], lifts[sides + side])
+                        for side, layer in strips]
 
-        def at(axis, index):
-            grid = [slice(None)] * dim
-            grid[axis] = index
-            return tuple(grid)
+    def _build_traces(self, self_block, maps, lifts) -> None:
+        """Work arrays and views of the trace-factored stencil: the product
+        of [u v] with [self block | trace map of every side] (w), and the
+        traces each element's lifts read (g, one r-wide slot per lift),
+        copied from w: a neighbour's traces on the shared face, zero where
+        a side has no neighbour, and on a physical mesh the element's own
+        traces on each boundary side, zero on its other sides."""
+        dim, n, nb = self.mesh.dim, self.mesh.n, self_block.shape[0]
+        sides, n_el = 2 * dim, self.mesh.n_elements
+        n_lifts, r = lifts.shape[:2]
+        self._factors = np.concatenate([self_block] + list(maps), axis=1)
+        self._lifts = lifts.reshape(n_lifts * r, nb)
+        self._w = np.empty((n_el, nb + sides * r))
+        self._w_self = self._w[:, :nb]
+        self._g = np.zeros((n_el, n_lifts * r))
+        self._z = np.empty((n_el, nb))
+        self._trace_products = _row_blocks(self._x, self._factors, self._w)
+        self._lift_products = _row_blocks(self._g, self._lifts, self._z)
+        w_grid = self._w.reshape((n,) * dim + (nb + sides * r,))
+        g_grid = self._g.reshape((n,) * dim + (n_lifts, r))
 
-        # the neighbour across side s sits one step up (hi) or down (lo)
-        # along the side's axis: y_0[i] += y_s[i + step]
-        self._shifts, self._strips = [], []
-        inner, outer = slice(0, -1), slice(1, None)
-        for side in range(2 * dim):
-            axis, hi = divmod(side, 2)
-            pairs = [(inner, outer) if hi else (outer, inner)]
-            if self.mesh.periodic:
-                pairs.append((-1, 0) if hi else (0, -1))
-            else:
-                strip = at(axis, -1 if hi else 0)
-                self._strips.append((grid[(0,) + strip], x_grid[strip],
-                                     self._corrections[side]))
-            for dst, src in pairs:
-                self._shifts.append((grid[(0,) + at(axis, dst)],
-                                     grid[(1 + side,) + at(axis, src)]))
+        def traces(side):
+            return (slice(nb + side * r, nb + (side + 1) * r),)
+
+        shifts, strips = _grid_couplings(dim, self.mesh.periodic)
+        # the neighbour across side s meets it with its side s ^ 1
+        self._gathers = [(g_grid[dst + (side,)], w_grid[src + traces(side ^ 1)])
+                         for side, dst, src in shifts]
+        self._gathers += [(g_grid[layer + (sides + side,)], w_grid[layer + traces(side)])
+                          for side, layer in strips]
 
     # --- operator application ----------------------------------------------
 
@@ -450,21 +582,40 @@ class Discretization:
         if u is not x_u or v is not x_v:
             x_u[...] = u
             x_v[...] = v
-        np.matmul(self._x, self._stencil, out=self._y)
-        for dst, src in self._shifts:
-            dst += src
-        for dst, x_strip, block in self._strips:
-            dst += x_strip @ block
         if out is None:
             out = np.empty_like(self._x)
-        if self._forcing_proj is None:
-            np.copyto(out, self._y0)
-        else:
+        f = None
+        if self._forcing_proj is not None:
             # the forcing's u columns are zero
             if t != self._f_t:
                 np.dot(self._forcing_time(t), self._forcing_proj, out=self._f_flat)
                 self._f_t = t
-            np.add(self._y0, self._f, out=out)
+            f = self._f
+        if self._lifts is None:
+            # full blocks: every product, then the neighbours' onto the self one
+            np.matmul(self._x, self._stencil, out=self._y)
+            for dst, src in self._shifts:
+                dst += src
+            for dst, x_strip, block in self._strips:
+                dst += x_strip @ block
+            if f is None:
+                np.copyto(out, self._y0)
+            else:
+                np.add(self._y0, f, out=out)
+        else:
+            # face traces: [self product | traces], the traces each element
+            # reads gathered into their slots, then their lifts
+            for x_rows, w_rows in self._trace_products:
+                np.matmul(x_rows, self._factors, out=w_rows)
+            for dst, src in self._gathers:
+                np.copyto(dst, src)
+            # into a work array: a strided out would take matmul off BLAS
+            # and change its rounding
+            for g_rows, z_rows in self._lift_products:
+                np.matmul(g_rows, self._lifts, out=z_rows)
+            np.add(self._z, self._w_self, out=out)
+            if f is not None:
+                out += f
         nu = self._nu
         return out[:, :nu], out[:, nu:]
 
@@ -478,12 +629,20 @@ class Discretization:
         self._lift_faces(rhs_u, rhs_v, *self.face_flux_states(u, v))
         return self._element_solve(rhs_u, rhs_v, p)
 
-    def boundary_energy_rate(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Sum of the closed-form face energy rates over all faces."""
-        vtr, gtr = self.side_traces(u, v)
+    def boundary_energy_rate(self, u: np.ndarray, v: np.ndarray):
+        """Sum of the closed-form face energy rates over all faces.
+
+        u and v may stack states on leading axes, (..., n_elements, Nu) and
+        (..., n_elements, Nv): the rates of all of them come from one pass,
+        as an array of the leading shape.
+        """
+        lead, n_el = u.shape[:-2], u.shape[-2]
+        vtr, gtr = self.side_traces(u.reshape(-1, u.shape[-1]), v.reshape(-1, v.shape[-1]))
+        vtr = vtr.reshape(vtr.shape[:1] + lead + (n_el,) + vtr.shape[2:])
+        gtr = gtr.reshape(gtr.shape[:1] + lead + (n_el,) + gtr.shape[2:])
         wf = self.ref.face_weights
         total = 0.0
         for kind, _, t1, t2 in self._face_traces(vtr, gtr):
             density = fluxes.energy_rate_density(kind, t1, t2, self.params, self.w, self.c)
-            total += self.jac_face * float(np.sum(density @ wf))
+            total += self.jac_face * np.sum(density @ wf, axis=-1)
         return total

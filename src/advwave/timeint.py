@@ -89,7 +89,8 @@ def evolve(state0: ModalState, disc: Discretization, T: float, dt: float,
            observers=()) -> ModalState:
     """Integrate to exactly t = T in steps of dt, which must divide T (see
     compute_dt); observers are called as obs(step, state), including once
-    with step 0 for the initial state.
+    with step 0 for the initial state, and after the last step with
+    state.t equal to T.
 
     The state is stepped in place in the buffers of one RK4Buffers, so the
     state an observer receives is valid only during the call: an observer
@@ -105,13 +106,14 @@ def evolve(state0: ModalState, disc: Discretization, T: float, dt: float,
     n_steps = round(T / dt)
     rhs = disc.rhs
     for step in range(1, n_steps + 1):
-        state.t = rk4_step(buf, state.t, dt, rhs)
+        t = rk4_step(buf, state.t, dt, rhs)
+        # the last step lands exactly on T, before its observers see it (dt
+        # divides T, so the accumulated time differs only by roundoff)
+        state.t = T if step == n_steps else t
         # one check on the stacked array covers u and v; the ufunc reduce
         # is ndarray.all without its Python-level wrapper
         if not np.logical_and.reduce(np.isfinite(buf.x, out=buf.finite), axis=None):
             raise InstabilityError(step)
         for obs in observers:
             obs(step, state)
-    # land exactly on T (dt divides it, so the product is exact up to roundoff)
-    state.t = T
     return state

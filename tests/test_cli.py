@@ -185,6 +185,48 @@ def test_run_t_zero_projection_error(tmp_path):
     assert 0 < summary["err_v"] < 1e-2
 
 
+def test_run_summary_is_the_last_row(tmp_path):
+    # the steps of this run accumulate to just under 0.3; the last row is
+    # recorded at t = T, and the summary reports that row
+    path = write_config(tmp_path, n=20, q=3, T=0.3)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--output", str(out)]) == 0
+    last = dict(zip(["step", "t", "energy", "err_u", "err_v"],
+                    map(float, (out / "run.csv").read_text().splitlines()[-1].split(","))))
+    summary = json.loads((out / "summary.json").read_text())
+    assert last["t"] == 0.3 and last["step"] == summary["n_steps"]
+    assert sum([summary["dt"]] * summary["n_steps"]) != 0.3
+    assert (last["err_u"], last["err_v"], last["energy"]) == (
+        summary["err_u"], summary["err_v"], summary["energy_final"])
+
+
+@pytest.mark.parametrize("overrides,field", [
+    ({"n": 10 ** 9}, "n"),
+    ({"n_list": [4, 10 ** 6]}, "n_list"),
+    ({"q": 1000}, "q, s"),
+    ({"problem": "periodic2d", "w": [0.5, 0.5], "n": 300}, "n"),
+    ({"problem": "mixed2d", "w": [0.5, 0.5], "q": 30, "n": 2}, "q, s"),
+])
+def test_memory_guard(overrides, field):
+    # validate_config rejects the sizes before anything is allocated
+    cfg = dataclasses.replace(RunConfig(T=0.0), **overrides)
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)}:"):
+        validate_config(cfg)
+
+
+def test_memory_guard_admits_the_acceptance_solves():
+    # periodic2d q=3 n=40 has 51,200 unknowns
+    validate_config(RunConfig(problem="periodic2d", w=[0.5, 0.5], n=40,
+                              n_list=[5, 40]))
+
+
+def test_converge_checks_its_default_grids(tmp_path, capsys):
+    # q = 25 passes the block bound, but the default n = 40 grid does not
+    path = write_config(tmp_path, problem="periodic2d", w=[0.5, 0.5], q=25, T=0.0)
+    assert main(["converge", "--config", path, "--output", str(tmp_path)]) == 2
+    assert "n_list: a solve with n = 40" in capsys.readouterr().err
+
+
 def test_run_determinism(tmp_path):
     path = write_config(tmp_path, n=10, T=0.05)
     out1, out2 = tmp_path / "a", tmp_path / "b"

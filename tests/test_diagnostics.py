@@ -94,6 +94,24 @@ def test_energy_identity(dim, n, w, mode, params):
         assert rhs == 0.0
 
 
+@pytest.mark.parametrize("q,mode,params", [(3, "periodic", FluxParams.central()),
+                                            (2, "physical", FluxParams.sommerfeld())])
+def test_energy_identity_on_fine_2d_grids(q, mode, params):
+    # n = 28: the face traces carry the neighbour coupling, and the
+    # residual stays far below the CLI's default tolerance of 1e-9
+    disc = make_disc(dim=2, n=28, q=q, w=[0.5, 0.5], mode=mode, params=params)
+    states = [random_state(disc, seed) for seed in range(4)]
+    stacked = ModalState(np.stack([st.u for st in states]), np.stack([st.v for st in states]))
+    lhs, rhs, res = energy_identity_residual(stacked, disc)
+    assert lhs.shape == rhs.shape == res.shape == (4,)
+    assert np.max(res) <= 1e-9
+    # one state at a time: the same operator side, the face side to roundoff
+    for i, st in enumerate(states):
+        one = energy_identity_residual(st, disc)
+        assert one[0] == lhs[i]
+        assert abs(one[1] - rhs[i]) <= 1e-13 * max(1.0, abs(rhs[i]))
+
+
 def test_energy_identity_rejects_forcing():
     ref = build_reference(2, 2, dim=1)
     mesh = build_mesh(1, 4, "periodic")

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from advwave.basis import build_reference
 from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
-from advwave.operators import (Discretization, ModalState, Separable,
+from advwave import operators
+from advwave.operators import (Discretization, ModalState, Separable, _face_trace_maps,
                                build_element_solvers)
 
 
@@ -173,6 +174,36 @@ def test_assembled_rhs_matches_matrix_free(dim, mode, flux, regime):
             scale = max(np.abs(ru).max(), np.abs(rv).max())
             assert np.abs(du - ru).max() <= 1e-13 * scale
             assert np.abs(dv - rv).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("q,s", [(1, 1), (2, 2), (3, 1), (4, 3)])
+def test_face_trace_maps_reproduce_side_traces(q, s):
+    # a 2D element's traces through the Legendre coefficients along each face
+    disc = make_disc(dim=2, n=3, q=q, s=s, w=[0.5, -0.3])
+    maps, unit_v, unit_g = _face_trace_maps(q, s)
+    assert maps.shape[2] == (s + 1) + (q + 1) + q
+    state = random_state(disc, 4)
+    vtr, gtr = disc.side_traces(state.u, state.v)
+    x = np.concatenate([state.u, state.v], axis=1)
+    for side in range(4):
+        coeffs = x @ maps[side]
+        assert np.allclose(coeffs @ unit_v[side], vtr[side], rtol=0, atol=1e-12)
+        grads = disc.dscale * np.einsum("er,rfd->efd", coeffs, unit_g[side])
+        assert np.allclose(grads, gtr[side], rtol=0, atol=1e-12 * disc.dscale)
+
+
+@pytest.mark.parametrize("mode", ["periodic", "physical"])
+def test_rhs_in_row_blocks_matches_matrix_free(monkeypatch, mode):
+    # products above SMALL_PRODUCT multiply-adds run in row blocks
+    monkeypatch.setattr(operators, "SMALL_PRODUCT", 2000)
+    disc = make_disc(dim=2, n=5, q=2, w=[0.5, -0.3], mode=mode)
+    assert len(disc._trace_products) > 1 and len(disc._lift_products) > 1
+    state = random_state(disc, 7)
+    du, dv = disc.rhs(state.u, state.v, 0.0)
+    ru, rv = disc.matrix_free_rhs(state.u, state.v, 0.0)
+    scale = max(np.abs(ru).max(), np.abs(rv).max())
+    assert np.abs(du - ru).max() <= 1e-13 * scale
+    assert np.abs(dv - rv).max() <= 1e-13 * scale
 
 
 def test_matrix_free_rhs_is_homogeneous_only():

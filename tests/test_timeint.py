@@ -141,6 +141,22 @@ def test_evolve_observers_and_exact_landing():
     assert out.u[0, 0] == pytest.approx(0.7, rel=1e-12)  # du/dt = v = 1
 
 
+def test_last_observer_sees_final_time():
+    # ten steps of 0.1 accumulate to 1 - 1 ulp; the observers of the
+    # earlier steps see the accumulated times, the last one T itself
+    times = []
+    disc = _FakeDisc(lambda u, v, t: (v, np.zeros_like(v)))
+    s0 = ModalState(np.zeros((1, 1)), np.ones((1, 1)), 0.0)
+    dt = compute_dt(1.0, 0.1)
+    accumulated = [0.0]
+    for _ in range(10):
+        accumulated.append(accumulated[-1] + dt)
+    assert accumulated[-1] != 1.0
+    out = evolve(s0, disc, 1.0, dt, observers=[lambda k, s: times.append(s.t)])
+    assert times == accumulated[:-1] + [1.0]
+    assert out.t == 1.0
+
+
 def test_instability_detection():
     def blowup(u, v, t):
         return u * np.inf, v
