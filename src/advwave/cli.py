@@ -25,7 +25,7 @@ from .diagnostics import (FIT_WINDOW, discrete_energy, energy_identity_residual,
                           fit_rate, l2_error, spectral_radius_probe)
 from .fluxes import FluxParams
 from .mesh import build_mesh
-from .operators import Discretization, ModalState
+from .operators import Discretization, ModalState, build_element_solvers
 from .problems import ProblemSpec, mixed_2d, periodic_1d, periodic_2d, project_initial
 from .timeint import InstabilityError, compute_dt, evolve
 
@@ -176,9 +176,9 @@ def validate_config(cfg: RunConfig) -> None:
     if _block_size(cfg) ** 2 > MAX_UNKNOWNS:
         raise ConfigError(f"q, s: an element block of (Nu+Nv)^2 = {_block_size(cfg) ** 2} "
                           f"entries is more than {MAX_UNKNOWNS}")
-    _check_unknowns(cfg, cfg.n, "n")
+    _check_grid(cfg, cfg.n, "n")
     for n in cfg.n_list or ():
-        _check_unknowns(cfg, n, "n_list")
+        _check_grid(cfg, n, "n_list")
     flux_params(cfg)
 
 
@@ -188,13 +188,32 @@ def _block_size(cfg: RunConfig) -> int:
     return (cfg.q + 1) ** cfg.dim + (s + 1) ** cfg.dim
 
 
-def _check_unknowns(cfg: RunConfig, n: int, field: str) -> None:
-    """Raise ConfigError naming field when a solve on n elements per
-    direction has more than MAX_UNKNOWNS unknowns."""
+def _check_grid(cfg: RunConfig, n: int, field: str) -> None:
+    """Raise ConfigError for a solve on n elements per direction: naming
+    field when it has more than MAX_UNKNOWNS unknowns, naming c when the
+    wave speed makes its element system infinite or singular."""
     unknowns = n ** cfg.dim * _block_size(cfg)
     if unknowns > MAX_UNKNOWNS:
         raise ConfigError(f"{field}: a solve with n = {n} has n^dim (Nu+Nv) = {unknowns} "
                           f"unknowns, more than {MAX_UNKNOWNS}")
+    s = cfg.s if cfg.s is not None else cfg.q
+    try:
+        # the mesh's element size is 1/n
+        build_element_solvers(build_reference(cfg.q, s, dim=cfg.dim), 1.0 / n, cfg.c)
+    except ValueError as e:
+        raise ConfigError(f"c: {e} (n = {n})")
+
+
+def _sweep_grids(cfg: RunConfig, count: int | None = None) -> list:
+    """The grids of a sweep: cfg.n_list, or the first count (all, for None)
+    default grids of cfg's dimension.  validate_config checked the grids a
+    config names; the default ones are checked here."""
+    if cfg.n_list is not None:
+        return cfg.n_list
+    grids = DEFAULT_GRIDS[cfg.dim][:count]
+    for n in grids:
+        _check_grid(cfg, n, "n_list")
+    return grids
 
 
 def flux_params(cfg: RunConfig) -> FluxParams:
@@ -278,7 +297,12 @@ def build_discretization(cfg: RunConfig, n: int | None = None,
     mesh = build_mesh(cfg.dim, n if n is not None else cfg.n, spec.boundary_mode)
     params = flux_params(cfg)
     forcing = spec.forcing if with_forcing else None
-    disc = Discretization(mesh, ref, params, spec.w, spec.c, forcing=forcing)
+    try:
+        disc = Discretization(mesh, ref, params, spec.w, spec.c, forcing=forcing)
+    except ValueError as e:
+        # validate_config checked each field; a large c, w or flux
+        # coefficient can still overflow the operator's assembly
+        raise ConfigError(f"c, w, flux: the operator on n = {mesh.n} is not finite ({e})")
     return disc, spec
 
 
@@ -348,11 +372,7 @@ def _converge_one(cfg_dict: dict, n: int):
 def run_convergence(cfg: RunConfig, workers: int = 1):
     """Errors and fitted rates over cfg's grid sequence; returns
     (rows, rate_u, rate_v, window) with rows ordered coarse to fine."""
-    grids = cfg.n_list if cfg.n_list is not None else DEFAULT_GRIDS[cfg.dim]
-    # validate_config checked the grids a config names; the default ones
-    # can exceed the bound at degrees whose blocks are within it
-    for n in grids:
-        _check_unknowns(cfg, n, "n_list")
+    grids = _sweep_grids(cfg)
     cfg_dict = asdict(cfg)
     # the pool starts all its processes at once: no more than there are grids
     workers = min(workers, len(grids))
@@ -439,7 +459,7 @@ def cmd_energy(cfg: RunConfig, outdir, seed: int) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, outdir, seed: int) -> int:
-    grids = cfg.n_list if cfg.n_list is not None else DEFAULT_GRIDS[cfg.dim][:4]
+    grids = _sweep_grids(cfg, 4)
     rows = []
     for n in grids:
         disc, _ = build_discretization(cfg, n=n, with_forcing=False)

@@ -166,17 +166,20 @@ def spectral_radius_probe(disc: Discretization, seed: int = 0):
     converged is True when ARPACK's residual test accepted the dominant
     Ritz value; the test bounds the residual, not the eigenvalue error,
     which on this non-normal operator can be larger.  If ARPACK does not
-    converge, an operator with at most _DENSE_LIMIT unknowns is assembled
-    and its dense eigenvalues give the radius (converged True); a larger
-    one returns the largest accepted Ritz value (NaN if there is none)
-    with converged = False.
+    converge or fails, an operator with at most _DENSE_LIMIT unknowns is
+    assembled and its dense eigenvalues give the radius (converged True); a
+    larger one returns the largest accepted Ritz value with converged =
+    False.  The probe never raises on a homogeneous operator: where no
+    finite radius exists (no Ritz value, or products that overflow) it
+    returns (NaN, False).
     """
     if disc.forcing is not None:
         raise ValueError("spectral probe requires the homogeneous operator")
     if disc.mesh.periodic:
         return _symbol_radius(disc), True
     # imported here: scipy.sparse.linalg adds ~3.6 MB RSS that only this probe needs
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+    from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperator,
+                                      eigs)
 
     n_el, nu = disc.mesh.n_elements, disc.ref.n_u
     buf = np.empty((n_el, nu + disc.ref.n_v))
@@ -194,17 +197,24 @@ def spectral_radius_probe(disc: Discretization, seed: int = 0):
         # are badly conditioned and ARPACK stalls at any budget
         ritz = eigs(op, k=1, which="LM", v0=v0, ncv=min(buf.size, 40), tol=1e-10,
                     maxiter=50, return_eigenvectors=False)
+        converged = True
     except ArpackNoConvergence as err:
-        if buf.size <= _DENSE_LIMIT:
-            # the operator's transpose: row j is its product with unit vector j
-            dense_t = np.empty((buf.size, buf.size))
-            unit = np.zeros(buf.size)
-            for j in range(buf.size):
-                unit[j] = 1.0
-                dense_t[j] = matvec(unit)
-                unit[j] = 0.0
-            return float(np.max(np.abs(np.linalg.eigvals(dense_t)))), True
-        if len(err.eigenvalues) == 0:
-            return float("nan"), False
-        return float(np.max(np.abs(err.eigenvalues))), False
-    return float(np.max(np.abs(ritz))), True
+        ritz, converged = err.eigenvalues, False
+    except ArpackError:
+        # e.g. error -9999, no Arnoldi factorization, on products that overflow
+        ritz, converged = np.zeros(0), False
+    if not converged and buf.size <= _DENSE_LIMIT:
+        # the operator's transpose: row j is its product with unit vector j
+        dense_t = np.empty((buf.size, buf.size))
+        unit = np.zeros(buf.size)
+        for j in range(buf.size):
+            unit[j] = 1.0
+            dense_t[j] = matvec(unit)
+            unit[j] = 0.0
+        # numpy's eigvals raises on a non-finite matrix
+        if np.all(np.isfinite(dense_t)):
+            ritz, converged = np.linalg.eigvals(dense_t), True
+    radius = float(np.max(np.abs(ritz))) if len(ritz) else float("nan")
+    if not np.isfinite(radius):
+        return float("nan"), False
+    return radius, converged

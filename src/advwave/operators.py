@@ -9,24 +9,32 @@ dense blocks for every element.
 
 ``Discretization.__init__`` builds these couplings once, with the u-system
 solve and the v mass inverse folded in (the LIFT = M^-1 E idiom of nodal DG
-methods): one self block, one coupling per neighbour side and, on physical
-meshes, one self-block correction per boundary side.  They come from the
-flux functions and the face-lifting code applied to face traces, so the
-flux code stays the single source of truth.  A neighbour acts on an element
-only through its traces on their shared face (v, and grad u), so in 2D,
-where a face trace has r = (s+1)+(q+1)+q Legendre coefficients along the
-face against the N = (q+1)^2+(s+1)^2 of an element (11 of 32 at q = s = 3),
-each coupling is kept as two factors: a trace map T (N x r) and the lift L
-(r x N) of unit traces, with B = T L by construction.  ``rhs`` then takes
-one product of the stacked [u v] coefficients with [self block | T of every
-side], copies each element's r-wide trace slots from its neighbours (and on
-physical meshes its own boundary traces), and takes one product of those
-slots with the stacked L, adding the self product and the separable forcing
-(a combination of projections made at build time) into an array the caller
-may pass.  A 1D face is a single point: its blocks are N x N (8 x 8 at
-q = 3), so the number of array calls, not flops, sets the cost of ``rhs``,
-and 1D keeps the full blocks: one batched product with all of them, 2*dim
-shifted adds and the boundary-strip corrections.
+methods), from one model: a neighbour acts on an element only through its
+traces on their shared face (v, and grad u), held as r coefficients along
+the face.  A 2D face trace has r = (s+1)+(q+1)+q Legendre coefficients
+against the N = (q+1)^2+(s+1)^2 of an element (11 of 32 at q = s = 3); a 1D
+face is a point, where r = 2 values hold v and du/dx.  A trace map T_s
+(N x r) takes an element's coefficients to its traces on side s, and the
+flux functions and the face-lifting code give, once, the lift (r x N) of
+the r unit traces in each of three roles: the element's own traces on side
+s against a zero neighbour (L_s^own), its neighbour's traces across side s
+against zero own traces (L_s), and on physical meshes the change a boundary
+closure on side s makes to the own-trace lift (L_{2dim+s}).  The flux code
+stays the single source of truth.  The self block is the volume block plus
+the sum over sides of T_s L_s^own; the neighbour across side s couples
+through T_{s^1} L_s and a boundary side through T_s L_{2dim+s}.
+
+2D keeps the couplings factored: ``rhs`` takes one product of the stacked
+[u v] coefficients with [self block | T of every side], copies each
+element's r-wide trace slots from its neighbours (and on physical meshes
+its own boundary traces), and takes one product of those slots with the
+stacked L, adding the self product and the separable forcing (a
+combination of projections made at build time) into an array the caller
+may pass.  1D multiplies them out into N x N blocks (8 x 8 at q = 3): with
+r = 2 against N = 8 there are few flops to save, the number of array calls
+sets the cost of ``rhs``, and the factored form took 33-45 % longer per
+call.  Its ``rhs`` is one batched product with the self and neighbour
+blocks, 2*dim shifted adds and the boundary-strip corrections.
 
 ``matrix_free_rhs`` keeps the face-by-face evaluation of the homogeneous
 operator: flux states of every face from the current traces
@@ -136,7 +144,13 @@ def build_element_solvers(ref: ReferenceElement, h: float, c: float) -> ElementS
     dim = ref.dim
     jac = (h / 2.0) ** dim
     dscale = 2.0 / h
-    stiffness = c * c * jac * dscale * dscale * ref.stiff_u
+    scale = c * c * jac * dscale * dscale
+    # c^2 can overflow to an infinite system, or underflow to a singular one
+    # (or, subnormal, to one with a few significant bits)
+    if not np.finfo(float).tiny <= scale < np.inf:
+        raise ValueError(f"wave speed c = {c!r} makes the element system infinite or "
+                         f"singular: its scale c^2 (h/2)^dim (2/h)^2 is {scale!r}")
+    stiffness = scale * ref.stiff_u
     u_system = stiffness.copy()
     u_system[0, :] = jac * ref.mean_row
     v_mass_diag = jac * np.diag(ref.mass_v)
@@ -221,39 +235,43 @@ def _row_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray):
 
 
 @functools.cache
-def _face_trace_maps(q: int, s: int):
-    """The face traces of a 2D element of degrees (q, s) as Legendre
+def _face_trace_maps(q: int, s: int, dim: int):
+    """The face traces of an element of degrees (q, s) as Legendre
     coefficients along each face.
 
-    Along a face the traces are polynomials of the tangential coordinate:
+    Along a 2D face the traces are polynomials of the tangential coordinate:
     v of degree s, the normal derivative of u of degree q and its
     tangential derivative of degree q-1, so r = (s+1)+(q+1)+q coefficients
-    hold them all.  Returns (maps, unit_v, unit_g): maps[side], of shape
-    (N, r), takes an element's stacked [u v] coefficients to those of its
-    traces on side (a Gauss projection along the face, exact at these
-    degrees; gradients in reference coordinates), and unit_v (4, r, nfq)
-    and unit_g (4, r, nfq, 2) are the face-point traces of the r unit
+    hold them all.  A 1D face is a point, where r = 2 values hold v and
+    du/dx.  Returns (maps, unit_v, unit_g): maps[side], of shape (N, r),
+    takes an element's stacked [u v] coefficients to those of its traces on
+    side (a Gauss projection along the face, exact at these degrees;
+    gradients in reference coordinates), and unit_v (2*dim, r, nfq) and
+    unit_g (2*dim, r, nfq, dim) are the face-point traces of the r unit
     coefficients, so that x @ maps[side] @ unit_v[side] is v's trace.
-    Built once per process for each pair of degrees; read-only.
+    Built once per process for each pair of degrees and dimension;
+    read-only.
     """
-    ref = build_reference(q, s, dim=2)
+    ref = build_reference(q, s, dim=dim)
     nu, nb = ref.n_u, ref.n_u + ref.n_v
-    nodes, weights = gauss_points(ref.n_quad)
+    nodes, weights = gauss_points(len(ref.face_weights))
     vals = legendre_tables(q, nodes)[0]                 # (nfq, q+1)
     # point values to coefficients: (2m + 1)/2 times the integral against P_m
     proj = (np.arange(q + 1)[:, None] + 0.5) * (vals * weights[:, None]).T
-    r = (s + 1) + (q + 1) + q
-    maps = np.zeros((4, nb, r))
-    unit_v = np.zeros((4, r, len(nodes)))
-    unit_g = np.zeros((4, r, len(nodes), 2))
-    for side in range(4):
+    r = (s + 1) + (q + 1) + q if dim == 2 else 2
+    maps = np.zeros((2 * dim, nb, r))
+    unit_v = np.zeros((2 * dim, r, len(nodes)))
+    unit_g = np.zeros((2 * dim, r, len(nodes), dim))
+    for side in range(2 * dim):
         axis = side // 2
         # (columns of [u v], point-trace table, degree along the face, unit traces)
         parts = [(slice(nu, nb), ref.face_vals_v[side], s, unit_v[side])]
         parts += [(slice(0, nu), ref.face_grads_u[side, d], q if d == axis else q - 1,
-                   unit_g[side, ..., d]) for d in range(2)]
+                   unit_g[side, ..., d]) for d in range(dim)]
         col = 0
         for rows, table, degree, unit in parts:
+            if dim == 1:
+                degree = 0    # a constant on a point face
             coeffs = slice(col, col + degree + 1)
             maps[side, rows, coeffs] = (proj[:degree + 1] @ table).T
             unit[coeffs] = vals[:, :degree + 1].T
@@ -271,7 +289,7 @@ class Discretization:
 
     def __init__(self, mesh: MeshTopology, ref: ReferenceElement,
                  params: FluxParams, w, c: float, forcing=None):
-        # before the element solvers, whose factorization is singular at c = 0
+        # before the element solvers, which see only c^2
         if not c > 0:
             raise ValueError("wave speed c must be positive")
         if ref.dim != mesh.dim:
@@ -320,14 +338,14 @@ class Discretization:
         self._nu = nu
         self._x = np.empty((mesh.n_elements, nb))
         self.input_uv = self._x[:, :nu], self._x[:, nu:]
-        # 1D applies full blocks, 2D couples through face traces (see the
-        # module docstring)
+        # 1D multiplies the couplings out into full blocks, 2D keeps them
+        # factored (see the module docstring)
+        maps, unit_v, unit_g = _face_trace_maps(ref.q, ref.s, dim)
+        self_block, lifts = self._assemble(maps, unit_v, self.dscale * unit_g)
         if dim == 1:
             self._lifts = None
-            self._build_blocks(*self._assemble())
+            self._build_blocks(self_block, maps, lifts)
         else:
-            maps, unit_v, unit_g = _face_trace_maps(ref.q, ref.s)
-            self_block, lifts = self._assemble((unit_v, self.dscale * unit_g))
             self._build_traces(self_block, maps, lifts)
         # _f_t is the time _f was built at (None: not built yet)
         self._forcing_time = self._forcing_proj = self._f_t = None
@@ -429,48 +447,35 @@ class Discretization:
 
     # --- assembly ------------------------------------------------------------
 
-    def _assemble(self, unit=None):
+    def _assemble(self, maps, unit_v, unit_g):
         """Dense element-level pieces of the operator, element solves included.
 
-        unit holds the (v, grad u) traces on every side of R inputs, shaped
-        like those of ``side_traces``; None takes the N = Nu+Nv basis
-        functions as the inputs.  Returns the self block (N, N), whose row j
-        is the derivative [du dv] that unit coefficient j of an element
-        produces on the element itself, and lifts (n_lifts, R, N): row j of
-        lifts[s] is the derivative an element takes from its neighbour
-        across side s when the neighbour's traces on their shared face (its
-        side s ^ 1) are input j; on a physical mesh, row j of
-        lifts[2*dim + s] is the change of the derivative of an element whose
-        side s is a boundary and whose own traces there are input j.
-
-        All rows are one batch of the face-lifting code: the self rows hold
-        the basis functions, whose own traces and flux states enter; a lift
-        row has no own traces and only the flux state its input produces on
-        its face.
+        maps, unit_v and unit_g are those of ``_face_trace_maps``, with the
+        gradients in physical coordinates.  Every piece is the lift of the r
+        unit traces of a side in one of three roles.  Returns the self block
+        (N, N), whose row j is the derivative [du dv] that unit coefficient
+        j of an element produces on the element itself, and lifts
+        (n_lifts, r, N): row j of lifts[s] is the derivative an element
+        takes from its neighbour across side s when the neighbour's traces
+        on their shared face (its side s ^ 1) are unit trace j; on a
+        physical mesh, row j of lifts[2*dim + s] is the change of the
+        derivative of an element whose side s is a boundary and whose own
+        traces there are unit trace j.  The self block is the volume block
+        plus, for each side s, maps[s] times the lift of the element's own
+        unit traces on s against a zero neighbour.
         """
         ref, dim, periodic = self.ref, self.mesh.dim, self.mesh.periodic
         nu, nb = ref.n_u, ref.n_u + ref.n_v
-        eye = np.eye(nb)
-        basis = self.side_traces(eye[:, :nu], eye[:, nu:])
-        # the flux batch: the basis functions, then the inputs from row
-        # start on, unless the inputs are the basis functions themselves
-        if unit is None:
-            unit, start, (v_in, g_in) = basis, 0, basis
-        else:
-            start = nb
-            v_in, g_in = (np.concatenate(pair, axis=1) for pair in zip(basis, unit))
-        sides, n_in = 2 * dim, unit[0].shape[1]
-        n_lifts = sides if periodic else 2 * sides
-        rows = nb + n_lifts * n_in
-
-        vtr = np.zeros((sides, rows) + basis[0].shape[2:])
-        gtr = np.zeros((sides, rows) + basis[1].shape[2:])
-        vtr[:, :nb], gtr[:, :nb] = basis
+        sides, r = unit_v.shape[:2]
+        # the roles in order: neighbour, boundary change (physical meshes),
+        # own trace, each on every side
+        n_lifts = (2 if periodic else 3) * sides
+        own = n_lifts - sides
+        vtr = np.zeros((sides, n_lifts) + unit_v.shape[1:])
+        gtr = np.zeros((sides, n_lifts) + unit_g.shape[1:])
         vstar, gstar = np.zeros_like(vtr), np.zeros_like(gtr)
-
-        def lift(k):
-            """The rows of lifts[k]."""
-            return slice(nb + k * n_in, nb + (k + 1) * n_in)
+        for side in range(sides):
+            vtr[side, own + side], gtr[side, own + side] = unit_v[side], unit_g[side]
 
         def flux(kind, t1, t2=None):
             state = fluxes.compute_flux(kind, t1, t2, self.params, self.w, self.c)
@@ -479,49 +484,54 @@ class Discretization:
         kinds = classify_mesh(self.mesh, self.w, self.c)
         for axis, (interior, low_kind, high_kind) in enumerate(kinds):
             lo, hi = 2 * axis, 2 * axis + 1
-            normal = np.zeros(dim)
-            normal[axis] = 1.0
-            # one batch: every trace as the face's low element (trace 1),
-            # then as its high element (trace 2)
-            zero_v, zero_g = np.zeros_like(v_in[lo]), np.zeros_like(g_in[lo])
-            t1 = Trace(v=np.concatenate([v_in[hi], zero_v]),
-                       grad_u=np.concatenate([g_in[hi], zero_g]), n=normal)
-            t2 = Trace(v=np.concatenate([zero_v, v_in[lo]]),
-                       grad_u=np.concatenate([zero_g, g_in[lo]]), n=-normal)
+            normal = np.eye(dim)[axis]
+            # one batch: the unit traces as the face's low element (trace
+            # 1), then as its high element (trace 2)
+            zero_v, zero_g = np.zeros_like(unit_v[lo]), np.zeros_like(unit_g[lo])
+            t1 = Trace(v=np.concatenate([unit_v[hi], zero_v]),
+                       grad_u=np.concatenate([unit_g[hi], zero_g]), n=normal)
+            t2 = Trace(v=np.concatenate([zero_v, unit_v[lo]]),
+                       grad_u=np.concatenate([zero_g, unit_g[lo]]), n=-normal)
             vs, gs = flux(interior, t1, t2)
-            k = len(v_in[hi])
-            vstar[hi, :nb], gstar[hi, :nb] = vs[:nb], gs[:nb]
-            vstar[lo, :nb], gstar[lo, :nb] = vs[k:k + nb], gs[k:k + nb]
-            from_low = vs[start:k], gs[start:k]
-            from_high = vs[k + start:], gs[k + start:]
-            vstar[hi, lift(hi)], gstar[hi, lift(hi)] = from_high
-            vstar[lo, lift(lo)], gstar[lo, lift(lo)] = from_low
-            if periodic:
-                continue
-            for side, sign, kind, own in ((lo, -1.0, low_kind, from_high),
-                                          (hi, 1.0, high_kind, from_low)):
-                bv, bg = flux(kind, Trace(v=unit[0][side], grad_u=unit[1][side],
-                                          n=sign * normal))
-                vstar[side, lift(sides + side)] = bv - own[0]
-                gstar[side, lift(sides + side)] = bg - own[1]
+            for side, sign, kind, v_own, g_own in ((lo, -1.0, low_kind, vs[r:], gs[r:]),
+                                                   (hi, 1.0, high_kind, vs[:r], gs[:r])):
+                # an element's own traces on side reach its neighbour
+                # across that neighbour's side ^ 1
+                vstar[side, own + side], gstar[side, own + side] = v_own, g_own
+                vstar[side ^ 1, side ^ 1], gstar[side ^ 1, side ^ 1] = v_own, g_own
+                if not periodic:
+                    bv, bg = flux(kind, Trace(v=unit_v[side], grad_u=unit_g[side],
+                                              n=sign * normal))
+                    vstar[side, sides + side] = bv - v_own
+                    gstar[side, sides + side] = bg - g_own
 
-        x = np.zeros((rows, nb))
-        x[:nb] = eye
+        # the N basis functions, with no face terms, give the volume block
+        rows = n_lifts * r
+        x = np.zeros((nb + rows, nb))
+        x[:nb] = np.eye(nb)
         rhs_u, rhs_v, p = self._volume_terms(x[:, :nu], x[:, nu:])
-        self._lift_faces(rhs_u, rhs_v, vstar, gstar, vtr, gtr)
+        self._lift_faces(rhs_u[nb:], rhs_v[nb:],
+                         *(a.reshape((sides, rows) + a.shape[3:])
+                           for a in (vstar, gstar, vtr, gtr)))
         du, dv = self._element_solve(rhs_u, rhs_v, p)
         pieces = np.concatenate([du, dv], axis=1)
-        return pieces[:nb], pieces[nb:].reshape(n_lifts, n_in, nb)
+        lifts = pieces[nb:].reshape(n_lifts, r, nb)
+        self_block = pieces[:nb] + sum(maps[side] @ lifts[own + side]
+                                       for side in range(sides))
+        return self_block, lifts[:own]
 
-    def _build_blocks(self, self_block, lifts) -> None:
-        """Work arrays and views of the full-block stencil: the products of
-        [u v] with the self block and each neighbour block land in one
-        array (axes: block, grid..., coefficient), then the neighbour
-        products are added onto the self product, shifted on the grid, and
-        the boundary strips get their correction blocks."""
+    def _build_blocks(self, self_block, maps, lifts) -> None:
+        """Work arrays and views of the full-block stencil, each coupling
+        multiplied out (neighbour block maps[s ^ 1] @ lifts[s], boundary
+        correction maps[s] @ lifts[2*dim + s]): the products of [u v] with
+        the self block and each neighbour block land in one array (axes:
+        block, grid..., coefficient), then the neighbour products are added
+        onto the self product, shifted on the grid, and the boundary strips
+        get their correction blocks."""
         dim, n, nb = self.mesh.dim, self.mesh.n, self_block.shape[0]
         sides = 2 * dim
-        self._stencil = np.concatenate([self_block[None], lifts[:sides]])
+        self._stencil = np.stack([self_block] + [maps[side ^ 1] @ lifts[side]
+                                                 for side in range(sides)])
         self._y = np.empty((1 + sides, self.mesh.n_elements, nb))
         self._y0 = self._y[0]
         grid = self._y.reshape((1 + sides,) + (n,) * dim + (nb,))
@@ -529,8 +539,8 @@ class Discretization:
         shifts, strips = _grid_couplings(dim, self.mesh.periodic)
         self._shifts = [(grid[(0,) + dst], grid[(1 + side,) + src])
                         for side, dst, src in shifts]
-        self._strips = [(grid[(0,) + layer], x_grid[layer], lifts[sides + side])
-                        for side, layer in strips]
+        self._strips = [(grid[(0,) + layer], x_grid[layer],
+                         maps[side] @ lifts[sides + side]) for side, layer in strips]
 
     def _build_traces(self, self_block, maps, lifts) -> None:
         """Work arrays and views of the trace-factored stencil: the product

@@ -74,10 +74,24 @@ def test_unknown_field_rejected(tmp_path):
     ({"problem": "periodic2d"}, "w"),
     ({"n_list": [10, 10]}, "n_list"),
     ({"dim": 1}, "dim"),
+    # c^2 overflows to an infinite element system or underflows to a singular one
+    ({"c": 1e200}, "c"),
+    ({"c": 1e-200}, "c"),
 ])
 def test_invalid_configs(tmp_path, overrides, field):
     with pytest.raises(ConfigError, match=field):
         load_config(write_config(tmp_path, **overrides))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("problem,w", [("periodic1d", 0.5), ("mixed2d", [0.5, 0.5])])
+def test_wave_speed_that_overflows_the_operator(tmp_path, problem, w):
+    # c = 1e152 leaves the element system finite but overflows the assembly
+    path = write_config(tmp_path, problem=problem, w=w, c=1e152, n=4, n_list=[4, 5])
+    load_config(path)
+    for command in ("run", "converge", "energy", "spectrum"):
+        assert main([command, "--config", path, "--output", str(tmp_path)]) == 2
 
 
 def test_readme_lists_every_config_field():
@@ -394,6 +408,16 @@ def test_spectrum_reports_no_convergence(tmp_path, monkeypatch, capsys):
     assert [row.split(",")[4] for row in rows] == ["False", "False"]
 
 
+def test_spectrum_of_an_overflowing_operator(tmp_path):
+    # w near overflow makes ARPACK fail (error -9999) on mixed2d; the probe
+    # falls back to the dense eigenvalues instead of raising
+    path = write_config(tmp_path, problem="mixed2d", w=[1e300, 0.5], n_list=[4, 5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["spectrum", "--config", path, "--output", str(tmp_path)]) == 0
+    assert len((tmp_path / "spectrum.csv").read_text().splitlines()) == 3
+
+
 # --- exit-code contract -----------------------------------------------------------
 
 # Per-field pools of valid and invalid values.  Grids, degrees and times are
@@ -415,7 +439,7 @@ OPTIONAL_POOLS = {
              {"preset": "central", "xi": 0.5}, {"preset": "custom", "sigmaa": 0.8},
              {"sigma": 1.5}, {"preset": "upwind", "xi": -1.0}, {"beta": "a"}],
     "w": [0.5, 2.0, -0.3, [0.5, 0.5], [0.3, -0.2], [2.0, 0.5], "a", [float("nan")]],
-    "c": [1.0, 0.5, 0.0, float("nan")],
+    "c": [1.0, 0.5, 0.0, float("nan"), 1e200, 1e-200],
     "cfl": [None, 0.05, 0.5, 1e-300, 5e-324, 0.0, -1.0],
     "dt": [None, 0.005, 1e-320, 0.0, True],
     "energy_tol": [1e-9, 1e-30, -1.0],

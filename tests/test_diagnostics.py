@@ -367,6 +367,30 @@ def test_spectral_probe_no_convergence(monkeypatch):
     assert np.isnan(radius) and not converged
 
 
+def test_spectral_probe_never_raises(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    def failed(*args, **kwargs):
+        raise sla.ArpackError(-9999)
+
+    monkeypatch.setattr(sla, "eigs", failed)
+    # any ARPACK error falls back to the dense eigenvalues
+    small = make_disc(dim=2, n=3, q=2, w=(0.5, 0.5), mode="physical")
+    exact = np.max(np.abs(np.linalg.eigvals(dense_operator(small))))
+    assert spectral_radius_probe(small) == (pytest.approx(exact, rel=1e-10), True)
+    # too large for them, with no Ritz value
+    large = make_disc(dim=2, n=11, q=2, w=(0.5, 0.5), mode="physical")
+    radius, converged = spectral_radius_probe(large)
+    assert np.isnan(radius) and not converged
+    # products that overflow have no finite radius, dense or from ARPACK
+    small.rhs = lambda u, v, t, out: out.fill(np.inf)
+    radius, converged = spectral_radius_probe(small)
+    assert np.isnan(radius) and not converged
+    monkeypatch.setattr(sla, "eigs", lambda *args, **kwargs: np.array([np.inf + 0j]))
+    radius, converged = spectral_radius_probe(large)
+    assert np.isnan(radius) and not converged
+
+
 def test_spectral_probe_supersonic_inflow():
     # supersonic in x with s = q - 1: the top eigenvalues are ill-conditioned
     # and ARPACK stalls; the dense fallback still returns a radius

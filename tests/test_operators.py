@@ -176,16 +176,20 @@ def test_assembled_rhs_matches_matrix_free(dim, mode, flux, regime):
             assert np.abs(dv - rv).max() <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("q,s", [(1, 1), (2, 2), (3, 1), (4, 3)])
-def test_face_trace_maps_reproduce_side_traces(q, s):
-    # a 2D element's traces through the Legendre coefficients along each face
-    disc = make_disc(dim=2, n=3, q=q, s=s, w=[0.5, -0.3])
-    maps, unit_v, unit_g = _face_trace_maps(q, s)
-    assert maps.shape[2] == (s + 1) + (q + 1) + q
+# ids: q-s in 2D, q-s-1d in 1D
+@pytest.mark.parametrize("dim,q,s", [
+    pytest.param(dim, q, s, id=f"{q}-{s}" + ("-1d" if dim == 1 else ""))
+    for dim in (2, 1) for q, s in ((1, 1), (2, 2), (3, 1), (4, 3))])
+def test_face_trace_maps_reproduce_side_traces(dim, q, s):
+    # an element's traces through the Legendre coefficients along each face;
+    # a 1D face is a point, where the traces are the values of v and du/dx
+    disc = make_disc(dim=dim, n=3, q=q, s=s, w=[0.5, -0.3][:dim])
+    maps, unit_v, unit_g = _face_trace_maps(q, s, dim)
+    assert maps.shape[2] == ((s + 1) + (q + 1) + q if dim == 2 else 2)
     state = random_state(disc, 4)
     vtr, gtr = disc.side_traces(state.u, state.v)
     x = np.concatenate([state.u, state.v], axis=1)
-    for side in range(4):
+    for side in range(2 * dim):
         coeffs = x @ maps[side]
         assert np.allclose(coeffs @ unit_v[side], vtr[side], rtol=0, atol=1e-12)
         grads = disc.dscale * np.einsum("er,rfd->efd", coeffs, unit_g[side])
