@@ -336,12 +336,7 @@ def cmd_run(cfg: RunConfig, outdir, seed: int) -> int:
         eu, ev = l2_error(st, spec, st.t, disc)
         rows.append((step, st.t, e, eu, ev))
 
-    try:
-        evolve(state, disc, T, dt, observers=[record])
-    except InstabilityError as e:
-        print(f"instability: {e}", file=sys.stderr)
-        return EXIT_INSTABILITY
-
+    evolve(state, disc, T, dt, observers=[record])
     write_csv(outdir / "run.csv", ["step", "t", "energy", "err_u", "err_v"], rows)
     # the last row is the final state, at t = T
     _, _, energy, eu, ev = rows[-1]
@@ -358,9 +353,8 @@ def cmd_run(cfg: RunConfig, outdir, seed: int) -> int:
     return EXIT_OK
 
 
-def _converge_one(cfg_dict: dict, n: int):
+def _converge_one(cfg: RunConfig, n: int):
     """Worker body for one grid of a convergence sweep (picklable)."""
-    cfg = RunConfig(**cfg_dict)
     disc, spec = build_discretization(cfg, n=n)
     _, T, dt = time_step(cfg, disc)
     state = project_initial(spec, disc)
@@ -373,14 +367,13 @@ def run_convergence(cfg: RunConfig, workers: int = 1):
     """Errors and fitted rates over cfg's grid sequence; returns
     (rows, rate_u, rate_v, window) with rows ordered coarse to fine."""
     grids = _sweep_grids(cfg)
-    cfg_dict = asdict(cfg)
     # the pool starts all its processes at once: no more than there are grids
     workers = min(workers, len(grids))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_converge_one, [cfg_dict] * len(grids), grids))
+            results = list(pool.map(_converge_one, [cfg] * len(grids), grids))
     else:
-        results = [_converge_one(cfg_dict, n) for n in grids]
+        results = [_converge_one(cfg, n) for n in grids]
     results.sort(key=lambda r: r[0])  # deterministic order regardless of pool
     hs = [r[1] for r in results]
     try:
@@ -393,11 +386,7 @@ def run_convergence(cfg: RunConfig, workers: int = 1):
 
 
 def cmd_converge(cfg: RunConfig, outdir, seed: int, workers: int) -> int:
-    try:
-        rows, rate_u, rate_v, window = run_convergence(cfg, workers=workers)
-    except InstabilityError as e:
-        print(f"instability: {e}", file=sys.stderr)
-        return EXIT_INSTABILITY
+    rows, rate_u, rate_v, window = run_convergence(cfg, workers=workers)
     write_csv(outdir / "errors.csv", ["n", "h", "err_u", "err_v"], rows)
     w = np.atleast_1d(np.asarray(cfg.w, dtype=float))
     write_csv(outdir / "rates.csv",
@@ -441,20 +430,15 @@ def cmd_energy(cfg: RunConfig, outdir, seed: int) -> int:
     print(f"energy audit: {cfg.n_states} states, worst residual {worst:.3e} "
           f"({'pass' if ok else 'FAIL'} at {cfg.energy_tol:.1e})")
 
-    # short evolution sign check (informational; dissipative fluxes should
-    # never see the energy grow)
+    # short evolution sign check (dissipative fluxes should never see the
+    # energy grow); a trace that blows up exits as an instability
     trace = []
     st = random_state(disc, rng)
-    try:
-        evolve(st, disc, T, dt,
-               observers=[lambda k, s: trace.append(discrete_energy(s, disc))])
-        worst_rise = max((b - a for a, b in zip(trace, trace[1:])), default=0.0)
-        print(f"energy trace over {len(trace) - 1} steps: "
-              f"E(0)={trace[0]:.6e} E(T)={trace[-1]:.6e} "
-              f"max per-step increase {worst_rise:.3e}")
-    except InstabilityError as e:
-        print(f"energy trace: unstable ({e})", file=sys.stderr)
-
+    evolve(st, disc, T, dt, observers=[lambda k, s: trace.append(discrete_energy(s, disc))])
+    worst_rise = max((b - a for a, b in zip(trace, trace[1:])), default=0.0)
+    print(f"energy trace over {len(trace) - 1} steps: "
+          f"E(0)={trace[0]:.6e} E(T)={trace[-1]:.6e} "
+          f"max per-step increase {worst_rise:.3e}")
     return EXIT_OK if ok else EXIT_ENERGY
 
 
@@ -516,6 +500,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except InstabilityError as e:
+        print(f"instability: {e}", file=sys.stderr)
+        return EXIT_INSTABILITY
 
 
 if __name__ == "__main__":

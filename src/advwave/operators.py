@@ -40,9 +40,10 @@ blocks, 2*dim shifted adds and the boundary-strip corrections.
 operator: flux states of every face from the current traces
 (``face_flux_states``), then face lifting and the element solves.  It is the
 reference the assembled operator is tested against.  It and the energy
-audit (``boundary_energy_rate``) take the faces from the element grid, one
-interior set and on physical meshes two boundary sets per axis
-(``_grid_faces``).
+audit (``boundary_energy_rate``) walk the faces that ``rhs`` couples
+through: ``_grid_couplings`` is the grid's one record of adjacency, and
+each face set takes its flux kind from ``face_kinds``, classified once per
+discretization.
 """
 
 from __future__ import annotations
@@ -163,44 +164,20 @@ def build_element_solvers(ref: ReferenceElement, h: float, c: float) -> ElementS
     )
 
 
-def _grid_faces(mesh: MeshTopology, w: np.ndarray, c: float):
-    """The faces of the element grid, one set per axis and face class.
-
-    Yields (kind, sides): sides lists, for trace 1 and on interior faces
-    trace 2, the (side, elements) pair that holds the trace.  An interior
-    face joins side 2a+1 of element i (trace 1, outward normal +e_a) to
-    side 2a of element i + e_a, wrapping around on a periodic mesh.  A
-    physical mesh adds the boundary faces of the first and last layer
-    along each axis.
-    """
-    n = mesh.n
-    grid = np.arange(mesh.n_elements).reshape((n,) * mesh.dim)
-    for a, (interior, low_kind, high_kind) in enumerate(classify_mesh(mesh, w, c)):
-        lo, hi = 2 * a, 2 * a + 1
-
-        def layer(index):
-            return np.take(grid, index, axis=a).ravel()
-
-        if mesh.periodic:
-            low, high = grid.ravel(), np.roll(grid, -1, axis=a).ravel()
-        else:
-            low, high = layer(range(n - 1)), layer(range(1, n))
-        yield interior, ((hi, low), (lo, high))
-        if not mesh.periodic:
-            yield low_kind, ((lo, layer(0)),)
-            yield high_kind, ((hi, layer(n - 1)),)
-
-
 @functools.cache
 def _grid_couplings(dim: int, periodic: bool):
     """The element couplings of a dim-dimensional grid, as index tuples on
-    it; built once per process for each kind of grid.
+    it; built once per process for each kind of grid.  They are the only
+    record of which element meets which across which side: ``rhs`` couples
+    through them, and ``Discretization._face_traces`` takes the faces of
+    the reference and of the energy audit from them.
 
-    Returns (shifts, strips).  shifts holds (side, dst, src): the elements
-    at dst read their neighbour across side from src, one step up the
-    side's axis for a high side and one step down for a low one, and on a
-    periodic grid the layer at the far end wraps around.  strips holds, on
-    a physical grid, (side, layer): the elements whose side is a boundary.
+    Returns (shifts, strips).  shifts holds (side, dst, src), in side order:
+    the elements at dst read their neighbour across side from src, one step
+    up the side's axis for a high side and one step down for a low one, and
+    on a periodic grid the layer at the far end wraps around (a second
+    shift of the side, after the inner layers).  strips holds, on a
+    physical grid, (side, layer): the elements whose side is a boundary.
     """
     def at(axis, index):
         grid = [slice(None)] * dim
@@ -309,6 +286,8 @@ class Discretization:
         self.dscale = 2.0 / h
 
         self.solvers = build_element_solvers(ref, h, c)
+        # (interior, low boundary, high boundary) flux kinds of each axis
+        self.face_kinds = classify_mesh(mesh, self.w, self.c)
 
         # volume matrices (applied to coefficient rows from the right)
         wq = ref.vol_weights
@@ -376,14 +355,30 @@ class Discretization:
         return vtr, gtr
 
     def _face_traces(self, vtr, gtr):
-        """Traces of every face set of the grid: yields (kind, sides, t1,
-        t2), t2 None on a boundary face; see ``_grid_faces``."""
-        eye = np.eye(self.mesh.dim)
-        for kind, sides in _grid_faces(self.mesh, self.w, self.c):
-            traces = [Trace(v=vtr[side][..., el, :], grad_u=gtr[side][..., el, :, :],
-                            n=(1.0 if side % 2 else -1.0) * eye[side // 2])
-                      for side, el in sides]
-            yield kind, sides, traces[0], traces[1] if len(traces) == 2 else None
+        """Traces of every face set of the grid, axis by axis: yields (kind,
+        sides, t1, t2), sides listing the (side, elements) pairs that hold
+        trace 1 and, on an interior face, trace 2 (None on a boundary face).
+
+        The sets are those of ``_grid_couplings``: each shift across an
+        axis's high side 2a+1 joins side 2a+1 of its dst elements (trace 1,
+        outward normal +e_a) to side 2a of its src elements, and each strip
+        of the axis is a set of boundary faces.
+        """
+        dim, n = self.mesh.dim, self.mesh.n
+        grid = np.arange(self.mesh.n_elements).reshape((n,) * dim)
+        shifts, strips = _grid_couplings(dim, self.mesh.periodic)
+        eye = np.eye(dim)
+        for axis, kinds in enumerate(self.face_kinds):
+            faces = [(kinds[0], ((side, dst), (side ^ 1, src)))
+                     for side, dst, src in shifts if side == 2 * axis + 1]
+            faces += [(kinds[1 + side % 2], ((side, layer),))
+                      for side, layer in strips if side // 2 == axis]
+            for kind, at in faces:
+                sides = [(side, grid[index].ravel()) for side, index in at]
+                traces = [Trace(v=vtr[side][..., el, :], grad_u=gtr[side][..., el, :, :],
+                                n=(1.0 if side % 2 else -1.0) * eye[axis])
+                          for side, el in sides]
+                yield kind, sides, traces[0], traces[1] if len(traces) == 2 else None
 
     def face_flux_states(self, u: np.ndarray, v: np.ndarray):
         """Flux states for every element side, face by face.
@@ -481,8 +476,7 @@ class Discretization:
             state = fluxes.compute_flux(kind, t1, t2, self.params, self.w, self.c)
             return state.v_star, state.grad_u_star
 
-        kinds = classify_mesh(self.mesh, self.w, self.c)
-        for axis, (interior, low_kind, high_kind) in enumerate(kinds):
+        for axis, (interior, low_kind, high_kind) in enumerate(self.face_kinds):
             lo, hi = 2 * axis, 2 * axis + 1
             normal = np.eye(dim)[axis]
             # one batch: the unit traces as the face's low element (trace

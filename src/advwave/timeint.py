@@ -10,11 +10,18 @@ from .operators import Discretization, ModalState
 
 
 class InstabilityError(RuntimeError):
-    """Raised when the state stops being finite during a run."""
+    """Raised when the state stops being finite during a run.
+
+    Its only argument is the step, so that it pickles (from a worker
+    process of ``advwave converge``) with its message intact.
+    """
 
     def __init__(self, step: int):
-        super().__init__(f"non-finite state detected at step {step}")
+        super().__init__(step)
         self.step = step
+
+    def __str__(self) -> str:
+        return f"non-finite state detected at step {self.step}"
 
 
 def compute_dt(T: float, dt_max: float) -> float:

@@ -1,13 +1,17 @@
-"""The solver names that the benchmark's traced split depends on.
+"""The solver names that the benchmark's traced split depends on, and the
+benchmark's own self-test.
 
 ``perfbench/spans.py`` wraps the solver's public functions by name and
 unpacks the arguments of ``Discretization.rhs``.  Deleting or renaming a
 traced function, or reordering those arguments, would otherwise fail only
-the benchmark's own self-test.
+the benchmark's own self-test; so would a change to what its workloads run
+(a config field, a CLI option or an output file).
 """
 
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,10 @@ def test_rhs_arguments_match_the_recorder(spans):
     # spans._count_rhs unpacks (self, u, v) from the first three arguments
     params = list(inspect.signature(Discretization.rhs).parameters)
     assert params[:4] == ["self", "u", "v", "t"]
+
+
+def test_benchmark_selftest_passes():
+    # runs each workload once, untraced and traced; writes under .perfbench/
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=PERFBENCH.parent,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -282,6 +282,19 @@ def test_instability_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_converge_instability_exit_code(tmp_path, capsys, workers):
+    # at c = 30 the default Courant number blows up on n = 40; the message
+    # survives the trip back from a worker process
+    path = write_config(tmp_path, q=3, T=1.0, c=30.0, n_list=[40, 56])
+    assert main(["converge", "--config", path, "--output", str(tmp_path / "c"),
+                 "--workers", workers]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"^instability: non-finite state detected at step \d+$", err, re.M), err
+    assert not (tmp_path / "c" / "errors.csv").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_converge_warns_on_unstable_dt(tmp_path):
     path = write_config(tmp_path, T=1.0, cfl=2.0, n_list=[4, 6])
@@ -343,6 +356,19 @@ def test_energy_audit_pass_and_fail(tmp_path):
     path = write_config(tmp_path, name="tight.json", n=6, energy_tol=1e-22)
     assert main(["energy", "--config", path,
                  "--output", str(tmp_path / "e2")]) == 4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_energy_trace_that_blows_up_exits_3(tmp_path, capsys):
+    # the audit still writes its CSV and reports; the trace's state overflows
+    path = write_config(tmp_path, w=1e300, n=4, T=0.01)
+    out = tmp_path / "e"
+    with pytest.warns(UserWarning, match="likely unstable"):
+        assert main(["energy", "--config", path, "--output", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "energy audit: 20 states" in captured.out
+    assert "instability: non-finite state detected at step 1" in captured.err
+    assert len((out / "energy.csv").read_text().splitlines()) == 21
 
 
 def test_energy_csv_shape(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -166,6 +167,13 @@ def test_instability_detection():
     with pytest.raises(InstabilityError) as err:
         evolve(s0, disc, 1.0, 0.5)
     assert err.value.step == 1
+
+
+def test_instability_error_pickles():
+    # converge's worker processes send it back pickled
+    err = pickle.loads(pickle.dumps(InstabilityError(124)))
+    assert str(err) == "non-finite state detected at step 124"
+    assert err.step == 124
 
 
 def test_instability_detected_in_v_alone():
