@@ -25,7 +25,7 @@ def main():
     parser.add_argument("--ns", type=int, nargs="+", default=[10, 20, 40])
     args = parser.parse_args()
 
-    print(f"{'q':>3s} {'n':>5s} {'radius':>12s} {'radius*h/q^2':>13s} {'conv':>5s}")
+    print(f"{'q':>3s} {'n':>5s} {'radius':>12s} {'radius*h/q^2':>13s}")
     with tempfile.TemporaryDirectory() as tmp:
         for q in args.qs:
             path = Path(tmp) / "config.json"
@@ -39,8 +39,7 @@ def main():
                 for row in csv.DictReader(fh):
                     radius, h = float(row["radius"]), float(row["h"])
                     print(f"{q:3d} {int(row['n']):5d} {radius:12.4e} "
-                          f"{radius * h / q ** 2:13.4e} "
-                          f"{'yes' if row['converged'] == 'True' else 'no':>5s}")
+                          f"{radius * h / q ** 2:13.4e}")
     return 0
 
 

@@ -431,10 +431,14 @@ def cmd_energy(cfg: RunConfig, outdir, seed: int) -> int:
           f"({'pass' if ok else 'FAIL'} at {cfg.energy_tol:.1e})")
 
     # short evolution sign check (dissipative fluxes should never see the
-    # energy grow); a trace that blows up exits as an instability
+    # energy grow); a trace that blows up exits 3, or 4 if the audit failed
     trace = []
     st = random_state(disc, rng)
-    evolve(st, disc, T, dt, observers=[lambda k, s: trace.append(discrete_energy(s, disc))])
+    try:
+        evolve(st, disc, T, dt, observers=[lambda k, s: trace.append(discrete_energy(s, disc))])
+    except InstabilityError as e:
+        print(f"instability: {e}", file=sys.stderr)
+        return EXIT_INSTABILITY if ok else EXIT_ENERGY
     worst_rise = max((b - a for a, b in zip(trace, trace[1:])), default=0.0)
     print(f"energy trace over {len(trace) - 1} steps: "
           f"E(0)={trace[0]:.6e} E(T)={trace[-1]:.6e} "

@@ -1,7 +1,8 @@
-"""Discrete energy, energy-identity cross-check, L2 errors, rate fits, and
-the semidiscrete operator's spectral radius: exact from its Bloch symbols
-on periodic meshes, by implicitly restarted Arnoldi (ARPACK) on its
-matrix-free product on physical ones."""
+"""Discrete energy, energy-identity cross-check, L2 errors, rate fits, the
+operator's Bloch symbols and sparse matrix (both built from
+``Discretization.blocks``, without ``rhs`` calls), and its spectral radius:
+exact from the symbols on periodic meshes, by implicitly restarted Arnoldi
+(ARPACK) on ``rhs`` on physical ones."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import functools
 import numpy as np
 
 from .basis import tensor_eval, tensor_gauss
-from .operators import Discretization, FieldTable, ModalState
+from .operators import Discretization, FieldTable, ModalState, _grid_couplings
 
 
 def discrete_energy(state: ModalState, disc: Discretization) -> float:
@@ -127,56 +128,72 @@ def fit_rate(hs, errs) -> float:
 _DENSE_LIMIT = 2000
 
 
-def _symbol_radius(disc: Discretization) -> float:
-    """Exact spectral radius of the operator on a periodic mesh.
+def _couplings(disc: Discretization):
+    """(block, dst, src) element index arrays for every coupling: the self
+    block, then each entry of ``_grid_couplings`` with its block."""
+    mesh, sides = disc.mesh, 2 * disc.mesh.dim
+    grid = np.arange(mesh.n_elements).reshape((mesh.n,) * mesh.dim)
+    shifts, strips = _grid_couplings(mesh.dim, mesh.periodic)
+    return ([(0, grid, grid)] + [(1 + side, grid[dst], grid[src]) for side, dst, src in shifts]
+            + [(1 + sides + side, grid[at], grid[at]) for side, at in strips])
 
-    The operator commutes with shifts of the element grid, so its responses
-    R_d on element d to the unit coefficients of element 0 fix it: a mode
-    a·ω^(m·j) maps to (a S(m))·ω^(m·j) with the Bloch symbol
-    S(m) = Σ_d R_d ω^(-m·d), and the eigenvalues of the n^dim symbols are
-    the whole spectrum.  R is real, so S(-m) is the conjugate of S(m) and
-    the half spectrum of rfftn covers every modulus.
+
+def bloch_symbols(disc: Discretization) -> np.ndarray:
+    """The Bloch symbols of the operator on a periodic mesh, half spectrum.
+
+    The operator commutes with shifts of the element grid, so the blocks R_d
+    that couple element 0 to element d (summed where several do) fix it: a
+    mode a·ω^(m·j) maps to (a S(m))·ω^(m·j) with S(m) = Σ_d R_d ω^(-m·d),
+    and the eigenvalues of the n^dim symbols are the whole spectrum.  R is
+    real, so S(-m) is the conjugate of S(m) and rfftn's half spectrum covers
+    every modulus.  Returns shape (n, ..., n//2 + 1, N, N), rows as in ``rhs``.
     """
-    n, dim = disc.mesh.n, disc.mesh.dim
-    nu, nb = disc.ref.n_u, disc.ref.n_u + disc.ref.n_v
-    x = np.zeros((disc.mesh.n_elements, nb))
-    resp = np.empty((nb,) + x.shape)
-    for k in range(nb):
-        x[0, k] = 1.0
-        disc.rhs(x[:, :nu], x[:, nu:], 0.0, out=resp[k])
-        x[0, k] = 0.0
-    # axes: grid..., unit coefficient k, response coefficient
-    resp = np.moveaxis(resp.reshape((nb,) + (n,) * dim + (nb,)), 0, -2)
-    symbols = np.fft.rfftn(resp, axes=tuple(range(dim)))
-    return float(np.max(np.abs(np.linalg.eigvals(symbols))))
+    mesh = disc.mesh
+    if not mesh.periodic:
+        raise ValueError("Bloch symbols need a periodic mesh")
+    resp = np.zeros((mesh.n_elements,) + disc.blocks.shape[1:])
+    for block, dst, src in _couplings(disc):
+        resp[dst[src == 0]] += disc.blocks[block]
+    return np.fft.rfftn(resp.reshape((mesh.n,) * mesh.dim + resp.shape[1:]),
+                        axes=tuple(range(mesh.dim)))
+
+
+def sparse_operator(disc: Discretization):
+    """The homogeneous operator as a CSR matrix A on the flattened stacked
+    [u v] layout: A @ x.ravel() is ``rhs`` of x as one raveled [du dv].
+    Each coupling adds the Kronecker product of its element incidence with
+    its block, transposed to act on columns."""
+    from scipy import sparse
+
+    n_el = disc.mesh.n_elements
+    return sum(sparse.kron(sparse.coo_matrix((np.ones(dst.size), (dst.ravel(), src.ravel())),
+                                             shape=(n_el, n_el)),
+                           disc.blocks[block].T, format="csr")
+               for block, dst, src in _couplings(disc)).tocsr()
 
 
 def spectral_radius_probe(disc: Discretization, seed: int = 0):
     """Spectral radius of the homogeneous semidiscrete operator.
 
     Returns (radius, converged).  On a periodic mesh the radius is exact,
-    from the Bloch symbols (``_symbol_radius``; Nu+Nv ``rhs`` calls), and
-    converged is True.  On a physical mesh it comes from implicitly
-    restarted Arnoldi (ARPACK ``eigs``, k=1, which="LM", tol=1e-10, at
-    most 50 restarts) on a LinearOperator whose product is one ``rhs``
-    call on the stacked per-element [u v] layout, started from a vector
-    drawn from ``default_rng(seed)``, so equal seeds give equal radii.
-    ARPACK rejects a zero operator, but this one is never zero: a
-    Discretization needs c > 0, and then its wave terms act.
-    converged is True when ARPACK's residual test accepted the dominant
-    Ritz value; the test bounds the residual, not the eigenvalue error,
-    which on this non-normal operator can be larger.  If ARPACK does not
-    converge or fails, an operator with at most _DENSE_LIMIT unknowns is
-    assembled and its dense eigenvalues give the radius (converged True); a
-    larger one returns the largest accepted Ritz value with converged =
-    False.  The probe never raises on a homogeneous operator: where no
-    finite radius exists (no Ritz value, or products that overflow) it
-    returns (NaN, False).
+    from ``bloch_symbols``, and converged is True.  On a physical mesh it
+    comes from implicitly restarted Arnoldi (ARPACK ``eigs``, k=1,
+    which="LM", tol=1e-10, at most 50 restarts) with one ``rhs`` call as its
+    product, from a start vector drawn from ``default_rng(seed)``: equal
+    seeds give equal radii.  ARPACK rejects a zero operator; this one, with
+    c > 0, never is.  converged is True when ARPACK's residual test accepted
+    the dominant Ritz value; the test bounds the residual, not the
+    eigenvalue error, which on this non-normal operator can be larger.  If
+    ARPACK does not converge or fails, the radius is the largest dense
+    eigenvalue of ``sparse_operator`` up to _DENSE_LIMIT unknowns (converged
+    True), and the largest accepted Ritz value above it.  It never raises on
+    a homogeneous operator: with no finite radius (no Ritz value, or an
+    operator that overflows) it returns (NaN, False).
     """
     if disc.forcing is not None:
         raise ValueError("spectral probe requires the homogeneous operator")
     if disc.mesh.periodic:
-        return _symbol_radius(disc), True
+        return float(np.max(np.abs(np.linalg.eigvals(bloch_symbols(disc))))), True
     # imported here: scipy.sparse.linalg adds ~3.6 MB RSS that only this probe needs
     from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperator,
                                       eigs)
@@ -204,16 +221,12 @@ def spectral_radius_probe(disc: Discretization, seed: int = 0):
         # e.g. error -9999, no Arnoldi factorization, on products that overflow
         ritz, converged = np.zeros(0), False
     if not converged and buf.size <= _DENSE_LIMIT:
-        # the operator's transpose: row j is its product with unit vector j
-        dense_t = np.empty((buf.size, buf.size))
-        unit = np.zeros(buf.size)
-        for j in range(buf.size):
-            unit[j] = 1.0
-            dense_t[j] = matvec(unit)
-            unit[j] = 0.0
+        # in rhs's row convention, the transpose: LAPACK's radius of an
+        # ill-conditioned spectrum depends on which of the two it is given
+        dense = sparse_operator(disc).T.toarray()
         # numpy's eigvals raises on a non-finite matrix
-        if np.all(np.isfinite(dense_t)):
-            ritz, converged = np.linalg.eigvals(dense_t), True
+        if np.all(np.isfinite(dense)):
+            ritz, converged = np.linalg.eigvals(dense), True
     radius = float(np.max(np.abs(ritz))) if len(ritz) else float("nan")
     if not np.isfinite(radius):
         return float("nan"), False

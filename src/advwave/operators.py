@@ -1,4 +1,4 @@
-"""Semidiscrete DG operator, assembled once and applied as a stencil.
+"""Semidiscrete DG operator, assembled once into blocks, applied as a stencil.
 
 The evolving unknown is a pair of modal coefficient arrays, one row per
 element.  On a uniform Cartesian mesh with constant w the operator is linear,
@@ -7,43 +7,37 @@ the same flux kind, so the derivative of an element depends only on its own
 coefficients and on those of its 2*dim face neighbours, through the same
 dense blocks for every element.
 
-``Discretization.__init__`` builds these couplings once, with the u-system
+``Discretization.__init__`` builds the couplings once, with the u-system
 solve and the v mass inverse folded in (the LIFT = M^-1 E idiom of nodal DG
 methods), from one model: a neighbour acts on an element only through its
 traces on their shared face (v, and grad u), held as r coefficients along
-the face.  A 2D face trace has r = (s+1)+(q+1)+q Legendre coefficients
-against the N = (q+1)^2+(s+1)^2 of an element (11 of 32 at q = s = 3); a 1D
-face is a point, where r = 2 values hold v and du/dx.  A trace map T_s
+the face (r = (s+1)+(q+1)+q in 2D against the N = (q+1)^2+(s+1)^2 of an
+element, 11 of 32 at q = s = 3; r = 2 on a 1D point face).  A trace map T_s
 (N x r) takes an element's coefficients to its traces on side s, and the
-flux functions and the face-lifting code give, once, the lift (r x N) of
-the r unit traces in each of three roles: the element's own traces on side
-s against a zero neighbour (L_s^own), its neighbour's traces across side s
-against zero own traces (L_s), and on physical meshes the change a boundary
-closure on side s makes to the own-trace lift (L_{2dim+s}).  The flux code
-stays the single source of truth.  The self block is the volume block plus
-the sum over sides of T_s L_s^own; the neighbour across side s couples
-through T_{s^1} L_s and a boundary side through T_s L_{2dim+s}.
+flux and face-lifting code gives, once, the lift (r x N) of the r unit
+traces in three roles: own traces on side s against a zero neighbour
+(L_s^own), the neighbour's traces across side s (L_s), and on physical
+meshes the change a boundary closure on side s makes to the own-trace lift
+(L_{2dim+s}).  The self block is the volume block plus the sum over sides
+of T_s L_s^own; the neighbour across side s couples through T_{s^1} L_s
+and a boundary side through T_s L_{2dim+s}.  These N x N products are kept
+as ``Discretization.blocks``, the operator's one description, from which
+``diagnostics`` builds its Bloch symbols and sparse matrix.
 
-2D keeps the couplings factored: ``rhs`` takes one product of the stacked
-[u v] coefficients with [self block | T of every side], copies each
-element's r-wide trace slots from its neighbours (and on physical meshes
-its own boundary traces), and takes one product of those slots with the
-stacked L, adding the self product and the separable forcing (a
-combination of projections made at build time) into an array the caller
-may pass.  1D multiplies them out into N x N blocks (8 x 8 at q = 3): with
-r = 2 against N = 8 there are few flops to save, the number of array calls
-sets the cost of ``rhs``, and the factored form took 33-45 % longer per
-call.  Its ``rhs`` is one batched product with the self and neighbour
-blocks, 2*dim shifted adds and the boundary-strip corrections.
+1D ``rhs`` applies the blocks: one batched product, 2*dim shifted adds and
+the boundary-strip corrections (with r = 2 against N = 8 at q = 3 the
+number of array calls sets its cost, and a factored form took 33-45 %
+longer).  2D ``rhs`` keeps the couplings factored: one product of [u v]
+with [self block | T of every side], a copy of each element's r-wide trace
+slots from its neighbours (and on physical meshes its own boundary
+traces), and one product of the slots with the stacked L.  Both add the
+separable forcing, a combination of projections made at build time.
 
 ``matrix_free_rhs`` keeps the face-by-face evaluation of the homogeneous
-operator: flux states of every face from the current traces
-(``face_flux_states``), then face lifting and the element solves.  It is the
-reference the assembled operator is tested against.  It and the energy
-audit (``boundary_energy_rate``) walk the faces that ``rhs`` couples
-through: ``_grid_couplings`` is the grid's one record of adjacency, and
-each face set takes its flux kind from ``face_kinds``, classified once per
-discretization.
+operator, the reference the assembled one is tested against.  It and the
+energy audit (``boundary_energy_rate``) walk the faces of
+``_grid_couplings``, the grid's one record of adjacency, each face set with
+its flux kind from ``face_kinds``, classified once per discretization.
 """
 
 from __future__ import annotations
@@ -261,7 +255,11 @@ def _face_trace_maps(q: int, s: int, dim: int):
 class Discretization:
     """Everything needed to apply the semidiscrete operator repeatedly.
 
-    forcing, if given, is a Separable field for the v equation.
+    forcing, if given, is a Separable field for the v equation.  blocks
+    (read-only, shape (1 + 2*dim [+ 2*dim on physical meshes], N, N)) is the
+    homogeneous operator in rhs's row convention: out[e] = x[e] @ blocks[0]
+    + sum_s x[neighbour across side s] @ blocks[1 + s], plus
+    x[e] @ blocks[1 + 2*dim + s] on each side s of e that is a boundary.
     """
 
     def __init__(self, mesh: MeshTopology, ref: ReferenceElement,
@@ -317,15 +315,15 @@ class Discretization:
         self._nu = nu
         self._x = np.empty((mesh.n_elements, nb))
         self.input_uv = self._x[:, :nu], self._x[:, nu:]
-        # 1D multiplies the couplings out into full blocks, 2D keeps them
-        # factored (see the module docstring)
+        # 1D applies the blocks, 2D keeps them factored
         maps, unit_v, unit_g = _face_trace_maps(ref.q, ref.s, dim)
-        self_block, lifts = self._assemble(maps, unit_v, self.dscale * unit_g)
+        self.blocks, lifts = self._assemble(maps, unit_v, self.dscale * unit_g)
+        self.blocks.flags.writeable = False
         if dim == 1:
             self._lifts = None
-            self._build_blocks(self_block, maps, lifts)
+            self._build_blocks()
         else:
-            self._build_traces(self_block, maps, lifts)
+            self._build_traces(maps, lifts)
         # _f_t is the time _f was built at (None: not built yet)
         self._forcing_time = self._forcing_proj = self._f_t = None
         if forcing is not None:
@@ -443,21 +441,21 @@ class Discretization:
     # --- assembly ------------------------------------------------------------
 
     def _assemble(self, maps, unit_v, unit_g):
-        """Dense element-level pieces of the operator, element solves included.
+        """The blocks of the operator, element solves included, and the lifts
+        they are built from.
 
         maps, unit_v and unit_g are those of ``_face_trace_maps``, with the
-        gradients in physical coordinates.  Every piece is the lift of the r
-        unit traces of a side in one of three roles.  Returns the self block
-        (N, N), whose row j is the derivative [du dv] that unit coefficient
-        j of an element produces on the element itself, and lifts
-        (n_lifts, r, N): row j of lifts[s] is the derivative an element
-        takes from its neighbour across side s when the neighbour's traces
-        on their shared face (its side s ^ 1) are unit trace j; on a
-        physical mesh, row j of lifts[2*dim + s] is the change of the
-        derivative of an element whose side s is a boundary and whose own
-        traces there are unit trace j.  The self block is the volume block
-        plus, for each side s, maps[s] times the lift of the element's own
-        unit traces on s against a zero neighbour.
+        gradients in physical coordinates.  Returns (blocks, lifts), blocks
+        as ``Discretization.blocks`` and lifts (n_lifts, r, N): row j of
+        lifts[s] is the derivative [du dv] an element takes from its
+        neighbour across side s when the neighbour's traces on their shared
+        face (its side s ^ 1) are unit trace j; on a physical mesh, row j of
+        lifts[2*dim + s] is the change of the derivative of an element whose
+        side s is a boundary and whose own traces there are unit trace j.
+        The self block is the volume block plus, for each side s, maps[s]
+        times the lift of the element's own unit traces on s against a zero
+        neighbour; a neighbour block is maps[s ^ 1] @ lifts[s], a boundary
+        correction maps[s] @ lifts[2*dim + s].
         """
         ref, dim, periodic = self.ref, self.mesh.dim, self.mesh.periodic
         nu, nb = ref.n_u, ref.n_u + ref.n_v
@@ -510,22 +508,19 @@ class Discretization:
         du, dv = self._element_solve(rhs_u, rhs_v, p)
         pieces = np.concatenate([du, dv], axis=1)
         lifts = pieces[nb:].reshape(n_lifts, r, nb)
-        self_block = pieces[:nb] + sum(maps[side] @ lifts[own + side]
-                                       for side in range(sides))
-        return self_block, lifts[:own]
+        blocks = [pieces[:nb] + sum(maps[side] @ lifts[own + side] for side in range(sides))]
+        blocks += [maps[side ^ 1] @ lifts[side] for side in range(sides)]
+        blocks += [maps[side] @ lifts[sides + side] for side in range(own - sides)]
+        return np.stack(blocks), lifts[:own]
 
-    def _build_blocks(self, self_block, maps, lifts) -> None:
-        """Work arrays and views of the full-block stencil, each coupling
-        multiplied out (neighbour block maps[s ^ 1] @ lifts[s], boundary
-        correction maps[s] @ lifts[2*dim + s]): the products of [u v] with
-        the self block and each neighbour block land in one array (axes:
-        block, grid..., coefficient), then the neighbour products are added
-        onto the self product, shifted on the grid, and the boundary strips
-        get their correction blocks."""
-        dim, n, nb = self.mesh.dim, self.mesh.n, self_block.shape[0]
+    def _build_blocks(self) -> None:
+        """Work arrays and views of the full-block stencil: the products of
+        [u v] with the self and neighbour blocks land in one array (axes:
+        block, grid..., coefficient); the neighbour products are then added
+        onto the self one, shifted on the grid, and strips get corrections."""
+        dim, n, nb = self.mesh.dim, self.mesh.n, self.blocks.shape[-1]
         sides = 2 * dim
-        self._stencil = np.stack([self_block] + [maps[side ^ 1] @ lifts[side]
-                                                 for side in range(sides)])
+        self._stencil = self.blocks[:1 + sides]
         self._y = np.empty((1 + sides, self.mesh.n_elements, nb))
         self._y0 = self._y[0]
         grid = self._y.reshape((1 + sides,) + (n,) * dim + (nb,))
@@ -533,20 +528,20 @@ class Discretization:
         shifts, strips = _grid_couplings(dim, self.mesh.periodic)
         self._shifts = [(grid[(0,) + dst], grid[(1 + side,) + src])
                         for side, dst, src in shifts]
-        self._strips = [(grid[(0,) + layer], x_grid[layer],
-                         maps[side] @ lifts[sides + side]) for side, layer in strips]
+        self._strips = [(grid[(0,) + layer], x_grid[layer], self.blocks[1 + sides + side])
+                        for side, layer in strips]
 
-    def _build_traces(self, self_block, maps, lifts) -> None:
+    def _build_traces(self, maps, lifts) -> None:
         """Work arrays and views of the trace-factored stencil: the product
         of [u v] with [self block | trace map of every side] (w), and the
         traces each element's lifts read (g, one r-wide slot per lift),
         copied from w: a neighbour's traces on the shared face, zero where
         a side has no neighbour, and on a physical mesh the element's own
         traces on each boundary side, zero on its other sides."""
-        dim, n, nb = self.mesh.dim, self.mesh.n, self_block.shape[0]
+        dim, n, nb = self.mesh.dim, self.mesh.n, self.blocks.shape[-1]
         sides, n_el = 2 * dim, self.mesh.n_elements
         n_lifts, r = lifts.shape[:2]
-        self._factors = np.concatenate([self_block] + list(maps), axis=1)
+        self._factors = np.concatenate([self.blocks[0]] + list(maps), axis=1)
         self._lifts = lifts.reshape(n_lifts * r, nb)
         self._w = np.empty((n_el, nb + sides * r))
         self._w_self = self._w[:, :nb]

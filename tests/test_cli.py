@@ -371,6 +371,20 @@ def test_energy_trace_that_blows_up_exits_3(tmp_path, capsys):
     assert len((out / "energy.csv").read_text().splitlines()) == 21
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_audit_wins_over_a_trace_that_blows_up(tmp_path, capsys):
+    # the audit fails its unreachable tolerance and the flux's huge xi
+    # makes the trace overflow: the exit code is the audit's
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": "periodic1d",
+                                "flux": {"preset": "sommerfeld", "xi": 1e300},
+                                "n": 4, "T": 0.01, "energy_tol": 1e-30}))
+    assert main(["energy", "--config", str(path), "--output", str(tmp_path / "e")]) == 4
+    captured = capsys.readouterr()
+    assert "(FAIL at 1.0e-30)" in captured.out
+    assert "instability: non-finite state detected at step 1" in captured.err
+
+
 def test_energy_csv_shape(tmp_path):
     path = write_config(tmp_path, n=6, n_states=5)
     out = tmp_path / "ecsv"

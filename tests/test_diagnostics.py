@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from advwave.basis import build_reference, tensor_eval
-from advwave.diagnostics import (discrete_energy, energy_identity_residual,
-                                 fit_rate, l2_error, spectral_radius_probe)
+from advwave.diagnostics import (bloch_symbols, discrete_energy, energy_identity_residual,
+                                 fit_rate, l2_error, sparse_operator,
+                                 spectral_radius_probe)
 from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
 from advwave.operators import Discretization, ModalState, Separable
@@ -318,6 +319,75 @@ def dense_operator(disc):
     return A
 
 
+def count_rhs(disc):
+    """Wrap disc.rhs to count its calls; returns the list it appends to."""
+    calls = []
+    rhs = disc.rhs
+    disc.rhs = lambda *args, **kwargs: calls.append(1) or rhs(*args, **kwargs)
+    return calls
+
+
+@pytest.mark.parametrize("dim,n,mode,q,s,w,c", [
+    (1, 2, "periodic", 3, 3, [0.5], 1.0),      # both neighbours are one element
+    (1, 7, "physical", 3, 3, [0.5], 1.0),
+    (1, 6, "periodic", 2, 2, [-0.3], 2.5),
+    (2, 4, "periodic", 3, 2, [0.5, 0.2], 1.0),
+    (2, 2, "periodic", 2, 2, [0.5, 0.5], 1.0),
+    (2, 5, "physical", 2, 2, [0.5, 0.5], 1.0),
+    (2, 5, "physical", 2, 1, [1.5, 0.3], 1.0),  # supersonic inflow in x
+    (2, 3, "physical", 3, 3, [0.5, -0.5], 0.4),
+])
+def test_sparse_operator_matches_rhs(dim, n, mode, q, s, w, c):
+    disc = Discretization(build_mesh(dim, n, mode), build_reference(q, s, dim=dim),
+                          FluxParams.sommerfeld(), w, c)
+    x = np.random.default_rng(1).standard_normal(
+        (disc.mesh.n_elements, disc.ref.n_u + disc.ref.n_v))
+    du, dv = disc.rhs(x[:, :disc.ref.n_u], x[:, disc.ref.n_u:], 0.0)
+    expected = np.hstack([du, dv]).ravel()
+    got = sparse_operator(disc) @ x.ravel()
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dim,n,q,params", [
+    (1, 2, 3, FluxParams.sommerfeld()),
+    (1, 9, 2, FluxParams.central()),
+    (2, 2, 2, FluxParams.sommerfeld()),
+    (2, 4, 2, FluxParams.central()),
+])
+def test_bloch_symbols_hold_the_spectrum(dim, n, q, params):
+    from scipy.optimize import linear_sum_assignment
+
+    disc = make_disc(dim=dim, n=n, q=q, w=(0.5,) * dim, params=params)
+    dense = np.linalg.eigvals(dense_operator(disc))
+    symbols = bloch_symbols(disc)
+    # the half spectrum: the other half is its complex conjugate
+    assert symbols.shape == (n,) * (dim - 1) + (n // 2 + 1,) + (len(dense) // n ** dim,) * 2
+    full = np.fft.fftn(np.fft.irfftn(symbols, s=(n,) * dim, axes=range(dim)),
+                       axes=range(dim))
+    eig = np.linalg.eigvals(full).ravel()
+    # equal as multisets: pair them up at the least total distance (a sort
+    # would order eigenvalues whose real parts differ by roundoff at random)
+    dist = np.abs(eig[:, None] - dense[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert len(eig) == len(dense)
+    assert np.max(dist[rows, cols]) <= 1e-12 * np.max(np.abs(dense))
+    # the symbol of m acts as rhs does on the mode a·ω^(m·j) (a reflected
+    # grid would give the conjugate symbols, with the same eigenvalues)
+    m = (1,) * dim
+    a = np.array([1, 1j]) @ np.random.default_rng(2).standard_normal((2, symbols.shape[-1]))
+    phase = np.exp(2j * np.pi * (np.indices((n,) * dim).reshape(dim, -1).T @ m) / n)
+    x, nu = phase[:, None] * a, disc.ref.n_u
+    got = sum(unit * np.hstack(disc.rhs(part[:, :nu], part[:, nu:], 0.0))
+              for unit, part in ((1, x.real), (1j, x.imag)))
+    expected = phase[:, None] * (a @ symbols[m])
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_bloch_symbols_need_a_periodic_mesh():
+    with pytest.raises(ValueError, match="periodic"):
+        bloch_symbols(make_disc(dim=2, n=3, w=(0.5, 0.5), mode="physical"))
+
+
 def test_spectral_probe_against_dense_eigenvalues():
     # numpy's eigenvalues of the assembled matrix are the independent oracle;
     # mixed2d includes the boundary strips and corrections, and n=5 and 10
@@ -343,7 +413,10 @@ def test_spectral_probe_against_dense_eigenvalues():
 def test_periodic_radius_is_exact(dim, n, q, params):
     disc = make_disc(dim=dim, n=n, q=q, w=(0.5,) * dim, params=params)
     exact = np.max(np.abs(np.linalg.eigvals(dense_operator(disc))))
+    calls = count_rhs(disc)
     assert spectral_radius_probe(disc) == (pytest.approx(exact, rel=1e-12), True)
+    # the symbols come from the blocks, not from rhs
+    assert calls == []
 
 
 def test_spectral_probe_no_convergence(monkeypatch):
@@ -382,8 +455,8 @@ def test_spectral_probe_never_raises(monkeypatch):
     large = make_disc(dim=2, n=11, q=2, w=(0.5, 0.5), mode="physical")
     radius, converged = spectral_radius_probe(large)
     assert np.isnan(radius) and not converged
-    # products that overflow have no finite radius, dense or from ARPACK
-    small.rhs = lambda u, v, t, out: out.fill(np.inf)
+    # blocks that overflow have no finite radius, dense or from ARPACK
+    small.blocks = np.full_like(small.blocks, np.inf)
     radius, converged = spectral_radius_probe(small)
     assert np.isnan(radius) and not converged
     monkeypatch.setattr(sla, "eigs", lambda *args, **kwargs: np.array([np.inf + 0j]))
@@ -397,15 +470,13 @@ def test_spectral_probe_supersonic_inflow():
     disc = Discretization(build_mesh(2, 5, "physical"), build_reference(2, 1, dim=2),
                           FluxParams.sommerfeld(), [1.5, 0.3], 1.0)
     exact = np.max(np.abs(np.linalg.eigvals(dense_operator(disc))))
-    calls = []
-    rhs = disc.rhs
-    disc.rhs = lambda *args, **kwargs: calls.append(1) or rhs(*args, **kwargs)
+    calls = count_rhs(disc)
     radius, converged = spectral_radius_probe(disc)
     assert converged
     # ill-conditioned: LAPACK on the operator and on its transpose differ
     assert radius == pytest.approx(exact, rel=1e-3)
-    # ARPACK's bounded restarts, then one product per unknown
-    assert len(calls) <= 2000 + disc.mesh.n_elements * (disc.ref.n_u + disc.ref.n_v)
+    # ARPACK's bounded restarts; the dense fallback reads the blocks
+    assert len(calls) <= 2000
 
 
 def test_spectral_probe_scaling():
