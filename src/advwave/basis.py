@@ -2,7 +2,8 @@
 
 Everything here lives on the reference element [-1, 1]^dim with an
 unnormalized Legendre basis (P_k(1) = 1).  Geometric scaling by the element
-size h is applied during operator assembly, not here.  In 2D the basis is
+size h is applied during operator assembly, not here.  ``ReferenceElement``
+also holds the face trace maps and the L2-error rule.  In 2D the basis is
 the tensor product P_i(z0) P_j(z1) with the same degree in each direction;
 multi-indices are flattened in C order, so the constant mode is index 0.
 """
@@ -106,6 +107,14 @@ class ReferenceElement:
     Jacobians.  mass_v is diagonal with entries prod_d 2/(2 k_d + 1);
     stiff_u is sum_d int dP/dz_d dP/dz_d, symmetric PSD with the constant
     mode in its nullspace; mean_row integrates each u basis function.
+
+    trace_maps[side] takes an element's stacked [u v] coefficients to the
+    Legendre coefficients of its traces along the face of side (a Gauss
+    projection, exact at these degrees): v of degree s, the normal
+    derivative of u of degree q and its tangential one of degree q-1, so
+    r = (s+1)+(q+1)+q in 2D; r = 2 values of v and du/dz on a 1D point face.
+    unit_v and unit_g are the face-point traces of the r unit coefficients.
+    err_* is the L2-error rule, n_quad + 2 Gauss points per direction.
     Immutable after construction (every array is read-only); safe to share.
     """
 
@@ -130,6 +139,13 @@ class ReferenceElement:
     face_grads_u: np.ndarray     # (2*dim, dim, nfq, Nu); side index = 2*d + (0 low / 1 high)
     face_vals_v: np.ndarray      # (2*dim, nfq, Nv)
     face_weights: np.ndarray     # (nfq,)
+    trace_maps: np.ndarray       # (2*dim, Nu+Nv, r)
+    unit_v: np.ndarray           # (2*dim, r, nfq)
+    unit_g: np.ndarray           # (2*dim, r, nfq, dim)
+    err_nodes: np.ndarray        # (Ne, dim), Ne = (n_quad+2)^dim
+    err_weights: np.ndarray      # (Ne,)
+    err_vals_u_t: np.ndarray     # (Nu, Ne)
+    err_vals_v_t: np.ndarray     # (Nv, Ne)
 
     @property
     def n_u(self) -> int:
@@ -144,7 +160,8 @@ def build_reference(q: int, s: int, dim: int = 1) -> ReferenceElement:
     """Assemble all reference-element matrices for degrees (q, s).
 
     Quadrature uses q + 2 Gauss points per direction, exact for every
-    mass/stiffness entry with margin for flux products.  The element is
+    mass/stiffness entry with margin for flux products, and the L2-error
+    rule q + 4.  The element is
     built once per process: equal arguments return the same object.
     """
     if q < 1:
@@ -165,6 +182,7 @@ def _build_reference(q: int, s: int, dim: int) -> ReferenceElement:
     nu, nv = len(modes_u), len(modes_v)
 
     vol_nodes, vol_weights = tensor_gauss(n_quad, dim)
+    err_nodes, err_weights = tensor_gauss(n_quad + 2, dim)   # the L2-error rule
 
     vol_vals_u, vol_grads_u = tensor_eval(q, dim, vol_nodes)
     vol_vals_v, vol_grads_v = tensor_eval(s, dim, vol_nodes)
@@ -192,16 +210,37 @@ def _build_reference(q: int, s: int, dim: int) -> ReferenceElement:
     # face quadrature: the 1D rule along the tangential direction in 2D
     face_weights = weights.copy() if dim == 2 else np.array([1.0])
     nfq = len(face_weights)
+    # point values to coefficients along a face: (2m + 1)/2 times the integral
+    # against P_m, by the one-point rule (weight 2) on a 1D point face
+    face_nodes, face_rule = (nodes, weights) if dim == 2 else gauss_points(1)
+    face_legendre = legendre_tables(q, face_nodes)[0]          # (nfq, q+1)
+    proj = (np.arange(q + 1)[:, None] + 0.5) * (face_legendre * face_rule[:, None]).T
+    r = (s + 1) + (q + 1) + q if dim == 2 else 2
     face_grads_u = np.empty((2 * dim, dim, nfq, nu))
     face_vals_v = np.empty((2 * dim, nfq, nv))
+    trace_maps = np.zeros((2 * dim, nu + nv, r))
+    unit_v = np.zeros((2 * dim, r, nfq))
+    unit_g = np.zeros((2 * dim, r, nfq, dim))
     for side in range(2 * dim):
-        d, hi = divmod(side, 2)
+        axis, hi = divmod(side, 2)
         pts = np.empty((nfq, dim))
-        pts[:, d] = 1.0 if hi else -1.0
+        pts[:, axis] = 1.0 if hi else -1.0
         if dim == 2:
-            pts[:, 1 - d] = nodes
+            pts[:, 1 - axis] = nodes
         face_grads_u[side] = tensor_eval(q, dim, pts)[1]
         face_vals_v[side] = tensor_eval(s, dim, pts)[0]
+        # (columns of [u v], point-trace table, degree along the face, unit traces)
+        parts = [(slice(nu, nu + nv), face_vals_v[side], s, unit_v[side])]
+        parts += [(slice(0, nu), face_grads_u[side, d], q if d == axis else q - 1,
+                   unit_g[side, ..., d]) for d in range(dim)]
+        col = 0
+        for rows, table, degree, unit in parts:
+            if dim == 1:
+                degree = 0    # a constant on a point face
+            coeffs = slice(col, col + degree + 1)
+            trace_maps[side, rows, coeffs] = (proj[:degree + 1] @ table).T
+            unit[coeffs] = face_legendre[:, :degree + 1].T
+            col += degree + 1
 
     ref = ReferenceElement(
         q=q, s=s, dim=dim, n_quad=n_quad,
@@ -213,6 +252,10 @@ def _build_reference(q: int, s: int, dim: int) -> ReferenceElement:
         deriv_u=deriv_u, embed_v=embed_v,
         face_grads_u=face_grads_u, face_vals_v=face_vals_v,
         face_weights=face_weights,
+        trace_maps=trace_maps, unit_v=unit_v, unit_g=unit_g,
+        err_nodes=err_nodes, err_weights=err_weights,
+        err_vals_u_t=tensor_eval(q, dim, err_nodes)[0].T.copy(),
+        err_vals_v_t=tensor_eval(s, dim, err_nodes)[0].T.copy(),
     )
     for f in fields(ref):
         value = getattr(ref, f.name)

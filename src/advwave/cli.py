@@ -89,11 +89,12 @@ class RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}")
-    except json.JSONDecodeError as e:
+    # JSON text is UTF-8 (RFC 8259); json raises RecursionError on deep nesting
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -496,10 +497,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
     dispatch = {"run": cmd_run, "energy": cmd_energy, "spectrum": cmd_spectrum,
                 "converge": functools.partial(cmd_converge, workers=args.workers)}
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
         return dispatch[args.command](cfg, outdir, args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -507,6 +508,12 @@ def main(argv=None) -> int:
     except InstabilityError as e:
         print(f"instability: {e}", file=sys.stderr)
         return EXIT_INSTABILITY
+    except OSError as e:
+        # the config was read above, so a file error here is one of --output's
+        if e.filename is None:
+            raise
+        print(f"config error: --output: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -6,11 +6,8 @@ exact from the symbols on periodic meshes, by implicitly restarted Arnoldi
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .basis import tensor_eval, tensor_gauss
 from .operators import Discretization, FieldTable, ModalState, _grid_couplings
 
 
@@ -51,53 +48,30 @@ def energy_identity_residual(state: ModalState, disc: Discretization):
     return lhs, rhs, residual
 
 
-@functools.cache
-def _error_rule(q: int, s: int, n_quad: int, dim: int):
-    """A Gauss rule two points per direction finer than the operator's
-    n_quad on the reference element: its points, its weights and the u and
-    v basis tables transposed.  Built once per process for each reference
-    element; the arrays are read-only."""
-    pts, weights = tensor_gauss(n_quad + 2, dim)
-    vals_u_t = tensor_eval(q, dim, pts)[0].T.copy()
-    vals_v_t = tensor_eval(s, dim, pts)[0].T.copy()
-    for a in (pts, weights, vals_u_t, vals_v_t):
-        a.flags.writeable = False
-    return pts, weights, vals_u_t, vals_v_t
-
-
-class _ErrorQuadrature:
-    """``_error_rule`` on every element of one discretization: the weights
-    with the element Jacobian folded in, the shared u and v basis tables,
-    and the exact fields at the physical points."""
-
-    def __init__(self, disc: Discretization):
-        ref, mesh = disc.ref, disc.mesh
-        pts_ref, weights, self.vals_u_t, self.vals_v_t = _error_rule(
-            ref.q, ref.s, ref.n_quad, mesh.dim)
-        self.weights = disc.jac_vol * weights
-        self.exact = FieldTable(mesh.element_centers[:, None, :] + (mesh.h / 2.0) * pts_ref)
-
-
 def l2_error(state: ModalState, spec, t: float, disc: Discretization):
     """Global L2 errors of u^h and v^h against the exact solutions.
 
-    Uses a quadrature rule two points finer than the operator's to keep
-    aliasing below the discretization error.  The rule, its basis tables and
-    the space factors of spec's Separable exact fields are built on the
-    first call for a discretization and kept in ``disc.error_quadrature``;
-    later calls combine the cached factors with the time factors at t.
+    Uses the reference element's err_* rule, two points per direction finer
+    than the operator's, to keep aliasing below the discretization error.
+    The space factors of spec's Separable exact fields at its points on
+    every element are evaluated on the first call for a discretization and
+    kept in ``disc.error_quadrature``, a ``FieldTable``; later calls
+    combine them with the time factors at t.
     """
-    quad = disc.error_quadrature
-    if quad is None:
-        quad = disc.error_quadrature = _ErrorQuadrature(disc)
+    ref, mesh = disc.ref, disc.mesh
+    exact = disc.error_quadrature
+    if exact is None:
+        exact = disc.error_quadrature = FieldTable(
+            mesh.element_centers[:, None, :] + (mesh.h / 2.0) * ref.err_nodes)
+    weights = disc.jac_vol * ref.err_weights
 
     def error(coeffs, vals_t, field):
         diff = coeffs @ vals_t
-        diff -= quad.exact(field, t)
-        return float(np.sqrt(np.sum(np.square(diff, out=diff) @ quad.weights)))
+        diff -= exact(field, t)
+        return float(np.sqrt(np.sum(np.square(diff, out=diff) @ weights)))
 
-    return (error(state.u, quad.vals_u_t, spec.exact_u),
-            error(state.v, quad.vals_v_t, spec.exact_v))
+    return (error(state.u, ref.err_vals_u_t, spec.exact_u),
+            error(state.v, ref.err_vals_v_t, spec.exact_v))
 
 
 FIT_WINDOW = 10

@@ -7,20 +7,20 @@ the same flux kind, so the derivative of an element depends only on its own
 coefficients and on those of its 2*dim face neighbours, through the same
 dense blocks for every element.
 
-``Discretization.__init__`` builds the couplings once, with the u-system
-solve and the v mass inverse folded in (the LIFT = M^-1 E idiom of nodal DG
-methods), from one model: a neighbour acts on an element only through its
-traces on their shared face (v, and grad u), held as r coefficients along
-the face (r = (s+1)+(q+1)+q in 2D against the N = (q+1)^2+(s+1)^2 of an
-element, 11 of 32 at q = s = 3; r = 2 on a 1D point face).  A trace map T_s
-(N x r) takes an element's coefficients to its traces on side s, and the
-flux and face-lifting code gives, once, the lift (r x N) of the r unit
-traces in three roles: own traces on side s against a zero neighbour
-(L_s^own), the neighbour's traces across side s (L_s), and on physical
-meshes the change a boundary closure on side s makes to the own-trace lift
-(L_{2dim+s}).  The self block is the volume block plus the sum over sides
-of T_s L_s^own; the neighbour across side s couples through T_{s^1} L_s
-and a boundary side through T_s L_{2dim+s}.  These N x N products are kept
+``Discretization.__init__`` builds the couplings once, with the u-system solve
+and the v mass inverse folded in (the LIFT = M^-1 E idiom of nodal DG methods),
+from one model: a neighbour acts on an element only through its traces on their
+shared face (v, and grad u), held as r coefficients along the face (r =
+(s+1)+(q+1)+q in 2D against the N = (q+1)^2+(s+1)^2 of an element, 11 of 32 at
+q = s = 3; r = 2 on a 1D point face).  A trace map T_s (N x r,
+``ReferenceElement.trace_maps``) takes an element's coefficients to its traces
+on side s, and the flux and face-lifting code gives, once, the lift (r x N) of
+the r unit traces (``unit_v``, ``unit_g``) in three roles: own traces on side s
+against a zero neighbour (L_s^own), the neighbour's traces across side s (L_s),
+and on physical meshes the change a boundary closure on side s makes to the
+own-trace lift (L_{2dim+s}).  The self block is the volume block plus the sum
+over sides of T_s L_s^own; the neighbour across side s couples through T_{s^1}
+L_s and a boundary side through T_s L_{2dim+s}.  These N x N products are kept
 as ``Discretization.blocks``, the operator's one description, from which
 ``diagnostics`` builds its Bloch symbols and sparse matrix.
 
@@ -50,7 +50,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import fluxes
-from .basis import ReferenceElement, build_reference, gauss_points, legendre_tables
+from .basis import ReferenceElement
 from .fluxes import FluxParams, Trace
 from .mesh import MeshTopology, classify_mesh
 
@@ -205,53 +205,6 @@ def _row_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray):
     return [(a[i:i + size], out[i:i + size]) for i in range(0, len(a), size)]
 
 
-@functools.cache
-def _face_trace_maps(q: int, s: int, dim: int):
-    """The face traces of an element of degrees (q, s) as Legendre
-    coefficients along each face.
-
-    Along a 2D face the traces are polynomials of the tangential coordinate:
-    v of degree s, the normal derivative of u of degree q and its
-    tangential derivative of degree q-1, so r = (s+1)+(q+1)+q coefficients
-    hold them all.  A 1D face is a point, where r = 2 values hold v and
-    du/dx.  Returns (maps, unit_v, unit_g): maps[side], of shape (N, r),
-    takes an element's stacked [u v] coefficients to those of its traces on
-    side (a Gauss projection along the face, exact at these degrees;
-    gradients in reference coordinates), and unit_v (2*dim, r, nfq) and
-    unit_g (2*dim, r, nfq, dim) are the face-point traces of the r unit
-    coefficients, so that x @ maps[side] @ unit_v[side] is v's trace.
-    Built once per process for each pair of degrees and dimension;
-    read-only.
-    """
-    ref = build_reference(q, s, dim=dim)
-    nu, nb = ref.n_u, ref.n_u + ref.n_v
-    nodes, weights = gauss_points(len(ref.face_weights))
-    vals = legendre_tables(q, nodes)[0]                 # (nfq, q+1)
-    # point values to coefficients: (2m + 1)/2 times the integral against P_m
-    proj = (np.arange(q + 1)[:, None] + 0.5) * (vals * weights[:, None]).T
-    r = (s + 1) + (q + 1) + q if dim == 2 else 2
-    maps = np.zeros((2 * dim, nb, r))
-    unit_v = np.zeros((2 * dim, r, len(nodes)))
-    unit_g = np.zeros((2 * dim, r, len(nodes), dim))
-    for side in range(2 * dim):
-        axis = side // 2
-        # (columns of [u v], point-trace table, degree along the face, unit traces)
-        parts = [(slice(nu, nb), ref.face_vals_v[side], s, unit_v[side])]
-        parts += [(slice(0, nu), ref.face_grads_u[side, d], q if d == axis else q - 1,
-                   unit_g[side, ..., d]) for d in range(dim)]
-        col = 0
-        for rows, table, degree, unit in parts:
-            if dim == 1:
-                degree = 0    # a constant on a point face
-            coeffs = slice(col, col + degree + 1)
-            maps[side, rows, coeffs] = (proj[:degree + 1] @ table).T
-            unit[coeffs] = vals[:, :degree + 1].T
-            col += degree + 1
-    for a in (maps, unit_v, unit_g):
-        a.flags.writeable = False
-    return maps, unit_v, unit_g
-
-
 class Discretization:
     """Everything needed to apply the semidiscrete operator repeatedly.
 
@@ -316,14 +269,13 @@ class Discretization:
         self._x = np.empty((mesh.n_elements, nb))
         self.input_uv = self._x[:, :nu], self._x[:, nu:]
         # 1D applies the blocks, 2D keeps them factored
-        maps, unit_v, unit_g = _face_trace_maps(ref.q, ref.s, dim)
-        self.blocks, lifts = self._assemble(maps, unit_v, self.dscale * unit_g)
+        self.blocks, lifts = self._assemble()
         self.blocks.flags.writeable = False
         if dim == 1:
             self._lifts = None
             self._build_blocks()
         else:
-            self._build_traces(maps, lifts)
+            self._build_traces(lifts)
         # _f_t is the time _f was built at (None: not built yet)
         self._forcing_time = self._forcing_proj = self._f_t = None
         if forcing is not None:
@@ -336,7 +288,7 @@ class Discretization:
             self._forcing_proj = proj.reshape(len(space), -1)
             self._f = np.empty_like(self._x)
             self._f_flat = self._f.reshape(-1)
-        # diagnostics.l2_error's finer quadrature, built there on first use
+        # the exact fields at diagnostics.l2_error's points, built there on first use
         self.error_quadrature = None
 
     # --- traces and fluxes ------------------------------------------------
@@ -440,11 +392,11 @@ class Discretization:
 
     # --- assembly ------------------------------------------------------------
 
-    def _assemble(self, maps, unit_v, unit_g):
+    def _assemble(self):
         """The blocks of the operator, element solves included, and the lifts
         they are built from.
 
-        maps, unit_v and unit_g are those of ``_face_trace_maps``, with the
+        maps, unit_v and unit_g are the reference element's, with the
         gradients in physical coordinates.  Returns (blocks, lifts), blocks
         as ``Discretization.blocks`` and lifts (n_lifts, r, N): row j of
         lifts[s] is the derivative [du dv] an element takes from its
@@ -459,6 +411,7 @@ class Discretization:
         """
         ref, dim, periodic = self.ref, self.mesh.dim, self.mesh.periodic
         nu, nb = ref.n_u, ref.n_u + ref.n_v
+        maps, unit_v, unit_g = ref.trace_maps, ref.unit_v, self.dscale * ref.unit_g
         sides, r = unit_v.shape[:2]
         # the roles in order: neighbour, boundary change (physical meshes),
         # own trace, each on every side
@@ -531,7 +484,7 @@ class Discretization:
         self._strips = [(grid[(0,) + layer], x_grid[layer], self.blocks[1 + sides + side])
                         for side, layer in strips]
 
-    def _build_traces(self, maps, lifts) -> None:
+    def _build_traces(self, lifts) -> None:
         """Work arrays and views of the trace-factored stencil: the product
         of [u v] with [self block | trace map of every side] (w), and the
         traces each element's lifts read (g, one r-wide slot per lift),
@@ -541,7 +494,7 @@ class Discretization:
         dim, n, nb = self.mesh.dim, self.mesh.n, self.blocks.shape[-1]
         sides, n_el = 2 * dim, self.mesh.n_elements
         n_lifts, r = lifts.shape[:2]
-        self._factors = np.concatenate([self.blocks[0]] + list(maps), axis=1)
+        self._factors = np.concatenate([self.blocks[0]] + list(self.ref.trace_maps), axis=1)
         self._lifts = lifts.reshape(n_lifts * r, nb)
         self._w = np.empty((n_el, nb + sides * r))
         self._w_self = self._w[:, :nb]

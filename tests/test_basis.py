@@ -196,7 +196,7 @@ def test_build_reference_built_once():
 def test_reference_arrays_read_only():
     ref = build_reference(2, 1, dim=2)
     arrays = [value for value in vars(ref).values() if isinstance(value, np.ndarray)]
-    assert len(arrays) == 17
+    assert len(arrays) == 24
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = 1.0

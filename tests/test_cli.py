@@ -127,6 +127,19 @@ def test_not_json(tmp_path):
         load_config(str(path))
 
 
+# bytes that are not UTF-8, and an array nested past the decoder's recursion limit
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "nested-100000"])
+def test_undecodable_config(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match="config is not valid JSON"):
+        load_config(str(path))
+    assert main(["run", "--config", str(path), "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config is not valid JSON") and err.count("\n") == 1
+
+
 def test_default_cfl_table():
     two_pi = 2 * np.pi
     cases = [
@@ -239,6 +252,21 @@ def test_converge_checks_its_default_grids(tmp_path, capsys):
     path = write_config(tmp_path, problem="periodic2d", w=[0.5, 0.5], q=25, T=0.0)
     assert main(["converge", "--config", path, "--output", str(tmp_path)]) == 2
     assert "n_list: a solve with n = 40" in capsys.readouterr().err
+
+
+# an existing file, a path under a file, and an output directory whose
+# run.csv is a directory
+@pytest.mark.parametrize("output,blocked", [("file", "file"), ("file/sub", "file/sub"),
+                                            ("out", "out/run.csv")],
+                         ids=["is-a-file", "under-a-file", "csv-is-a-dir"])
+def test_unusable_output_exits_2(tmp_path, capsys, output, blocked):
+    path = write_config(tmp_path, n=4, T=0.01)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "out" / "run.csv").mkdir(parents=True)
+    assert main(["run", "--config", path, "--output", str(tmp_path / output)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --output: ") and err.count("\n") == 1
+    assert str(tmp_path / blocked) in err
 
 
 def test_run_determinism(tmp_path):

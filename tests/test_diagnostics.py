@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from advwave.basis import build_reference, tensor_eval
+from advwave.basis import build_reference, tensor_eval, tensor_gauss
 from advwave.diagnostics import (bloch_symbols, discrete_energy, energy_identity_residual,
                                  fit_rate, l2_error, sparse_operator,
                                  spectral_radius_probe)
@@ -209,16 +209,18 @@ def test_l2_error_matches_reference(kind, lift):
 
 
 def test_l2_error_builds_tables_once(monkeypatch):
-    import advwave.diagnostics as diagnostics
+    import advwave.basis as basis
+    err_nodes = tensor_gauss(3 + 4, 2)[0]   # the q + 4 error rule at q = 3
     calls = []
 
     def counting(*args):
-        calls.append(args[:2])
+        if np.array_equal(args[2], err_nodes):
+            calls.append(args[:2])
         return tensor_eval(*args)
 
-    monkeypatch.setattr(diagnostics, "tensor_eval", counting)
-    # the tables are cached per reference element for the whole process
-    diagnostics._error_rule.cache_clear()
+    monkeypatch.setattr(basis, "tensor_eval", counting)
+    # the tables are built with the reference element, once per process
+    basis._build_reference.cache_clear()
     spec = periodic_2d([0.5, 0.25], 1.0)
     disc = make_disc(dim=2, n=3, q=3, w=spec.w)
     st = random_state(disc)

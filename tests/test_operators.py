@@ -9,8 +9,7 @@ from advwave.basis import build_reference
 from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
 from advwave import operators
-from advwave.operators import (Discretization, ModalState, Separable, _face_trace_maps,
-                               build_element_solvers)
+from advwave.operators import Discretization, ModalState, Separable, build_element_solvers
 
 
 def make_disc(dim=1, n=8, q=3, s=None, w=(0.5,), c=1.0, mode="periodic",
@@ -184,7 +183,7 @@ def test_face_trace_maps_reproduce_side_traces(dim, q, s):
     # an element's traces through the Legendre coefficients along each face;
     # a 1D face is a point, where the traces are the values of v and du/dx
     disc = make_disc(dim=dim, n=3, q=q, s=s, w=[0.5, -0.3][:dim])
-    maps, unit_v, unit_g = _face_trace_maps(q, s, dim)
+    maps, unit_v, unit_g = disc.ref.trace_maps, disc.ref.unit_v, disc.ref.unit_g
     assert maps.shape[2] == ((s + 1) + (q + 1) + q if dim == 2 else 2)
     state = random_state(disc, 4)
     vtr, gtr = disc.side_traces(state.u, state.v)
