@@ -47,6 +47,9 @@ MAX_STEPS = 10 ** 7
 # solve (periodic2d q=3 n=40, 51,200 unknowns), so that a config too large
 # for the memory exits 2 instead of being killed
 MAX_UNKNOWNS = 2 * 10 ** 6
+# the most random states one energy audit may take, each kept as a row:
+# 5,000 times the default
+MAX_STATES = 10 ** 5
 # the most unknowns of the random states the energy audit stacks into one
 # pass of its face side (its traces take a few times as many numbers)
 AUDIT_UNKNOWNS = 2 ** 17
@@ -170,8 +173,8 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("n_list: need a list of at least 2 integers >= 2")
         if len(set(cfg.n_list)) < len(cfg.n_list):
             raise ConfigError("n_list: grid sizes must be distinct")
-    if not _is_int(cfg.n_states) or cfg.n_states < 1:
-        raise ConfigError("n_states: must be an integer >= 1")
+    if not _is_int(cfg.n_states) or not 1 <= cfg.n_states <= MAX_STATES:
+        raise ConfigError(f"n_states: must be an integer from 1 to {MAX_STATES}")
     if cfg.energy_tol <= 0:
         raise ConfigError("energy_tol: must be positive")
     if _block_size(cfg) ** 2 > MAX_UNKNOWNS:

@@ -1,8 +1,8 @@
-"""Discrete energy, energy-identity cross-check, L2 errors, rate fits, the
-operator's Bloch symbols and sparse matrix (both built from
-``Discretization.blocks``, without ``rhs`` calls), and its spectral radius:
-exact from the symbols on periodic meshes, by implicitly restarted Arnoldi
-(ARPACK) on ``rhs`` on physical ones."""
+"""Discrete energy, the energy-identity cross-check (one path for a state or
+a stack of states), L2 errors, rate fits, the operator's Bloch symbols and
+sparse matrix (both from ``Discretization.blocks``, without ``rhs`` calls),
+and its spectral radius: exact from the symbols on periodic meshes, by
+implicitly restarted Arnoldi (ARPACK) on ``rhs`` on physical ones."""
 
 from __future__ import annotations
 
@@ -18,34 +18,26 @@ def discrete_energy(state: ModalState, disc: Discretization) -> float:
     return float(kinetic + potential)
 
 
-def energy_rate_from_operator(state: ModalState, disc: Discretization) -> float:
-    """dE^h/dt evaluated from the operator output (no time differencing)."""
-    du, dv = disc.rhs(state.u, state.v, state.t)
-    kinetic = np.sum(state.v * (dv * disc.solvers.v_mass_diag))
-    potential = np.sum(state.u * (du @ disc.solvers.stiffness.T))
-    return float(kinetic + potential)
-
-
 def energy_identity_residual(state: ModalState, disc: Discretization):
     """Compare operator-side dE/dt against the boundary-sum formula.
 
-    The two sides are independent code paths: the left uses the assembled
-    operator, the right the closed-form per-face energy rates.  Requires
-    homogeneous forcing.  Returns (lhs, rhs, relative residual).  The
-    state's u and v may stack several states on a leading axis: each
-    state's left side is one ``rhs`` call, the right sides of all of them
-    come from one pass, and the results are arrays with one entry per state.
+    The two sides are independent code paths: the left is v.M dv + u.S du
+    from one ``rhs`` call per state (no time differencing), the right the
+    closed-form per-face energy rates of all states in one pass.  Requires
+    homogeneous forcing.  u and v may stack states on leading axes, as in
+    ``Discretization.side_traces``.  Returns (lhs, rhs, relative residual)
+    as arrays of the leading shape, numpy scalars for one state.
     """
     if disc.forcing is not None:
         raise ValueError("energy identity requires homogeneous forcing")
-    if state.u.ndim == 2:
-        lhs = energy_rate_from_operator(state, disc)
-    else:
-        lhs = np.array([energy_rate_from_operator(ModalState(u, v, state.t), disc)
-                        for u, v in zip(state.u, state.v)])
+    mass, stiffness = disc.solvers.v_mass_diag, disc.solvers.stiffness
+    lhs = np.empty(state.u.shape[:-2])
+    for i in np.ndindex(lhs.shape):
+        du, dv = disc.rhs(state.u[i], state.v[i], state.t)
+        lhs[i] = np.sum(state.v[i] * (dv * mass)) + np.sum(state.u[i] * (du @ stiffness.T))
     rhs = disc.boundary_energy_rate(state.u, state.v)
     residual = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
-    return lhs, rhs, residual
+    return lhs[()], rhs, residual
 
 
 def l2_error(state: ModalState, spec, t: float, disc: Discretization):
@@ -162,12 +154,17 @@ def spectral_radius_probe(disc: Discretization, seed: int = 0):
     eigenvalue of ``sparse_operator`` up to _DENSE_LIMIT unknowns (converged
     True), and the largest accepted Ritz value above it.  It never raises on
     a homogeneous operator: with no finite radius (no Ritz value, or an
-    operator that overflows) it returns (NaN, False).
+    operator, Bloch symbols or eigenvalues that overflow) it returns
+    (NaN, False).
     """
     if disc.forcing is not None:
         raise ValueError("spectral probe requires the homogeneous operator")
     if disc.mesh.periodic:
-        return float(np.max(np.abs(np.linalg.eigvals(bloch_symbols(disc))))), True
+        symbols = bloch_symbols(disc)
+        # numpy's eigvals raises on a non-finite matrix
+        radius = (float(np.max(np.abs(np.linalg.eigvals(symbols))))
+                  if np.all(np.isfinite(symbols)) else float("nan"))
+        return (radius, True) if np.isfinite(radius) else (float("nan"), False)
     # imported here: scipy.sparse.linalg adds ~3.6 MB RSS that only this probe needs
     from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperator,
                                       eigs)

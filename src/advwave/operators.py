@@ -213,6 +213,7 @@ class Discretization:
     homogeneous operator in rhs's row convention: out[e] = x[e] @ blocks[0]
     + sum_s x[neighbour across side s] @ blocks[1 + s], plus
     x[e] @ blocks[1 + 2*dim + s] on each side s of e that is a boundary.
+    Blocks that are not all finite raise ValueError.
     """
 
     def __init__(self, mesh: MeshTopology, ref: ReferenceElement,
@@ -270,6 +271,8 @@ class Discretization:
         self.input_uv = self._x[:, :nu], self._x[:, nu:]
         # 1D applies the blocks, 2D keeps them factored
         self.blocks, lifts = self._assemble()
+        if not np.all(np.isfinite(self.blocks)):
+            raise ValueError("the operator's blocks overflow")
         self.blocks.flags.writeable = False
         if dim == 1:
             self._lifts = None
@@ -296,12 +299,14 @@ class Discretization:
     def side_traces(self, u: np.ndarray, v: np.ndarray):
         """v and grad u of every element at every local side's face points.
 
-        Returns (vtr, gtr) with shapes (2*dim, n_el, nfq) and
-        (2*dim, n_el, nfq, dim); gradients are in physical coordinates.
+        u and v may stack states on leading axes, (..., n_el, Nu) and
+        (..., n_el, Nv).  Returns (vtr, gtr) with shapes
+        (2*dim, ..., n_el, nfq) and (2*dim, ..., n_el, nfq, dim); gradients
+        are in physical coordinates.
         """
         ref = self.ref
-        vtr = np.einsum("sfj,ej->sef", ref.face_vals_v, v)
-        gtr = self.dscale * np.einsum("sdfj,ej->sefd", ref.face_grads_u, u)
+        vtr = np.einsum("sfj,...ej->s...ef", ref.face_vals_v, v)
+        gtr = self.dscale * np.einsum("sdfj,...ej->s...efd", ref.face_grads_u, u)
         return vtr, gtr
 
     def _face_traces(self, vtr, gtr):
@@ -338,11 +343,8 @@ class Discretization:
         construction.  Returns (vstar, gstar, vtr, gtr) shaped like the
         side-trace arrays.
         """
-        n_el, dim = self.mesh.n_elements, self.mesh.dim
-        nfq = self.ref.face_weights.shape[0]
         vtr, gtr = self.side_traces(u, v)
-        vstar = np.zeros((2 * dim, n_el, nfq))
-        gstar = np.zeros((2 * dim, n_el, nfq, dim))
+        vstar, gstar = np.zeros_like(vtr), np.zeros_like(gtr)
         for kind, sides, t1, t2 in self._face_traces(vtr, gtr):
             state = fluxes.compute_flux(kind, t1, t2, self.params, self.w, self.c)
             for side, el in sides:
@@ -584,14 +586,11 @@ class Discretization:
     def boundary_energy_rate(self, u: np.ndarray, v: np.ndarray):
         """Sum of the closed-form face energy rates over all faces.
 
-        u and v may stack states on leading axes, (..., n_elements, Nu) and
-        (..., n_elements, Nv): the rates of all of them come from one pass,
-        as an array of the leading shape.
+        u and v may stack states on leading axes, as in ``side_traces``: the
+        rates of all of them come from one pass, as an array of the leading
+        shape (a numpy scalar for one state).
         """
-        lead, n_el = u.shape[:-2], u.shape[-2]
-        vtr, gtr = self.side_traces(u.reshape(-1, u.shape[-1]), v.reshape(-1, v.shape[-1]))
-        vtr = vtr.reshape(vtr.shape[:1] + lead + (n_el,) + vtr.shape[2:])
-        gtr = gtr.reshape(gtr.shape[:1] + lead + (n_el,) + gtr.shape[2:])
+        vtr, gtr = self.side_traces(u, v)
         wf = self.ref.face_weights
         total = 0.0
         for kind, _, t1, t2 in self._face_traces(vtr, gtr):

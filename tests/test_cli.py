@@ -77,10 +77,29 @@ def test_unknown_field_rejected(tmp_path):
     # c^2 overflows to an infinite element system or underflows to a singular one
     ({"c": 1e200}, "c"),
     ({"c": 1e-200}, "c"),
+    ({"dt": 0}, "dt"),
+    ({"n_states": 0}, "n_states"),
+    ({"energy_tol": 0}, "energy_tol"),
+    # the audit keeps a row per state: at most MAX_STATES of them
+    ({"n_states": 100001}, "n_states"),
 ])
 def test_invalid_configs(tmp_path, overrides, field):
     with pytest.raises(ConfigError, match=field):
         load_config(write_config(tmp_path, **overrides))
+
+
+def test_config_root_must_be_an_object(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[]")
+    with pytest.raises(ConfigError, match="config root must be a JSON object"):
+        load_config(str(path))
+
+
+def test_workers_must_be_positive(tmp_path, capsys):
+    path = write_config(tmp_path, n_list=[4, 6], T=0.01)
+    assert main(["converge", "--config", path, "--output", str(tmp_path),
+                 "--workers", "0"]) == 2
+    assert capsys.readouterr().err == "config error: --workers must be >= 1\n"
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -92,6 +111,33 @@ def test_wave_speed_that_overflows_the_operator(tmp_path, problem, w):
     load_config(path)
     for command in ("run", "converge", "energy", "spectrum"):
         assert main([command, "--config", path, "--output", str(tmp_path)]) == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("problem,w", [("periodic1d", 0.5), ("periodic2d", [0.5, 0.5]),
+                                       ("mixed2d", [0.5, 0.5])])
+def test_flux_that_overflows_the_operator(tmp_path, capsys, problem, w):
+    # a tiny xi leaves the element solve finite but overflows the products
+    # of trace maps and lifts
+    path = write_config(tmp_path, problem=problem, q=3, w=w, n=3, T=0.01, n_list=[3, 4],
+                        flux={"preset": "sommerfeld", "xi": 1e-307})
+    for command in ("run", "converge", "energy", "spectrum"):
+        assert main([command, "--config", path, "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: c, w, flux: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("problem,w,xi", [("periodic1d", 0.5, 3e-307),
+                                          ("periodic2d", [0.5, 0.5], 5e-307)])
+def test_spectrum_of_overflowing_bloch_symbols(tmp_path, problem, w, xi):
+    # finite blocks whose Bloch symbols or their eigenvalues overflow have
+    # no radius
+    path = write_config(tmp_path, problem=problem, q=3, w=w, n_list=[3, 4],
+                        flux={"preset": "sommerfeld", "xi": xi})
+    assert main(["spectrum", "--config", path, "--output", str(tmp_path)]) == 0
+    rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3:] for row in rows] == [["nan", "False"]] * 2
 
 
 def test_readme_lists_every_config_field():

@@ -83,6 +83,9 @@ def test_energy_matches_fine_quadrature():
     (2, 3, [0.5, 0.5], "physical", FluxParams.sommerfeld()),
     (2, 3, [0.5, 0.25], "periodic", FluxParams.central()),
     (1, 8, [0.4], "periodic", FluxParams(sigma=0.7)),
+    # supersonic interior faces of the central flux
+    (1, 8, [-2.0], "physical", FluxParams.central()),
+    (2, 3, [1.5, -0.3], "physical", FluxParams.central()),
 ])
 def test_energy_identity(dim, n, w, mode, params):
     disc = make_disc(dim=dim, n=n, q=3, w=w, mode=mode, params=params)
@@ -111,6 +114,20 @@ def test_energy_identity_on_fine_2d_grids(q, mode, params):
         one = energy_identity_residual(st, disc)
         assert one[0] == lhs[i]
         assert abs(one[1] - rhs[i]) <= 1e-13 * max(1.0, abs(rhs[i]))
+
+
+def test_energy_identity_of_a_stack_matches_one_state_at_a_time():
+    disc = make_disc(dim=2, n=3, q=2, w=[0.5, 0.5], mode="physical")
+    states = [[random_state(disc, 3 * i + j) for j in range(3)] for i in range(2)]
+    stacked = ModalState(np.array([[st.u for st in row] for row in states]),
+                         np.array([[st.v for st in row] for row in states]))
+    lhs, rhs, res = energy_identity_residual(stacked, disc)
+    assert lhs.shape == rhs.shape == res.shape == (2, 3)
+    for (i, j), st in np.ndenumerate(np.array(states, dtype=object)):
+        one = energy_identity_residual(st, disc)
+        assert all(np.ndim(x) == 0 and isinstance(x, np.floating) for x in one)
+        assert one[0] == lhs[i, j]
+        assert abs(one[1] - rhs[i, j]) <= 1e-13 * max(1.0, abs(rhs[i, j]))
 
 
 def test_energy_identity_rejects_forcing():
@@ -442,6 +459,7 @@ def test_spectral_probe_no_convergence(monkeypatch):
     assert np.isnan(radius) and not converged
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_spectral_probe_never_raises(monkeypatch):
     import scipy.sparse.linalg as sla
 
@@ -463,6 +481,11 @@ def test_spectral_probe_never_raises(monkeypatch):
     assert np.isnan(radius) and not converged
     monkeypatch.setattr(sla, "eigs", lambda *args, **kwargs: np.array([np.inf + 0j]))
     radius, converged = spectral_radius_probe(large)
+    assert np.isnan(radius) and not converged
+    # on a periodic mesh too, with no ARPACK
+    periodic = make_disc(dim=2, n=3, q=2, w=(0.5, 0.5))
+    periodic.blocks = np.full_like(periodic.blocks, np.inf)
+    radius, converged = spectral_radius_probe(periodic)
     assert np.isnan(radius) and not converged
 
 

@@ -266,6 +266,22 @@ def test_evolve_matches_out_of_place_rk4_bitwise(problem):
     assert np.array_equal(state0.u, again.u) and np.array_equal(state0.v, again.v)
 
 
+def test_observer_copy_does_not_alias_the_stepped_state():
+    ref = build_reference(2, 2, dim=1)
+    disc = Discretization(build_mesh(1, 4, "periodic"), ref, FluxParams.sommerfeld(),
+                          [0.5], 1.0)
+    rng = np.random.default_rng(0)
+    state0 = ModalState(rng.standard_normal((4, ref.n_u)), rng.standard_normal((4, ref.n_v)))
+    kept = []
+    final = evolve(state0, disc, 0.03, 0.01,
+                   observers=[lambda k, s: kept.append((s.copy(), s.u.copy(), s.v.copy()))])
+    for copy, u, v in kept:
+        assert not np.shares_memory(copy.u, final.u) and not np.shares_memory(copy.v, final.v)
+        assert np.array_equal(copy.u, u) and np.array_equal(copy.v, v)
+    assert [copy.t for copy, *_ in kept] == [0.0, 0.01, 0.02, 0.03]
+    assert not np.array_equal(kept[0][0].u, kept[-1][0].u)
+
+
 def test_forced_evolve_builds_forcing_once_per_stage_time():
     # k2 and k3 share t + dt/2 and a step's t + dt is the next step's t,
     # so N steps build the forcing at the 2N + 1 distinct stage times
