@@ -169,13 +169,15 @@ def spectral_radius_probe(disc: Discretization, seed: int = 0):
     from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperator,
                                       eigs)
 
-    n_el, nu = disc.mesh.n_elements, disc.ref.n_u
-    buf = np.empty((n_el, nu + disc.ref.n_v))
+    nu = disc.ref.n_u
+    # coefficient-major vectors: in 2D rhs then reads and writes them
+    # without a transpose
+    buf = np.empty_like(disc.input)
 
     def matvec(x):
-        x = x.reshape(buf.shape)
+        x = x.reshape(buf.shape, order="F")
         disc.rhs(x[:, :nu], x[:, nu:], 0.0, out=buf)
-        return buf.ravel()
+        return buf.ravel(order="F")
 
     v0 = np.random.default_rng(seed).standard_normal(buf.size)
     op = LinearOperator((buf.size, buf.size), matvec=matvec, dtype=float)

@@ -1,11 +1,11 @@
 """Semidiscrete DG operator, assembled once into blocks, applied as a stencil.
 
-The evolving unknown is a pair of modal coefficient arrays, one row per
-element.  On a uniform Cartesian mesh with constant w the operator is linear,
-time-invariant and translation-invariant: every interior face of an axis has
-the same flux kind, so the derivative of an element depends only on its own
-coefficients and on those of its 2*dim face neighbours, through the same
-dense blocks for every element.
+The evolving unknown is a pair of modal coefficient arrays of shape
+(n_elements, N_u) and (n_elements, N_v).  On a uniform Cartesian mesh with
+constant w the operator is linear, time-invariant and translation-invariant:
+every interior face of an axis has the same flux kind, so the derivative of
+an element depends only on its own coefficients and on those of its 2*dim
+face neighbours, through the same dense blocks for every element.
 
 ``Discretization.__init__`` builds the couplings once, with the u-system solve
 and the v mass inverse folded in (the LIFT = M^-1 E idiom of nodal DG methods),
@@ -24,14 +24,20 @@ L_s and a boundary side through T_s L_{2dim+s}.  These N x N products are kept
 as ``Discretization.blocks``, the operator's one description, from which
 ``diagnostics`` builds its Bloch symbols and sparse matrix.
 
-1D ``rhs`` applies the blocks: one batched product, 2*dim shifted adds and
-the boundary-strip corrections (with r = 2 against N = 8 at q = 3 the
-number of array calls sets its cost, and a factored form took 33-45 %
-longer).  2D ``rhs`` keeps the couplings factored: one product of [u v]
-with [self block | T of every side], a copy of each element's r-wide trace
-slots from its neighbours (and on physical meshes its own boundary
-traces), and one product of the slots with the stacked L.  Both add the
-separable forcing, a combination of projections made at build time.
+1D ``rhs`` applies the blocks to row-major coefficients (one row per
+element): one batched product, 2*dim shifted adds and the boundary-strip
+corrections (with r = 2 against N = 8 at q = 3 the number of array calls
+sets its cost, and a factored form took 33-45 % longer).  2D ``rhs`` keeps
+the couplings factored and works coefficient-major (one column per
+element), in one operand G whose first N rows are [u v] and whose other
+rows hold an r-row trace slot per lift: one product of the stacked T_s^T
+with [u v] gives every element's traces on every side, shifted copies of
+whole runs of elements move them into the slots of the elements that read
+them (and on physical meshes an element's own boundary traces into its
+boundary slots), and one product of [self block; stacked L]^T with G is the
+derivative, written straight into the transpose of out.  Both add the
+separable forcing, a combination of projections made at build time and kept
+in the layout of the input.
 
 ``matrix_free_rhs`` keeps the face-by-face evaluation of the homogeneous
 operator, the reference the assembled one is tested against.  It and the
@@ -192,17 +198,20 @@ def _grid_couplings(dim: int, periodic: bool):
 
 
 # OpenBLAS runs a product of at most 10^6 multiply-adds through its
-# small-matrix kernels, which took rhs's skinny products about 30 % less
-# time per row than its general path (AVX-512 Xeon, one thread)
+# small-matrix kernels: in column blocks of at most that many (2 each on a
+# periodic q = 3 grid of 784 elements), 2D rhs's trace product took 14 %
+# and its lift product 6 % less time than in one block (AVX-512 Xeon, one
+# thread; medians of interleaved rounds, 66 against 77 and 95 against
+# 101 us)
 SMALL_PRODUCT = 10 ** 6
 
 
-def _row_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray):
-    """(rows of a, rows of out) view pairs that compute out = a @ b in
-    equal row blocks of at most SMALL_PRODUCT multiply-adds each."""
-    per_block = max(1, SMALL_PRODUCT // b.size)
-    size = -(-len(a) // -(-len(a) // per_block))
-    return [(a[i:i + size], out[i:i + size]) for i in range(0, len(a), size)]
+def _column_blocks(a: np.ndarray, n_columns: int):
+    """Equal column slices of an n_columns-wide operand b that compute
+    a @ b in blocks of at most SMALL_PRODUCT multiply-adds each."""
+    per_block = max(1, SMALL_PRODUCT // a.size)
+    size = -(-n_columns // -(-n_columns // per_block))
+    return [slice(i, i + size) for i in range(0, n_columns, size)]
 
 
 class Discretization:
@@ -213,7 +222,10 @@ class Discretization:
     homogeneous operator in rhs's row convention: out[e] = x[e] @ blocks[0]
     + sum_s x[neighbour across side s] @ blocks[1 + s], plus
     x[e] @ blocks[1 + 2*dim + s] on each side s of e that is a boundary.
-    Blocks that are not all finite raise ValueError.
+    Blocks that are not all finite raise ValueError.  input, of shape
+    (n_elements, Nu+Nv), is the array rhs reads [u v] from (a view of its
+    coefficient-major operand in 2D, row-major in 1D), and input_uv are
+    its u and v column views.
     """
 
     def __init__(self, mesh: MeshTopology, ref: ReferenceElement,
@@ -261,24 +273,25 @@ class Discretization:
             mesh.element_centers[:, None, :] + (h / 2.0) * ref.vol_nodes[None, :, :]
         )
 
-        # work arrays of rhs (allocating them per call costs page faults)
-        # and the fixed views it works through.  rhs reads the stacked
-        # [u v] rows from _x; passed input_uv itself it skips the copy, so a
-        # caller (the RK4 stages) can write a state there directly
-        nu, nb = ref.n_u, ref.n_u + ref.n_v
-        self._nu = nu
-        self._x = np.empty((mesh.n_elements, nb))
-        self.input_uv = self._x[:, :nu], self._x[:, nu:]
-        # 1D applies the blocks, 2D keeps them factored
-        self.blocks, lifts = self._assemble()
+        # an overflow shows as blocks that are not finite, raised below
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.blocks, lifts = self._assemble()
         if not np.all(np.isfinite(self.blocks)):
             raise ValueError("the operator's blocks overflow")
         self.blocks.flags.writeable = False
+        # work arrays of rhs (allocating them per call costs page faults)
+        # and the fixed views it works through.  rhs reads the stacked
+        # [u v] of every element from input, an (n_elements, Nu+Nv) view;
+        # passed input_uv, its column views, it skips the copy, so a caller
+        # (the RK4 stages) can write a state there directly.  1D applies
+        # the blocks row-major, 2D keeps them factored coefficient-major
+        nu, nb = ref.n_u, ref.n_u + ref.n_v
+        self._nu = nu
         if dim == 1:
-            self._lifts = None
             self._build_blocks()
         else:
             self._build_traces(lifts)
+        self.input_uv = self.input[:, :nu], self.input[:, nu:]
         # _f_t is the time _f was built at (None: not built yet)
         self._forcing_time = self._forcing_proj = self._f_t = None
         if forcing is not None:
@@ -287,10 +300,12 @@ class Discretization:
             # the integrals of each space factor times each v basis function
             load = self.jac_vol * ((space * ref.vol_weights) @ ref.vol_vals_v)
             proj[:, :, nu:] = load * self.solvers.v_mass_inv
+            # in input's memory order, so that one product builds _f
+            self._f = np.empty_like(self.input)
+            order = "F" if self._f.flags.f_contiguous else "C"
+            self._f_flat = self._f.ravel(order)
             self._forcing_time = forcing.time
-            self._forcing_proj = proj.reshape(len(space), -1)
-            self._f = np.empty_like(self._x)
-            self._f_flat = self._f.reshape(-1)
+            self._forcing_proj = proj.reshape(len(space), -1, order=order)
         # the exact fields at diagnostics.l2_error's points, built there on first use
         self.error_quadrature = None
 
@@ -470,16 +485,18 @@ class Discretization:
 
     def _build_blocks(self) -> None:
         """Work arrays and views of the full-block stencil: the products of
-        [u v] with the self and neighbour blocks land in one array (axes:
-        block, grid..., coefficient); the neighbour products are then added
-        onto the self one, shifted on the grid, and strips get corrections."""
+        [u v] (input, row-major) with the self and neighbour blocks land in
+        one array (axes: block, grid..., coefficient); the neighbour
+        products are then added onto the self one, shifted on the grid, and
+        strips get corrections."""
         dim, n, nb = self.mesh.dim, self.mesh.n, self.blocks.shape[-1]
         sides = 2 * dim
+        self.input = np.empty((self.mesh.n_elements, nb))
         self._stencil = self.blocks[:1 + sides]
         self._y = np.empty((1 + sides, self.mesh.n_elements, nb))
         self._y0 = self._y[0]
         grid = self._y.reshape((1 + sides,) + (n,) * dim + (nb,))
-        x_grid = self._x.reshape(grid.shape[1:])
+        x_grid = self.input.reshape(grid.shape[1:])
         shifts, strips = _grid_couplings(dim, self.mesh.periodic)
         self._shifts = [(grid[(0,) + dst], grid[(1 + side,) + src])
                         for side, dst, src in shifts]
@@ -487,57 +504,63 @@ class Discretization:
                         for side, layer in strips]
 
     def _build_traces(self, lifts) -> None:
-        """Work arrays and views of the trace-factored stencil: the product
-        of [u v] with [self block | trace map of every side] (w), and the
-        traces each element's lifts read (g, one r-wide slot per lift),
-        copied from w: a neighbour's traces on the shared face, zero where
-        a side has no neighbour, and on a physical mesh the element's own
-        traces on each boundary side, zero on its other sides."""
+        """Work arrays and views of the trace-factored stencil, all
+        coefficient-major (one column per element).  The operand holds
+        [u v] (its first N rows, input's transpose) and below it the traces
+        each element's lifts read, one r-row slot per lift: a neighbour's
+        traces on the shared face, zero where a side has no neighbour, and
+        on a physical mesh the element's own traces on each boundary side,
+        zero on its other sides.  They are copied, as whole runs of
+        elements, from the traces of every side (the product of the trace
+        maps with [u v]); the derivative is then the transpose of
+        [self block; lifts] times the operand."""
         dim, n, nb = self.mesh.dim, self.mesh.n, self.blocks.shape[-1]
         sides, n_el = 2 * dim, self.mesh.n_elements
         n_lifts, r = lifts.shape[:2]
-        self._factors = np.concatenate([self.blocks[0]] + list(self.ref.trace_maps), axis=1)
-        self._lifts = lifts.reshape(n_lifts * r, nb)
-        self._w = np.empty((n_el, nb + sides * r))
-        self._w_self = self._w[:, :nb]
-        self._g = np.zeros((n_el, n_lifts * r))
-        self._z = np.empty((n_el, nb))
-        self._trace_products = _row_blocks(self._x, self._factors, self._w)
-        self._lift_products = _row_blocks(self._g, self._lifts, self._z)
-        w_grid = self._w.reshape((n,) * dim + (nb + sides * r,))
-        g_grid = self._g.reshape((n,) * dim + (n_lifts, r))
-
-        def traces(side):
-            return (slice(nb + side * r, nb + (side + 1) * r),)
-
+        self._operand = np.zeros((nb + n_lifts * r, n_el))
+        self.input = self._operand[:nb].T
+        self._traces = np.empty((sides * r, n_el))
+        self._trace_factor = np.concatenate(self.ref.trace_maps, axis=1).T.copy()
+        self._lift_factor = np.concatenate([self.blocks[0], lifts.reshape(-1, nb)]).T.copy()
+        # the derivative when out's transpose is not laid out like it
+        self._result = np.empty((nb, n_el))
+        self._trace_products = [(self._operand[:nb, cols], self._traces[:, cols])
+                                for cols in _column_blocks(self._trace_factor, n_el)]
+        self._lift_products = [(self._operand[:, cols], cols)
+                               for cols in _column_blocks(self._lift_factor, n_el)]
+        traces = self._traces.reshape((sides, r) + (n,) * dim)
+        slots = self._operand[nb:].reshape((n_lifts, r) + (n,) * dim)
+        every = (slice(None),)
         shifts, strips = _grid_couplings(dim, self.mesh.periodic)
         # the neighbour across side s meets it with its side s ^ 1
-        self._gathers = [(g_grid[dst + (side,)], w_grid[src + traces(side ^ 1)])
-                         for side, dst, src in shifts]
-        self._gathers += [(g_grid[layer + (sides + side,)], w_grid[layer + traces(side)])
-                          for side, layer in strips]
+        self._copies = [(slots[(side,) + every + dst], traces[(side ^ 1,) + every + src])
+                        for side, dst, src in shifts]
+        self._copies += [(slots[(sides + side,) + every + layer], traces[(side,) + every + layer])
+                         for side, layer in strips]
 
     # --- operator application ----------------------------------------------
 
     def rhs(self, u: np.ndarray, v: np.ndarray, t: float, out: np.ndarray | None = None):
         """Semidiscrete right-hand side (du/dt, dv/dt).
 
-        With out, an (n_elements, Nu+Nv) array, the stacked [du dv] is
-        written into it and its two column views are returned; without,
-        the views of a new array.  u and v are copied into a work array
-        unless they are ``input_uv``, that array's own views.  The forcing
-        is built once per distinct t: a call at the t of the previous one
-        reuses it, so an RK4 step builds it twice (k2 and k3 share t + dt/2,
-        and k4's t + dt is the next step's t).  Works in arrays owned by
-        the discretization, so concurrent calls on one instance from
-        several threads are not supported.
+        With out, an (n_elements, Nu+Nv) array of any layout, the stacked
+        [du dv] is written into it and its two column views are returned;
+        without, the views of a new array laid out like ``input``
+        (coefficient-major in 2D, row-major in 1D).  Every out gets the
+        same values, bit for bit.  u and v are copied into ``input`` unless
+        they are ``input_uv``, its own views.  The forcing is built once
+        per distinct t: a call at the t of the previous one reuses it, so
+        an RK4 step builds it twice (k2 and k3 share t + dt/2, and k4's
+        t + dt is the next step's t).  Works in arrays owned by the
+        discretization, so concurrent calls on one instance from several
+        threads are not supported.
         """
         x_u, x_v = self.input_uv
         if u is not x_u or v is not x_v:
             x_u[...] = u
             x_v[...] = v
         if out is None:
-            out = np.empty_like(self._x)
+            out = np.empty_like(self.input)
         f = None
         if self._forcing_proj is not None:
             # the forcing's u columns are zero
@@ -545,9 +568,9 @@ class Discretization:
                 np.dot(self._forcing_time(t), self._forcing_proj, out=self._f_flat)
                 self._f_t = t
             f = self._f
-        if self._lifts is None:
+        if self.mesh.dim == 1:
             # full blocks: every product, then the neighbours' onto the self one
-            np.matmul(self._x, self._stencil, out=self._y)
+            np.matmul(self.input, self._stencil, out=self._y)
             for dst, src in self._shifts:
                 dst += src
             for dst, x_strip, block in self._strips:
@@ -557,19 +580,22 @@ class Discretization:
             else:
                 np.add(self._y0, f, out=out)
         else:
-            # face traces: [self product | traces], the traces each element
-            # reads gathered into their slots, then their lifts
-            for x_rows, w_rows in self._trace_products:
-                np.matmul(x_rows, self._factors, out=w_rows)
-            for dst, src in self._gathers:
+            # face traces: the traces of every side, those each element
+            # reads copied into its slots, then one product with the operand
+            for x_cols, trace_cols in self._trace_products:
+                np.matmul(self._trace_factor, x_cols, out=trace_cols)
+            for dst, src in self._copies:
                 np.copyto(dst, src)
-            # into a work array: a strided out would take matmul off BLAS
-            # and change its rounding
-            for g_rows, z_rows in self._lift_products:
-                np.matmul(g_rows, self._lifts, out=z_rows)
-            np.add(self._z, self._w_self, out=out)
+            # straight into out's transpose only when it is laid out like
+            # _result: another layout would change matmul's path and its
+            # rounding
+            result = out.T if out.T.strides == self._result.strides else self._result
+            for operand_cols, cols in self._lift_products:
+                np.matmul(self._lift_factor, operand_cols, out=result[:, cols])
             if f is not None:
-                out += f
+                result += f.T
+            if result is self._result:
+                np.copyto(out, result.T)
         nu = self._nu
         return out[:, :nu], out[:, nu:]
 

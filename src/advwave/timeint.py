@@ -42,21 +42,24 @@ def compute_dt(T: float, dt_max: float) -> float:
 class RK4Buffers:
     """The arrays one RK4 solve steps in, allocated once per solve.
 
-    x is the stacked state [u v] of shape (n_elements, Nu+Nv), a copy of
-    the given state; k holds the four stage derivatives and stage the
-    state each of them is evaluated at.  x_uv are the u and v column views
-    of x, stage_uv those of stage, which are passed to rhs.  The stages are
-    written into the array whose column views stage_uv are: evolve passes
-    the discretization's ``input_uv``, which rhs reads without a copy.
+    stage is the array each stage derivative is evaluated at, disc's
+    ``input``, and stage_uv its u and v column views ``disc.input_uv``,
+    which are passed to rhs: rhs reads them without a copy.  x, the
+    stacked state [u v] of shape (n_elements, Nu+Nv) (a copy of the given
+    state), the four stage derivatives k and the finiteness mask take the
+    stage array's layout (coefficient-major in 2D, row-major in 1D), so no
+    stage operation, and no rhs input or output, transposes.  x_uv are the
+    u and v column views of x.
     """
 
-    def __init__(self, state: ModalState, stage_uv):
+    def __init__(self, state: ModalState, disc: Discretization):
         nu = state.u.shape[1]
-        self.x = np.concatenate([state.u, state.v], axis=1)
-        self.k = np.empty((4,) + self.x.shape)
-        self.finite = np.empty(self.x.shape, dtype=bool)
+        self.stage, self.stage_uv = disc.input, disc.input_uv
+        self.x = np.empty_like(self.stage)
         self.x_uv = self.x[:, :nu], self.x[:, nu:]
-        self.stage, self.stage_uv = stage_uv[0].base, stage_uv
+        self.x_uv[0][...], self.x_uv[1][...] = state.u, state.v
+        self.k = tuple(np.empty_like(self.stage) for _ in range(4))
+        self.finite = np.empty_like(self.stage, dtype=bool)
 
 
 def rk4_step(buf: RK4Buffers, t: float, dt: float, rhs) -> float:
@@ -104,7 +107,7 @@ def evolve(state0: ModalState, disc: Discretization, T: float, dt: float,
     that keeps it must copy it.  The returned state's arrays belong to it
     alone; state0 is not modified.
     """
-    buf = RK4Buffers(state0, disc.input_uv)
+    buf = RK4Buffers(state0, disc)
     state = ModalState(*buf.x_uv, state0.t)
     for obs in observers:
         obs(0, state)

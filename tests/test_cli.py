@@ -102,8 +102,6 @@ def test_workers_must_be_positive(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: --workers must be >= 1\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("problem,w", [("periodic1d", 0.5), ("mixed2d", [0.5, 0.5])])
 def test_wave_speed_that_overflows_the_operator(tmp_path, problem, w):
     # c = 1e152 leaves the element system finite but overflows the assembly
@@ -113,7 +111,6 @@ def test_wave_speed_that_overflows_the_operator(tmp_path, problem, w):
         assert main([command, "--config", path, "--output", str(tmp_path)]) == 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("problem,w", [("periodic1d", 0.5), ("periodic2d", [0.5, 0.5]),
                                        ("mixed2d", [0.5, 0.5])])
 def test_flux_that_overflows_the_operator(tmp_path, capsys, problem, w):
@@ -123,6 +120,21 @@ def test_flux_that_overflows_the_operator(tmp_path, capsys, problem, w):
                         flux={"preset": "sommerfeld", "xi": 1e-307})
     for command in ("run", "converge", "energy", "spectrum"):
         assert main([command, "--config", path, "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: c, w, flux: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("overrides", [
+    {"q": 3, "n": 3, "T": 0.01, "flux": {"preset": "sommerfeld", "xi": 1e-307}},
+    {"c": 1e152}], ids=["xi", "c"])
+def test_overflowing_operator_exits_without_warnings(tmp_path, capsys, overrides):
+    # the assembly overflows quietly: the config error line is all stderr says
+    path = write_config(tmp_path, n_list=[3, 4], **overrides)
+    for command in ("run", "converge", "energy", "spectrum"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", path, "--output", str(tmp_path)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith("config error: c, w, flux: ") and err.count("\n") == 1
 

@@ -196,8 +196,9 @@ def test_face_trace_maps_reproduce_side_traces(dim, q, s):
 
 
 @pytest.mark.parametrize("mode", ["periodic", "physical"])
-def test_rhs_in_row_blocks_matches_matrix_free(monkeypatch, mode):
-    # products above SMALL_PRODUCT multiply-adds run in row blocks
+def test_rhs_in_column_blocks_matches_matrix_free(monkeypatch, mode):
+    # products above SMALL_PRODUCT multiply-adds run in column blocks, one
+    # element per column
     monkeypatch.setattr(operators, "SMALL_PRODUCT", 2000)
     disc = make_disc(dim=2, n=5, q=2, w=[0.5, -0.3], mode=mode)
     assert len(disc._trace_products) > 1 and len(disc._lift_products) > 1
@@ -268,13 +269,19 @@ def test_rhs_out_matches_rhs(dim, mode, forced):
     t = 0.37
     du, dv = disc.rhs(a.u, a.v, t)
 
-    out = np.full((disc.mesh.n_elements, nb), np.nan)
-    ou, ov = disc.rhs(a.u, a.v, t, out=out)
-    assert np.shares_memory(ou, out) and np.shares_memory(ov, out)
-    assert np.array_equal(out[:, :nu], du) and np.array_equal(out[:, nu:], dv)
-    assert np.array_equal(ou, du) and np.array_equal(ov, dv)
-    # a strided out, and the input given as the discretization's own views
-    strided = np.full((disc.mesh.n_elements, 2 * nb), np.nan)[:, ::2]
+    # every layout of out, row-major, coefficient-major and strided, gets
+    # the same bits
+    n_el = disc.mesh.n_elements
+    out, coefficient_major, strided = (np.full((n_el, nb), np.nan),
+                                       np.full((n_el, nb), np.nan, order="F"),
+                                       np.full((n_el, 2 * nb), np.nan)[:, ::2])
+    for kind in (out, coefficient_major, strided):
+        ou, ov = disc.rhs(a.u, a.v, t, out=kind)
+        assert np.shares_memory(ou, kind) and np.shares_memory(ov, kind)
+        assert np.array_equal(kind[:, :nu], du) and np.array_equal(kind[:, nu:], dv)
+        assert np.array_equal(ou, du) and np.array_equal(ov, dv)
+    # the input given as the discretization's own views
+    strided[...] = np.nan
     disc.input_uv[0][...], disc.input_uv[1][...] = a.u, a.v
     disc.rhs(*disc.input_uv, t, out=strided)
     assert np.array_equal(strided, out)

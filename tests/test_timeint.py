@@ -1,5 +1,6 @@
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,15 +44,16 @@ def _writing(rhs):
     return write
 
 
-def _stage_views(n_el, nu, nv):
-    """u and v column views of a new stage array."""
+def _stage(n_el, nu, nv):
+    """A stand-in for a discretization's stage array: a new input array and
+    its u and v column views."""
     stage = np.empty((n_el, nu + nv))
-    return stage[:, :nu], stage[:, nu:]
+    return SimpleNamespace(input=stage, input_uv=(stage[:, :nu], stage[:, nu:]))
 
 
 def _step(state, dt, rhs):
     """One rk4_step from state, as a new state."""
-    buf = RK4Buffers(state, _stage_views(*state.u.shape, state.v.shape[1]))
+    buf = RK4Buffers(state, _stage(*state.u.shape, state.v.shape[1]))
     t = rk4_step(buf, state.t, dt, _writing(rhs))
     return ModalState(*buf.x_uv, t)
 
@@ -114,13 +116,14 @@ def test_zero_operator_fixed_point():
 
 
 class _FakeDisc:
-    """Minimal stand-in exposing .rhs and .input_uv for evolve tests on
-    one u and one v coefficient per element; rhs(u, v, t) -> (du, dv) is
-    given out of place."""
+    """Minimal stand-in exposing .rhs, .input and .input_uv for evolve
+    tests on one u and one v coefficient per element; rhs(u, v, t) ->
+    (du, dv) is given out of place."""
 
     def __init__(self, rhs, n_el=1):
         self.rhs = _writing(rhs)
-        self.input_uv = _stage_views(n_el, 1, 1)
+        stage = _stage(n_el, 1, 1)
+        self.input, self.input_uv = stage.input, stage.input_uv
 
 
 def test_evolve_t_zero_returns_initial():
@@ -280,6 +283,40 @@ def test_observer_copy_does_not_alias_the_stepped_state():
         assert np.array_equal(copy.u, u) and np.array_equal(copy.v, v)
     assert [copy.t for copy, *_ in kept] == [0.0, 0.01, 0.02, 0.03]
     assert not np.array_equal(kept[0][0].u, kept[-1][0].u)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_evolve_buffers_follow_the_operator(dim):
+    # the stages are written into the operator's input (coefficient-major
+    # in 2D, row-major in 1D) and the state and stage derivatives share its
+    # strides, so no stage operation, rhs input or rhs output transposes
+    n = 6 if dim == 1 else 3
+    disc = Discretization(build_mesh(dim, n, "periodic"), build_reference(3, 3, dim=dim),
+                          FluxParams.sommerfeld(), [0.5, 0.25][:dim], 1.0)
+    assert disc.input.flags["F_CONTIGUOUS" if dim == 2 else "C_CONTIGUOUS"]
+    rng = np.random.default_rng(0)
+    state0 = ModalState(rng.standard_normal((n ** dim, disc.ref.n_u)),
+                        rng.standard_normal((n ** dim, disc.ref.n_v)))
+    buf = RK4Buffers(state0, disc)
+    assert buf.stage is disc.input
+    assert all(a is b for a, b in zip(buf.stage_uv, disc.input_uv))
+    strides = disc.input.strides
+    assert buf.x.strides == strides and all(k.strides == strides for k in buf.k)
+    assert buf.finite.strides == tuple(s // buf.x.itemsize for s in strides)
+
+    calls, rhs = [], disc.rhs
+
+    def recorded(u, v, t, out=None):
+        calls.append((u, v, out))
+        return rhs(u, v, t, out=out)
+
+    disc.rhs = recorded
+    states = []
+    evolve(state0, disc, 0.02, 0.01, observers=[lambda k, s: states.append(s)])
+    assert len(calls) == 8 and len({id(out) for *_, out in calls}) == 4
+    for u, v, out in calls:
+        assert u is disc.input_uv[0] and v is disc.input_uv[1] and out.strides == strides
+    assert states[-1].u.strides == disc.input_uv[0].strides
 
 
 def test_forced_evolve_builds_forcing_once_per_stage_time():
