@@ -170,8 +170,8 @@ def spectral_radius_probe(disc: Discretization, seed: int = 0):
                                       eigs)
 
     nu = disc.ref.n_u
-    # coefficient-major vectors: in 2D rhs then reads and writes them
-    # without a transpose
+    # coefficient-major vectors: rhs then reads and writes them without a
+    # transpose
     buf = np.empty_like(disc.input)
 
     def matvec(x):

@@ -24,20 +24,17 @@ L_s and a boundary side through T_s L_{2dim+s}.  These N x N products are kept
 as ``Discretization.blocks``, the operator's one description, from which
 ``diagnostics`` builds its Bloch symbols and sparse matrix.
 
-1D ``rhs`` applies the blocks to row-major coefficients (one row per
-element): one batched product, 2*dim shifted adds and the boundary-strip
-corrections (with r = 2 against N = 8 at q = 3 the number of array calls
-sets its cost, and a factored form took 33-45 % longer).  2D ``rhs`` keeps
-the couplings factored and works coefficient-major (one column per
-element), in one operand G whose first N rows are [u v] and whose other
-rows hold an r-row trace slot per lift: one product of the stacked T_s^T
-with [u v] gives every element's traces on every side, shifted copies of
-whole runs of elements move them into the slots of the elements that read
-them (and on physical meshes an element's own boundary traces into its
-boundary slots), and one product of [self block; stacked L]^T with G is the
-derivative, written straight into the transpose of out.  Both add the
-separable forcing, a combination of projections made at build time and kept
-in the layout of the input.
+``rhs`` works coefficient-major (one column per element) in one operand G,
+whose first N rows are [u v] and whose other rows hold a slot per lift:
+shifted copies of whole runs of elements move what each element shows
+across a face into the slots of the elements that read it (and on physical
+meshes an element's own into its boundary slots), and one product of
+[self block; lifts]^T with G is the derivative, written straight into the
+transpose of out.  In 2D a slot holds the r traces of a face, from one
+product of the stacked T_s^T with [u v], and the lifts are the L above; in
+1D it holds the element's N coefficients, and the lifts are the neighbour
+blocks and boundary corrections.  It adds the separable forcing, a
+combination of projections made at build time and kept coefficient-major.
 
 ``matrix_free_rhs`` keeps the face-by-face evaluation of the homogeneous
 operator, the reference the assembled one is tested against.  It and the
@@ -223,9 +220,9 @@ class Discretization:
     + sum_s x[neighbour across side s] @ blocks[1 + s], plus
     x[e] @ blocks[1 + 2*dim + s] on each side s of e that is a boundary.
     Blocks that are not all finite raise ValueError.  input, of shape
-    (n_elements, Nu+Nv), is the array rhs reads [u v] from (a view of its
-    coefficient-major operand in 2D, row-major in 1D), and input_uv are
-    its u and v column views.
+    (n_elements, Nu+Nv), is the array rhs reads [u v] from (an F-ordered
+    view of its coefficient-major operand), and input_uv are its u and v
+    column views.
     """
 
     def __init__(self, mesh: MeshTopology, ref: ReferenceElement,
@@ -283,14 +280,10 @@ class Discretization:
         # and the fixed views it works through.  rhs reads the stacked
         # [u v] of every element from input, an (n_elements, Nu+Nv) view;
         # passed input_uv, its column views, it skips the copy, so a caller
-        # (the RK4 stages) can write a state there directly.  1D applies
-        # the blocks row-major, 2D keeps them factored coefficient-major
+        # (the RK4 stages) can write a state there directly
         nu, nb = ref.n_u, ref.n_u + ref.n_v
         self._nu = nu
-        if dim == 1:
-            self._build_blocks()
-        else:
-            self._build_traces(lifts)
+        self._build_operand(lifts)
         self.input_uv = self.input[:, :nu], self.input[:, nu:]
         # _f_t is the time _f was built at (None: not built yet)
         self._forcing_time = self._forcing_proj = self._f_t = None
@@ -300,12 +293,11 @@ class Discretization:
             # the integrals of each space factor times each v basis function
             load = self.jac_vol * ((space * ref.vol_weights) @ ref.vol_vals_v)
             proj[:, :, nu:] = load * self.solvers.v_mass_inv
-            # in input's memory order, so that one product builds _f
-            self._f = np.empty_like(self.input)
-            order = "F" if self._f.flags.f_contiguous else "C"
-            self._f_flat = self._f.ravel(order)
+            # coefficient-major like the operand, so that one product builds _f
+            self._f = np.empty((nb, mesh.n_elements))
+            self._f_flat = self._f.reshape(-1)
             self._forcing_time = forcing.time
-            self._forcing_proj = proj.reshape(len(space), -1, order=order)
+            self._forcing_proj = proj.reshape(len(space), -1, order="F")
         # the exact fields at diagnostics.l2_error's points, built there on first use
         self.error_quadrature = None
 
@@ -483,59 +475,54 @@ class Discretization:
         blocks += [maps[side] @ lifts[sides + side] for side in range(own - sides)]
         return np.stack(blocks), lifts[:own]
 
-    def _build_blocks(self) -> None:
-        """Work arrays and views of the full-block stencil: the products of
-        [u v] (input, row-major) with the self and neighbour blocks land in
-        one array (axes: block, grid..., coefficient); the neighbour
-        products are then added onto the self one, shifted on the grid, and
-        strips get corrections."""
-        dim, n, nb = self.mesh.dim, self.mesh.n, self.blocks.shape[-1]
-        sides = 2 * dim
-        self.input = np.empty((self.mesh.n_elements, nb))
-        self._stencil = self.blocks[:1 + sides]
-        self._y = np.empty((1 + sides, self.mesh.n_elements, nb))
-        self._y0 = self._y[0]
-        grid = self._y.reshape((1 + sides,) + (n,) * dim + (nb,))
-        x_grid = self.input.reshape(grid.shape[1:])
-        shifts, strips = _grid_couplings(dim, self.mesh.periodic)
-        self._shifts = [(grid[(0,) + dst], grid[(1 + side,) + src])
-                        for side, dst, src in shifts]
-        self._strips = [(grid[(0,) + layer], x_grid[layer], self.blocks[1 + sides + side])
-                        for side, layer in strips]
-
-    def _build_traces(self, lifts) -> None:
-        """Work arrays and views of the trace-factored stencil, all
-        coefficient-major (one column per element).  The operand holds
-        [u v] (its first N rows, input's transpose) and below it the traces
-        each element's lifts read, one r-row slot per lift: a neighbour's
-        traces on the shared face, zero where a side has no neighbour, and
-        on a physical mesh the element's own traces on each boundary side,
-        zero on its other sides.  They are copied, as whole runs of
-        elements, from the traces of every side (the product of the trace
-        maps with [u v]); the derivative is then the transpose of
-        [self block; lifts] times the operand."""
+    def _build_operand(self, lifts) -> None:
+        """Work arrays and views of the stencil, all coefficient-major (one
+        column per element).  The operand holds [u v] (its first N rows,
+        input's transpose) and below it one slot per lift, the coefficients
+        that lift reads: a neighbour's on the shared face, zero where a side
+        has no neighbour, and on a physical mesh the element's own on each
+        boundary side, zero on its other sides.  They are copied, as whole
+        runs of elements, from a source of every element's coefficients on
+        every side; the derivative is then the transpose of [self block;
+        lifts] times the operand."""
         dim, n, nb = self.mesh.dim, self.mesh.n, self.blocks.shape[-1]
         sides, n_el = 2 * dim, self.mesh.n_elements
+        # a 2D slot holds the r traces of a face (11 of the 32 coefficients
+        # at q = s = 3), lifted by the lifts; a 1D one holds all N
+        # coefficients, lifted by the full blocks: with r = 2 against N = 8
+        # the trace product costs a whole array call and saves few flops.
+        # Per rhs call at q = 3 (one thread, medians of interleaved rounds),
+        # full blocks took 1.7-1.9x as long in 2D (n = 14, 28) and traces
+        # 11-18 % longer in 1D (n = 10-160)
+        whole = dim == 1
+        if whole:
+            lifts = self.blocks[1:]
         n_lifts, r = lifts.shape[:2]
         self._operand = np.zeros((nb + n_lifts * r, n_el))
         self.input = self._operand[:nb].T
-        self._traces = np.empty((sides * r, n_el))
-        self._trace_factor = np.concatenate(self.ref.trace_maps, axis=1).T.copy()
         self._lift_factor = np.concatenate([self.blocks[0], lifts.reshape(-1, nb)]).T.copy()
         # the derivative when out's transpose is not laid out like it
         self._result = np.empty((nb, n_el))
-        self._trace_products = [(self._operand[:nb, cols], self._traces[:, cols])
-                                for cols in _column_blocks(self._trace_factor, n_el)]
         self._lift_products = [(self._operand[:, cols], cols)
                                for cols in _column_blocks(self._lift_factor, n_el)]
-        traces = self._traces.reshape((sides, r) + (n,) * dim)
-        slots = self._operand[nb:].reshape((n_lifts, r) + (n,) * dim)
+        grid = (n,) * dim
+        if whole:
+            self._trace_products = []
+            source = [self._operand[:nb].reshape((r,) + grid)] * sides
+        else:
+            # the traces of every side: the product of the trace maps with [u v]
+            traces = np.empty((sides * r, n_el))
+            self._trace_factor = np.concatenate(self.ref.trace_maps, axis=1).T.copy()
+            self._trace_products = [(self._operand[:nb, cols], traces[:, cols])
+                                    for cols in _column_blocks(self._trace_factor, n_el)]
+            source = traces.reshape((sides, r) + grid)
+        slots = self._operand[nb:].reshape((n_lifts, r) + grid)
         every = (slice(None),)
         shifts, strips = _grid_couplings(dim, self.mesh.periodic)
         # the neighbour across side s meets it with its side s ^ 1
-        self._copies = [(slots[(side,) + every + dst], traces[(side ^ 1,) + every + src])
+        self._copies = [(slots[(side,) + every + dst], source[side ^ 1][every + src])
                         for side, dst, src in shifts]
-        self._copies += [(slots[(sides + side,) + every + layer], traces[(side,) + every + layer])
+        self._copies += [(slots[(sides + side,) + every + layer], source[side][every + layer])
                          for side, layer in strips]
 
     # --- operator application ----------------------------------------------
@@ -546,14 +533,13 @@ class Discretization:
         With out, an (n_elements, Nu+Nv) array of any layout, the stacked
         [du dv] is written into it and its two column views are returned;
         without, the views of a new array laid out like ``input``
-        (coefficient-major in 2D, row-major in 1D).  Every out gets the
-        same values, bit for bit.  u and v are copied into ``input`` unless
-        they are ``input_uv``, its own views.  The forcing is built once
-        per distinct t: a call at the t of the previous one reuses it, so
-        an RK4 step builds it twice (k2 and k3 share t + dt/2, and k4's
-        t + dt is the next step's t).  Works in arrays owned by the
-        discretization, so concurrent calls on one instance from several
-        threads are not supported.
+        (coefficient-major).  Every out gets the same values, bit for bit.
+        u and v are copied into ``input`` unless they are ``input_uv``, its
+        own views.  The forcing is built once per distinct t: a call at the
+        t of the previous one reuses it, so an RK4 step builds it twice (k2
+        and k3 share t + dt/2, and k4's t + dt is the next step's t).  Works
+        in arrays owned by the discretization, so concurrent calls on one
+        instance from several threads are not supported.
         """
         x_u, x_v = self.input_uv
         if u is not x_u or v is not x_v:
@@ -561,41 +547,29 @@ class Discretization:
             x_v[...] = v
         if out is None:
             out = np.empty_like(self.input)
-        f = None
+        # the coefficients each element reads copied into its slots, then
+        # one product with the operand
+        for x_cols, trace_cols in self._trace_products:
+            np.matmul(self._trace_factor, x_cols, out=trace_cols)
+        for dst, src in self._copies:
+            dst[...] = src
+        # straight into out's transpose only when it is laid out like
+        # _result: another layout would change matmul's path and its rounding
+        out_t = out.T
+        result = out_t if out_t.strides == self._result.strides else self._result
+        if len(self._lift_products) == 1:
+            np.matmul(self._lift_factor, self._operand, out=result)
+        else:
+            for operand_cols, cols in self._lift_products:
+                np.matmul(self._lift_factor, operand_cols, out=result[:, cols])
         if self._forcing_proj is not None:
-            # the forcing's u columns are zero
+            # the forcing's u rows are zero
             if t != self._f_t:
                 np.dot(self._forcing_time(t), self._forcing_proj, out=self._f_flat)
                 self._f_t = t
-            f = self._f
-        if self.mesh.dim == 1:
-            # full blocks: every product, then the neighbours' onto the self one
-            np.matmul(self.input, self._stencil, out=self._y)
-            for dst, src in self._shifts:
-                dst += src
-            for dst, x_strip, block in self._strips:
-                dst += x_strip @ block
-            if f is None:
-                np.copyto(out, self._y0)
-            else:
-                np.add(self._y0, f, out=out)
-        else:
-            # face traces: the traces of every side, those each element
-            # reads copied into its slots, then one product with the operand
-            for x_cols, trace_cols in self._trace_products:
-                np.matmul(self._trace_factor, x_cols, out=trace_cols)
-            for dst, src in self._copies:
-                np.copyto(dst, src)
-            # straight into out's transpose only when it is laid out like
-            # _result: another layout would change matmul's path and its
-            # rounding
-            result = out.T if out.T.strides == self._result.strides else self._result
-            for operand_cols, cols in self._lift_products:
-                np.matmul(self._lift_factor, operand_cols, out=result[:, cols])
-            if f is not None:
-                result += f.T
-            if result is self._result:
-                np.copyto(out, result.T)
+            result += self._f
+        if result is self._result:
+            np.copyto(out, result.T)
         nu = self._nu
         return out[:, :nu], out[:, nu:]
 

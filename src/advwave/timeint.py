@@ -47,9 +47,9 @@ class RK4Buffers:
     which are passed to rhs: rhs reads them without a copy.  x, the
     stacked state [u v] of shape (n_elements, Nu+Nv) (a copy of the given
     state), the four stage derivatives k and the finiteness mask take the
-    stage array's layout (coefficient-major in 2D, row-major in 1D), so no
-    stage operation, and no rhs input or output, transposes.  x_uv are the
-    u and v column views of x.
+    stage array's layout (coefficient-major), so no stage operation, and no
+    rhs input or output, transposes.  x_uv are the u and v column views of
+    x.
     """
 
     def __init__(self, state: ModalState, disc: Discretization):

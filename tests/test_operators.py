@@ -195,13 +195,17 @@ def test_face_trace_maps_reproduce_side_traces(dim, q, s):
         assert np.allclose(grads, gtr[side], rtol=0, atol=1e-12 * disc.dscale)
 
 
-@pytest.mark.parametrize("mode", ["periodic", "physical"])
-def test_rhs_in_column_blocks_matches_matrix_free(monkeypatch, mode):
+# ids: mode in 2D, mode-1d in 1D
+@pytest.mark.parametrize("dim,mode", [
+    pytest.param(dim, mode, id=mode + ("-1d" if dim == 1 else ""))
+    for dim in (2, 1) for mode in ("periodic", "physical")])
+def test_rhs_in_column_blocks_matches_matrix_free(monkeypatch, dim, mode):
     # products above SMALL_PRODUCT multiply-adds run in column blocks, one
-    # element per column
-    monkeypatch.setattr(operators, "SMALL_PRODUCT", 2000)
-    disc = make_disc(dim=2, n=5, q=2, w=[0.5, -0.3], mode=mode)
-    assert len(disc._trace_products) > 1 and len(disc._lift_products) > 1
+    # element per column; 1D makes no trace product
+    monkeypatch.setattr(operators, "SMALL_PRODUCT", 200)
+    disc = make_disc(dim=dim, n=7 if dim == 1 else 5, q=2, w=[0.5, -0.3][:dim], mode=mode)
+    assert len(disc._lift_products) > 1
+    assert (len(disc._trace_products) > 1) == (dim == 2)
     state = random_state(disc, 7)
     du, dv = disc.rhs(state.u, state.v, 0.0)
     ru, rv = disc.matrix_free_rhs(state.u, state.v, 0.0)
