@@ -3,9 +3,11 @@
 Everything here lives on the reference element [-1, 1]^dim with an
 unnormalized Legendre basis (P_k(1) = 1).  Geometric scaling by the element
 size h is applied during operator assembly, not here.  ``ReferenceElement``
-also holds the face trace maps and the L2-error rule.  In 2D the basis is
-the tensor product P_i(z0) P_j(z1) with the same degree in each direction;
-multi-indices are flattened in C order, so the constant mode is index 0.
+also holds the one L2 projection of each space (values at the volume nodes
+to coefficients), the face trace maps and the L2-error rule.  In 2D the
+basis is the tensor product P_i(z0) P_j(z1) with the same degree in each
+direction; multi-indices are flattened in C order, so the constant mode is
+index 0.
 """
 
 from __future__ import annotations
@@ -56,19 +58,6 @@ def legendre_tables(degree: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return vals, ders
 
 
-def modal_derivative_matrix(degree: int) -> np.ndarray:
-    """Coefficient matrix of d/dz in the Legendre basis.
-
-    If p = sum_k a_k P_k then p' = sum_j (D a)_j P_j, using
-    P_k' = sum over j < k, k-j odd, of (2j+1) P_j.
-    """
-    D = np.zeros((degree + 1, degree + 1))
-    for k in range(degree + 1):
-        for j in range(k - 1, -1, -2):
-            D[j, k] = 2 * j + 1
-    return D
-
-
 def tensor_modes(degree: int, dim: int) -> np.ndarray:
     """All multi-indices (k_0, ..., k_{dim-1}) with k_d <= degree, C order."""
     return np.array(list(itertools.product(range(degree + 1), repeat=dim)), dtype=int)
@@ -108,6 +97,12 @@ class ReferenceElement:
     stiff_u is sum_d int dP/dz_d dP/dz_d, symmetric PSD with the constant
     mode in its nullspace; mean_row integrates each u basis function.
 
+    proj_u and proj_v are the L2 projections onto the u and v spaces by the
+    volume rule: values at vol_nodes (rows) times proj are coefficients.
+    They are exact for polynomials of degree <= q per direction, so a
+    derivative's coefficients are (vol_grads_u[d] @ a) @ proj_u and a v
+    polynomial's u coefficients are embed_v = proj_u^T vol_vals_v.
+
     trace_maps[side] takes an element's stacked [u v] coefficients to the
     Legendre coefficients of its traces along the face of side (a Gauss
     projection, exact at these degrees): v of degree s, the normal
@@ -134,8 +129,9 @@ class ReferenceElement:
     vol_grads_u: np.ndarray      # (dim, Nq, Nu)
     vol_vals_v: np.ndarray       # (Nq, Nv)
     vol_grads_v: np.ndarray      # (dim, Nq, Nv)
-    deriv_u: np.ndarray          # (dim, Nu, Nu) modal d/dz_d in u space
-    embed_v: np.ndarray          # (Nu, Nv): v coefficients injected into u space
+    proj_u: np.ndarray           # (Nq, Nu): volume-node values -> u coefficients
+    proj_v: np.ndarray           # (Nq, Nv): volume-node values -> v coefficients
+    embed_v: np.ndarray          # (Nu, Nv): v coefficients as u coefficients
     face_grads_u: np.ndarray     # (2*dim, dim, nfq, Nu); side index = 2*d + (0 low / 1 high)
     face_vals_v: np.ndarray      # (2*dim, nfq, Nv)
     face_weights: np.ndarray     # (nfq,)
@@ -195,17 +191,10 @@ def _build_reference(q: int, s: int, dim: int) -> ReferenceElement:
     stiff_u = 0.5 * (stiff_u + stiff_u.T)
     mean_row = np.where(np.all(modes_u == 0, axis=1), 2.0 ** dim, 0.0)
 
-    d1 = modal_derivative_matrix(q)
-    eye = np.eye(q + 1)
-    if dim == 1:
-        deriv_u = d1[None, :, :]
-    else:
-        deriv_u = np.stack([np.kron(d1, eye), np.kron(eye, d1)])
-
-    embed_v = np.zeros((nu, nv))
-    index_u = {tuple(m): i for i, m in enumerate(modes_u)}
-    for j, m in enumerate(modes_v):
-        embed_v[index_u[tuple(m)], j] = 1.0
+    # exact on the u space: the rule integrates degree 2q + 3 per direction
+    proj_u = vol_vals_u * (vol_weights[:, None] / np.diag(mass_u))
+    proj_v = vol_vals_v * (vol_weights[:, None] / np.diag(mass_v))
+    embed_v = proj_u.T @ vol_vals_v
 
     # face quadrature: the 1D rule along the tangential direction in 2D
     face_weights = weights.copy() if dim == 2 else np.array([1.0])
@@ -249,7 +238,7 @@ def _build_reference(q: int, s: int, dim: int) -> ReferenceElement:
         vol_nodes=vol_nodes, vol_weights=vol_weights,
         vol_vals_u=vol_vals_u, vol_grads_u=vol_grads_u,
         vol_vals_v=vol_vals_v, vol_grads_v=vol_grads_v,
-        deriv_u=deriv_u, embed_v=embed_v,
+        proj_u=proj_u, proj_v=proj_v, embed_v=embed_v,
         face_grads_u=face_grads_u, face_vals_v=face_vals_v,
         face_weights=face_weights,
         trace_maps=trace_maps, unit_v=unit_v, unit_g=unit_g,

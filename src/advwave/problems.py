@@ -2,8 +2,10 @@
 
 The exact solutions and the forcing are ``Separable`` fields: a few space
 factors, evaluated at positions of shape (..., dim), combined with time
-factors.  The v solution is always the advective derivative of u.  The
-closed forms ``exact_*`` give the same solutions unfactored.
+factors.  The v solution is always the advective derivative of u.
+``project_initial`` takes the exact fields at t = 0 to coefficients by the
+reference element's L2 projection of each space, as the operator does its
+forcing.
 
 periodic1d is the only problem whose initial displacement is not zero.  By
 default it is lifted: u0(x) e^{-t^2} is subtracted, so the solved problem
@@ -36,25 +38,6 @@ class ProblemSpec:
     boundary_mode: str            # "periodic" | "physical"
 
 
-def exact_periodic_1d(x, t, w: float, c: float):
-    """Traveling wave u = cos(2 c pi t) sin(2 pi (x - w t)); returns (u, v)."""
-    x = np.asarray(x, dtype=float)
-    theta = TWO_PI * (x - w * t)
-    u = np.cos(2.0 * c * np.pi * t) * np.sin(theta)
-    v = -2.0 * c * np.pi * np.sin(2.0 * c * np.pi * t) * np.sin(theta)
-    return u, v
-
-
-def exact_periodic_2d(x, y, t, w, c: float):
-    """u = sin(2 c pi t)(sin(2 pi (x - wx t)) + sin(2 pi (y - wy t)))."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    bracket = np.sin(TWO_PI * (x - w[0] * t)) + np.sin(TWO_PI * (y - w[1] * t))
-    u = np.sin(2.0 * c * np.pi * t) * bracket
-    v = 2.0 * c * np.pi * np.cos(2.0 * c * np.pi * t) * bracket
-    return u, v
-
-
 def _poly_factors(z):
     """X(z) = z (1-z)^2 e^z together with X' and X'' (closed forms)."""
     p = z * (1.0 - z) ** 2
@@ -62,15 +45,6 @@ def _poly_factors(z):
     p2 = 6.0 * z - 4.0
     e = np.exp(z)
     return p * e, (p + p1) * e, (p + 2.0 * p1 + p2) * e
-
-
-def exact_mixed_2d(x, y, t, w=(0.5, 0.5)):
-    """u = x(1-x)^2 y(1-y)^2 exp(x+y) sin t with v = u_t + w . grad u."""
-    X, Xp, _ = _poly_factors(np.asarray(x, dtype=float))
-    Y, Yp, _ = _poly_factors(np.asarray(y, dtype=float))
-    u = X * Y * np.sin(t)
-    v = X * Y * np.cos(t) + (w[0] * Xp * Y + w[1] * X * Yp) * np.sin(t)
-    return u, v
 
 
 def forcing_mixed_2d_factors(x, y, w, c: float):
@@ -82,12 +56,6 @@ def forcing_mixed_2d_factors(x, y, w, c: float):
     lap = Xpp * Y + X * Ypp
     cross = 2.0 * (w[0] * Xp * Y + w[1] * X * Yp)
     return utt + adv2 - c * c * lap, cross
-
-
-def forcing_mixed_2d(x, y, t, w, c: float):
-    """f = (d/dt + w . grad)^2 u - c^2 Lap u for the mixed-BC solution."""
-    a, b = forcing_mixed_2d_factors(x, y, w, c)
-    return a * np.sin(t) + b * np.cos(t)
 
 
 def _traveling_sines(w: np.ndarray):
@@ -189,14 +157,9 @@ def mixed_2d(w, c: float) -> ProblemSpec:
 
 
 def project_initial(spec: ProblemSpec, disc: Discretization) -> ModalState:
-    """Elementwise L2 projection of the exact data at t = 0 onto (q, s)."""
+    """Elementwise L2 projection of the exact data at t = 0 onto (q, s), by
+    the reference element's projections ``proj_u`` and ``proj_v``."""
     ref = disc.ref
     exact = FieldTable(disc.quad_points)
-    wq = ref.vol_weights
-    u0 = exact(spec.exact_u, 0.0)
-    v0 = exact(spec.exact_v, 0.0)
-    mass_u_diag = np.diag(ref.mass_u)
-    mass_v_diag = np.diag(ref.mass_v)
-    u_hat = ((u0 * wq) @ ref.vol_vals_u) / mass_u_diag
-    v_hat = ((v0 * wq) @ ref.vol_vals_v) / mass_v_diag
-    return ModalState(u=u_hat, v=v_hat, t=0.0)
+    return ModalState(u=exact(spec.exact_u, 0.0) @ ref.proj_u,
+                      v=exact(spec.exact_v, 0.0) @ ref.proj_v, t=0.0)

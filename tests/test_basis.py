@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 
-from advwave.basis import (build_reference, gauss_points, legendre_tables,
-                           modal_derivative_matrix, tensor_eval, tensor_modes)
+from advwave.basis import (build_reference, gauss_points, legendre_tables, tensor_eval,
+                           tensor_modes)
 
 # closed-form values frozen from the explicit low-degree polynomials:
 # P_2 = (3x^2 - 1)/2, P_3 = (5x^3 - 3x)/2, P_4 = (35x^4 - 30x^2 + 3)/8
@@ -94,18 +94,21 @@ def test_gauss_exactness(n):
         assert np.dot(weights, nodes ** k) == pytest.approx(exact, abs=1e-13)
 
 
-@given(st.integers(1, 8), st.lists(st.floats(-2, 2), min_size=2, max_size=9))
-@settings(max_examples=60)
-def test_modal_derivative_matrix(degree, coeffs):
-    # if p = V a then p' = V (D a) pointwise
-    a = np.zeros(degree + 1)
-    a[:min(len(coeffs), degree + 1)] = coeffs[:degree + 1]
-    x = np.linspace(-1, 1, 17)
-    D = modal_derivative_matrix(degree)
-    vals, ders = legendre_tables(degree, x)
-    lhs = ders @ a
-    rhs = vals @ (D @ a)
-    assert np.allclose(lhs, rhs, atol=1e-10)
+@pytest.mark.parametrize("q,s,dim", [(1, 1, 1), (4, 2, 1), (2, 1, 2), (3, 3, 2)])
+def test_projection_of_derivative_values(q, s, dim):
+    # a derivative of a degree-q polynomial is one: projecting its values at
+    # the volume nodes gives its coefficients, checked at random points
+    ref = build_reference(q, s, dim=dim)
+    rng = np.random.default_rng(q + 10 * dim)
+    a = rng.standard_normal(ref.n_u)
+    pts = rng.uniform(-1, 1, (25, dim))
+    vals, grads = tensor_eval(q, dim, pts)
+    for d in range(dim):
+        coeffs = (ref.vol_grads_u[d] @ a) @ ref.proj_u
+        assert np.max(np.abs(vals @ coeffs - grads[d] @ a)) < 1e-11
+        # the table is an integer matrix, as the operator's rounding of it assumes
+        table = ref.proj_u.T @ ref.vol_grads_u[d]
+        assert np.max(np.abs(table - np.rint(table))) < 1e-12
 
 
 def test_tensor_modes_c_order():
@@ -196,7 +199,7 @@ def test_build_reference_built_once():
 def test_reference_arrays_read_only():
     ref = build_reference(2, 1, dim=2)
     arrays = [value for value in vars(ref).values() if isinstance(value, np.ndarray)]
-    assert len(arrays) == 24
+    assert len(arrays) == 25
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = 1.0

@@ -8,8 +8,8 @@ from advwave.diagnostics import (bloch_symbols, discrete_energy, energy_identity
 from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
 from advwave.operators import Discretization, ModalState, Separable
-from advwave.problems import (exact_mixed_2d, exact_periodic_1d, exact_periodic_2d,
-                              mixed_2d, periodic_1d, periodic_2d)
+from advwave.problems import mixed_2d, periodic_1d, periodic_2d
+from test_problems import exact_mixed_2d, exact_periodic_1d, exact_periodic_2d
 
 
 def make_disc(dim=1, n=8, q=2, w=(0.5,), c=1.0, mode="periodic", params=None):
@@ -400,6 +400,27 @@ def test_bloch_symbols_hold_the_spectrum(dim, n, q, params):
               for unit, part in ((1, x.real), (1j, x.imag)))
     expected = phase[:, None] * (a @ symbols[m])
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("flux", ["sommerfeld", "central"])
+def test_dispersion_order_of_the_bloch_symbols(q, flux):
+    # the discrete eigenvalues of the resolved wavenumber kappa = 2 pi
+    # approach the exact -i kappa (w +- c) at the rates of the DG dispersion
+    # and dissipation analysis (Ainsworth, JCP 198, 2004): 2q - 1 upwind, and
+    # for the central flux 2q at odd q and 2q - 2 at even q
+    expected = {"sommerfeld": 2 * q - 1, "central": 2 * q if q % 2 else 2 * q - 2}[flux]
+    w, c, kappa = 0.5, 1.0, 2 * np.pi
+    params = getattr(FluxParams, flux)()
+    ns = (10, 14, 20, 28, 40)
+    errs = {sign: [] for sign in (1, -1)}
+    for n in ns:
+        lam = np.linalg.eigvals(bloch_symbols(make_disc(n=n, q=q, w=(w,), c=c,
+                                                        params=params))[1])
+        for sign in errs:
+            errs[sign].append(np.min(np.abs(lam + 1j * kappa * (w + sign * c))))
+    for sign in errs:
+        assert fit_rate([1.0 / n for n in ns], errs[sign]) == pytest.approx(expected, abs=0.15)
 
 
 def test_bloch_symbols_need_a_periodic_mesh():

@@ -273,26 +273,28 @@ def test_rhs_out_matches_rhs(dim, mode, forced):
     t = 0.37
     du, dv = disc.rhs(a.u, a.v, t)
 
-    # every layout of out, row-major, coefficient-major and strided, gets
-    # the same bits
+    # an out laid out like input (coefficient-major) gets the same bits; a
+    # row-major or a strided one raises and is left untouched
     n_el = disc.mesh.n_elements
-    out, coefficient_major, strided = (np.full((n_el, nb), np.nan),
-                                       np.full((n_el, nb), np.nan, order="F"),
-                                       np.full((n_el, 2 * nb), np.nan)[:, ::2])
-    for kind in (out, coefficient_major, strided):
-        ou, ov = disc.rhs(a.u, a.v, t, out=kind)
-        assert np.shares_memory(ou, kind) and np.shares_memory(ov, kind)
-        assert np.array_equal(kind[:, :nu], du) and np.array_equal(kind[:, nu:], dv)
-        assert np.array_equal(ou, du) and np.array_equal(ov, dv)
+    out = np.full((n_el, nb), np.nan, order="F")
+    for other in (np.full((n_el, nb), np.nan), np.full((n_el, 2 * nb), np.nan)[:, ::2]):
+        with pytest.raises(ValueError):
+            disc.rhs(a.u, a.v, t, out=other)
+        assert np.all(np.isnan(other))
+    ou, ov = disc.rhs(a.u, a.v, t, out=out)
+    assert np.shares_memory(ou, out) and np.shares_memory(ov, out)
+    assert np.array_equal(out[:, :nu], du) and np.array_equal(out[:, nu:], dv)
+    assert np.array_equal(ou, du) and np.array_equal(ov, dv)
+    expect = out.copy()
     # the input given as the discretization's own views
-    strided[...] = np.nan
+    out[...] = np.nan
     disc.input_uv[0][...], disc.input_uv[1][...] = a.u, a.v
-    disc.rhs(*disc.input_uv, t, out=strided)
-    assert np.array_equal(strided, out)
+    disc.rhs(*disc.input_uv, t, out=out)
+    assert np.array_equal(out, expect)
     # only u given as the own view: v is still read from the argument
     disc.input_uv[1][...] = b.v
-    disc.rhs(disc.input_uv[0], a.v, t, out=strided)
-    assert np.array_equal(strided, out)
+    disc.rhs(disc.input_uv[0], a.v, t, out=out)
+    assert np.array_equal(out, expect)
 
     # out-less calls own their results
     du2, dv2 = disc.rhs(b.u, b.v, t)

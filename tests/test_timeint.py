@@ -338,3 +338,25 @@ def test_forced_evolve_builds_forcing_once_per_stage_time():
     evolve(problems.project_initial(spec, disc), disc, 0.08, 0.01)
     assert len(times) == 2 * n_steps + 1
     assert len(set(times)) == len(times)
+
+
+@pytest.mark.parametrize("params", [FluxParams.sommerfeld(), FluxParams.central()],
+                         ids=["sommerfeld", "central"])
+def test_rk4_is_fourth_order_against_the_exact_semidiscrete_solution(params):
+    from advwave.diagnostics import fit_rate, sparse_operator
+    from advwave.problems import periodic_1d, project_initial
+
+    spec = periodic_1d(0.5, 1.0, lift=False)
+    disc = Discretization(build_mesh(1, 8, "periodic"), build_reference(2, 2, dim=1),
+                          params, spec.w, spec.c)
+    state = project_initial(spec, disc)
+    T = 0.25
+    # exp(T A) of the stacked [u v], in sparse_operator's row-major layout
+    x0 = np.hstack([state.u, state.v])
+    exact = (expm(T * sparse_operator(disc).toarray()) @ x0.ravel()).reshape(x0.shape)
+    steps = (20, 40, 80)
+    errs = []
+    for k in steps:
+        end = evolve(state, disc, T, T / k)
+        errs.append(np.max(np.abs(np.hstack([end.u, end.v]) - exact)))
+    assert 3.8 <= fit_rate([T / k for k in steps], errs) <= 4.3
