@@ -1,8 +1,9 @@
 """Command-line front end: single runs, convergence sweeps, energy audits,
 and spectral-radius scans, all driven by a JSON config file.
 
-Exit codes: 0 success, 2 bad configuration, 3 instability during time
-stepping, 4 energy-audit failure.  All CSV output is byte-deterministic
+Exit codes: 0 success, 2 bad configuration (an unusable --output or a
+closed stdout among them), 3 instability during time stepping, 4
+energy-audit failure.  All CSV output is byte-deterministic
 ('.' decimal separator, '\\n' line endings, repr-style float formatting).
 """
 
@@ -13,6 +14,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -504,7 +506,16 @@ def main(argv=None) -> int:
                 "converge": functools.partial(cmd_converge, workers=args.workers)}
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        return dispatch[args.command](cfg, outdir, args.seed)
+        code = dispatch[args.command](cfg, outdir, args.seed)
+        # a closed stdout shows here, not in the interpreter's last flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as e:
+        # stdout's reader is gone: the rest of its buffer goes to the null
+        # device, so that the interpreter's last flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"config error: stdout: {e.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -33,8 +33,9 @@ meshes an element's own into its boundary slots), and one product of
 transpose of out.  In 2D a slot holds the r traces of a face, from one
 product of the stacked T_s^T with [u v], and the lifts are the L above; in
 1D it holds the element's N coefficients, and the lifts are the neighbour
-blocks and boundary corrections.  It adds the separable forcing, a
-combination of projections made at build time and kept coefficient-major.
+blocks and boundary corrections.  A separable forcing sum_k tau_k(t) F_k
+rides in the same product: the projections of the F_k are rows of G, written
+at build time, and the tau_k(t) are entries of the lift factor.
 
 ``matrix_free_rhs`` keeps the face-by-face evaluation of the homogeneous
 operator, the reference the assembled one is tested against.  It and the
@@ -82,8 +83,10 @@ class Separable:
     solutions have this form, so their space factors can be evaluated once
     at fixed points (the operator's projection, the quadrature of
     ``diagnostics.l2_error``) and combined with the time factors on every
-    call.  time must be a pure function of t: ``Discretization.rhs`` reuses
-    the forcing it built at the time of its previous call.
+    call; ``Discretization`` keeps a forcing's projections as operand rows
+    and writes its time factors into its lift factor.  time must be a pure
+    function of t: ``Discretization.rhs`` reuses the time factors it wrote
+    at the time of its previous call.
     """
 
     space: Callable
@@ -214,7 +217,8 @@ def _column_blocks(a: np.ndarray, n_columns: int):
 class Discretization:
     """Everything needed to apply the semidiscrete operator repeatedly.
 
-    forcing, if given, is a Separable field for the v equation.  blocks
+    forcing, if given, is a Separable field for the v equation, applied in
+    rhs's one lift product (see ``_build_operand``).  blocks
     (read-only, shape (1 + 2*dim [+ 2*dim on physical meshes], N, N)) is the
     homogeneous operator in rhs's row convention: out[e] = x[e] @ blocks[0]
     + sum_s x[neighbour across side s] @ blocks[1 + s], plus
@@ -285,21 +289,13 @@ class Discretization:
         # [u v] of every element from input, an (n_elements, Nu+Nv) view;
         # passed input_uv, its column views, it skips the copy, so a caller
         # (the RK4 stages) can write a state there directly
-        nu, nb = ref.n_u, ref.n_u + ref.n_v
+        nu = ref.n_u
         self._nu = nu
         self._build_operand(lifts)
         self.input_uv = self.input[:, :nu], self.input[:, nu:]
-        # _f_t is the time _f was built at (None: not built yet)
-        self._forcing_time = self._forcing_proj = self._f_t = None
-        if forcing is not None:
-            space = forcing.space(self.quad_points)
-            proj = np.zeros((len(space), mesh.n_elements, nb))
-            proj[:, :, nu:] = space @ ref.proj_v
-            # coefficient-major like the operand, so that one product builds _f
-            self._f = np.empty((nb, mesh.n_elements))
-            self._f_flat = self._f.reshape(-1)
-            self._forcing_time = forcing.time
-            self._forcing_proj = proj.reshape(len(space), -1, order="F")
+        # _tau_t is the time _tau was written at (None: not yet)
+        self._forcing_time = None if forcing is None else forcing.time
+        self._tau_t = None
         # the exact fields at diagnostics.l2_error's points, built there on first use
         self.error_quadrature = None
 
@@ -480,15 +476,21 @@ class Discretization:
     def _build_operand(self, lifts) -> None:
         """Work arrays and views of the stencil, all coefficient-major (one
         column per element).  The operand holds [u v] (its first N rows,
-        input's transpose) and below it one slot per lift, the coefficients
-        that lift reads: a neighbour's on the shared face, zero where a side
-        has no neighbour, and on a physical mesh the element's own on each
-        boundary side, zero on its other sides.  They are copied, as whole
-        runs of elements, from a source of every element's coefficients on
-        every side; the derivative is then the transpose of [self block;
-        lifts] times the operand."""
+        input's transpose), below it one slot per lift, the coefficients
+        that lift reads, and with a forcing sum_k tau_k(t) F_k the K*Nv
+        rows of its v projections (row k*Nv + i of them holds coefficient i
+        of F_k), written once.  A slot holds a neighbour's coefficients on
+        the shared face, zero where a side has no neighbour, and on a
+        physical mesh the element's own on each boundary side, zero on its
+        other sides.  Slots are copied, as whole runs of elements, from a
+        source of every element's coefficients on every side; the
+        derivative is then the lift factor, the transpose of [self block;
+        lifts] with K*Nv more columns, times the operand.  Those columns are
+        zero but for tau_k at (Nu + i, forcing row k*Nv + i), so a forced
+        derivative is the same one product; ``_tau`` is the (Nv, K) view of
+        those entries that rhs writes the time factors into."""
         dim, n, nb = self.mesh.dim, self.mesh.n, self.blocks.shape[-1]
-        sides, n_el = 2 * dim, self.mesh.n_elements
+        sides, n_el, nu = 2 * dim, self.mesh.n_elements, self._nu
         # a 2D slot holds the r traces of a face (11 of the 32 coefficients
         # at q = s = 3), lifted by the lifts; a 1D one holds all N
         # coefficients, lifted by the full blocks: with r = 2 against N = 8
@@ -500,9 +502,22 @@ class Discretization:
         if whole:
             lifts = self.blocks[1:]
         n_lifts, r = lifts.shape[:2]
-        self._operand = np.zeros((nb + n_lifts * r, n_el))
+        n_rows, nv = nb + n_lifts * r, nb - nu
+        if self.forcing is None:
+            proj = np.empty((0, n_el, nv))
+        else:
+            proj = self.forcing.space(self.quad_points) @ self.ref.proj_v
+        n_tau = len(proj)
+        self._operand = np.zeros((n_rows + n_tau * nv, n_el))
+        self._operand[n_rows:] = proj.transpose(0, 2, 1).reshape(-1, n_el)
         self.input = self._operand[:nb].T
-        self._lift_factor = np.concatenate([self.blocks[0], lifts.reshape(-1, nb)]).T.copy()
+        factor = np.zeros((nb, n_rows + n_tau * nv))
+        factor[:, :n_rows] = np.concatenate([self.blocks[0], lifts.reshape(-1, nb)]).T
+        self._lift_factor = factor
+        # entry (nu + i, n_rows + k*nv + i) is column k of row i
+        s0, s1 = factor.strides
+        self._tau = np.lib.stride_tricks.as_strided(
+            factor[nu:, n_rows:], (nv, n_tau), (s0 + s1, nv * s1))
         # the layout rhs's out must have: its transpose is the product's target
         self._out_strides = self.input.strides
         self._lift_products = [(self._operand[:, cols], cols)
@@ -518,7 +533,7 @@ class Discretization:
             self._trace_products = [(self._operand[:nb, cols], traces[:, cols])
                                     for cols in _column_blocks(self._trace_factor, n_el)]
             source = traces.reshape((sides, r) + grid)
-        slots = self._operand[nb:].reshape((n_lifts, r) + grid)
+        slots = self._operand[nb:n_rows].reshape((n_lifts, r) + grid)
         every = (slice(None),)
         shifts, strips = _grid_couplings(dim, self.mesh.periodic)
         # the neighbour across side s meets it with its side s ^ 1
@@ -537,11 +552,13 @@ class Discretization:
         [du dv] is written into it and its two column views are returned;
         without, the views of a new array laid out like ``input``.  u and v
         are copied into ``input`` unless they are ``input_uv``, its own
-        views.  The forcing is built once per distinct t: a call at the
-        t of the previous one reuses it, so an RK4 step builds it twice (k2
-        and k3 share t + dt/2, and k4's t + dt is the next step's t).  Works
-        in arrays owned by the discretization, so concurrent calls on one
-        instance from several threads are not supported.
+        views.  A forced call is the same one product as an unforced one:
+        the forcing's time factors are lift-factor entries, written once
+        per distinct t, so a call at the t of the previous one reuses them
+        and an RK4 step writes them twice (k2 and k3 share t + dt/2, and
+        k4's t + dt is the next step's t).  Works in arrays owned by the
+        discretization (the lift factor among them), so concurrent calls on
+        one instance from several threads are not supported.
         """
         x_u, x_v = self.input_uv
         if u is not x_u or v is not x_v:
@@ -551,8 +568,12 @@ class Discretization:
             out = np.empty_like(self.input)
         elif out.strides != self._out_strides:
             raise ValueError("rhs's out must be laid out like Discretization.input")
-        # the coefficients each element reads copied into its slots, then
-        # one product with the operand
+        # the forcing's time factors into the lift factor, the coefficients
+        # each element reads copied into its slots, then one product with
+        # the operand
+        if self._forcing_time is not None and t != self._tau_t:
+            self._tau[...] = self._forcing_time(t)
+            self._tau_t = t
         for x_cols, trace_cols in self._trace_products:
             np.matmul(self._trace_factor, x_cols, out=trace_cols)
         for dst, src in self._copies:
@@ -563,12 +584,6 @@ class Discretization:
         else:
             for operand_cols, cols in self._lift_products:
                 np.matmul(self._lift_factor, operand_cols, out=result[:, cols])
-        if self._forcing_proj is not None:
-            # the forcing's u rows are zero
-            if t != self._f_t:
-                np.dot(self._forcing_time(t), self._forcing_proj, out=self._f_flat)
-                self._f_t = t
-            result += self._f
         nu = self._nu
         return out[:, :nu], out[:, nu:]
 

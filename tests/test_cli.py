@@ -3,7 +3,10 @@ import dataclasses
 import importlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -444,6 +447,18 @@ def test_energy_audit_pass_and_fail(tmp_path):
                  "--output", str(tmp_path / "e2")]) == 4
 
 
+@pytest.mark.parametrize("q,n", [(3, 80), (4, 40)])
+def test_energy_audit_passes_conservative_runs(tmp_path, q, n):
+    # a central flux's operator rate is ~0, so the residual is taken
+    # relative to the sizes of its two terms: over max(1, |rate|) these
+    # audits read 3.8e-9 and 6.8e-9 and failed the default tolerance
+    path = write_config(tmp_path, q=q, n=n, flux="central", T=0.01)
+    out = tmp_path / "e"
+    assert main(["energy", "--config", path, "--output", str(out)]) == 0
+    rows = (out / "energy.csv").read_text().splitlines()[1:]
+    assert max(float(row.split(",")[3]) for row in rows) <= 1e-11
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_energy_trace_that_blows_up_exits_3(tmp_path, capsys):
     # the audit still writes its CSV and reports; the trace's state overflows
@@ -587,3 +602,25 @@ def test_main_returns_only_contract_exit_codes(command, cfg):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main([command, "--config", str(path), "--output", tmp])
     assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("run", {}), ("converge", {"n_list": [4, 6]}), ("energy", {}),
+    ("spectrum", {"n_list": [4, 6]})])
+def test_closed_stdout_exits_2(tmp_path, command, overrides):
+    # stdout is a pipe whose reader has already gone: one stderr line and
+    # exit 2, as for an unusable --output, and no traceback at exit
+    path = write_config(tmp_path, n=4, T=0.01, **overrides)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "advwave.cli", command, "--config", path,
+                               "--output", str(tmp_path / "out")],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == ["config error: stdout: Broken pipe"]

@@ -214,6 +214,43 @@ def test_rhs_in_column_blocks_matches_matrix_free(monkeypatch, dim, mode):
     assert np.abs(dv - rv).max() <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["one-block", "split"])
+@pytest.mark.parametrize("dim,mode", [(1, "periodic"), (1, "physical"),
+                                      (2, "periodic"), (2, "physical")])
+def test_forced_rhs_adds_the_projected_forcing(monkeypatch, dim, mode, split):
+    # the forcing's projections are operand rows (K * Nv of them, below
+    # [u v] and one r-row slot per lift: a neighbour per side, and on a
+    # physical mesh a boundary correction per side) and its time factors
+    # lift-factor entries, so the one lift product adds it: a forced rhs
+    # minus the unforced one is the forcing's L2 projection at t, in every
+    # column block, with the time factors rewritten when t changes
+    if split:
+        monkeypatch.setattr(operators, "SMALL_PRODUCT", 200)
+
+    def space(x):
+        return np.stack([np.sin(2 * np.pi * x.sum(axis=-1)), x[..., 0] ** 2,
+                         np.cos(2 * np.pi * x[..., -1])])
+
+    forcing = Separable(space, lambda t: np.array([np.cos(3.0 * t), 1.0 + t, t * t]))
+    kw = dict(dim=dim, n=5 if dim == 1 else 3, q=2, w=[0.5, -0.3][:dim], mode=mode)
+    forced, free = make_disc(forcing=forcing, **kw), make_disc(**kw)
+    ref, n_el = free.ref, free.mesh.n_elements
+    nb = ref.n_u + ref.n_v
+    n_lifts = 2 * dim * (1 if mode == "periodic" else 2)
+    rows = nb + n_lifts * (nb if dim == 1 else ref.trace_maps.shape[-1])
+    assert free._operand.shape == (rows, n_el) and free._lift_factor.shape == (nb, rows)
+    assert forced._operand.shape == (rows + 3 * ref.n_v, n_el)
+    assert (len(forced._lift_products) > 1) == split
+    state = random_state(free, 3)
+    for t in (0.2, 0.9, 0.2):
+        du, dv = forced.rhs(state.u, state.v, t)
+        fu, fv = free.rhs(state.u, state.v, t)
+        expect = forcing(forced.quad_points, t) @ forced.ref.proj_v
+        scale = max(np.abs(fu).max(), np.abs(fv).max(), np.abs(expect).max())
+        assert np.abs(du - fu).max() <= 1e-12 * scale
+        assert np.abs(dv - fv - expect).max() <= 1e-12 * scale
+
+
 def test_matrix_free_rhs_is_homogeneous_only():
     # the forcing projection has its reference in
     # test_projected_forcing_matches_quadrature
