@@ -202,7 +202,12 @@ def _grid_couplings(dim: int, periodic: bool):
 # periodic q = 3 grid of 784 elements), 2D rhs's trace product took 14 %
 # and its lift product 6 % less time than in one block (AVX-512 Xeon, one
 # thread; medians of interleaved rounds, 66 against 77 and 95 against
-# 101 us)
+# 101 us).  A product that fits in one block (every 1D lift product at the
+# grids in use) reads and writes contiguous arrays and runs through np.dot:
+# the same BLAS product, bit for bit, for 0.5-0.8 us less a call than
+# np.matmul (the 1D q = 3 lift product at n = 10, 40, 160: 1.8, 1.1, 3.5
+# against 2.5, 1.6, 4.0 us).  A block writes a strided column slice, which
+# np.dot does not take, so blocks run through np.matmul
 SMALL_PRODUCT = 10 ** 6
 
 
@@ -309,10 +314,16 @@ class Discretization:
         (2*dim, ..., n_el, nfq) and (2*dim, ..., n_el, nfq, dim); gradients
         are in physical coordinates.
         """
+        # one product per field against every side's table, (N, sides * nfq
+        # [* dim]), then the side axis moved to the front as a view
         ref = self.ref
-        vtr = np.einsum("sfj,...ej->s...ef", ref.face_vals_v, v)
-        gtr = self.dscale * np.einsum("sdfj,...ej->s...efd", ref.face_grads_u, u)
-        return vtr, gtr
+        vals, grads = ref.face_vals_v, ref.face_grads_u
+        vtr = v @ vals.transpose(2, 0, 1).reshape(vals.shape[-1], -1)
+        gtr = u @ grads.transpose(3, 0, 2, 1).reshape(grads.shape[-1], -1)
+        gtr *= self.dscale
+        sides, dim, nfq = grads.shape[:3]
+        return (np.moveaxis(vtr.reshape(vtr.shape[:-1] + (sides, nfq)), -2, 0),
+                np.moveaxis(gtr.reshape(gtr.shape[:-1] + (sides, nfq, dim)), -3, 0))
 
     def _face_traces(self, vtr, gtr):
         """Traces of every face set of the grid, axis by axis: yields (kind,
@@ -488,7 +499,8 @@ class Discretization:
         lifts] with K*Nv more columns, times the operand.  Those columns are
         zero but for tau_k at (Nu + i, forcing row k*Nv + i), so a forced
         derivative is the same one product; ``_tau`` is the (Nv, K) view of
-        those entries that rhs writes the time factors into."""
+        those entries that rhs writes the time factors into.  Without a
+        forcing there are no such rows, columns or view."""
         dim, n, nb = self.mesh.dim, self.mesh.n, self.blocks.shape[-1]
         sides, n_el, nu = 2 * dim, self.mesh.n_elements, self._nu
         # a 2D slot holds the r traces of a face (11 of the 32 coefficients
@@ -503,21 +515,22 @@ class Discretization:
             lifts = self.blocks[1:]
         n_lifts, r = lifts.shape[:2]
         n_rows, nv = nb + n_lifts * r, nb - nu
+        factor = np.concatenate([self.blocks[0], lifts.reshape(-1, nb)]).T
         if self.forcing is None:
-            proj = np.empty((0, n_el, nv))
+            self._operand = np.zeros((n_rows, n_el))
+            self._lift_factor = factor.copy()
         else:
             proj = self.forcing.space(self.quad_points) @ self.ref.proj_v
-        n_tau = len(proj)
-        self._operand = np.zeros((n_rows + n_tau * nv, n_el))
-        self._operand[n_rows:] = proj.transpose(0, 2, 1).reshape(-1, n_el)
+            n_tau = len(proj)
+            self._operand = np.zeros((n_rows + n_tau * nv, n_el))
+            self._operand[n_rows:] = proj.transpose(0, 2, 1).reshape(-1, n_el)
+            self._lift_factor = np.zeros((nb, n_rows + n_tau * nv))
+            self._lift_factor[:, :n_rows] = factor
+            # entry (nu + i, n_rows + k*nv + i) is column k of row i
+            s0, s1 = self._lift_factor.strides
+            self._tau = np.lib.stride_tricks.as_strided(
+                self._lift_factor[nu:, n_rows:], (nv, n_tau), (s0 + s1, nv * s1))
         self.input = self._operand[:nb].T
-        factor = np.zeros((nb, n_rows + n_tau * nv))
-        factor[:, :n_rows] = np.concatenate([self.blocks[0], lifts.reshape(-1, nb)]).T
-        self._lift_factor = factor
-        # entry (nu + i, n_rows + k*nv + i) is column k of row i
-        s0, s1 = factor.strides
-        self._tau = np.lib.stride_tricks.as_strided(
-            factor[nu:, n_rows:], (nv, n_tau), (s0 + s1, nv * s1))
         # the layout rhs's out must have: its transpose is the product's target
         self._out_strides = self.input.strides
         self._lift_products = [(self._operand[:, cols], cols)
@@ -574,16 +587,22 @@ class Discretization:
         if self._forcing_time is not None and t != self._tau_t:
             self._tau[...] = self._forcing_time(t)
             self._tau_t = t
-        for x_cols, trace_cols in self._trace_products:
-            np.matmul(self._trace_factor, x_cols, out=trace_cols)
+        # np.dot for a product in one column block, np.matmul for blocks
+        # (see SMALL_PRODUCT)
+        trace_products = self._trace_products
+        if len(trace_products) == 1:
+            np.dot(self._trace_factor, *trace_products[0])
+        else:
+            for x_cols, trace_cols in trace_products:
+                np.matmul(self._trace_factor, x_cols, trace_cols)
         for dst, src in self._copies:
             dst[...] = src
         result = out.T
         if len(self._lift_products) == 1:
-            np.matmul(self._lift_factor, self._operand, out=result)
+            np.dot(self._lift_factor, self._operand, result)
         else:
             for operand_cols, cols in self._lift_products:
-                np.matmul(self._lift_factor, operand_cols, out=result[:, cols])
+                np.matmul(self._lift_factor, operand_cols, result[:, cols])
         nu = self._nu
         return out[:, :nu], out[:, nu:]
 

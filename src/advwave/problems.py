@@ -15,6 +15,7 @@ factors as its exact fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +91,7 @@ def periodic_1d(w: float, c: float, lift: bool = True) -> ProblemSpec:
     w_vec = np.array([float(w)])
     space, phase = _traveling_sines(w_vec)
     omega = 2.0 * c * np.pi
-    a = TWO_PI * w_vec[0]
+    a = float(TWO_PI * w_vec[0])
 
     def time_u(t):
         out = np.cos(omega * t) * phase(t)
@@ -106,8 +107,10 @@ def periodic_1d(w: float, c: float, lift: bool = True) -> ProblemSpec:
             out[1] -= a * g
         return out
 
+    # math's scalar functions cost half of numpy's on one float, and rhs
+    # evaluates the forcing's time factors at every distinct stage time
     def time_f(t):
-        g = np.exp(-t * t)
+        g = math.exp(-t * t)
         return np.array([(a * a - omega * omega - 4.0 * t * t + 2.0) * g, 4.0 * a * t * g])
 
     return ProblemSpec(
@@ -147,7 +150,7 @@ def mixed_2d(w, c: float) -> ProblemSpec:
     ev = Separable(v_space, lambda t: np.array([np.cos(t), np.sin(t)]))
     forcing = Separable(
         space=lambda x: np.stack(forcing_mixed_2d_factors(x[..., 0], x[..., 1], w_vec, c)),
-        time=lambda t: np.array([np.sin(t), np.cos(t)]),
+        time=lambda t: np.array([math.sin(t), math.cos(t)]),
     )
     return ProblemSpec(
         dim=2, w=w_vec, c=float(c),

@@ -50,6 +50,10 @@ class RK4Buffers:
     stage array's layout (coefficient-major), so no stage operation, and no
     rhs input or output, transposes.  x_uv are the u and v column views of
     x.
+
+    The step's scalar factors are 0-d arrays, which a ufunc takes with less
+    overhead than Python floats: two, and coef, the dt/2, dt and dt/6 of
+    the step size coef_dt, which ``rk4_step`` rebuilds when dt changes.
     """
 
     def __init__(self, state: ModalState, disc: Discretization):
@@ -60,6 +64,8 @@ class RK4Buffers:
         self.x_uv[0][...], self.x_uv[1][...] = state.u, state.v
         self.k = tuple(np.empty_like(self.stage) for _ in range(4))
         self.finite = np.empty_like(self.stage, dtype=bool)
+        self.two = np.array(2.0)
+        self.coef_dt = self.coef = None
 
 
 def rk4_step(buf: RK4Buffers, t: float, dt: float, rhs) -> float:
@@ -70,28 +76,31 @@ def rk4_step(buf: RK4Buffers, t: float, dt: float, rhs) -> float:
     update x + dt/6 (k1 + 2 k2 + 2 k3 + k4), each rounded in that order, so
     the result is bitwise that of the same formulas on separate arrays.
     """
-    x, stage, stage_uv = buf.x, buf.stage, buf.stage_uv
+    if dt != buf.coef_dt:
+        buf.coef_dt, buf.coef = dt, tuple(np.array(a) for a in (0.5 * dt, dt, dt / 6.0))
+    x, stage, stage_uv, two = buf.x, buf.stage, buf.stage_uv, buf.two
     k1, k2, k3, k4 = buf.k
-    half = 0.5 * dt
-    t_half = t + half
-    np.copyto(stage, x)
+    half, step, sixth = buf.coef
+    mul, add = np.multiply, np.add
+    t_half = t + 0.5 * dt
+    stage[...] = x
     rhs(*stage_uv, t, out=k1)
-    np.multiply(k1, half, out=stage)
-    stage += x
+    mul(k1, half, stage)
+    add(stage, x, stage)
     rhs(*stage_uv, t_half, out=k2)
-    np.multiply(k2, half, out=stage)
-    stage += x
+    mul(k2, half, stage)
+    add(stage, x, stage)
     rhs(*stage_uv, t_half, out=k3)
-    np.multiply(k3, dt, out=stage)
-    stage += x
+    mul(k3, step, stage)
+    add(stage, x, stage)
     rhs(*stage_uv, t + dt, out=k4)
-    k2 *= 2.0
-    k2 += k1
-    k3 *= 2.0
-    k2 += k3
-    k2 += k4
-    k2 *= dt / 6.0
-    x += k2
+    mul(k2, two, k2)
+    add(k2, k1, k2)
+    mul(k3, two, k3)
+    add(k2, k3, k2)
+    add(k2, k4, k2)
+    mul(k2, sixth, k2)
+    add(x, k2, x)
     return t + dt
 
 
@@ -122,7 +131,7 @@ def evolve(state0: ModalState, disc: Discretization, T: float, dt: float,
         state.t = T if step == n_steps else t
         # one check on the stacked array covers u and v; the ufunc reduce
         # is ndarray.all without its Python-level wrapper
-        if not np.logical_and.reduce(np.isfinite(buf.x, out=buf.finite), axis=None):
+        if not np.logical_and.reduce(np.isfinite(buf.x, buf.finite), axis=None):
             raise InstabilityError(step)
         for obs in observers:
             obs(step, state)

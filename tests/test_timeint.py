@@ -360,3 +360,58 @@ def test_rk4_is_fourth_order_against_the_exact_semidiscrete_solution(params):
         end = evolve(state, disc, T, T / k)
         errs.append(np.max(np.abs(np.hstack([end.u, end.v]) - exact)))
     assert 3.8 <= fit_rate([T / k for k in steps], errs) <= 4.3
+
+
+def _forced(problem):
+    """A forced problem and a builder of its discretization on a small mesh."""
+    from advwave import problems
+
+    spec = {"periodic1d": lambda: problems.periodic_1d(0.5, 1.0),
+            "mixed2d": lambda: problems.mixed_2d([0.5, 0.5], 1.0)}[problem]()
+    ref = build_reference(3, 3, dim=spec.dim)
+    mesh = build_mesh(spec.dim, 6 if spec.dim == 1 else 3, spec.boundary_mode)
+    return spec, lambda: Discretization(mesh, ref, FluxParams.sommerfeld(), spec.w, spec.c,
+                                        forcing=spec.forcing)
+
+
+def test_rk4_buffers_take_a_new_dt():
+    # one RK4Buffers stepped at two step sizes, back and forth: the step
+    # factors it caches follow dt, and every step equals the out-of-place
+    # step bitwise
+    from advwave.problems import project_initial
+
+    spec, make = _forced("periodic1d")
+    disc = make()
+    state0 = project_initial(spec, disc)
+    buf = RK4Buffers(state0, disc)
+    u, v, t = state0.u, state0.v, state0.t
+    for dt in (0.01, 0.004, 0.004, 0.01):
+        t_buf = rk4_step(buf, t, dt, disc.rhs)
+        u, v, t = _reference_rk4(u, v, t, dt, lambda *args: make().rhs(*args))
+        assert t_buf == t
+        assert np.array_equal(buf.x_uv[0], u) and np.array_equal(buf.x_uv[1], v)
+
+
+@pytest.mark.parametrize("problem", ["periodic1d", "mixed2d"])
+def test_evolve_allocates_nothing_per_step(problem):
+    # a solve's memory is its buffers and the state it returns: a step that
+    # kept anything would raise the traced peak with the number of steps
+    import tracemalloc
+
+    from advwave.problems import project_initial
+
+    spec, make = _forced(problem)
+    disc = make()
+    state0 = project_initial(spec, disc)
+    evolve(state0, disc, 0.002, 0.001)   # the first solve's one-time work
+    peaks = []
+    tracemalloc.start()
+    try:
+        for steps in (20, 200):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            evolve(state0, disc, steps * 0.001, 0.001)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 512, peaks
