@@ -27,7 +27,7 @@ from .diagnostics import (FIT_WINDOW, discrete_energy, energy_identity_residual,
                           fit_rate, l2_error, spectral_radius_probe)
 from .fluxes import FluxParams
 from .mesh import build_mesh
-from .operators import Discretization, ModalState, build_element_solvers
+from .operators import Discretization, ModalState, element_scale
 from .problems import ProblemSpec, mixed_2d, periodic_1d, periodic_2d, project_initial
 from .timeint import InstabilityError, compute_dt, evolve
 
@@ -202,10 +202,9 @@ def _check_grid(cfg: RunConfig, n: int, field: str) -> None:
     if unknowns > MAX_UNKNOWNS:
         raise ConfigError(f"{field}: a solve with n = {n} has n^dim (Nu+Nv) = {unknowns} "
                           f"unknowns, more than {MAX_UNKNOWNS}")
-    s = cfg.s if cfg.s is not None else cfg.q
     try:
         # the mesh's element size is 1/n
-        build_element_solvers(build_reference(cfg.q, s, dim=cfg.dim), 1.0 / n, cfg.c)
+        element_scale(cfg.dim, 1.0 / n, cfg.c)
     except ValueError as e:
         raise ConfigError(f"c: {e} (n = {n})")
 

@@ -11,11 +11,16 @@ import numpy as np
 from .operators import Discretization, FieldTable, ModalState, _grid_couplings
 
 
+def _energy_terms(disc: Discretization, u, v, du, dv):
+    """(sum v . M dv, sum u . S du) in the element energy form of disc."""
+    return (np.sum(v * (dv * disc.v_mass_diag)),
+            np.sum(u * (du @ disc.stiffness.T)))
+
+
 def discrete_energy(state: ModalState, disc: Discretization) -> float:
     """E^h = sum_j int 1/2 v^2 + 1/2 c^2 |grad u|^2, exact via quadrature."""
-    kinetic = 0.5 * np.sum(state.v * (state.v * disc.solvers.v_mass_diag))
-    potential = 0.5 * np.sum(state.u * (state.u @ disc.solvers.stiffness.T))
-    return float(kinetic + potential)
+    kinetic, potential = _energy_terms(disc, state.u, state.v, state.u, state.v)
+    return float(0.5 * kinetic + 0.5 * potential)
 
 
 def energy_identity_residual(state: ModalState, disc: Discretization):
@@ -34,13 +39,11 @@ def energy_identity_residual(state: ModalState, disc: Discretization):
     """
     if disc.forcing is not None:
         raise ValueError("energy identity requires homogeneous forcing")
-    mass, stiffness = disc.solvers.v_mass_diag, disc.solvers.stiffness
     lhs = np.empty(state.u.shape[:-2])
     scale = np.empty_like(lhs)
     for i in np.ndindex(lhs.shape):
         du, dv = disc.rhs(state.u[i], state.v[i], state.t)
-        kinetic = np.sum(state.v[i] * (dv * mass))
-        potential = np.sum(state.u[i] * (du @ stiffness.T))
+        kinetic, potential = _energy_terms(disc, state.u[i], state.v[i], du, dv)
         lhs[i] = kinetic + potential
         scale[i] = abs(kinetic) + abs(potential)
     rhs = disc.boundary_energy_rate(state.u, state.v)

@@ -124,44 +124,20 @@ class FieldTable:
         return _combine(field.time(t), values)
 
 
-@dataclass(frozen=True)
-class ElementSolvers:
-    """Factorized per-element systems, shared by all elements.
+def element_scale(dim: int, h: float, c: float) -> float:
+    """c^2 (h/2)^dim (2/h)^2, the factor of the element's energy stiffness.
 
-    u_system stacks the gradient-stiffness rows for the non-constant test
-    functions with the mean-value row in the constant slot; it is square
-    and nonsingular.  v_mass_inv is the inverse of the (diagonal) v mass
-    matrix including the element Jacobian.
+    Raises ValueError unless it is a finite normal number: c^2 can overflow
+    to an infinite element system, or underflow to a singular one (or,
+    subnormal, to one with a few significant bits).
     """
-
-    u_system: np.ndarray
-    u_lu: tuple
-    v_mass_diag: np.ndarray
-    v_mass_inv: np.ndarray
-    stiffness: np.ndarray   # c^2 * grad-grad bilinear form on the element
-
-
-def build_element_solvers(ref: ReferenceElement, h: float, c: float) -> ElementSolvers:
-    dim = ref.dim
     jac = (h / 2.0) ** dim
     dscale = 2.0 / h
     scale = c * c * jac * dscale * dscale
-    # c^2 can overflow to an infinite system, or underflow to a singular one
-    # (or, subnormal, to one with a few significant bits)
     if not np.finfo(float).tiny <= scale < np.inf:
         raise ValueError(f"wave speed c = {c!r} makes the element system infinite or "
                          f"singular: its scale c^2 (h/2)^dim (2/h)^2 is {scale!r}")
-    stiffness = scale * ref.stiff_u
-    u_system = stiffness.copy()
-    u_system[0, :] = jac * ref.mean_row
-    v_mass_diag = jac * np.diag(ref.mass_v)
-    return ElementSolvers(
-        u_system=u_system,
-        u_lu=lu_factor(u_system),
-        v_mass_diag=v_mass_diag,
-        v_mass_inv=1.0 / v_mass_diag,
-        stiffness=stiffness,
-    )
+    return scale
 
 
 @functools.cache
@@ -232,11 +208,17 @@ class Discretization:
     (n_elements, Nu+Nv), is the array rhs reads [u v] from (an F-ordered
     view of its coefficient-major operand), and input_uv are its u and v
     column views.
+
+    stiffness S (c^2 times the grad-grad form) and v_mass_diag (the diagonal
+    of the v mass M), with the element Jacobian, are the element's energy
+    form, E = 1/2 sum_e (v M v + u S u); u_system, S with the mean-value row
+    in the constant slot, is the u equation's element system.  All three are
+    read-only.
     """
 
     def __init__(self, mesh: MeshTopology, ref: ReferenceElement,
                  params: FluxParams, w, c: float, forcing=None):
-        # before the element solvers, which see only c^2
+        # before element_scale, which sees only c^2
         if not c > 0:
             raise ValueError("wave speed c must be positive")
         if ref.dim != mesh.dim:
@@ -255,7 +237,14 @@ class Discretization:
         self.jac_face = (h / 2.0) ** (dim - 1)
         self.dscale = 2.0 / h
 
-        self.solvers = build_element_solvers(ref, h, c)
+        self.stiffness = element_scale(dim, h, c) * ref.stiff_u
+        self.u_system = self.stiffness.copy()
+        self.u_system[0, :] = self.jac_vol * ref.mean_row
+        self.v_mass_diag = self.jac_vol * np.diag(ref.mass_v)
+        for form in (self.stiffness, self.u_system, self.v_mass_diag):
+            form.flags.writeable = False
+        self._u_lu = lu_factor(self.u_system)
+        self._v_mass_inv = 1.0 / self.v_mass_diag
         # (interior, low boundary, high boundary) flux kinds of each axis
         self.face_kinds = classify_mesh(mesh, self.w, self.c)
 
@@ -375,7 +364,7 @@ class Discretization:
         as coefficients in the u space (projected by ``proj_u``)."""
         p = u @ self.adv_modal_u.T - v @ self.ref.embed_v.T
         rhs_v = -(v @ self.adv_v.T) - (u @ self.stiff_vu.T)
-        rhs_u = -(p @ self.solvers.stiffness.T)
+        rhs_u = -(p @ self.stiffness.T)
         return rhs_u, rhs_v, p
 
     def _lift_faces(self, rhs_u, rhs_v, vstar, gstar, vtr, gtr) -> None:
@@ -402,10 +391,11 @@ class Discretization:
 
     def _element_solve(self, rhs_u, rhs_v, p):
         """Impose the mean constraint and apply the element inverses."""
-        # mean constraint replaces the constant-test row
-        rhs_u[:, 0] = -self.jac_vol * 2.0 ** self.mesh.dim * p[:, 0]
-        du = lu_solve(self.solvers.u_lu, rhs_u.T).T
-        dv = rhs_v * self.solvers.v_mass_inv
+        # the mean constraint replaces the constant-test row: u_system's row
+        # 0, whose one nonzero entry is its first, applied to -p
+        rhs_u[:, 0] = -self.u_system[0, 0] * p[:, 0]
+        du = lu_solve(self._u_lu, rhs_u.T).T
+        dv = rhs_v * self._v_mass_inv
         return du, dv
 
     # --- assembly ------------------------------------------------------------

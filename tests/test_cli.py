@@ -16,10 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advwave import cli
+from advwave import cli, operators
 from advwave.cli import (ConfigError, RunConfig, build_discretization, default_cfl,
                          flux_params, load_config, main, time_step, validate_config)
+from advwave.basis import build_reference
 from advwave.fluxes import FluxParams
+from advwave.mesh import build_mesh
+from advwave.operators import Discretization, element_scale
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -89,6 +92,48 @@ def test_unknown_field_rejected(tmp_path):
 def test_invalid_configs(tmp_path, overrides, field):
     with pytest.raises(ConfigError, match=field):
         load_config(write_config(tmp_path, **overrides))
+
+
+@pytest.mark.parametrize("problem,w", [("periodic1d", 0.5), ("mixed2d", [0.5, 0.5])])
+def test_config_rejects_c_exactly_when_the_operator_does(tmp_path, problem, w):
+    # c's element scale c^2 (h/2)^dim (2/h)^2 underflows near c = 1.5e-154
+    # in 2D (3.7e-155 in 1D at n = 8) and overflows near 1.3e154 (3.4e153
+    # in 1D); each range straddles both dimensions' limit
+    n = 8
+    dim = 1 if problem == "periodic1d" else 2
+    mode = "periodic" if problem == "periodic1d" else "physical"
+    for cs in (np.geomspace(1e-155, 1e-153, 7), np.geomspace(1e153, 1e155, 7)):
+        accepted = []
+        for c in map(float, cs):
+            path = write_config(tmp_path, problem=problem, w=w, c=c, n=n)
+            try:
+                element_scale(dim, 1.0 / n, c)
+            except ValueError as e:
+                message = str(e)
+            else:
+                load_config(path)
+                accepted.append(c)
+                continue
+            with pytest.raises(ConfigError) as err:
+                load_config(path)
+            assert str(err.value) == f"c: {message} (n = {n})"
+            with pytest.raises(ValueError) as err:
+                Discretization(build_mesh(dim, n, mode), build_reference(2, 2, dim=dim),
+                               FluxParams.sommerfeld(c), np.atleast_1d(w), c)
+            assert str(err.value) == message
+        assert 0 < len(accepted) < len(cs)
+
+
+def test_config_check_of_c_builds_nothing(tmp_path, monkeypatch):
+    # the c rule is one scalar test: validating a sweep builds no reference
+    # element and factorizes no element system
+    def refuse(*args, **kwargs):
+        raise AssertionError("config validation built an element")
+
+    monkeypatch.setattr(cli, "build_reference", refuse)
+    monkeypatch.setattr(operators, "lu_factor", refuse)
+    for problem, w in (("periodic1d", 0.5), ("mixed2d", [0.5, 0.5])):
+        load_config(write_config(tmp_path, problem=problem, w=w, n_list=[4, 6, 8, 12]))
 
 
 def test_config_root_must_be_an_object(tmp_path):

@@ -130,6 +130,46 @@ def test_energy_identity_of_a_stack_matches_one_state_at_a_time():
         assert abs(one[1] - rhs[i, j]) <= 1e-13 * max(1.0, abs(rhs[i, j]))
 
 
+# E = 1/2 x.G x, with G the block-diagonal energy Gram of
+# ``Discretization.stiffness`` and ``v_mass_diag``, so the operator side of
+# the identity is the form x.GLx and the face side a form x.Fx.  Both couple
+# only face neighbours, through blocks fixed by h, and a 3^dim grid holds
+# every kind of neighbourhood: if sym(GL) = F there, the identity holds for
+# every state on every grid with that h.  Inadmissible fluxes (the custom
+# ones) obey it too; only the sign of F depends on admissibility
+@pytest.mark.parametrize("dim,mode,q,s,w,params", [
+    (1, "periodic", 3, 3, [0.5], FluxParams.sommerfeld()),
+    (1, "periodic", 3, 3, [0.5], FluxParams.central()),
+    (1, "periodic", 3, 2, [2.0], FluxParams.sommerfeld(2.0)),
+    (1, "periodic", 3, 3, [0.5], FluxParams(sigma=0.5, beta=0.1, eta=5.0)),
+    (1, "periodic", 3, 3, [0.5], FluxParams(sigma=0.8)),
+    (2, "periodic", 2, 2, [0.5, 0.25], FluxParams.sommerfeld()),
+    (2, "physical", 2, 2, [0.5, 0.5], FluxParams.sommerfeld()),
+    (2, "physical", 2, 1, [1.5, 0.3], FluxParams.sommerfeld()),
+    (2, "physical", 2, 2, [-0.7, 1.2], FluxParams.central()),
+], ids=["1d-sommerfeld", "1d-central", "1d-supersonic", "1d-custom", "1d-sigma0.8",
+        "periodic2d-sommerfeld", "mixed2d-sommerfeld", "mixed2d-supersonic",
+        "mixed2d-central"])
+def test_energy_identity_as_a_matrix_identity(dim, mode, q, s, w, params):
+    from scipy.linalg import block_diag
+
+    disc = Discretization(build_mesh(dim, 3, mode), build_reference(q, s, dim=dim),
+                          params, w, 1.0)
+    n_el, nu = disc.mesh.n_elements, disc.ref.n_u
+    gl = np.kron(np.eye(n_el), block_diag(disc.stiffness, np.diag(disc.v_mass_diag))) @ (
+        sparse_operator(disc).toarray())
+    # F by polarization, from the face rates of one stack of the unit
+    # states e_i and e_i + e_j (i < j)
+    size = len(gl)
+    eye = np.eye(size)
+    i, j = np.triu_indices(size, 1)
+    states = np.concatenate([eye, eye[i] + eye[j]]).reshape(-1, n_el, len(eye) // n_el)
+    rates = disc.boundary_energy_rate(states[..., :nu], states[..., nu:])
+    face = np.diag(rates[:size])
+    face[i, j] = face[j, i] = (rates[size:] - rates[i] - rates[j]) / 2.0
+    assert np.max(np.abs((gl + gl.T) / 2.0 - face)) <= 1e-13 * np.max(np.abs(gl))
+
+
 def test_energy_identity_rejects_forcing():
     ref = build_reference(2, 2, dim=1)
     mesh = build_mesh(1, 4, "periodic")

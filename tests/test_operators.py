@@ -9,7 +9,7 @@ from advwave.basis import build_reference
 from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
 from advwave import operators
-from advwave.operators import Discretization, ModalState, Separable, build_element_solvers
+from advwave.operators import Discretization, ModalState, Separable
 
 
 def make_disc(dim=1, n=8, q=3, s=None, w=(0.5,), c=1.0, mode="periodic",
@@ -27,34 +27,32 @@ def random_state(disc, seed=0):
                       rng.standard_normal((disc.mesh.n_elements, disc.ref.n_v)))
 
 
-# --- element solvers ----------------------------------------------------------
+# --- element energy form and system -----------------------------------------
 
 def test_u_system_nonsingular():
+    # h = 1/n = 0.1
     for dim, q in [(1, 1), (1, 4), (2, 2), (2, 3)]:
-        ref = build_reference(q, q, dim=dim)
-        sol = build_element_solvers(ref, h=0.1, c=1.0)
-        assert np.linalg.cond(sol.u_system) < 1e8
+        disc = make_disc(dim=dim, n=10, q=q, w=(0.5,) * dim)
+        assert np.linalg.cond(disc.u_system) < 1e8
 
 
 def test_u_system_constant_vector():
     # u_system applied to the constant's coefficients: mean-row value in
     # the constant slot, zeros elsewhere (stiffness annihilates constants)
-    ref = build_reference(3, 3, dim=2)
     h = 0.25
-    sol = build_element_solvers(ref, h=h, c=2.0)
-    const = np.zeros(ref.n_u)
+    disc = make_disc(dim=2, n=4, q=3, w=(0.5, 0.5), c=2.0)
+    const = np.zeros(disc.ref.n_u)
     const[0] = 1.0
-    out = sol.u_system @ const
+    out = disc.u_system @ const
     assert out[0] == pytest.approx((h / 2.0) ** 2 * 4.0)
     assert np.allclose(out[1:], 0.0, atol=1e-14)
 
 
 def test_v_mass_inverse():
-    ref = build_reference(2, 2, dim=2)
-    sol = build_element_solvers(ref, h=0.2, c=1.0)
+    disc = make_disc(dim=2, n=5, q=2, w=(0.5, 0.5))
     jac = (0.2 / 2.0) ** 2
-    assert np.allclose(sol.v_mass_diag * sol.v_mass_inv, 1.0, atol=1e-13)
-    assert np.allclose(sol.v_mass_diag, jac * np.diag(ref.mass_v), atol=1e-14)
+    assert np.allclose(disc.v_mass_diag * disc._v_mass_inv, 1.0, atol=1e-13)
+    assert np.allclose(disc.v_mass_diag, jac * np.diag(disc.ref.mass_v), atol=1e-14)
 
 
 # --- operator properties -------------------------------------------------------
