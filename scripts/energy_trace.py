@@ -19,8 +19,8 @@ from advwave.cli import RunConfig, time_step
 def trace_run(disc, state, cfg, label, stride=50):
     """Evolve state to cfg.T in the CLI's step for cfg and print its energy."""
     energies = []
-    _, T, dt = time_step(cfg, disc)
-    evolve(state, disc, T, dt,
+    _, T, _, n_steps = time_step(cfg, disc)
+    evolve(state, disc, T, n_steps,
            observers=[lambda k, s: energies.append(discrete_energy(s, disc))])
     e = np.asarray(energies)
     print(f"\n{label}: {len(e) - 1} steps, E(0) = {e[0]:.8e}")

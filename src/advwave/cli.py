@@ -29,7 +29,7 @@ from .fluxes import FluxParams
 from .mesh import build_mesh
 from .operators import Discretization, ModalState, element_scale
 from .problems import ProblemSpec, mixed_2d, periodic_1d, periodic_2d, project_initial
-from .timeint import InstabilityError, compute_dt, evolve
+from .timeint import InstabilityError, evolve
 
 TWO_PI = 2.0 * np.pi
 
@@ -257,15 +257,15 @@ def default_cfl(cfg: RunConfig, params: FluxParams) -> float:
 
 
 def time_step(cfg: RunConfig, disc: Discretization, steps: int | None = None):
-    """(cfl, T, dt) of a time-stepped solve on disc.
+    """(cfl, T, dt, n_steps) of a time-stepped solve on disc.
 
-    cfl is cfg.cfl, or default_cfl's when unset.  The solve runs to cfg.T,
-    or for the given number of steps; its step is cfg.dt if given, otherwise
-    cfl * h, shrunk just enough that T / dt is a whole number.  More than
-    MAX_STEPS steps is a config error.  Warns when the step is likely
-    unstable: when its product with the estimated spectral radius
-    (c + |w|) q^2 / h exceeds 2.8, just inside RK4's stability interval on
-    the imaginary axis (2 sqrt 2).
+    cfl is cfg.cfl, or default_cfl's when unset; the longest step dt_max
+    is cfg.dt if given, otherwise cfl * h.  The solve takes the given number
+    of steps of dt_max, or the fewest steps no longer than dt_max to cfg.T
+    (none when T = 0), of dt = T / n_steps.  More than MAX_STEPS steps is a
+    config error.  Warns when the step is likely unstable: when its product
+    with the estimated spectral radius (c + |w|) q^2 / h exceeds 2.8, just
+    inside RK4's stability interval on the imaginary axis (2 sqrt 2).
     """
     h = disc.mesh.h
     cfl = cfg.cfl if cfg.cfl is not None else default_cfl(cfg, disc.params)
@@ -277,12 +277,16 @@ def time_step(cfg: RunConfig, disc: Discretization, steps: int | None = None):
         knob = "dt" if cfg.dt is not None else "cfl"
         raise ConfigError(f"T, {knob}: T / dt = {T!r} / {dt_max!r} is more "
                           f"than {MAX_STEPS} steps")
-    dt = compute_dt(T, dt_max)
+    if T == 0:
+        n_steps, dt = 0, 0.0
+    else:
+        n_steps = steps if steps is not None else max(1, math.ceil(T / dt_max - 1e-12))
+        dt = T / n_steps
     radius = (disc.c + float(np.linalg.norm(disc.w))) * cfg.q * cfg.q / h
     if dt * radius > 2.8:
         warnings.warn(f"dt = {dt:.3e} likely unstable: estimated spectral radius "
                       f"{radius:.3e} exceeds the RK4 stability interval", stacklevel=2)
-    return cfl, T, dt
+    return cfl, T, dt, n_steps
 
 
 def build_problem(cfg: RunConfig) -> ProblemSpec:
@@ -327,10 +331,9 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def cmd_run(cfg: RunConfig, outdir, seed: int) -> int:
     disc, spec = build_discretization(cfg)
-    cfl, T, dt = time_step(cfg, disc)
+    cfl, T, dt, n_steps = time_step(cfg, disc)
     state = project_initial(spec, disc)
 
-    n_steps = 0 if T == 0 else round(T / dt)
     stride = max(1, n_steps // 100)   # about 100 rows
     rows = []
 
@@ -341,7 +344,7 @@ def cmd_run(cfg: RunConfig, outdir, seed: int) -> int:
         eu, ev = l2_error(st, spec, st.t, disc)
         rows.append((step, st.t, e, eu, ev))
 
-    evolve(state, disc, T, dt, observers=[record])
+    evolve(state, disc, T, n_steps, observers=[record])
     write_csv(outdir / "run.csv", ["step", "t", "energy", "err_u", "err_v"], rows)
     # the last row is the final state, at t = T
     _, _, energy, eu, ev = rows[-1]
@@ -361,9 +364,9 @@ def cmd_run(cfg: RunConfig, outdir, seed: int) -> int:
 def _converge_one(cfg: RunConfig, n: int):
     """Worker body for one grid of a convergence sweep (picklable)."""
     disc, spec = build_discretization(cfg, n=n)
-    _, T, dt = time_step(cfg, disc)
+    _, T, _, n_steps = time_step(cfg, disc)
     state = project_initial(spec, disc)
-    final = evolve(state, disc, T, dt)
+    final = evolve(state, disc, T, n_steps)
     eu, ev = l2_error(final, spec, final.t, disc)
     return n, disc.mesh.h, eu, ev
 
@@ -414,7 +417,7 @@ def random_state(disc: Discretization, rng) -> ModalState:
 def cmd_energy(cfg: RunConfig, outdir, seed: int) -> int:
     disc, spec = build_discretization(cfg, with_forcing=False)
     # the trace's step, resolved first so that a bad one fails before any output
-    _, T, dt = time_step(cfg, disc, steps=50)
+    _, T, _, n_steps = time_step(cfg, disc, steps=50)
     rng = np.random.default_rng(seed)
     # the face side of a batch of states is one pass; a batch holds at
     # most AUDIT_UNKNOWNS unknowns
@@ -440,7 +443,8 @@ def cmd_energy(cfg: RunConfig, outdir, seed: int) -> int:
     trace = []
     st = random_state(disc, rng)
     try:
-        evolve(st, disc, T, dt, observers=[lambda k, s: trace.append(discrete_energy(s, disc))])
+        evolve(st, disc, T, n_steps,
+               observers=[lambda k, s: trace.append(discrete_energy(s, disc))])
     except InstabilityError as e:
         print(f"instability: {e}", file=sys.stderr)
         return EXIT_INSTABILITY if ok else EXIT_ENERGY

@@ -1,8 +1,7 @@
-"""Classic RK4 time integration, with step snapping and instability detection."""
+"""Classic RK4 time integration on a given number of equal steps, with
+instability detection."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -22,21 +21,6 @@ class InstabilityError(RuntimeError):
 
     def __str__(self) -> str:
         return f"non-finite state detected at step {self.step}"
-
-
-def compute_dt(T: float, dt_max: float) -> float:
-    """The largest step <= dt_max that divides T into a whole number of
-    steps; 0 when T = 0.
-
-    Raises ValueError when T / dt_max is not a finite number.
-    """
-    if T == 0.0:
-        return 0.0
-    ratio = T / dt_max
-    if not math.isfinite(ratio):
-        raise ValueError(f"T / dt = {T!r} / {dt_max!r} is not a finite number of steps")
-    steps = max(1, math.ceil(ratio - 1e-12))
-    return T / steps
 
 
 class RK4Buffers:
@@ -104,30 +88,33 @@ def rk4_step(buf: RK4Buffers, t: float, dt: float, rhs) -> float:
     return t + dt
 
 
-def evolve(state0: ModalState, disc: Discretization, T: float, dt: float,
+def evolve(state0: ModalState, disc: Discretization, T: float, n_steps: int,
            observers=()) -> ModalState:
-    """Integrate to exactly t = T in steps of dt, which must divide T (see
-    compute_dt); observers are called as obs(step, state), including once
-    with step 0 for the initial state, and after the last step with
-    state.t equal to T.
+    """Integrate to exactly t = T in n_steps steps of T / n_steps; observers
+    are called as obs(step, state), including once with step 0 for the
+    initial state, and after the last step with state.t equal to T.
 
-    The state is stepped in place in the buffers of one RK4Buffers, so the
+    The grid must reach T: n_steps >= 1 when T > 0, and n_steps = 0 when
+    T = 0; any other pair (a negative or NaN T too) is a ValueError.  The
+    state is stepped in place in the buffers of one RK4Buffers, so the
     state an observer receives is valid only during the call: an observer
     that keeps it must copy it.  The returned state's arrays belong to it
     alone; state0 is not modified.
     """
+    if not (n_steps >= 1 if T > 0 else T == 0 and n_steps == 0):
+        raise ValueError(f"{n_steps!r} steps do not reach T = {T!r}")
     buf = RK4Buffers(state0, disc)
     state = ModalState(*buf.x_uv, state0.t)
     for obs in observers:
         obs(0, state)
-    if T == 0.0:
+    if n_steps == 0:
         return state
-    n_steps = round(T / dt)
+    dt = T / n_steps
     rhs = disc.rhs
     for step in range(1, n_steps + 1):
         t = rk4_step(buf, state.t, dt, rhs)
-        # the last step lands exactly on T, before its observers see it (dt
-        # divides T, so the accumulated time differs only by roundoff)
+        # the last step lands exactly on T, before its observers see it (the
+        # accumulated time differs from it only by roundoff)
         state.t = T if step == n_steps else t
         # one check on the stacked array covers u and v; the ufunc reduce
         # is ndarray.all without its Python-level wrapper

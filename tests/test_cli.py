@@ -284,6 +284,36 @@ def test_cfl_margin_warning(tmp_path, monkeypatch):
                 disc, _ = build_discretization(cfg, n=n, with_forcing=False)
                 time_step(cfg, disc, steps=50 if step.command == "energy" else None)
 
+
+def test_time_step_snapping(tmp_path, capsys):
+    # the step count is the fewest steps no longer than dt_max = cfl h
+    # that reach T, and dt is T over that count
+    cfl = 0.075 / (2 * np.pi)
+    disc, _ = build_discretization(RunConfig(q=1, n=10))
+    dt_max = cfl * disc.mesh.h
+    _, T, dt, n_steps = time_step(RunConfig(q=1, n=10, T=0.2, cfl=cfl), disc)
+    assert T == 0.2 and dt == 0.2 / n_steps and dt <= dt_max
+    # one step fewer would be longer than dt_max
+    assert 0.2 / (n_steps - 1) > dt_max
+    # dt_max = cfg.dt, on a mesh where none of these steps warns
+    coarse, _ = build_discretization(RunConfig(q=1, n=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T, dt_max, expect in [(1.0, 0.25, (0.25, 4)),   # a whole ratio passes through
+                                  (1.0, 0.3, (0.25, 4)),    # shrunk to land on T
+                                  (0.1, 0.5, (0.1, 1)),     # a step longer than T is cut to T
+                                  (0.0, 0.3, (0.0, 0))]:    # T = 0 takes no step
+            assert time_step(RunConfig(q=1, n=2, T=T, dt=dt_max), coarse)[2:] == expect
+        # a given number of steps is that many steps of dt_max
+        assert time_step(RunConfig(q=1, n=2, dt=0.3), coarse, steps=50)[1:] == (15.0, 0.3, 50)
+    # a ratio T / dt_max that overflows is a config error naming the step's fields
+    for overrides, fields in [(dict(T=1e308, dt=0.05 * 0.01), "T, dt"),
+                              (dict(T=0.1, dt=1e-320), "T, dt"),
+                              (dict(T=0.1, cfl=1e-320), "T, cfl")]:
+        assert main(["run", "--config", write_config(tmp_path, **overrides),
+                     "--output", str(tmp_path)]) == 2
+        assert fields in capsys.readouterr().err
+
 # --- subcommands ----------------------------------------------------------------
 
 def test_run_smoke(tmp_path):

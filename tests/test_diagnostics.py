@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advwave.basis import build_reference, tensor_eval, tensor_gauss
 from advwave.diagnostics import (bloch_symbols, discrete_energy, energy_identity_residual,
@@ -151,10 +153,32 @@ def test_energy_identity_of_a_stack_matches_one_state_at_a_time():
         "periodic2d-sommerfeld", "mixed2d-sommerfeld", "mixed2d-supersonic",
         "mixed2d-central"])
 def test_energy_identity_as_a_matrix_identity(dim, mode, q, s, w, params):
+    _assert_matrix_energy_identity(dim, mode, q, s, w, 1.0, params)
+
+
+@st.composite
+def energy_identity_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    q = draw(st.integers(1, 3 if dim == 1 else 2))
+    return (dim, draw(st.sampled_from(["periodic", "physical"])), q, draw(st.integers(0, q)),
+            draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)),
+            draw(st.floats(0.5, 2.0)),
+            FluxParams(sigma=draw(st.floats(0.0, 1.0)), beta=draw(st.floats(0.0, 5.0)),
+                       eta=draw(st.floats(0.0, 5.0)), xi=draw(st.floats(0.2, 5.0))))
+
+
+@given(energy_identity_cases())
+@settings(max_examples=50, deadline=None)
+def test_energy_identity_as_a_matrix_identity_over_drawn_fluxes(case):
+    _assert_matrix_energy_identity(*case)
+
+
+def _assert_matrix_energy_identity(dim, mode, q, s, w, c, params):
+    """sym(GL) = F on a 3^dim grid, to 1e-13 of GL's largest entry."""
     from scipy.linalg import block_diag
 
     disc = Discretization(build_mesh(dim, 3, mode), build_reference(q, s, dim=dim),
-                          params, w, 1.0)
+                          params, w, c)
     n_el, nu = disc.mesh.n_elements, disc.ref.n_u
     gl = np.kron(np.eye(n_el), block_diag(disc.stiffness, np.diag(disc.v_mass_diag))) @ (
         sparse_operator(disc).toarray())

@@ -10,28 +10,7 @@ from advwave.fluxes import FluxParams
 from advwave.basis import build_reference
 from advwave.mesh import build_mesh
 from advwave.operators import Discretization, ModalState, Separable
-from advwave.timeint import InstabilityError, RK4Buffers, compute_dt, evolve, rk4_step
-
-
-def test_compute_dt_snapping():
-    dt_max = 0.075 / (2 * np.pi) * 0.1
-    dt = compute_dt(0.2, dt_max)
-    assert dt <= dt_max * (1 + 1e-12)
-    steps = 0.2 / dt
-    assert steps == pytest.approx(round(steps), abs=1e-12)
-    # one step fewer would be longer than dt_max
-    assert 0.2 / (round(steps) - 1) > dt_max
-    # already-integer ratio passes through unchanged
-    assert compute_dt(1.0, 0.25) == 0.25
-    # shrunk to land on T
-    assert compute_dt(1.0, 0.3) == 0.25
-    # a step longer than T is cut to T
-    assert compute_dt(0.1, 0.5) == 0.1
-    assert compute_dt(0.0, 0.3) == 0.0
-    # T / dt_max overflowing to infinity is a ValueError, not an OverflowError
-    for T, dt_max in ((1e308, 0.05 * 0.01), (0.1, 1e-320)):
-        with pytest.raises(ValueError, match="finite"):
-            compute_dt(T, dt_max)
+from advwave.timeint import InstabilityError, RK4Buffers, evolve, rk4_step
 
 
 def _writing(rhs):
@@ -129,16 +108,34 @@ class _FakeDisc:
 def test_evolve_t_zero_returns_initial():
     disc = _FakeDisc(lambda u, v, t: (np.zeros_like(u), np.zeros_like(v)), n_el=2)
     s0 = ModalState(np.ones((2, 1)), np.ones((2, 1)), 0.0)
-    out = evolve(s0, disc, 0.0, 0.0)
+    out = evolve(s0, disc, 0.0, 0)
     assert np.array_equal(out.u, s0.u)
     assert out.t == 0.0
+
+
+@pytest.mark.parametrize("T,n_steps", [(0.1, 0), (1.0, -3), (0.0, 2), (-1.0, 1),
+                                       (math.nan, 1)])
+def test_evolve_rejects_a_time_grid_that_does_not_reach_T(T, n_steps):
+    # each grid would end at a time other than T, or label its result T
+    # after integrating to another time: evolve raises before any stage
+    # or observer runs
+    calls = []
+
+    def rhs(u, v, t):
+        calls.append(t)
+        return v, np.zeros_like(v)
+
+    s0 = ModalState(np.zeros((1, 1)), np.ones((1, 1)), 0.0)
+    with pytest.raises(ValueError, match="do not reach"):
+        evolve(s0, _FakeDisc(rhs), T, n_steps, observers=[lambda k, s: calls.append(k)])
+    assert calls == []
 
 
 def test_evolve_observers_and_exact_landing():
     calls = []
     disc = _FakeDisc(lambda u, v, t: (v, np.zeros_like(v)))
     s0 = ModalState(np.zeros((1, 1)), np.ones((1, 1)), 0.0)
-    out = evolve(s0, disc, 0.7, compute_dt(0.7, 0.1),
+    out = evolve(s0, disc, 0.7, 7,
                  observers=[lambda k, s: calls.append(k)])
     assert calls == list(range(8))  # step 0 plus 7 steps
     assert out.t == 0.7
@@ -151,12 +148,12 @@ def test_last_observer_sees_final_time():
     times = []
     disc = _FakeDisc(lambda u, v, t: (v, np.zeros_like(v)))
     s0 = ModalState(np.zeros((1, 1)), np.ones((1, 1)), 0.0)
-    dt = compute_dt(1.0, 0.1)
+    dt = 1.0 / 10
     accumulated = [0.0]
     for _ in range(10):
         accumulated.append(accumulated[-1] + dt)
     assert accumulated[-1] != 1.0
-    out = evolve(s0, disc, 1.0, dt, observers=[lambda k, s: times.append(s.t)])
+    out = evolve(s0, disc, 1.0, 10, observers=[lambda k, s: times.append(s.t)])
     assert times == accumulated[:-1] + [1.0]
     assert out.t == 1.0
 
@@ -168,7 +165,7 @@ def test_instability_detection():
     disc = _FakeDisc(blowup)
     s0 = ModalState(np.ones((1, 1)), np.ones((1, 1)), 0.0)
     with pytest.raises(InstabilityError) as err:
-        evolve(s0, disc, 1.0, 0.5)
+        evolve(s0, disc, 1.0, 2)
     assert err.value.step == 1
 
 
@@ -187,7 +184,7 @@ def test_instability_detected_in_v_alone():
     calls = []
     s0 = ModalState(np.ones((2, 1)), np.ones((2, 1)), 0.0)
     with pytest.raises(InstabilityError) as err:
-        evolve(s0, _FakeDisc(v_blowup, n_el=2), 1.0, 0.1,
+        evolve(s0, _FakeDisc(v_blowup, n_el=2), 1.0, 10,
                observers=[lambda k, s: calls.append(k)])
     assert err.value.step == 4
     assert calls == [0, 1, 2, 3]
@@ -204,14 +201,14 @@ def test_dt_refinement_reduces_time_error():
     mesh = build_mesh(1, 6, "periodic")
     disc = Discretization(mesh, ref, FluxParams.sommerfeld(), spec.w, spec.c)
 
-    def solve(dt):
+    def solve(n_steps):
         st = project_initial(spec, disc)
-        return evolve(st, disc, 0.2, dt)
+        return evolve(st, disc, 0.2, n_steps)
 
-    reference = solve(2.5e-4)
+    reference = solve(800)
     errs = []
-    for dt in (8e-3, 4e-3, 2e-3):
-        final = solve(dt)
+    for n_steps in (25, 50, 100):
+        final = solve(n_steps)
         errs.append(np.sqrt(np.sum((final.u - reference.u) ** 2)
                             + np.sum((final.v - reference.v) ** 2)))
     assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.3)
@@ -242,7 +239,7 @@ def test_evolve_matches_out_of_place_rk4_bitwise(problem):
                           forcing=spec.forcing)
     state0 = problems.project_initial(spec, disc)
     seen = []
-    final = evolve(state0, disc, 0.08, 0.01,
+    final = evolve(state0, disc, 0.08, 8,
                    observers=[lambda k, s: seen.append((k, s.t, s.u.copy(), s.v.copy()))])
 
     def rebuilt_rhs(u, v, t):
@@ -263,7 +260,7 @@ def test_evolve_matches_out_of_place_rk4_bitwise(problem):
     # the returned state owns its arrays: a second solve on the same
     # discretization leaves it, and the initial state, as they were
     kept = final.u.copy(), final.v.copy()
-    evolve(ModalState(2.0 * state0.u, -state0.v, 0.0), disc, 0.08, 0.01)
+    evolve(ModalState(2.0 * state0.u, -state0.v, 0.0), disc, 0.08, 8)
     assert np.array_equal(final.u, kept[0]) and np.array_equal(final.v, kept[1])
     again = problems.project_initial(spec, disc)
     assert np.array_equal(state0.u, again.u) and np.array_equal(state0.v, again.v)
@@ -276,7 +273,7 @@ def test_observer_copy_does_not_alias_the_stepped_state():
     rng = np.random.default_rng(0)
     state0 = ModalState(rng.standard_normal((4, ref.n_u)), rng.standard_normal((4, ref.n_v)))
     kept = []
-    final = evolve(state0, disc, 0.03, 0.01,
+    final = evolve(state0, disc, 0.03, 3,
                    observers=[lambda k, s: kept.append((s.copy(), s.u.copy(), s.v.copy()))])
     for copy, u, v in kept:
         assert not np.shares_memory(copy.u, final.u) and not np.shares_memory(copy.v, final.v)
@@ -312,7 +309,7 @@ def test_evolve_buffers_follow_the_operator(dim):
 
     disc.rhs = recorded
     states = []
-    evolve(state0, disc, 0.02, 0.01, observers=[lambda k, s: states.append(s)])
+    evolve(state0, disc, 0.02, 2, observers=[lambda k, s: states.append(s)])
     assert len(calls) == 8 and len({id(out) for *_, out in calls}) == 4
     for u, v, out in calls:
         assert u is disc.input_uv[0] and v is disc.input_uv[1] and out.strides == strides
@@ -335,7 +332,7 @@ def test_forced_evolve_builds_forcing_once_per_stage_time():
                           FluxParams.sommerfeld(), spec.w, spec.c,
                           forcing=Separable(spec.forcing.space, time))
     n_steps = 8
-    evolve(problems.project_initial(spec, disc), disc, 0.08, 0.01)
+    evolve(problems.project_initial(spec, disc), disc, 0.08, n_steps)
     assert len(times) == 2 * n_steps + 1
     assert len(set(times)) == len(times)
 
@@ -357,7 +354,7 @@ def test_rk4_is_fourth_order_against_the_exact_semidiscrete_solution(params):
     steps = (20, 40, 80)
     errs = []
     for k in steps:
-        end = evolve(state, disc, T, T / k)
+        end = evolve(state, disc, T, k)
         errs.append(np.max(np.abs(np.hstack([end.u, end.v]) - exact)))
     assert 3.8 <= fit_rate([T / k for k in steps], errs) <= 4.3
 
@@ -403,14 +400,14 @@ def test_evolve_allocates_nothing_per_step(problem):
     spec, make = _forced(problem)
     disc = make()
     state0 = project_initial(spec, disc)
-    evolve(state0, disc, 0.002, 0.001)   # the first solve's one-time work
+    evolve(state0, disc, 0.002, 2)   # the first solve's one-time work
     peaks = []
     tracemalloc.start()
     try:
         for steps in (20, 200):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            evolve(state0, disc, steps * 0.001, 0.001)
+            evolve(state0, disc, steps * 0.001, steps)
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
     finally:
         tracemalloc.stop()
