@@ -262,8 +262,8 @@ def time_step(cfg: RunConfig, disc: Discretization, steps: int | None = None):
     cfl is cfg.cfl, or default_cfl's when unset; the longest step dt_max
     is cfg.dt if given, otherwise cfl * h.  The solve takes the given number
     of steps of dt_max, or the fewest steps no longer than dt_max to cfg.T
-    (none when T = 0), of dt = T / n_steps.  More than MAX_STEPS steps is a
-    config error.  Warns when the step is likely unstable: when its product
+    (none when T = 0), of dt = T / n_steps.  More than MAX_STEPS steps, or
+    a dt_max that underflows to 0 (whatever T is), is a config error.  Warns when the step is likely unstable: when its product
     with the estimated spectral radius (c + |w|) q^2 / h exceeds 2.8, just
     inside RK4's stability interval on the imaginary axis (2 sqrt 2).
     """
@@ -271,10 +271,12 @@ def time_step(cfg: RunConfig, disc: Discretization, steps: int | None = None):
     cfl = cfg.cfl if cfg.cfl is not None else default_cfl(cfg, disc.params)
     dt_max = cfg.dt if cfg.dt is not None else cfl * h
     T = cfg.T if steps is None else steps * dt_max
-    # the comparison is False for an infinite ratio; a step that underflows
-    # to 0 leaves no ratio to take
-    if T > 0 and not (dt_max > 0 and T / dt_max <= MAX_STEPS):
-        knob = "dt" if cfg.dt is not None else "cfl"
+    # a step that underflows to 0 is no step, whatever T is (the energy
+    # trace's T is 50 of them); the comparison is False for an infinite ratio
+    knob = "dt" if cfg.dt is not None else "cfl"
+    if not dt_max > 0:
+        raise ConfigError(f"T, {knob}: the step underflows to dt = {dt_max!r}")
+    if not T / dt_max <= MAX_STEPS:
         raise ConfigError(f"T, {knob}: T / dt = {T!r} / {dt_max!r} is more "
                           f"than {MAX_STEPS} steps")
     if T == 0:

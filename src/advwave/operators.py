@@ -7,22 +7,29 @@ every interior face of an axis has the same flux kind, so the derivative of
 an element depends only on its own coefficients and on those of its 2*dim
 face neighbours, through the same dense blocks for every element.
 
-``Discretization.__init__`` builds the couplings once, with the u-system solve
-and the v mass inverse folded in (the LIFT = M^-1 E idiom of nodal DG methods),
-from one model: a neighbour acts on an element only through its traces on their
-shared face (v, and grad u), held as r coefficients along the face (r =
-(s+1)+(q+1)+q in 2D against the N = (q+1)^2+(s+1)^2 of an element, 11 of 32 at
-q = s = 3; r = 2 on a 1D point face).  A trace map T_s (N x r,
+The couplings are assembled once per operator family (degrees, flux, w, c and
+flux kinds: ``_family_reference``, a bounded LRU cache), with the u-system
+solve and the v mass inverse folded in (the LIFT = M^-1 E idiom of nodal DG
+methods), from one model: a neighbour acts on an element only through its
+traces on their shared face (v, and grad u), held as r coefficients along the
+face (r = (s+1)+(q+1)+q in 2D against the N = (q+1)^2+(s+1)^2 of an element,
+11 of 32 at q = s = 3; r = 2 on a 1D point face).  A trace map T_s (N x r,
 ``ReferenceElement.trace_maps``) takes an element's coefficients to its traces
 on side s, and the flux and face-lifting code gives, once, the lift (r x N) of
-the r unit traces (``unit_v``, ``unit_g``) in three roles: own traces on side s
-against a zero neighbour (L_s^own), the neighbour's traces across side s (L_s),
-and on physical meshes the change a boundary closure on side s makes to the
-own-trace lift (L_{2dim+s}).  The self block is the volume block plus the sum
-over sides of T_s L_s^own; the neighbour across side s couples through T_{s^1}
-L_s and a boundary side through T_s L_{2dim+s}.  These N x N products are kept
-as ``Discretization.blocks``, the operator's one description, from which
-``diagnostics`` builds its Bloch symbols and sparse matrix.
+the r unit traces (``unit_v``, ``unit_g``) in three roles: own traces on side
+s against a zero neighbour (L_s^own), the neighbour's traces across side s
+(L_s), and on physical meshes the change a boundary closure on side s makes to
+the own-trace lift (L_{2dim+s}).  The self block is the volume block plus the
+sum over sides of T_s L_s^own; the neighbour across side s couples through
+T_{s^1} L_s and a boundary side through T_s L_{2dim+s}.  These N x N products
+are kept as ``Discretization.blocks``, the operator's one description, from
+which ``diagnostics`` builds its Bloch symbols and sparse matrix.  The
+family's reference is assembled at one element size h_ref (2, unit Jacobians,
+unless c is tiny in 1D), and the operator is scale-covariant, so a grid of
+size h takes its blocks and lifts from it by scaling rows and columns with
+powers of h_ref/h (``_rescale``), exactly for a power-of-two ratio and to
+roundoff otherwise.  Every grid comes from the same reference, so nothing a
+grid gets depends on what the process built before.
 
 ``rhs`` works coefficient-major (one column per element) in one operand G,
 whose first N rows are [u v] and whose other rows hold a slot per lift:
@@ -38,10 +45,11 @@ rides in the same product: the projections of the F_k are rows of G, written
 at build time, and the tau_k(t) are entries of the lift factor.
 
 ``matrix_free_rhs`` keeps the face-by-face evaluation of the homogeneous
-operator, the reference the assembled one is tested against.  It and the
-energy audit (``boundary_energy_rate``) walk the faces of
-``_grid_couplings``, the grid's one record of adjacency, each face set with
-its flux kind from ``face_kinds``, classified once per discretization.
+operator, built directly at the grid's size, the reference the assembled (and
+rescaled) one is tested against.  It and the energy audit
+(``boundary_energy_rate``) walk the faces of ``_grid_couplings``, the grid's
+one record of adjacency, each face set with its flux kind from ``face_kinds``,
+classified once per discretization.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import fluxes
-from .basis import ReferenceElement
+from .basis import ReferenceElement, build_reference
 from .fluxes import FluxParams, Trace
 from .mesh import MeshTopology, classify_mesh
 
@@ -131,9 +139,9 @@ def element_scale(dim: int, h: float, c: float) -> float:
     to an infinite element system, or underflow to a singular one (or,
     subnormal, to one with a few significant bits).
     """
-    jac = (h / 2.0) ** dim
-    dscale = 2.0 / h
-    scale = c * c * jac * dscale * dscale
+    # c (c (2/h)^(2 - dim)), the same number: c^2 alone underflows to a
+    # subnormal for a c whose scale is normal (in 1D, at a fine grid)
+    scale = c * (c * (2.0 / h) ** (2 - dim))
     if not np.finfo(float).tiny <= scale < np.inf:
         raise ValueError(f"wave speed c = {c!r} makes the element system infinite or "
                          f"singular: its scale c^2 (h/2)^dim (2/h)^2 is {scale!r}")
@@ -195,6 +203,237 @@ def _column_blocks(a: np.ndarray, n_columns: int):
     return [slice(i, i + size) for i in range(0, n_columns, size)]
 
 
+class _Element:
+    """The element terms of the operator at element size h: the energy form
+    (see ``Discretization``), the volume terms, the face lifting and the
+    element solve, from which ``assemble`` builds the blocks and lifts.
+
+    The energy form is built with the element; the volume matrices and the
+    element solve's factors on first use, by a family's reference assembly
+    (``_family_reference``) and by ``Discretization.matrix_free_rhs``.
+    """
+
+    def __init__(self, ref: ReferenceElement, w: np.ndarray, c: float, h: float):
+        dim = ref.dim
+        self.ref, self.w, self.c = ref, w, c
+        self.jac_vol = (h / 2.0) ** dim
+        self.jac_face = (h / 2.0) ** (dim - 1)
+        self.dscale = 2.0 / h
+        self.scale = element_scale(dim, h, c)
+        self.stiffness = self.scale * ref.stiff_u
+        self.u_system = self.stiffness.copy()
+        self.u_system[0, :] = self.jac_vol * ref.mean_row
+        self.v_mass_diag = self.jac_vol * np.diag(ref.mass_v)
+        for form in (self.stiffness, self.u_system, self.v_mass_diag):
+            form.flags.writeable = False
+
+    # volume matrices (applied to coefficient rows from the right)
+
+    @functools.cached_property
+    def adv_v(self) -> np.ndarray:
+        ref = self.ref
+        return self.jac_vol * self.dscale * sum(
+            self.w[d] * ref.vol_vals_v.T @ (ref.vol_weights[:, None] * ref.vol_grads_v[d])
+            for d in range(ref.dim))
+
+    @functools.cached_property
+    def stiff_vu(self) -> np.ndarray:
+        ref = self.ref
+        return self.scale * sum(
+            ref.vol_grads_v[d].T @ (ref.vol_weights[:, None] * ref.vol_grads_u[d])
+            for d in range(ref.dim))
+
+    @functools.cached_property
+    def adv_modal_u(self) -> np.ndarray:
+        """The advective derivative w . grad in the u space: the projection
+        of its values at the volume nodes.  Each direction's table is an
+        integer matrix (P_k' sums (2j + 1) P_j), so rounding drops the
+        rule's few-ulp error: kept, it raised a central flux's energy-audit
+        residual 3.5-5x (periodic1d q = 3 n = 40: 6.5e-10 to 2.4e-9)."""
+        ref = self.ref
+        return self.dscale * sum(
+            self.w[d] * np.rint(ref.proj_u.T @ ref.vol_grads_u[d]) for d in range(ref.dim))
+
+    @functools.cached_property
+    def u_lu(self):
+        return lu_factor(self.u_system)
+
+    @functools.cached_property
+    def v_mass_inv(self) -> np.ndarray:
+        return 1.0 / self.v_mass_diag
+
+    def volume_terms(self, u: np.ndarray, v: np.ndarray):
+        """Volume parts of the u and v right-hand sides, and w . grad u - v
+        as coefficients in the u space (projected by ``proj_u``)."""
+        p = u @ self.adv_modal_u.T - v @ self.ref.embed_v.T
+        rhs_v = -(v @ self.adv_v.T) - (u @ self.stiff_vu.T)
+        rhs_u = -(p @ self.stiffness.T)
+        return rhs_u, rhs_v, p
+
+    def lift_faces(self, rhs_u, rhs_v, vstar, gstar, vtr, gtr) -> None:
+        """Add the face terms of every side to rhs_u and rhs_v in place."""
+        ref, c, scale = self.ref, self.c, self.scale
+        wf = ref.face_weights
+        for side in range(2 * ref.dim):
+            axis, hi = divmod(side, 2)
+            sign_out = 1.0 if hi else -1.0
+            wn_out = sign_out * self.w[axis]
+            dv_star = vstar[side] - vtr[side]
+            gn_star_out = sign_out * gstar[side][..., axis]
+            # v equation: c^2 phi grad u* . n - (v* - v) phi w . n
+            av = wf * (c * (c * gn_star_out) - dv_star * wn_out)
+            rhs_v += self.jac_face * (av @ ref.face_vals_v[side])
+            # u equation: c^2 (v* - v) dphi/dn - c^2 grad phi . (grad u* - grad u) w . n,
+            # whose factor c^2 jac_face dscale is the element scale
+            rhs_u += sign_out * scale * ((wf * dv_star) @ ref.face_grads_u[side, axis])
+            for d in range(ref.dim):
+                diff = gstar[side][..., d] - gtr[side][..., d]
+                rhs_u -= scale * wn_out * ((wf * diff) @ ref.face_grads_u[side, d])
+
+    def element_solve(self, rhs_u, rhs_v, p):
+        """Impose the mean constraint and apply the element inverses."""
+        # the mean constraint replaces the constant-test row: u_system's row
+        # 0, whose one nonzero entry is its first, applied to -p
+        rhs_u[:, 0] = -self.u_system[0, 0] * p[:, 0]
+        du = lu_solve(self.u_lu, rhs_u.T).T
+        dv = rhs_v * self.v_mass_inv
+        return du, dv
+
+    def assemble(self, params: FluxParams, kinds):
+        """The blocks of the operator, element solves included, and the lifts
+        they are built from, for the flux kinds of each axis (as
+        ``Discretization.face_kinds``; the boundary kinds are None on a
+        periodic grid).
+
+        maps, unit_v and unit_g are the reference element's, with the
+        gradients in physical coordinates.  Returns (blocks, lifts), blocks
+        as ``Discretization.blocks`` and lifts (n_lifts, r, N): row j of
+        lifts[s] is the derivative [du dv] an element takes from its
+        neighbour across side s when the neighbour's traces on their shared
+        face (its side s ^ 1) are unit trace j; on a physical mesh, row j of
+        lifts[2*dim + s] is the change of the derivative of an element whose
+        side s is a boundary and whose own traces there are unit trace j.
+        The self block is the volume block plus, for each side s, maps[s]
+        times the lift of the element's own unit traces on s against a zero
+        neighbour; a neighbour block is maps[s ^ 1] @ lifts[s], a boundary
+        correction maps[s] @ lifts[2*dim + s].
+        """
+        ref, dim = self.ref, self.ref.dim
+        periodic = kinds[0][1] is None
+        nu, nb = ref.n_u, ref.n_u + ref.n_v
+        maps, unit_v, unit_g = ref.trace_maps, ref.unit_v, self.dscale * ref.unit_g
+        sides, r = unit_v.shape[:2]
+        # the roles in order: neighbour, boundary change (physical meshes),
+        # own trace, each on every side
+        n_lifts = (2 if periodic else 3) * sides
+        own = n_lifts - sides
+        vtr = np.zeros((sides, n_lifts) + unit_v.shape[1:])
+        gtr = np.zeros((sides, n_lifts) + unit_g.shape[1:])
+        vstar, gstar = np.zeros_like(vtr), np.zeros_like(gtr)
+        for side in range(sides):
+            vtr[side, own + side], gtr[side, own + side] = unit_v[side], unit_g[side]
+
+        def flux(kind, t1, t2=None):
+            state = fluxes.compute_flux(kind, t1, t2, params, self.w, self.c)
+            return state.v_star, state.grad_u_star
+
+        for axis, (interior, low_kind, high_kind) in enumerate(kinds):
+            lo, hi = 2 * axis, 2 * axis + 1
+            normal = np.eye(dim)[axis]
+            # one batch: the unit traces as the face's low element (trace
+            # 1), then as its high element (trace 2)
+            zero_v, zero_g = np.zeros_like(unit_v[lo]), np.zeros_like(unit_g[lo])
+            t1 = Trace(v=np.concatenate([unit_v[hi], zero_v]),
+                       grad_u=np.concatenate([unit_g[hi], zero_g]), n=normal)
+            t2 = Trace(v=np.concatenate([zero_v, unit_v[lo]]),
+                       grad_u=np.concatenate([zero_g, unit_g[lo]]), n=-normal)
+            vs, gs = flux(interior, t1, t2)
+            for side, sign, kind, v_own, g_own in ((lo, -1.0, low_kind, vs[r:], gs[r:]),
+                                                   (hi, 1.0, high_kind, vs[:r], gs[:r])):
+                # an element's own traces on side reach its neighbour
+                # across that neighbour's side ^ 1
+                vstar[side, own + side], gstar[side, own + side] = v_own, g_own
+                vstar[side ^ 1, side ^ 1], gstar[side ^ 1, side ^ 1] = v_own, g_own
+                if not periodic:
+                    bv, bg = flux(kind, Trace(v=unit_v[side], grad_u=unit_g[side],
+                                              n=sign * normal))
+                    vstar[side, sides + side] = bv - v_own
+                    gstar[side, sides + side] = bg - g_own
+
+        # the N basis functions, with no face terms, give the volume block
+        rows = n_lifts * r
+        x = np.zeros((nb + rows, nb))
+        x[:nb] = np.eye(nb)
+        rhs_u, rhs_v, p = self.volume_terms(x[:, :nu], x[:, nu:])
+        self.lift_faces(rhs_u[nb:], rhs_v[nb:],
+                        *(a.reshape((sides, rows) + a.shape[3:])
+                          for a in (vstar, gstar, vtr, gtr)))
+        du, dv = self.element_solve(rhs_u, rhs_v, p)
+        pieces = np.concatenate([du, dv], axis=1)
+        lifts = pieces[nb:].reshape(n_lifts, r, nb)
+        blocks = [pieces[:nb] + sum(maps[side] @ lifts[own + side] for side in range(sides))]
+        blocks += [maps[side ^ 1] @ lifts[side] for side in range(sides)]
+        blocks += [maps[side] @ lifts[sides + side] for side in range(own - sides)]
+        return np.stack(blocks), lifts[:own]
+
+
+# the most operator families whose reference a process keeps: a command
+# solves one family, so the bound only caps what a process that builds
+# many (a test run, an interactive session) holds
+FAMILY_CACHE = 16
+
+
+def _reference_size(dim: int, c: float) -> float:
+    """The element size a family's reference is assembled at: h = 2 (unit
+    Jacobians, dscale 1), halved while element_scale's c^2 (2/h) is below
+    the normal range in 1D (in 2D the scale is c^2 at every h).  It is at
+    least half of every size whose scale is normal, so the rescale to a grid
+    that passes element_scale's check never shrinks the blocks by more
+    than 2."""
+    h = 2.0
+    while dim == 1 and 0.0 < c * (c * (2.0 / h)) < np.finfo(float).tiny:
+        h /= 2.0
+    return h
+
+
+@functools.lru_cache(maxsize=FAMILY_CACHE)
+def _family_reference(q: int, s: int, dim: int, params: FluxParams, w: tuple, c: float,
+                      kinds: tuple):
+    """(h, blocks, lifts): the operator of a family, as ``_Element.assemble``
+    gives it at the family's reference element size h.
+
+    A family is what the assembly reads: degrees, dimension, flux, w, c and
+    the flux kinds of each axis (which also tell periodic grids from
+    physical ones); its grids differ only in n.  Every grid of the family
+    takes its blocks and lifts from this one reference by ``_rescale``, so
+    they do not depend on which grids a process built before.  The arrays
+    are read-only; an overflow leaves them not finite.
+    """
+    h = _reference_size(dim, c)
+    element = _Element(build_reference(q, s, dim), np.array(w), c, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks, lifts = element.assemble(params, kinds)
+    blocks.flags.writeable = lifts.flags.writeable = False
+    return h, blocks, lifts
+
+
+def _rescale(a: np.ndarray, k: float, nu: int, v_rows: np.ndarray) -> np.ndarray:
+    """Blocks or lifts a (..., rows, N) of a reference of element size h_ref,
+    on a grid of size h = h_ref / k.
+
+    The operator is scale-covariant: scaling space and time by 1/k keeps u
+    and multiplies v and grad u by k, and the flux states are linear in the
+    traces with coefficients that carry no length.  So a row of a, the
+    derivative [du dv] of a u coefficient or a grad-u trace (v_rows[i]
+    False), is k du and k^2 dv, and of a v coefficient or v trace, du and
+    k dv.  Exact for a power of two k.
+    """
+    factor = np.empty(a.shape[-2:])
+    factor[:, :nu] = np.where(v_rows, 1.0, k)[:, None]
+    factor[:, nu:] = np.where(v_rows, k, k * k)[:, None]
+    return a * factor
+
+
 class Discretization:
     """Everything needed to apply the semidiscrete operator repeatedly.
 
@@ -204,10 +443,11 @@ class Discretization:
     homogeneous operator in rhs's row convention: out[e] = x[e] @ blocks[0]
     + sum_s x[neighbour across side s] @ blocks[1 + s], plus
     x[e] @ blocks[1 + 2*dim + s] on each side s of e that is a boundary.
-    Blocks that are not all finite raise ValueError.  input, of shape
-    (n_elements, Nu+Nv), is the array rhs reads [u v] from (an F-ordered
-    view of its coefficient-major operand), and input_uv are its u and v
-    column views.
+    They are the blocks of the operator family's one reference assembly
+    (``_family_reference``), rescaled to the grid.  Blocks that are not all
+    finite raise ValueError.  input, of shape (n_elements, Nu+Nv), is the
+    array rhs reads [u v] from (an F-ordered view of its coefficient-major
+    operand), and input_uv are its u and v column views.
 
     stiffness S (c^2 times the grad-grad form) and v_mass_diag (the diagonal
     of the v mass M), with the element Jacobian, are the element's energy
@@ -232,52 +472,21 @@ class Discretization:
         self.c = float(c)
         self.forcing = forcing
 
-        dim, h = mesh.dim, mesh.h
-        self.jac_vol = (h / 2.0) ** dim
-        self.jac_face = (h / 2.0) ** (dim - 1)
-        self.dscale = 2.0 / h
-
-        self.stiffness = element_scale(dim, h, c) * ref.stiff_u
-        self.u_system = self.stiffness.copy()
-        self.u_system[0, :] = self.jac_vol * ref.mean_row
-        self.v_mass_diag = self.jac_vol * np.diag(ref.mass_v)
-        for form in (self.stiffness, self.u_system, self.v_mass_diag):
-            form.flags.writeable = False
-        self._u_lu = lu_factor(self.u_system)
-        self._v_mass_inv = 1.0 / self.v_mass_diag
+        # the element terms at the grid's size: its energy form here, and
+        # matrix_free_rhs's volume matrices and solve on first use
+        self._element = element = _Element(ref, self.w, self.c, mesh.h)
+        self.jac_vol, self.jac_face, self.dscale = (element.jac_vol, element.jac_face,
+                                                    element.dscale)
+        self.stiffness, self.u_system, self.v_mass_diag = (
+            element.stiffness, element.u_system, element.v_mass_diag)
         # (interior, low boundary, high boundary) flux kinds of each axis
         self.face_kinds = classify_mesh(mesh, self.w, self.c)
 
-        # volume matrices (applied to coefficient rows from the right)
-        wq = ref.vol_weights
-        c2 = self.c * self.c
-        self.adv_v = self.jac_vol * self.dscale * sum(
-            self.w[d] * ref.vol_vals_v.T @ (wq[:, None] * ref.vol_grads_v[d])
-            for d in range(dim)
-        )
-        self.stiff_vu = c2 * self.jac_vol * self.dscale ** 2 * sum(
-            ref.vol_grads_v[d].T @ (wq[:, None] * ref.vol_grads_u[d])
-            for d in range(dim)
-        )
-        # the advective derivative w . grad in the u space: the projection of
-        # its values at the volume nodes.  Each direction's table is an
-        # integer matrix (P_k' sums (2j + 1) P_j), so rounding drops the
-        # rule's few-ulp error: kept, it raised a central flux's energy-audit
-        # residual 3.5-5x (periodic1d q = 3 n = 40: 6.5e-10 to 2.4e-9)
-        self.adv_modal_u = self.dscale * sum(
-            self.w[d] * np.rint(ref.proj_u.T @ ref.vol_grads_u[d]) for d in range(dim)
-        )
-
         self.quad_points = (
-            mesh.element_centers[:, None, :] + (h / 2.0) * ref.vol_nodes[None, :, :]
+            mesh.element_centers[:, None, :] + (mesh.h / 2.0) * ref.vol_nodes[None, :, :]
         )
 
-        # an overflow shows as blocks that are not finite, raised below
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.blocks, lifts = self._assemble()
-        if not np.all(np.isfinite(self.blocks)):
-            raise ValueError("the operator's blocks overflow")
-        self.blocks.flags.writeable = False
+        self.blocks, lifts = self._rescaled_reference()
         # work arrays of rhs (allocating them per call costs page faults)
         # and the fixed views it works through.  rhs reads the stacked
         # [u v] of every element from input, an (n_elements, Nu+Nv) view;
@@ -292,6 +501,32 @@ class Discretization:
         self._tau_t = None
         # the exact fields at diagnostics.l2_error's points, built there on first use
         self.error_quadrature = None
+
+    def _rescaled_reference(self):
+        """(blocks, lifts) of this grid, rescaled from its family's
+        reference; lifts in 2D only (1D lifts are the blocks)."""
+        ref = self.ref
+        # the key in canonical floats: + 0.0 makes a -0.0, which the key
+        # does not tell from 0.0, the 0.0 the reference is built from
+        params = FluxParams(**{k: float(x) + 0.0 for k, x in vars(self.params).items()})
+        w = tuple(float(x) + 0.0 for x in self.w)
+        h_ref, blocks, lifts = _family_reference(ref.q, ref.s, ref.dim, params, w, self.c,
+                                                 tuple(self.face_kinds))
+        k, nu = h_ref / self.mesh.h, ref.n_u
+        # an overflow shows as blocks that are not finite, raised below
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = _rescale(blocks, k, nu, np.arange(blocks.shape[-1]) >= nu)
+            # a lift row is a v trace where its unit trace has a v part
+            lifts = (None if ref.dim == 1 else
+                     _rescale(lifts, k, nu, np.any(ref.unit_v, axis=(0, 2))))
+            # S du, the u equation's right side before its element solve:
+            # the energy rate u S du takes the blocks through it, and a
+            # large w (1e306 at q = 3) overflows it while du is finite
+            s_du = blocks[..., :nu] @ self.stiffness.T
+        if not (np.all(np.isfinite(blocks)) and np.all(np.isfinite(s_du))):
+            raise ValueError("the operator's blocks overflow")
+        blocks.flags.writeable = False
+        return blocks, lifts
 
     # --- traces and fluxes ------------------------------------------------
 
@@ -357,122 +592,7 @@ class Discretization:
                 gstar[side, el] = state.grad_u_star
         return vstar, gstar, vtr, gtr
 
-    # --- element terms shared by the assembly and the reference path ------
-
-    def _volume_terms(self, u: np.ndarray, v: np.ndarray):
-        """Volume parts of the u and v right-hand sides, and w . grad u - v
-        as coefficients in the u space (projected by ``proj_u``)."""
-        p = u @ self.adv_modal_u.T - v @ self.ref.embed_v.T
-        rhs_v = -(v @ self.adv_v.T) - (u @ self.stiff_vu.T)
-        rhs_u = -(p @ self.stiffness.T)
-        return rhs_u, rhs_v, p
-
-    def _lift_faces(self, rhs_u, rhs_v, vstar, gstar, vtr, gtr) -> None:
-        """Add the face terms of every side to rhs_u and rhs_v in place."""
-        ref, dim = self.ref, self.mesh.dim
-        c2 = self.c * self.c
-        wf = ref.face_weights
-        for side in range(2 * dim):
-            axis, hi = divmod(side, 2)
-            sign_out = 1.0 if hi else -1.0
-            wn_out = sign_out * self.w[axis]
-            dv_star = vstar[side] - vtr[side]
-            gn_star_out = sign_out * gstar[side][..., axis]
-            # v equation: c^2 phi grad u* . n - (v* - v) phi w . n
-            av = wf * (c2 * gn_star_out - dv_star * wn_out)
-            rhs_v += self.jac_face * (av @ ref.face_vals_v[side])
-            # u equation: c^2 (v* - v) dphi/dn - c^2 grad phi . (grad u* - grad u) w . n
-            rhs_u += (self.jac_face * sign_out * self.dscale
-                      * ((wf * c2 * dv_star) @ ref.face_grads_u[side, axis]))
-            for d in range(dim):
-                diff = gstar[side][..., d] - gtr[side][..., d]
-                rhs_u -= (self.jac_face * c2 * wn_out * self.dscale
-                          * ((wf * diff) @ ref.face_grads_u[side, d]))
-
-    def _element_solve(self, rhs_u, rhs_v, p):
-        """Impose the mean constraint and apply the element inverses."""
-        # the mean constraint replaces the constant-test row: u_system's row
-        # 0, whose one nonzero entry is its first, applied to -p
-        rhs_u[:, 0] = -self.u_system[0, 0] * p[:, 0]
-        du = lu_solve(self._u_lu, rhs_u.T).T
-        dv = rhs_v * self._v_mass_inv
-        return du, dv
-
     # --- assembly ------------------------------------------------------------
-
-    def _assemble(self):
-        """The blocks of the operator, element solves included, and the lifts
-        they are built from.
-
-        maps, unit_v and unit_g are the reference element's, with the
-        gradients in physical coordinates.  Returns (blocks, lifts), blocks
-        as ``Discretization.blocks`` and lifts (n_lifts, r, N): row j of
-        lifts[s] is the derivative [du dv] an element takes from its
-        neighbour across side s when the neighbour's traces on their shared
-        face (its side s ^ 1) are unit trace j; on a physical mesh, row j of
-        lifts[2*dim + s] is the change of the derivative of an element whose
-        side s is a boundary and whose own traces there are unit trace j.
-        The self block is the volume block plus, for each side s, maps[s]
-        times the lift of the element's own unit traces on s against a zero
-        neighbour; a neighbour block is maps[s ^ 1] @ lifts[s], a boundary
-        correction maps[s] @ lifts[2*dim + s].
-        """
-        ref, dim, periodic = self.ref, self.mesh.dim, self.mesh.periodic
-        nu, nb = ref.n_u, ref.n_u + ref.n_v
-        maps, unit_v, unit_g = ref.trace_maps, ref.unit_v, self.dscale * ref.unit_g
-        sides, r = unit_v.shape[:2]
-        # the roles in order: neighbour, boundary change (physical meshes),
-        # own trace, each on every side
-        n_lifts = (2 if periodic else 3) * sides
-        own = n_lifts - sides
-        vtr = np.zeros((sides, n_lifts) + unit_v.shape[1:])
-        gtr = np.zeros((sides, n_lifts) + unit_g.shape[1:])
-        vstar, gstar = np.zeros_like(vtr), np.zeros_like(gtr)
-        for side in range(sides):
-            vtr[side, own + side], gtr[side, own + side] = unit_v[side], unit_g[side]
-
-        def flux(kind, t1, t2=None):
-            state = fluxes.compute_flux(kind, t1, t2, self.params, self.w, self.c)
-            return state.v_star, state.grad_u_star
-
-        for axis, (interior, low_kind, high_kind) in enumerate(self.face_kinds):
-            lo, hi = 2 * axis, 2 * axis + 1
-            normal = np.eye(dim)[axis]
-            # one batch: the unit traces as the face's low element (trace
-            # 1), then as its high element (trace 2)
-            zero_v, zero_g = np.zeros_like(unit_v[lo]), np.zeros_like(unit_g[lo])
-            t1 = Trace(v=np.concatenate([unit_v[hi], zero_v]),
-                       grad_u=np.concatenate([unit_g[hi], zero_g]), n=normal)
-            t2 = Trace(v=np.concatenate([zero_v, unit_v[lo]]),
-                       grad_u=np.concatenate([zero_g, unit_g[lo]]), n=-normal)
-            vs, gs = flux(interior, t1, t2)
-            for side, sign, kind, v_own, g_own in ((lo, -1.0, low_kind, vs[r:], gs[r:]),
-                                                   (hi, 1.0, high_kind, vs[:r], gs[:r])):
-                # an element's own traces on side reach its neighbour
-                # across that neighbour's side ^ 1
-                vstar[side, own + side], gstar[side, own + side] = v_own, g_own
-                vstar[side ^ 1, side ^ 1], gstar[side ^ 1, side ^ 1] = v_own, g_own
-                if not periodic:
-                    bv, bg = flux(kind, Trace(v=unit_v[side], grad_u=unit_g[side],
-                                              n=sign * normal))
-                    vstar[side, sides + side] = bv - v_own
-                    gstar[side, sides + side] = bg - g_own
-
-        # the N basis functions, with no face terms, give the volume block
-        rows = n_lifts * r
-        x = np.zeros((nb + rows, nb))
-        x[:nb] = np.eye(nb)
-        rhs_u, rhs_v, p = self._volume_terms(x[:, :nu], x[:, nu:])
-        self._lift_faces(rhs_u[nb:], rhs_v[nb:],
-                         *(a.reshape((sides, rows) + a.shape[3:])
-                           for a in (vstar, gstar, vtr, gtr)))
-        du, dv = self._element_solve(rhs_u, rhs_v, p)
-        pieces = np.concatenate([du, dv], axis=1)
-        lifts = pieces[nb:].reshape(n_lifts, r, nb)
-        blocks = [pieces[:nb] + sum(maps[side] @ lifts[own + side] for side in range(sides))]
-        blocks += [maps[side ^ 1] @ lifts[side] for side in range(sides)]
-        blocks += [maps[side] @ lifts[sides + side] for side in range(own - sides)]
-        return np.stack(blocks), lifts[:own]
 
     def _build_operand(self, lifts) -> None:
         """Work arrays and views of the stencil, all coefficient-major (one
@@ -602,9 +722,10 @@ class Discretization:
         ``rhs``."""
         if self.forcing is not None:
             raise ValueError("matrix-free reference requires the homogeneous operator")
-        rhs_u, rhs_v, p = self._volume_terms(u, v)
-        self._lift_faces(rhs_u, rhs_v, *self.face_flux_states(u, v))
-        return self._element_solve(rhs_u, rhs_v, p)
+        element = self._element
+        rhs_u, rhs_v, p = element.volume_terms(u, v)
+        element.lift_faces(rhs_u, rhs_v, *self.face_flux_states(u, v))
+        return element.element_solve(rhs_u, rhs_v, p)
 
     def boundary_energy_rate(self, u: np.ndarray, v: np.ndarray):
         """Sum of the closed-form face energy rates over all faces.

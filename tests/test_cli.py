@@ -429,7 +429,9 @@ def test_config_error_exit_code(tmp_path, capsys):
             ("run", dict(n=4, cfl=1e-300), "T, cfl"), ("run", dict(n=4, cfl=5e-324), "T, cfl"),
             ("converge", dict(cfl=1e-320, n_list=[4, 6]), "T, cfl"),
             ("converge", dict(dt=1e-320, n_list=[4, 6]), "T, dt"),
-            ("energy", dict(n=4, cfl=1e308), "T, cfl")]:
+            ("energy", dict(n=4, cfl=1e308), "T, cfl"),
+            # the trace's 50 steps of a step that underflows to 0 take T = 0
+            ("energy", dict(n=4, q=2, cfl=5e-324), "T, cfl")]:
         assert main([command, "--config", write_config(tmp_path, **overrides),
                      "--output", str(tmp_path)]) == 2
         assert fields in capsys.readouterr().err
@@ -485,6 +487,52 @@ def test_converge_smoke_and_worker_determinism(tmp_path):
     assert (out1 / "rates.csv").read_bytes() == (out2 / "rates.csv").read_bytes()
     header = (out1 / "rates.csv").read_text().splitlines()[0]
     assert header == "q,s,flux,w,c,rate_u,rate_v"
+
+
+# --- outputs do not depend on what the process ran before -----------------------
+
+def test_energy_bytes_do_not_depend_on_history(tmp_path):
+    # the energy audit of a family writes the same bytes in a fresh
+    # interpreter as after a run of another grid of the family, whose
+    # reference it then reuses
+    family = dict(problem="mixed2d", q=2, w=[0.5, 0.5], flux="sommerfeld")
+    energy = write_config(tmp_path, "energy.json", n=10, **family)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "advwave.cli", "energy", "--config", energy,
+                           "--output", str(tmp_path / "fresh")],
+                          capture_output=True, env=env, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    operators._family_reference.cache_clear()
+    run = write_config(tmp_path, "run.json", n=14, T=0.05, **family)
+    assert main(["run", "--config", run, "--output", str(tmp_path / "run")]) == 0
+    assert main(["energy", "--config", energy, "--output", str(tmp_path / "after")]) == 0
+    assert operators._family_reference.cache_info().misses == 1
+    assert ((tmp_path / "fresh" / "energy.csv").read_bytes()
+            == (tmp_path / "after" / "energy.csv").read_bytes())
+
+
+def test_converge_bytes_do_not_depend_on_grid_order(tmp_path):
+    outputs = []
+    for n_list in ([4, 6, 9, 12], [12, 9, 6, 4]):
+        operators._family_reference.cache_clear()
+        out = tmp_path / "-".join(map(str, n_list))
+        path = write_config(tmp_path, T=0.05, n_list=n_list)
+        assert main(["converge", "--config", path, "--output", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("errors.csv", "rates.csv")])
+    assert outputs[0] == outputs[1]
+
+
+def test_converge_assembles_one_reference(tmp_path):
+    # a sweep's grids, and forced and unforced operators of its family,
+    # share one reference assembly
+    operators._family_reference.cache_clear()
+    cfg = load_config(write_config(tmp_path, q=3, T=0.01))
+    rows, *_ = cli.run_convergence(cfg)
+    assert len(rows) == 9
+    build_discretization(cfg, n=7, with_forcing=False)
+    info = operators._family_reference.cache_info()
+    assert (info.misses, info.hits) == (1, 9)
 
 
 def test_converge_pool_capped_at_grid_count(tmp_path, monkeypatch):

@@ -51,7 +51,7 @@ def test_u_system_constant_vector():
 def test_v_mass_inverse():
     disc = make_disc(dim=2, n=5, q=2, w=(0.5, 0.5))
     jac = (0.2 / 2.0) ** 2
-    assert np.allclose(disc.v_mass_diag * disc._v_mass_inv, 1.0, atol=1e-13)
+    assert np.allclose(disc.v_mass_diag * disc._element.v_mass_inv, 1.0, atol=1e-13)
     assert np.allclose(disc.v_mass_diag, jac * np.diag(disc.ref.mass_v), atol=1e-14)
 
 
@@ -103,7 +103,7 @@ def test_mean_constraint(dim, n, mode, w):
     st = random_state(disc, 3)
     du, dv = disc.rhs(st.u, st.v, 0.0)
     ref = disc.ref
-    p = st.u @ disc.adv_modal_u.T - st.v @ ref.embed_v.T
+    p = st.u @ disc._element.adv_modal_u.T - st.v @ ref.embed_v.T
     means = disc.jac_vol * 2.0 ** dim * (du[:, 0] + p[:, 0])
     assert np.allclose(means, 0.0, atol=1e-12)
 
@@ -427,3 +427,123 @@ def test_dimension_mismatch_rejected():
     mesh = build_mesh(2, 3, "periodic")
     with pytest.raises(ValueError):
         Discretization(mesh, ref, FluxParams.central(), [0.5, 0.5], 1.0)
+
+
+# --- the family reference and its rescale -----------------------------------------
+
+def direct_blocks(disc):
+    """The blocks assembled at the grid's own element size, without the
+    family reference."""
+    element = operators._Element(disc.ref, disc.w, disc.c, disc.mesh.h)
+    return element.assemble(disc.params, tuple(disc.face_kinds))[0]
+
+
+def quadrant_error(blocks, expect, nu):
+    """The largest error of blocks against expect, relative in each of the
+    u->du, u->dv, v->du and v->dv quadrants, whose scales differ by powers
+    of 2/h."""
+    worst = 0.0
+    for rows in (slice(None, nu), slice(nu, None)):
+        for cols in (slice(None, nu), slice(nu, None)):
+            a, b = blocks[:, rows, cols], expect[:, rows, cols]
+            worst = max(worst, np.abs(a - b).max() / np.abs(b).max())
+    return worst
+
+
+def smallest_c(dim, n):
+    """About the smallest c validate_config accepts on a grid of n: the
+    stiffness scale c^2 (h/2)^dim (2/h)^2 (2n c^2 in 1D, c^2 in 2D) just
+    above the normal range."""
+    c = 1.01 * np.sqrt(np.finfo(float).tiny / (2 * n if dim == 1 else 1))
+    operators.element_scale(dim, 1.0 / n, c)
+    with pytest.raises(ValueError):
+        operators.element_scale(dim, 1.0 / n, 0.99 * c / 1.01)
+    return c
+
+
+# (dim, mode, n, q, s, w, c, flux); c = None is smallest_c's, and 1e151 is
+# about the largest c whose operator is finite (validate_config accepts up to
+# about 1e153; between, the blocks overflow and the config exits 2)
+FAMILIES = {
+    "1d-n37": (1, "periodic", 37, 3, 3, [0.5], 1.0, FluxParams.sommerfeld()),
+    "1d-q4-s3": (1, "physical", 9, 4, 3, [0.5], 1.0, FluxParams.sommerfeld()),
+    "2d-q4-s3": (2, "physical", 4, 4, 3, [0.5, -0.3], 1.0, FluxParams.sommerfeld()),
+    "mixed2d-supersonic": (2, "physical", 6, 3, 3, [1.5, 0.3], 1.0, FluxParams.sommerfeld()),
+    "2d-n37": (2, "periodic", 37, 2, 2, [0.5, -0.3], 1.0, FluxParams.central()),
+    "1d-c-small": (1, "physical", 37, 3, 3, [0.5], None, FluxParams.sommerfeld(0.5)),
+    "2d-c-small": (2, "physical", 5, 3, 3, [0.5, 0.25], None, FluxParams.sommerfeld(0.5)),
+    "1d-c-large": (1, "periodic", 37, 3, 3, [0.5], 1e151, FluxParams.central()),
+    "2d-c-large": (2, "periodic", 5, 3, 3, [0.5, 0.25], 1e151, FluxParams.central()),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_rescaled_blocks_match_direct_assembly_and_matrix_free(family):
+    # the grid's blocks come from its family's reference by the rescale;
+    # assembled at the grid's own size they agree to roundoff, and rhs
+    # agrees with the face-by-face evaluation
+    dim, mode, n, q, s, w, c, params = FAMILIES[family]
+    c = smallest_c(dim, n) if c is None else c
+    disc = make_disc(dim=dim, n=n, q=q, s=s, w=w, c=c, mode=mode, params=params)
+    assert quadrant_error(disc.blocks, direct_blocks(disc), disc.ref.n_u) <= 1e-13
+    state = random_state(disc, n)
+    du, dv = disc.rhs(state.u, state.v, 0.0)
+    ru, rv = disc.matrix_free_rhs(state.u, state.v, 0.0)
+    assert np.abs(du - ru).max() <= 1e-13 * np.abs(ru).max()
+    assert np.abs(dv - rv).max() <= 1e-13 * np.abs(rv).max()
+
+
+def test_rescale_is_exact_for_power_of_two_grids():
+    # h = 1/n and the reference size are powers of two, so every factor of
+    # the rescale is: the blocks are those of the direct assembly, bit for bit
+    for dim, n in ((1, 16), (2, 4)):
+        disc = make_disc(dim=dim, n=n, q=2, w=[0.5, -0.3][:dim], mode="physical")
+        assert np.array_equal(disc.blocks, direct_blocks(disc))
+
+
+def test_reference_size_keeps_the_stiffness_scale_normal():
+    # in 1D the scale is 2 c^2 / h: a c that passes the grid's check can make
+    # it subnormal at h = 2, so the reference is halved until it is normal
+    tiny = np.finfo(float).tiny
+    assert operators._reference_size(1, 1.0) == operators._reference_size(2, 1e-150) == 2.0
+    for c in (smallest_c(1, 37), smallest_c(1, 1000), 1e-155):
+        h = operators._reference_size(1, c)
+        assert h < 2.0 and np.log2(h) == int(np.log2(h))
+        assert tiny <= operators.element_scale(1, h, c) < 2 * tiny
+    # 1e-155 passes the check at n = 1000 only, and its grid matches the
+    # face-by-face evaluation
+    disc = make_disc(dim=1, n=1000, q=3, c=1e-155, params=FluxParams.sommerfeld(0.5))
+    state = random_state(disc, 5)
+    du, dv = disc.rhs(state.u, state.v, 0.0)
+    ru, rv = disc.matrix_free_rhs(state.u, state.v, 0.0)
+    assert np.abs(du - ru).max() <= 1e-13 * np.abs(ru).max()
+    assert np.abs(dv - rv).max() <= 1e-13 * np.abs(rv).max()
+
+
+def test_family_reference_is_shared_and_history_free():
+    # one reference assembly per family, shared by its grids, forced or not;
+    # two families built in either order, and a family's grids in either
+    # order, give the same blocks bit for bit
+    reference = operators._family_reference
+    forcing = Separable(lambda x: np.sin(2 * np.pi * x[..., 0])[None], lambda t: np.array([t]))
+    a = dict(dim=2, q=2, w=[0.5, -0.3], mode="physical")
+    b = dict(dim=2, q=2, w=[1.5, 0.3], mode="physical", params=FluxParams.central())
+
+    def build(order):
+        reference.cache_clear()
+        return [make_disc(n=n, **kw).blocks for kw, n in order]
+
+    first = build([(a, 3), (a, 5), (b, 3)])
+    assert reference.cache_info().misses == 2 and reference.cache_info().hits == 1
+    make_disc(n=3, forcing=forcing, **a)
+    assert reference.cache_info().misses == 2
+    second = build([(b, 3), (a, 5), (a, 3)])
+    for x, y in zip(first, second[::-1]):
+        assert np.array_equal(x, y)
+
+
+def test_blocks_overflowing_the_energy_form_are_rejected():
+    # w = 1e306 leaves du finite but overflows S du, the u equation's right
+    # side before its solve, through which the energy rates take it
+    with pytest.raises(ValueError, match="overflow"):
+        make_disc(dim=1, n=4, q=3, w=[1e306])
