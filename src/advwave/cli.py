@@ -263,9 +263,10 @@ def time_step(cfg: RunConfig, disc: Discretization, steps: int | None = None):
     is cfg.dt if given, otherwise cfl * h.  The solve takes the given number
     of steps of dt_max, or the fewest steps no longer than dt_max to cfg.T
     (none when T = 0), of dt = T / n_steps.  More than MAX_STEPS steps, or
-    a dt_max that underflows to 0 (whatever T is), is a config error.  Warns when the step is likely unstable: when its product
-    with the estimated spectral radius (c + |w|) q^2 / h exceeds 2.8, just
-    inside RK4's stability interval on the imaginary axis (2 sqrt 2).
+    a dt_max that underflows to 0 (whatever T is), is a config error.
+    Warns when the step is likely unstable: when its product with the
+    estimated spectral radius (c + |w|) q^2 / h exceeds 2.8, just inside
+    RK4's stability interval on the imaginary axis (2 sqrt 2).
     """
     h = disc.mesh.h
     cfl = cfg.cfl if cfg.cfl is not None else default_cfl(cfg, disc.params)
