@@ -57,15 +57,14 @@ def l2_error(state: ModalState, spec, t: float, disc: Discretization):
     Uses the reference element's err_* rule, two points per direction finer
     than the operator's, to keep aliasing below the discretization error.
     The space factors of spec's Separable exact fields at its points on
-    every element are evaluated on the first call for a discretization and
-    kept in ``disc.error_quadrature``, a ``FieldTable``; later calls
-    combine them with the time factors at t.
+    every element are evaluated, per axis, on the first call for a
+    discretization and kept in ``disc.error_quadrature``, a ``FieldTable``;
+    later calls combine them with the time factors at t.
     """
     ref, mesh = disc.ref, disc.mesh
     exact = disc.error_quadrature
     if exact is None:
-        exact = disc.error_quadrature = FieldTable(
-            mesh.element_centers[:, None, :] + (mesh.h / 2.0) * ref.err_nodes)
+        exact = disc.error_quadrature = FieldTable(mesh, ref.err_nodes)
     weights = disc.jac_vol * ref.err_weights
 
     def error(coeffs, vals_t, field):

@@ -84,24 +84,42 @@ class ModalState:
 
 @dataclass(frozen=True)
 class Separable:
-    """A field f(x, t) = sum_k time(t)[k] * space(x)[k].
+    """A field f(x, t) = sum_k time(t)[k] * space(x_0, ..., x_{dim-1})[k].
 
-    space maps positions of shape (..., dim) to an array (K, ...); time maps
-    a scalar time to an array (K,).  The v-equation forcing and the exact
-    solutions have this form, so their space factors can be evaluated once
-    at fixed points (the operator's projection, the quadrature of
-    ``diagnostics.l2_error``) and combined with the time factors on every
-    call; ``Discretization`` keeps a forcing's projections as operand rows
-    and writes its time factors into its lift factor.  time must be a pure
-    function of t: ``Discretization.rhs`` reuses the time factors it wrote
-    at the time of its previous call.
+    space takes one coordinate array per axis, ``space(*coords)``; the
+    arrays broadcast against each other, and it returns K factors (a
+    sequence, or a (K, ...) array) that broadcast to their common shape.
+    time maps a scalar time to an array (K,).  The v-equation forcing and
+    the exact solutions have this form, and each of their space factors
+    depends on one coordinate or is a product of such, so on a
+    tensor-product rule (``FieldTable``) a factor is evaluated at the n*p
+    coordinates of an axis, not at all (n*p)^dim points, and combined with
+    the time factors on every call; ``Discretization`` keeps a forcing's
+    projections as operand rows and writes its time factors into its lift
+    factor.  time must be a pure function of t: ``Discretization.rhs``
+    reuses the time factors it wrote at the time of its previous call.
+    Called with positions x of shape (..., dim), the field is evaluated at
+    those points, with ``x[..., d]`` as axis d's coordinates.
     """
 
     space: Callable
     time: Callable
 
     def __call__(self, x, t):
-        return _combine(self.time(t), self.space(x))
+        x = np.asarray(x, dtype=float)
+        factors = self.space(*(x[..., d] for d in range(x.shape[-1])))
+        return _combine(self.time(t), _stack(factors, x.shape[:-1]))
+
+
+def _stack(factors, shape):
+    """The K space factors as one (K,) + shape array: factors already of that
+    shape as they are, others broadcast into a new array."""
+    if isinstance(factors, np.ndarray) and factors.shape[1:] == shape:
+        return factors
+    out = np.empty((len(factors),) + shape)
+    for row, factor in zip(out, factors):
+        row[...] = factor
+    return out
 
 
 def _combine(g, f):
@@ -110,26 +128,46 @@ def _combine(g, f):
 
 
 class FieldTable:
-    """Separable fields at fixed points.
+    """Separable fields at the points of a tensor-product rule on every
+    element of a mesh.
 
-    Each distinct space callable is evaluated at the points once, on first
-    use, so fields that share one (u and v of the periodic problems) share
-    one array; a call then only combines it with the time factors.  Keying
-    by the callable itself means a field of another problem never reads
-    another's values.
+    nodes are the rule's points on the reference element, (p^dim, dim) in C
+    order.  The coordinates of axis d are the n*p values center + (h/2) node
+    of that axis, placed at axes d and dim + d of the broadcast shape
+    (n,)*dim + (p,)*dim, which reshapes to (n_elements, p^dim) in the
+    mesh's and the rule's C order; so a field's space factors are evaluated
+    per axis and broadcast, with the values of an evaluation at every
+    point.  Each distinct space callable is evaluated once, on first use,
+    into a (K, n_elements, p^dim) table (``factors``), so fields that share
+    one (u and v of the periodic problems, and lifted periodic1d's forcing)
+    share one table; a call then only combines it with the time factors.
+    Keying by the callable itself means a field of another problem never
+    reads another's values.
     """
 
-    def __init__(self, points: np.ndarray):
-        self.points = points
-        self._space = {}
+    def __init__(self, mesh: MeshTopology, nodes: np.ndarray):
+        dim, n = mesh.dim, mesh.n
+        p = round(len(nodes) ** (1.0 / dim))
+        # in a C-order tensor grid the last coordinate of the first rows
+        # runs through the 1D values
+        axis = mesh.element_centers[:n, -1][:, None] + (mesh.h / 2.0) * nodes[:p, -1]
+        self.coords = (axis,) if dim == 1 else (axis[:, None, :, None], axis[None, :, None, :])
+        self.shape = (n,) * dim + (p,) * dim
+        self._table_shape = (-1, n ** dim, p ** dim)
+        self._tables = {}
+
+    def factors(self, space: Callable) -> np.ndarray:
+        """The (K, n_elements, p^dim) values of space's K factors."""
+        table = self._tables.get(space)
+        if table is None:
+            table = self._tables[space] = _stack(space(*self.coords),
+                                                 self.shape).reshape(self._table_shape)
+        return table
 
     def __call__(self, field: Separable, t: float) -> np.ndarray:
         if not isinstance(field, Separable):
             raise TypeError("expected a Separable field")
-        values = self._space.get(field.space)
-        if values is None:
-            values = self._space[field.space] = field.space(self.points)
-        return _combine(field.time(t), values)
+        return _combine(field.time(t), self.factors(field.space))
 
 
 def element_scale(dim: int, h: float, c: float) -> float:
@@ -445,7 +483,9 @@ class Discretization:
     x[e] @ blocks[1 + 2*dim + s] on each side s of e that is a boundary.
     They are the blocks of the operator family's one reference assembly
     (``_family_reference``), rescaled to the grid.  Blocks that are not all
-    finite raise ValueError.  input, of shape (n_elements, Nu+Nv), is the
+    finite raise ValueError.  volume_quadrature is the ``FieldTable`` of the
+    volume rule, shared by the forcing's projection and
+    ``problems.project_initial``.  input, of shape (n_elements, Nu+Nv), is the
     array rhs reads [u v] from (an F-ordered view of its coefficient-major
     operand), and input_uv are its u and v column views.
 
@@ -482,9 +522,9 @@ class Discretization:
         # (interior, low boundary, high boundary) flux kinds of each axis
         self.face_kinds = classify_mesh(mesh, self.w, self.c)
 
-        self.quad_points = (
-            mesh.element_centers[:, None, :] + (mesh.h / 2.0) * ref.vol_nodes[None, :, :]
-        )
+        # the fields at the volume rule's points: the forcing's projection
+        # below and problems.project_initial's exact data
+        self.volume_quadrature = FieldTable(mesh, ref.vol_nodes)
 
         self.blocks, lifts = self._rescaled_reference()
         # work arrays of rhs (allocating them per call costs page faults)
@@ -630,7 +670,7 @@ class Discretization:
             self._operand = np.zeros((n_rows, n_el))
             self._lift_factor = factor.copy()
         else:
-            proj = self.forcing.space(self.quad_points) @ self.ref.proj_v
+            proj = self.volume_quadrature.factors(self.forcing.space) @ self.ref.proj_v
             n_tau = len(proj)
             self._operand = np.zeros((n_rows + n_tau * nv, n_el))
             self._operand[n_rows:] = proj.transpose(0, 2, 1).reshape(-1, n_el)

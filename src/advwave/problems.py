@@ -1,11 +1,11 @@
 """Manufactured solutions, forcing terms and the initial projection.
 
 The exact solutions and the forcing are ``Separable`` fields: a few space
-factors, evaluated at positions of shape (..., dim), combined with time
-factors.  The v solution is always the advective derivative of u.
-``project_initial`` takes the exact fields at t = 0 to coefficients by the
-reference element's L2 projection of each space, as the operator does its
-forcing.
+factors, each a function of one coordinate or a product of such, taking one
+coordinate array per axis, combined with time factors.  The v solution is
+always the advective derivative of u.  ``project_initial`` takes the exact
+fields at t = 0 to coefficients by the reference element's L2 projection of
+each space, as the operator does its forcing.
 
 periodic1d is the only problem whose initial displacement is not zero.  By
 default it is lifted: u0(x) e^{-t^2} is subtracted, so the solved problem
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Discretization, FieldTable, ModalState, Separable
+from .operators import Discretization, ModalState, Separable
 
 TWO_PI = 2.0 * np.pi
 
@@ -49,7 +49,8 @@ def _poly_factors(z):
 
 
 def forcing_mixed_2d_factors(x, y, w, c: float):
-    """Space factors (a, b) of the mixed-BC forcing f = a sin t + b cos t."""
+    """Space factors (a, b) of the mixed-BC forcing f = a sin t + b cos t,
+    for x and y coordinate arrays that broadcast against each other."""
     X, Xp, Xpp = _poly_factors(np.asarray(x, dtype=float))
     Y, Yp, Ypp = _poly_factors(np.asarray(y, dtype=float))
     utt = -X * Y
@@ -63,15 +64,18 @@ def _traveling_sines(w: np.ndarray):
     """Space and time factors of sum_d sin 2 pi (x_d - w_d t), expanded as
     sin(2 pi x_d) cos(2 pi w_d t) - cos(2 pi x_d) sin(2 pi w_d t)."""
 
-    def space(x):
-        dim = x.shape[-1]
-        out = np.empty((2 * dim,) + x.shape[:-1])
-        for d in range(dim):
-            # the angle goes into the cosine slot first: no temporary array
-            theta = np.multiply(x[..., d], TWO_PI, out=out[dim + d])
-            np.sin(theta, out=out[d])
+    def space(*x):
+        axes = []
+        for xd in x:
+            # [sin, cos] of one axis; the angle goes into the cosine slot
+            # first: no temporary array
+            sc = np.empty((2,) + xd.shape)
+            theta = np.multiply(xd, TWO_PI, out=sc[1])
+            np.sin(theta, out=sc[0])
             np.cos(theta, out=theta)
-        return out
+            axes.append(sc)
+        # in 1D that array is already the factors; sines first, then cosines
+        return axes[0] if len(axes) == 1 else [sc[0] for sc in axes] + [sc[1] for sc in axes]
 
     def time(t):
         phase = TWO_PI * w * t
@@ -138,18 +142,18 @@ def mixed_2d(w, c: float) -> ProblemSpec:
     """Dirichlet inflow / radiation outflow problem on the unit square."""
     w_vec = np.asarray(w, dtype=float)
 
-    def u_space(x):
-        return (_poly_factors(x[..., 0])[0] * _poly_factors(x[..., 1])[0])[None]
+    def u_space(x, y):
+        return (_poly_factors(x)[0] * _poly_factors(y)[0])[None]
 
-    def v_space(x):
-        X, Xp, _ = _poly_factors(x[..., 0])
-        Y, Yp, _ = _poly_factors(x[..., 1])
-        return np.stack([X * Y, w_vec[0] * Xp * Y + w_vec[1] * X * Yp])
+    def v_space(x, y):
+        X, Xp, _ = _poly_factors(x)
+        Y, Yp, _ = _poly_factors(y)
+        return [X * Y, w_vec[0] * Xp * Y + w_vec[1] * X * Yp]
 
     eu = Separable(u_space, lambda t: np.array([np.sin(t)]))
     ev = Separable(v_space, lambda t: np.array([np.cos(t), np.sin(t)]))
     forcing = Separable(
-        space=lambda x: np.stack(forcing_mixed_2d_factors(x[..., 0], x[..., 1], w_vec, c)),
+        space=lambda x, y: forcing_mixed_2d_factors(x, y, w_vec, c),
         time=lambda t: np.array([math.sin(t), math.cos(t)]),
     )
     return ProblemSpec(
@@ -161,8 +165,11 @@ def mixed_2d(w, c: float) -> ProblemSpec:
 
 def project_initial(spec: ProblemSpec, disc: Discretization) -> ModalState:
     """Elementwise L2 projection of the exact data at t = 0 onto (q, s), by
-    the reference element's projections ``proj_u`` and ``proj_v``."""
+    the reference element's projections ``proj_u`` and ``proj_v``.  The
+    exact fields come from ``disc.volume_quadrature``, the volume rule's
+    ``FieldTable``, which the forcing's projection shares: lifted periodic1d's
+    one space callable is evaluated once per grid."""
     ref = disc.ref
-    exact = FieldTable(disc.quad_points)
+    exact = disc.volume_quadrature
     return ModalState(u=exact(spec.exact_u, 0.0) @ ref.proj_u,
                       v=exact(spec.exact_v, 0.0) @ ref.proj_v, t=0.0)

@@ -197,8 +197,7 @@ def _assert_matrix_energy_identity(dim, mode, q, s, w, c, params):
 def test_energy_identity_rejects_forcing():
     ref = build_reference(2, 2, dim=1)
     mesh = build_mesh(1, 4, "periodic")
-    zero = Separable(space=lambda x: np.zeros((1,) + x.shape[:-1]),
-                            time=lambda t: np.ones(1))
+    zero = Separable(space=lambda *x: [0.0], time=lambda t: np.ones(1))
     disc = Discretization(mesh, ref, FluxParams.central(), [0.5], 1.0, forcing=zero)
     with pytest.raises(ValueError):
         energy_identity_residual(random_state(disc), disc)
@@ -206,8 +205,7 @@ def test_energy_identity_rejects_forcing():
 
 # --- errors and rates -----------------------------------------------------------
 
-ZERO_FIELD = Separable(space=lambda x: np.zeros((1,) + x.shape[:-1]),
-                       time=lambda t: np.ones(1))
+ZERO_FIELD = Separable(space=lambda *x: [0.0], time=lambda t: np.ones(1))
 
 
 def test_l2_error_zero():

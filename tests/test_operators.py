@@ -10,6 +10,7 @@ from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
 from advwave import operators
 from advwave.operators import Discretization, ModalState, Separable
+from test_problems import quad_points
 
 
 def make_disc(dim=1, n=8, q=3, s=None, w=(0.5,), c=1.0, mode="periodic",
@@ -118,15 +119,14 @@ def test_galerkin_consistency_polynomial():
 
     # f = -4 w (1-x) + (2 w^2 - 2 c^2)(1+t), split as 1 * F_0(x) + t * F_1(x)
     def space(x):
-        xx = x[..., 0]
         k = 2.0 * w * w - 2.0 * c * c
-        return np.stack([-4.0 * w * (1.0 - xx) + k, np.full_like(xx, k)])
+        return [-4.0 * w * (1.0 - x) + k, k]
 
     forcing = Separable(space=space, time=lambda t: np.array([1.0, t]))
     disc = make_disc(dim=1, n=5, q=3, w=[w], c=c, mode="physical",
                      params=FluxParams.sommerfeld(), forcing=forcing)
     ref = disc.ref
-    pts = disc.quad_points
+    pts = quad_points(disc)
     t = 0.3
     xx = pts[..., 0]
     u_exact = (1.0 - xx) ** 2 * (1.0 + t)
@@ -225,9 +225,8 @@ def test_forced_rhs_adds_the_projected_forcing(monkeypatch, dim, mode, split):
     if split:
         monkeypatch.setattr(operators, "SMALL_PRODUCT", 200)
 
-    def space(x):
-        return np.stack([np.sin(2 * np.pi * x.sum(axis=-1)), x[..., 0] ** 2,
-                         np.cos(2 * np.pi * x[..., -1])])
+    def space(*x):
+        return [np.sin(2 * np.pi * sum(x)), x[0] ** 2, np.cos(2 * np.pi * x[-1])]
 
     forcing = Separable(space, lambda t: np.array([np.cos(3.0 * t), 1.0 + t, t * t]))
     kw = dict(dim=dim, n=5 if dim == 1 else 3, q=2, w=[0.5, -0.3][:dim], mode=mode)
@@ -243,7 +242,7 @@ def test_forced_rhs_adds_the_projected_forcing(monkeypatch, dim, mode, split):
     for t in (0.2, 0.9, 0.2):
         du, dv = forced.rhs(state.u, state.v, t)
         fu, fv = free.rhs(state.u, state.v, t)
-        expect = forcing(forced.quad_points, t) @ forced.ref.proj_v
+        expect = forcing(quad_points(forced), t) @ forced.ref.proj_v
         scale = max(np.abs(fu).max(), np.abs(fv).max(), np.abs(expect).max())
         assert np.abs(du - fu).max() <= 1e-12 * scale
         assert np.abs(dv - fv - expect).max() <= 1e-12 * scale
@@ -252,7 +251,7 @@ def test_forced_rhs_adds_the_projected_forcing(monkeypatch, dim, mode, split):
 def test_matrix_free_rhs_is_homogeneous_only():
     # the forcing projection has its reference in
     # test_projected_forcing_matches_quadrature
-    forcing = Separable(lambda x: np.sin(2 * np.pi * x[..., 0])[None], lambda t: np.array([t]))
+    forcing = Separable(lambda *x: [np.sin(2 * np.pi * x[0])], lambda t: np.array([t]))
     disc = make_disc(forcing=forcing)
     state = random_state(disc)
     with pytest.raises(ValueError, match="homogeneous"):
@@ -297,8 +296,8 @@ def _work_arrays(disc):
 @pytest.mark.parametrize("dim,mode", [(1, "periodic"), (1, "physical"),
                                       (2, "periodic"), (2, "physical")])
 def test_rhs_out_matches_rhs(dim, mode, forced):
-    def space(x):
-        return np.stack([np.sin(2 * np.pi * x.sum(axis=-1)), x[..., 0] ** 2])
+    def space(*x):
+        return [np.sin(2 * np.pi * sum(x)), x[0] ** 2]
 
     forcing = Separable(space, lambda t: np.array([np.cos(t), 1.0 + t])) if forced else None
     disc = make_disc(dim=dim, n=4 if dim == 1 else 3, w=[0.5, -0.3][:dim], mode=mode,
@@ -525,7 +524,7 @@ def test_family_reference_is_shared_and_history_free():
     # two families built in either order, and a family's grids in either
     # order, give the same blocks bit for bit
     reference = operators._family_reference
-    forcing = Separable(lambda x: np.sin(2 * np.pi * x[..., 0])[None], lambda t: np.array([t]))
+    forcing = Separable(lambda *x: [np.sin(2 * np.pi * x[0])], lambda t: np.array([t]))
     a = dict(dim=2, q=2, w=[0.5, -0.3], mode="physical")
     b = dict(dim=2, q=2, w=[1.5, 0.3], mode="physical", params=FluxParams.central())
 

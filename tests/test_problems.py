@@ -1,13 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from advwave import cli
 from advwave.basis import build_reference
+from advwave.diagnostics import l2_error
 from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
-from advwave.operators import Discretization, Separable
+from advwave.operators import Discretization, FieldTable, Separable
 from advwave.problems import mixed_2d, periodic_1d, periodic_2d, project_initial
 
 RNG = np.random.default_rng(2024)
+
+
+def quad_points(disc):
+    """The volume rule's points on every element, (n_elements, Nq, dim)."""
+    mesh = disc.mesh
+    return mesh.element_centers[:, None, :] + (mesh.h / 2.0) * disc.ref.vol_nodes
 
 
 # The manufactured solutions in closed form, written apart from the factored
@@ -283,29 +293,26 @@ def test_projected_forcing_matches_quadrature(factory, args, lift):
         if spec.forcing is None:
             assert np.all(dv == 0.0)
             continue
-        f = spec.forcing(disc.quad_points, t)
+        f = spec.forcing(quad_points(disc), t)
         expect = ((f * ref.vol_weights) @ ref.vol_vals_v) / np.diag(ref.mass_v)
         assert np.abs(dv - expect).max() <= 1e-13 * max(1.0, np.abs(expect).max())
 
 
 def test_projection_exact_for_polynomials():
-    from dataclasses import replace
     spec = periodic_1d(0.5, 1.0, lift=False)
     # replace evaluators with a quadratic: projection must reproduce it
     poly = replace(spec,
-                   exact_u=Separable(space=lambda x: (3 * x[..., 0] ** 2 - x[..., 0])[None],
+                   exact_u=Separable(space=lambda x: (3 * x ** 2 - x)[None],
                                      time=lambda t: np.ones(1)),
-                   exact_v=Separable(space=lambda x: np.zeros((1,) + x.shape[:-1]),
-                                     time=lambda t: np.ones(1)))
+                   exact_v=Separable(space=lambda x: [0.0], time=lambda t: np.ones(1)))
     disc = make_disc(poly, 4, 3)
     st = project_initial(poly, disc)
     vals = st.u @ disc.ref.vol_vals_u.T
-    exact = poly.exact_u(disc.quad_points, 0.0)
+    exact = poly.exact_u(quad_points(disc), 0.0)
     assert np.max(np.abs(vals - exact)) < 1e-13
 
 
 def test_projection_convergence_order():
-    from advwave.diagnostics import l2_error
     spec = periodic_1d(0.5, 1.0, lift=False)
     q = 2
     errs, hs = [], []
@@ -316,3 +323,79 @@ def test_projection_convergence_order():
         hs.append(disc.mesh.h)
     rate = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert rate == pytest.approx(q + 1, abs=0.1)
+
+
+# --- the per-axis tables --------------------------------------------------------
+
+SPECS = {"periodic1d": lambda: periodic_1d(0.5, 1.0, lift=False),
+         "periodic1d-lifted": lambda: periodic_1d(0.5, 1.0),
+         "periodic2d": lambda: periodic_2d([0.5, 0.25], 1.3),
+         "mixed2d": lambda: mixed_2d([0.5, 0.25], 1.0)}
+
+
+@pytest.mark.parametrize("problem", SPECS)
+@pytest.mark.parametrize("rule", ["vol_nodes", "err_nodes"])
+@pytest.mark.parametrize("mode", ["periodic", "physical"])
+@pytest.mark.parametrize("n", [3, 7])
+def test_axis_tables_equal_the_evaluation_at_every_point(problem, rule, mode, n):
+    # a FieldTable evaluates each space factor on the coordinates of one axis
+    # and broadcasts it; the values are those of the factor at every point
+    spec = SPECS[problem]()
+    ref = build_reference(2, 2, dim=spec.dim)
+    mesh = build_mesh(spec.dim, n, mode)
+    nodes = getattr(ref, rule)
+    points = mesh.element_centers[:, None, :] + (mesh.h / 2.0) * nodes
+    table = FieldTable(mesh, nodes)
+    fields = [f for f in (spec.exact_u, spec.exact_v, spec.forcing) if f is not None]
+    assert len(fields) == (3 if problem in ("periodic1d-lifted", "mixed2d") else 2)
+    for field in fields:
+        factors = field.space(*(points[..., d] for d in range(spec.dim)))
+        every = np.stack([np.broadcast_to(f, points.shape[:-1]) for f in factors])
+        assert np.array_equal(table.factors(field.space), every)
+        for t in (0.0, 0.37):
+            assert np.array_equal(table(field, t), field(points, t))
+
+
+def _spy_spaces(spec, calls):
+    """spec with each distinct space callable wrapped, shared as before, to
+    append the sizes of the coordinate arrays of every call to calls."""
+    spies = {}
+
+    def spy(space):
+        def recorded(*coords):
+            calls.append([np.size(x) for x in coords])
+            return space(*coords)
+        return spies.setdefault(space, recorded)
+
+    return replace(spec, **{name: Separable(spy(field.space), field.time)
+                            for name in ("exact_u", "exact_v", "forcing")
+                            if (field := getattr(spec, name)) is not None})
+
+
+def _spied_build(monkeypatch, calls):
+    build = cli.build_problem
+    monkeypatch.setattr(cli, "build_problem", lambda cfg: _spy_spaces(build(cfg), calls))
+
+
+def test_shared_space_is_evaluated_once_per_grid(monkeypatch):
+    # lifted periodic1d's forcing and exact fields share one space callable:
+    # the forcing's projection and the initial projection read one table
+    calls = []
+    _spied_build(monkeypatch, calls)
+    disc, spec = cli.build_discretization(cli.RunConfig(problem="periodic1d", q=3, n=10))
+    assert spec.forcing.space is spec.exact_u.space is spec.exact_v.space
+    project_initial(spec, disc)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("problem,q", [("periodic2d", 3), ("mixed2d", 2)])
+def test_space_factors_are_evaluated_per_axis(monkeypatch, problem, q):
+    # n * p coordinates an axis (p = q + 4 on the L2-error rule), never the
+    # (n p)^2 points of the grid
+    n, calls = 14, []
+    _spied_build(monkeypatch, calls)
+    disc, spec = cli.build_discretization(cli.RunConfig(problem=problem, q=q, w=[0.5, 0.5], n=n))
+    state = project_initial(spec, disc)
+    l2_error(state, spec, 0.0, disc)
+    assert len(calls) == (5 if problem == "mixed2d" else 2)
+    assert max(max(sizes) for sizes in calls) <= n * (q + 4)
