@@ -91,13 +91,14 @@ class Separable:
     sequence, or a (K, ...) array) that broadcast to their common shape.
     time maps a scalar time to an array (K,).  The v-equation forcing and
     the exact solutions have this form, and each of their space factors
-    depends on one coordinate or is a product of such, so on a
-    tensor-product rule (``FieldTable``) a factor is evaluated at the n*p
-    coordinates of an axis, not at all (n*p)^dim points, and combined with
-    the time factors on every call; ``Discretization`` keeps a forcing's
-    projections as operand rows and writes its time factors into its lift
-    factor.  time must be a pure function of t: ``Discretization.rhs``
-    reuses the time factors it wrote at the time of its previous call.
+    is a function of one coordinate or a product of such, so on a
+    tensor-product rule (``FieldTable``) their sin, cos and exp run on the
+    n*p coordinates of an axis, not on all (n*p)^dim points; the factors
+    are evaluated once and combined with the time factors on every call;
+    ``Discretization`` keeps a forcing's projections as operand rows and
+    writes its time factors into its lift factor.  time must be a pure
+    function of t: ``Discretization.rhs`` reuses the time factors it wrote
+    at the time of its previous call.
     Called with positions x of shape (..., dim), the field is evaluated at
     those points, with ``x[..., d]`` as axis d's coordinates.
     """
