@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import Discretization, FieldTable, ModalState, _grid_couplings
+from .operators import Discretization, ModalState, _grid_couplings
 
 
 def _energy_terms(disc: Discretization, u, v, du, dv):
@@ -58,13 +58,10 @@ def l2_error(state: ModalState, spec, t: float, disc: Discretization):
     than the operator's, to keep aliasing below the discretization error.
     The space factors of spec's Separable exact fields at its points on
     every element are evaluated, per axis, on the first call for a
-    discretization and kept in ``disc.error_quadrature``, a ``FieldTable``;
-    later calls combine them with the time factors at t.
+    discretization and kept in ``disc.error_quadrature``, the rule's
+    ``FieldTable``; later calls combine them with the time factors at t.
     """
-    ref, mesh = disc.ref, disc.mesh
-    exact = disc.error_quadrature
-    if exact is None:
-        exact = disc.error_quadrature = FieldTable(mesh, ref.err_nodes)
+    ref, exact = disc.ref, disc.error_quadrature
     weights = disc.jac_vol * ref.err_weights
 
     def error(coeffs, vals_t, field):
@@ -104,48 +101,44 @@ def fit_rate(hs, errs) -> float:
 _DENSE_LIMIT = 2000
 
 
-def _couplings(disc: Discretization):
-    """(block, dst, src) element index arrays for every coupling: the self
-    block, then each entry of ``_grid_couplings`` with its block."""
-    mesh, sides = disc.mesh, 2 * disc.mesh.dim
-    grid = np.arange(mesh.n_elements).reshape((mesh.n,) * mesh.dim)
-    shifts, strips = _grid_couplings(mesh.dim, mesh.periodic)
-    return ([(0, grid, grid)] + [(1 + side, grid[dst], grid[src]) for side, dst, src in shifts]
-            + [(1 + sides + side, grid[at], grid[at]) for side, at in strips])
-
-
 def bloch_symbols(disc: Discretization) -> np.ndarray:
     """The Bloch symbols of the operator on a periodic mesh, half spectrum.
 
-    The operator commutes with shifts of the element grid, so the blocks R_d
-    that couple element 0 to element d (summed where several do) fix it: a
-    mode a·ω^(m·j) maps to (a S(m))·ω^(m·j) with S(m) = Σ_d R_d ω^(-m·d),
-    and the eigenvalues of the n^dim symbols are the whole spectrum.  R is
-    real, so S(-m) is the conjugate of S(m) and rfftn's half spectrum covers
-    every modulus.  Returns shape (n, ..., n//2 + 1, N, N), rows as in ``rhs``.
+    The operator commutes with shifts of the element grid, so a mode
+    a·ω^(m·j), ω = e^(2πi/n), maps to (a S(m))·ω^(m·j) with S(m) = blocks[0]
+    + Σ_a (ω^(m_a) blocks[2a+2] + ω^(-m_a) blocks[2a+1]), as ``rhs`` reads
+    the neighbour across high side 2a+1 one step up axis a.  The n^dim
+    symbols' eigenvalues are the whole spectrum; the blocks are real, so
+    S(-m) = conj S(m) and the half spectrum m_{dim-1} <= n//2 covers every
+    modulus.  Returns shape (n, ..., n//2 + 1, N, N), rows as in ``rhs``.
     """
-    mesh = disc.mesh
+    mesh, n, blocks = disc.mesh, disc.mesh.n, disc.blocks
     if not mesh.periodic:
         raise ValueError("Bloch symbols need a periodic mesh")
-    resp = np.zeros((mesh.n_elements,) + disc.blocks.shape[1:])
-    for block, dst, src in _couplings(disc):
-        resp[dst[src == 0]] += disc.blocks[block]
-    return np.fft.rfftn(resp.reshape((mesh.n,) * mesh.dim + resp.shape[1:]),
-                        axes=tuple(range(mesh.dim)))
+    symbols = blocks[0]
+    for axis, m in enumerate(np.ix_(*[np.arange(n)] * (mesh.dim - 1), np.arange(n // 2 + 1))):
+        phase = np.exp((2j * np.pi / n) * m)[..., None, None]
+        symbols = symbols + phase * blocks[2 * axis + 2] + phase.conj() * blocks[2 * axis + 1]
+    return symbols
 
 
 def sparse_operator(disc: Discretization):
     """The homogeneous operator as a CSR matrix A on the flattened stacked
     [u v] layout: A @ x.ravel() is ``rhs`` of x as one raveled [du dv].
-    Each coupling adds the Kronecker product of its element incidence with
-    its block, transposed to act on columns."""
+    Each coupling (the self block, then each entry of ``_grid_couplings``)
+    adds the Kronecker product of its element incidence with its block,
+    transposed to act on columns."""
     from scipy import sparse
 
-    n_el = disc.mesh.n_elements
+    mesh, sides = disc.mesh, 2 * disc.mesh.dim
+    grid = np.arange(mesh.n_elements).reshape((mesh.n,) * mesh.dim)
+    shifts, strips = _grid_couplings(mesh.dim, mesh.periodic)
+    couplings = ([(0, grid, grid)] + [(1 + side, grid[dst], grid[src]) for side, dst, src in shifts]
+                 + [(1 + sides + side, grid[at], grid[at]) for side, at in strips])
     return sum(sparse.kron(sparse.coo_matrix((np.ones(dst.size), (dst.ravel(), src.ravel())),
-                                             shape=(n_el, n_el)),
+                                             shape=(grid.size,) * 2),
                            disc.blocks[block].T, format="csr")
-               for block, dst, src in _couplings(disc)).tocsr()
+               for block, dst, src in couplings).tocsr()
 
 
 def spectral_radius_probe(disc: Discretization, seed: int = 0):
@@ -170,8 +163,10 @@ def spectral_radius_probe(disc: Discretization, seed: int = 0):
     if disc.forcing is not None:
         raise ValueError("spectral probe requires the homogeneous operator")
     if disc.mesh.periodic:
-        symbols = bloch_symbols(disc)
-        # numpy's eigvals raises on a non-finite matrix
+        # blocks near overflow give symbols that are not finite, and numpy's
+        # eigvals raises on a non-finite matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            symbols = bloch_symbols(disc)
         radius = (float(np.max(np.abs(np.linalg.eigvals(symbols))))
                   if np.all(np.isfinite(symbols)) else float("nan"))
         return (radius, True) if np.isfinite(radius) else (float("nan"), False)

@@ -540,8 +540,11 @@ class Discretization:
         # _tau_t is the time _tau was written at (None: not yet)
         self._forcing_time = None if forcing is None else forcing.time
         self._tau_t = None
-        # the exact fields at diagnostics.l2_error's points, built there on first use
-        self.error_quadrature = None
+
+    @functools.cached_property
+    def error_quadrature(self) -> FieldTable:
+        """The ``FieldTable`` of ``diagnostics.l2_error``'s rule, built on first use."""
+        return FieldTable(self.mesh, self.ref.err_nodes)
 
     def _rescaled_reference(self):
         """(blocks, lifts) of this grid, rescaled from its family's

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -452,16 +454,18 @@ def test_bloch_symbols_hold_the_spectrum(dim, n, q, params):
     rows, cols = linear_sum_assignment(dist)
     assert len(eig) == len(dense)
     assert np.max(dist[rows, cols]) <= 1e-12 * np.max(np.abs(dense))
-    # the symbol of m acts as rhs does on the mode a·ω^(m·j) (a reflected
-    # grid would give the conjugate symbols, with the same eigenvalues)
-    m = (1,) * dim
+    # the symbol of each mode m of the half spectrum acts as rhs does on the
+    # mode a·ω^(m·j) (a reflected grid would give the conjugate symbols, with
+    # the same eigenvalues)
     a = np.array([1, 1j]) @ np.random.default_rng(2).standard_normal((2, symbols.shape[-1]))
-    phase = np.exp(2j * np.pi * (np.indices((n,) * dim).reshape(dim, -1).T @ m) / n)
-    x, nu = phase[:, None] * a, disc.ref.n_u
-    got = sum(unit * np.hstack(disc.rhs(part[:, :nu], part[:, nu:], 0.0))
-              for unit, part in ((1, x.real), (1j, x.imag)))
-    expected = phase[:, None] * (a @ symbols[m])
-    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    j, nu = np.indices((n,) * dim).reshape(dim, -1).T, disc.ref.n_u
+    for m in np.ndindex(symbols.shape[:dim]):
+        phase = np.exp(2j * np.pi * (j @ m) / n)
+        x = phase[:, None] * a
+        got = sum(unit * np.hstack(disc.rhs(part[:, :nu], part[:, nu:], 0.0))
+                  for unit, part in ((1, x.real), (1j, x.imag)))
+        expected = phase[:, None] * (a @ symbols[m])
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), m
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -575,10 +579,12 @@ def test_spectral_probe_never_raises(monkeypatch):
     monkeypatch.setattr(sla, "eigs", lambda *args, **kwargs: np.array([np.inf + 0j]))
     radius, converged = spectral_radius_probe(large)
     assert np.isnan(radius) and not converged
-    # on a periodic mesh too, with no ARPACK
+    # on a periodic mesh too, with no ARPACK and no warning
     periodic = make_disc(dim=2, n=3, q=2, w=(0.5, 0.5))
     periodic.blocks = np.full_like(periodic.blocks, np.inf)
-    radius, converged = spectral_radius_probe(periodic)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        radius, converged = spectral_radius_probe(periodic)
     assert np.isnan(radius) and not converged
 
 
