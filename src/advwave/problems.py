@@ -40,10 +40,11 @@ class ProblemSpec:
 
 
 def _poly_factors(z):
-    """X(z) = z (1-z)^2 e^z together with X' and X'' (closed forms)."""
-    p = z * (1.0 - z) ** 2
-    p1 = 3.0 * z * z - 4.0 * z + 1.0
-    p2 = 6.0 * z - 4.0
+    """X(z) = z^2 (1-z)^2 e^z with X' and X'' (closed forms); its double root
+    at 0 zeroes v and grad u on an inflow side, as a supersonic closure does."""
+    p = (z * (1.0 - z)) ** 2
+    p1 = 2.0 * z - 6.0 * z * z + 4.0 * z ** 3
+    p2 = 2.0 - 12.0 * z + 12.0 * z * z
     e = np.exp(z)
     return p * e, (p + p1) * e, (p + 2.0 * p1 + p2) * e
 

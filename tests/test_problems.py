@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -39,11 +40,11 @@ def exact_periodic_2d(x, y, t, w, c):
 
 
 def _bubble(z):
-    """X(z) = z (1-z)^2 e^z with X' and X'', each expanded by hand."""
+    """X(z) = z^2 (1-z)^2 e^z with X' and X'', each expanded by hand."""
     z = np.asarray(z, dtype=float)
     e = np.exp(z)
-    return (z * (1 - z) ** 2 * e, (1 - z) * (1 - 2 * z - z * z) * e,
-            (z ** 3 + 4 * z * z - z - 2) * e)
+    return (z * z * (1 - z) ** 2 * e, z * (z - 1) * (z * z + 3 * z - 2) * e,
+            (z ** 4 + 6 * z ** 3 + z * z - 8 * z + 2) * e)
 
 
 def exact_mixed_2d(x, y, t, w=(0.5, 0.5)):
@@ -151,15 +152,17 @@ def test_mixed_2d_boundary_values():
     for t in (0.3, 1.1):
         for edge in np.linspace(0, 1, 7):
             for x, y in [(0.0, edge), (1.0, edge), (edge, 0.0), (edge, 1.0)]:
-                u, _ = exact_mixed_2d(x, y, t, w)
-                assert abs(u) < 1e-14
-    # normal derivative vanishes on the outflow edges x=1 and y=1
+                u, v = exact_mixed_2d(x, y, t, w)
+                assert abs(u) < 1e-14 and abs(v) < 1e-14
+    # the normal derivative vanishes on every edge: on the outflow edges x=1
+    # and y=1, and on the inflow edges x=0 and y=0, where a supersonic
+    # closure pins grad u
     eps = 1e-6
-    for edge in np.linspace(0.1, 0.9, 5):
-        ux = (exact_mixed_2d(1.0 + eps, edge, 0.5, w)[0]
-              - exact_mixed_2d(1.0 - eps, edge, 0.5, w)[0]) / (2 * eps)
-        uy = (exact_mixed_2d(edge, 1.0 + eps, 0.5, w)[0]
-              - exact_mixed_2d(edge, 1.0 - eps, 0.5, w)[0]) / (2 * eps)
+    for side, edge in itertools.product((0.0, 1.0), np.linspace(0.1, 0.9, 5)):
+        ux = (exact_mixed_2d(side + eps, edge, 0.5, w)[0]
+              - exact_mixed_2d(side - eps, edge, 0.5, w)[0]) / (2 * eps)
+        uy = (exact_mixed_2d(edge, side + eps, 0.5, w)[0]
+              - exact_mixed_2d(edge, side - eps, 0.5, w)[0]) / (2 * eps)
         assert abs(ux) < 1e-8
         assert abs(uy) < 1e-8
 
