@@ -2,7 +2,8 @@
 """Reproduce the main convergence-rate tables.
 
 Runs ``advwave converge`` on the 1D periodic (upwind and central), 1D
-supersonic, 2D periodic, and 2D mixed-boundary cases; it prints each
+supersonic, 2D periodic (central and upwind), and 2D mixed-boundary
+(subsonic and supersonic inflow) cases; it prints each
 case's fitted rates.  Each case's config, errors.csv and rates.csv go to a
 directory of its own under --output (default: a temporary directory,
 removed at exit).
@@ -37,6 +38,14 @@ CASES = [
     ("2D mixed BC q=2", dict(problem="mixed2d", q=2, flux="sommerfeld",
                              w=[0.5, 0.5], c=1.0, T=1.0,
                              n_list=[5, 7, 10, 14, 20])),
+    ("2D upwind q=2", dict(problem="periodic2d", q=2, flux="sommerfeld",
+                           w=[0.5, 0.5], c=1.0, T=0.2)),
+    ("2D upwind q=3", dict(problem="periodic2d", q=3, flux="sommerfeld",
+                           w=[0.5, 0.5], c=1.0, T=0.2,
+                           n_list=[5, 7, 10, 14, 20, 28])),
+    ("2D mixed BC supersonic q=3 s=2", dict(problem="mixed2d", q=3, s=2,
+                                            flux="sommerfeld", w=[1.5, 0.3], c=1.0,
+                                            T=1.0, n_list=[5, 7, 10, 14, 20])),
 ]
 
 QUICK_GRIDS = {1: [10, 14, 20, 28, 40], 2: [5, 7, 10, 14]}

@@ -213,3 +213,21 @@ def test_criterion_10_spectral_doubling():
         ok = ok and abs(r1 - 2.0) <= 0.4 and abs(r2 - 2.0) <= 0.4
         details.append(f"q={q}: ratios {r1:.3f}, {r2:.3f}")
     report(10, ok, "spectral doubling " + "; ".join(details))
+
+
+def test_criterion_11_2d_upwind_rates():
+    # the paper's 2D periodic upwind table: u at q+1, v at q
+    ru2, rv2 = rates("periodic2d", 2, "sommerfeld", [0.5, 0.5], 1.0, 0.2)
+    ru3, rv3 = rates("periodic2d", 3, "sommerfeld", [0.5, 0.5], 1.0, 0.2,
+                     grids=[5, 7, 10, 14, 20, 28])
+    ok = (abs(ru2 - 3) <= 0.4 and abs(rv2 - 2) <= 0.4
+          and abs(ru3 - 4) <= 0.4 and abs(rv3 - 3) <= 0.4)
+    report(11, ok, f"2D upwind q=2: {ru2:.3f}/{rv2:.3f}; q=3: {ru3:.3f}/{rv3:.3f}")
+
+
+def test_criterion_12_2d_supersonic_inflow_reduced_degree():
+    # criterion 4 in 2D: a supersonic inflow side (w_x = 1.5 > c) with s = q-1
+    ru, rv = rates("mixed2d", 3, "sommerfeld", [1.5, 0.3], 1.0, 1.0, s=2,
+                   grids=[5, 7, 10, 14, 20])
+    ok = abs(ru - 4) <= 0.4 and abs(rv - 3) <= 0.4
+    report(12, ok, f"2D mixed BC supersonic q=3 s=2: rate_u={ru:.3f} rate_v={rv:.3f}")

@@ -36,10 +36,10 @@ def test_script_runs(script, args):
 
 
 def test_reproduce_rates_writes_every_case(tmp_path):
-    # nine converge sweeps on the quick grids, each case in a directory of its own
+    # twelve converge sweeps on the quick grids, each case in a directory of its own
     proc = run_script("reproduce_rates.py", "--quick", "--output", str(tmp_path), timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == [f"case{i}" for i in range(9)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"case{i}" for i in range(12))
     for case in tmp_path.iterdir():
         assert sorted(p.name for p in case.iterdir()) == ["config.json", "errors.csv",
                                                          "rates.csv"]
