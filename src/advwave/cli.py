@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -381,6 +380,8 @@ def run_convergence(cfg: RunConfig, workers: int = 1):
     # the pool starts all its processes at once: no more than there are grids
     workers = min(workers, len(grids))
     if workers > 1:
+        # imported here: a serial sweep does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_converge_one, [cfg] * len(grids), grids))
     else:

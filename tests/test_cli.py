@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import dataclasses
 import importlib
@@ -126,12 +127,12 @@ def test_config_rejects_c_exactly_when_the_operator_does(tmp_path, problem, w):
 
 def test_config_check_of_c_builds_nothing(tmp_path, monkeypatch):
     # the c rule is one scalar test: validating a sweep builds no reference
-    # element and factorizes no element system
+    # element and solves no element system
     def refuse(*args, **kwargs):
         raise AssertionError("config validation built an element")
 
     monkeypatch.setattr(cli, "build_reference", refuse)
-    monkeypatch.setattr(operators, "lu_factor", refuse)
+    monkeypatch.setattr(operators, "lu_solve", refuse)
     for problem, w in (("periodic1d", 0.5), ("mixed2d", [0.5, 0.5])):
         load_config(write_config(tmp_path, problem=problem, w=w, n_list=[4, 6, 8, 12]))
 
@@ -512,6 +513,51 @@ def test_energy_bytes_do_not_depend_on_history(tmp_path):
             == (tmp_path / "after" / "energy.csv").read_bytes())
 
 
+# --- what a command imports ------------------------------------------------------
+
+# runs each argv list through main in this interpreter, then prints the
+# scipy and process-pool modules it has loaded
+LOADED_AFTER = """
+import json, sys
+from advwave.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")))
+"""
+
+
+def _loaded_after(tmp_path, commands):
+    """The modules LOADED_AFTER reports for commands, (command, config
+    overrides) pairs, run in a fresh interpreter: pytest has scipy loaded."""
+    argvs = [[command, "--config", write_config(tmp_path, f"cfg{i}.json", **overrides),
+              "--output", str(tmp_path / f"out{i}")]
+             for i, (command, overrides) in enumerate(commands)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", LOADED_AFTER, json.dumps(argvs)],
+                          capture_output=True, env=env, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_serial_commands_load_no_scipy(tmp_path):
+    # time stepping, errors, the energy audit and the periodic spectra need
+    # numpy alone, and a serial sweep no process pool
+    mixed = dict(problem="mixed2d", w=[0.5, 0.5], n=4, T=0.02)
+    assert _loaded_after(tmp_path, [
+        ("converge", dict(T=0.02, n_list=[4, 6])),
+        ("converge", dict(problem="periodic2d", w=[0.5, 0.5], T=0.02, n_list=[3, 4])),
+        ("run", mixed), ("energy", mixed), ("spectrum", dict(n_list=[4, 6]))]) == []
+
+
+def test_spectrum_loads_scipy_on_use(tmp_path):
+    # the physical-mesh probe imports ARPACK's scipy.sparse.linalg itself
+    loaded = _loaded_after(tmp_path, [
+        ("spectrum", dict(problem="mixed2d", w=[0.5, 0.5], n_list=[3, 4]))])
+    assert "scipy.sparse.linalg" in loaded
+
+
 def test_converge_bytes_do_not_depend_on_grid_order(tmp_path):
     outputs = []
     for n_list in ([4, 6, 9, 12], [12, 9, 6, 4]):
@@ -553,7 +599,8 @@ def test_converge_pool_capped_at_grid_count(tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    # run_convergence imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     path = write_config(tmp_path, T=0.05, n_list=[4, 6, 8])
     assert main(["converge", "--config", path, "--output", str(tmp_path / "c"),
                  "--workers", "5000"]) == 0

@@ -359,6 +359,26 @@ def test_axis_tables_equal_the_evaluation_at_every_point(problem, rule, mode, n)
             assert np.array_equal(table(field, t), field(points, t))
 
 
+@pytest.mark.parametrize("dim,mode", [(1, "periodic"), (2, "periodic"), (2, "physical")])
+@pytest.mark.parametrize("n", [3, 7])
+def test_factor_tables_equal_their_direct_broadcast(dim, mode, n):
+    # the table stacks each factor, of one axis, of all axes or a scalar, as
+    # np.broadcast_to of it onto the rule's shape, bit for bit
+    ref = build_reference(3, 3, dim=dim)
+    table = FieldTable(build_mesh(dim, n, mode), ref.vol_nodes)
+    if dim == 1:
+        spaces = [lambda x: (np.sin(x), 2.0, np.exp(x) * x)]
+    else:
+        mixed = mixed_2d([0.5, 0.25], 1.0)
+        spaces = [lambda x, y: (np.sin(x), np.cos(y), 2.0, np.exp(x) * np.sin(y)),
+                  lambda x, y: np.stack(np.broadcast_arrays(np.sin(x), np.cos(y))),
+                  periodic_2d([0.5, 0.25], 1.3).exact_u.space, mixed.exact_v.space,
+                  mixed.forcing.space]
+    for space in spaces:
+        direct = np.stack([np.broadcast_to(f, table.shape) for f in space(*table.coords)])
+        assert np.array_equal(table.factors(space), direct.reshape(len(direct), n ** dim, -1))
+
+
 def _spy_spaces(spec, calls):
     """spec with each distinct space callable wrapped, shared as before, to
     append the sizes of the coordinate arrays of every call to calls."""
