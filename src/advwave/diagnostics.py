@@ -2,12 +2,14 @@
 a stack of states), L2 errors, rate fits, the operator's Bloch symbols and
 sparse matrix (both from ``Discretization.blocks``, without ``rhs`` calls),
 and its spectral radius: exact from the symbols on periodic meshes, by
-implicitly restarted Arnoldi (ARPACK) on ``rhs`` on physical ones."""
+thick-restart Arnoldi on ``rhs`` with a certified stop on physical ones.
+Only ``sparse_operator`` loads scipy."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .mesh import FaceKind
 from .operators import Discretization, ModalState, _grid_couplings
 
 
@@ -96,9 +98,15 @@ def fit_rate(hs, errs) -> float:
     return float(slope)
 
 
-# largest operator whose dense eigenvalues stand in for a failed ARPACK run:
-# about 3 s for numpy's eigvals on one core at N = 2,000
+# largest operator whose dense eigenvalues stand in for an uncertified
+# Arnoldi run: about 3 s for numpy's eigvals on one core at N = 2,000
 _DENSE_LIMIT = 2000
+
+# the physical-mesh probe's certified stop: the Ritz residual relative to
+# the Ritz value (ARPACK's test), and the first-order bound on the relative
+# eigenvalue error at that residual, kappa(theta) times it
+_RESIDUAL_TOL = 1e-10
+_ERROR_BOUND = 1e-4
 
 
 def bloch_symbols(disc: Discretization) -> np.ndarray:
@@ -122,23 +130,154 @@ def bloch_symbols(disc: Discretization) -> np.ndarray:
     return symbols
 
 
-def sparse_operator(disc: Discretization):
-    """The homogeneous operator as a CSR matrix A on the flattened stacked
-    [u v] layout: A @ x.ravel() is ``rhs`` of x as one raveled [du dv].
-    Each coupling (the self block, then each entry of ``_grid_couplings``)
-    adds the Kronecker product of its element incidence with its block,
-    transposed to act on columns."""
-    from scipy import sparse
-
+def _couplings(disc: Discretization):
+    """The operator's couplings as (block, dst, src): the elements dst read
+    the elements src, flat indices of equal shape, through
+    ``disc.blocks[block]``.  The self block, then each shift and each
+    boundary strip of ``_grid_couplings``; no (dst, src) pair repeats within
+    one coupling."""
     mesh, sides = disc.mesh, 2 * disc.mesh.dim
     grid = np.arange(mesh.n_elements).reshape((mesh.n,) * mesh.dim)
     shifts, strips = _grid_couplings(mesh.dim, mesh.periodic)
-    couplings = ([(0, grid, grid)] + [(1 + side, grid[dst], grid[src]) for side, dst, src in shifts]
-                 + [(1 + sides + side, grid[at], grid[at]) for side, at in strips])
+    return ([(0, grid, grid)] + [(1 + side, grid[dst], grid[src]) for side, dst, src in shifts]
+            + [(1 + sides + side, grid[at], grid[at]) for side, at in strips])
+
+
+def sparse_operator(disc: Discretization):
+    """The homogeneous operator as a CSR matrix A on the flattened stacked
+    [u v] layout: A @ x.ravel() is ``rhs`` of x as one raveled [du dv].
+    Each of ``_couplings`` adds the Kronecker product of its element
+    incidence with its block, transposed to act on columns."""
+    from scipy import sparse
+
+    size = disc.mesh.n_elements
     return sum(sparse.kron(sparse.coo_matrix((np.ones(dst.size), (dst.ravel(), src.ravel())),
-                                             shape=(grid.size,) * 2),
+                                             shape=(size, size)),
                            disc.blocks[block].T, format="csr")
-               for block, dst, src in couplings).tocsr()
+               for block, dst, src in _couplings(disc)).tocsr()
+
+
+def _dense_operator(disc: Discretization) -> np.ndarray:
+    """The homogeneous operator as a dense matrix M in ``rhs``'s row
+    convention, x.ravel() @ M is ``rhs`` of x raveled: the transpose of
+    ``sparse_operator``, from the same couplings, in numpy alone."""
+    n_el, size = disc.mesh.n_elements, disc.blocks.shape[-1]
+    dense = np.zeros((n_el, size, n_el, size))
+    for block, dst, src in _couplings(disc):
+        dense[src.ravel(), :, dst.ravel(), :] += disc.blocks[block]
+    return dense.reshape(n_el * size, n_el * size)
+
+
+def _dominant_ritz(matvec, v0, ncv, tol, maxiter):
+    """The largest-modulus eigenvalue of the real operator x -> matvec(x),
+    by thick-restart (Krylov–Schur) Arnoldi.  Returns (theta, certified).
+
+    Each cycle extends the Krylov decomposition A V = V B + v b^T to ncv
+    vectors by Arnoldi (classical Gram–Schmidt, orthogonalized a second
+    time when the first pass cancels more than 1/sqrt(2) of the product,
+    as ARPACK does) and takes the eigenpairs (theta, y), |y| = 1, of B.
+    The dominant one is certified when its residual is at most
+    tol·|theta| and the first-order error bound at that tolerance,
+    kappa·tol, at most _ERROR_BOUND, with kappa = |y|·|row of Y^-1| the
+    condition number of theta from B's right and left eigenvectors
+    (Trefethen & Embree, Spectra and Pseudospectra, 2005).  The residual
+    is ARPACK's estimate |b^T y| and then, once that passes,
+    |A x - theta x| / |x| of the Ritz vector x = V y itself, from one
+    product for each nonzero part of x.  Otherwise the restart keeps an
+    orthonormal basis Q of the ncv // 2 largest-modulus Ritz vectors, from
+    a QR of their real and imaginary parts (one pair per conjugate pair),
+    and the decomposition A (V Q) = (V Q) Q^T B Q + v (b^T Q) (Stewart,
+    SIAM J. Matrix Anal. Appl. 23, 2001).  After maxiter restarts, on
+    products that are not finite or on a Krylov space that is invariant,
+    theta is the dominant Ritz value of the last cycle (NaN before the
+    first), uncertified.  It never raises; matvec may return a buffer that
+    it reuses, and the routine may overwrite it.
+
+    The bound is taken at the tolerance, not at the achieved residual:
+    kappa comes from the Krylov space alone and underestimates the
+    operator's (by 1e2-5e5 on the physical meshes measured), and at the
+    achieved residual, which falls to roundoff, the bound passed on radii
+    1e-3 to 5e-2 from dense eigenvalues (1D grids of 180-400 unknowns,
+    kappa 1e8-1e10, the operator's 1e14 and more).  The Ritz vector's own
+    residual is checked because, after restarts from nearly dependent
+    Ritz vectors, the estimate fell to 1e-25 while it stayed at 2e-8.
+    """
+    n = v0.size
+    # one Krylov vector a row, so that every leading block is contiguous
+    basis = np.empty((ncv + 1, n))
+    proj = np.zeros((ncv + 1, ncv))
+    basis[0] = v0 / np.linalg.norm(v0)
+    kept, theta = 0, complex("nan")
+    for _ in range(maxiter + 1):
+        for j in range(kept, ncv):
+            # w may be matvec's own buffer: it is overwritten in place
+            w = matvec(basis[j])
+            norm2 = w @ w
+            # a product that is not finite leaves its squared norm NaN or
+            # infinite
+            if not np.isfinite(norm2):
+                return theta, False
+            done = basis[:j + 1]
+            h = done @ w
+            w -= h @ done
+            beta = np.sqrt(w @ w)
+            if beta * beta < 0.5 * norm2:
+                again = done @ w
+                w -= again @ done
+                h += again
+                beta = np.sqrt(w @ w)
+            proj[:j + 1, j] = h
+            proj[j + 1, j] = beta
+            # all but 1e-8 of the product lies in the Krylov space: it is
+            # invariant to roundoff, and w / beta would not be orthogonal to
+            # it (on a 1D grid of 42 unknowns 1e-17 was left, and the Ritz
+            # values then drifted to 2.7e5 against a radius of 15)
+            if beta <= 1e-8 * np.sqrt(h @ h):
+                proj[j + 1, j] = beta = 0.0
+                break
+            np.multiply(w, 1.0 / beta, out=basis[j + 1])
+        m = j + 1
+        square, residual_row = proj[:m, :m], proj[m, :m]
+        try:
+            ritz, vecs = np.linalg.eig(square)
+        except np.linalg.LinAlgError:
+            return theta, False
+        top = int(np.argmax(np.abs(ritz)))
+        theta = complex(ritz[top])
+        if beta == 0.0 and m < n:
+            # an invariant subspace: its Ritz values are exact, but the
+            # largest need not be the operator's
+            return theta, False
+        try:
+            kappa = np.linalg.norm(np.linalg.solve(vecs.T, np.eye(m)[top]))
+        except np.linalg.LinAlgError:
+            kappa = np.inf
+        if (abs(residual_row @ vecs[:, top]) <= tol * abs(theta)
+                and kappa * tol <= _ERROR_BOUND):
+            ritz_vec = vecs[:, top] @ basis[:m]
+            image = matvec(ritz_vec.real).copy()
+            if theta.imag:
+                image = image + 1j * matvec(ritz_vec.imag)
+            if (np.linalg.norm(image - theta * ritz_vec)
+                    <= tol * abs(theta) * np.linalg.norm(ritz_vec)):
+                return theta, True
+        if m == n:
+            return theta, False
+        parts = []
+        for i in np.argsort(-np.abs(ritz), kind="stable"):
+            if len(parts) >= ncv // 2:
+                break
+            if ritz[i].imag == 0:
+                parts.append(vecs[:, i].real)
+            elif ritz[i].imag > 0:
+                parts += [vecs[:, i].real, vecs[:, i].imag]
+        q, _ = np.linalg.qr(np.array(parts).T)
+        kept = q.shape[1]
+        basis[:kept], basis[kept] = q.T @ basis[:m], basis[m]
+        square, residual_row = q.T @ square @ q, residual_row @ q
+        proj[:] = 0.0
+        proj[:kept, :kept], proj[kept, :kept] = square, residual_row
+    return theta, False
 
 
 def spectral_radius_probe(disc: Discretization, seed: int = 0):
@@ -146,18 +285,19 @@ def spectral_radius_probe(disc: Discretization, seed: int = 0):
 
     Returns (radius, converged).  On a periodic mesh the radius is exact,
     from ``bloch_symbols``, and converged is True.  On a physical mesh it
-    comes from implicitly restarted Arnoldi (ARPACK ``eigs``, k=1,
-    which="LM", tol=1e-10, at most 50 restarts) with one ``rhs`` call as its
-    product, from a start vector drawn from ``default_rng(seed)``: equal
-    seeds give equal radii.  ARPACK rejects a zero operator; this one, with
-    c > 0, never is.  converged is True when ARPACK's residual test accepted
-    the dominant Ritz value; the test bounds the residual, not the
-    eigenvalue error, which on this non-normal operator can be larger.  If
-    ARPACK does not converge or fails, the radius is the largest dense
-    eigenvalue of ``sparse_operator`` up to _DENSE_LIMIT unknowns (converged
-    True), and the largest accepted Ritz value above it.  It never raises on
-    a homogeneous operator: with no finite radius (no Ritz value, or an
-    operator, Bloch symbols or eigenvalues that overflow) it returns
+    is the modulus of ``_dominant_ritz``'s dominant Ritz value (ncv =
+    min(N, 40), tolerance _RESIDUAL_TOL, at most 50 restarts), with one
+    ``rhs`` call as its product, from a start vector drawn from
+    ``default_rng(seed)``: equal seeds give bitwise-equal radii.  converged
+    is True when that value is certified, except on a mesh with a
+    supersonic axis (|w_a| > c), whose top eigenvalues are too
+    ill-conditioned for any certificate from the right Krylov space alone.
+    Otherwise an operator of at most _DENSE_LIMIT unknowns gives the
+    radius from the eigenvalues of ``_dense_operator`` (converged True;
+    with a supersonic axis it goes there directly), and a larger one the
+    uncertified Ritz value (converged False).  The probe loads no scipy.
+    It never raises on a homogeneous operator: with no finite radius
+    (products, Bloch symbols or eigenvalues that overflow) it returns
     (NaN, False).
     """
     if disc.forcing is not None:
@@ -170,10 +310,6 @@ def spectral_radius_probe(disc: Discretization, seed: int = 0):
         radius = (float(np.max(np.abs(np.linalg.eigvals(symbols))))
                   if np.all(np.isfinite(symbols)) else float("nan"))
         return (radius, True) if np.isfinite(radius) else (float("nan"), False)
-    # imported here: scipy.sparse.linalg adds ~3.6 MB RSS that only this probe needs
-    from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperator,
-                                      eigs)
-
     nu = disc.ref.n_u
     # coefficient-major vectors: rhs then reads and writes them without a
     # transpose
@@ -184,28 +320,23 @@ def spectral_radius_probe(disc: Discretization, seed: int = 0):
         disc.rhs(x[:, :nu], x[:, nu:], 0.0, out=buf)
         return buf.ravel(order="F")
 
-    v0 = np.random.default_rng(seed).standard_normal(buf.size)
-    op = LinearOperator((buf.size, buf.size), matvec=matvec, dtype=float)
-    try:
-        # 50 restarts (~2,000 products) cover the subsonic mixed2d grids up
-        # to n=20 in ~1,000; with a supersonic inflow the top eigenvalues
-        # are badly conditioned and ARPACK stalls at any budget
-        ritz = eigs(op, k=1, which="LM", v0=v0, ncv=min(buf.size, 40), tol=1e-10,
-                    maxiter=50, return_eigenvectors=False)
-        converged = True
-    except ArpackNoConvergence as err:
-        ritz, converged = err.eigenvalues, False
-    except ArpackError:
-        # e.g. error -9999, no Arnoldi factorization, on products that overflow
-        ritz, converged = np.zeros(0), False
+    # on mixed2d with w = (1.5, 0.3), q = 2, s = 1, the stop certified radii
+    # 1e-2 and 7e-3 from dense eigenvalues at n = 10 and 13, with kappa
+    # 1e4-1e5 against the operator's 1e15
+    supersonic = any(kinds[0] == FaceKind.INTERIOR_SUPERSONIC for kinds in disc.face_kinds)
+    theta, converged = complex("nan"), False
+    if not supersonic or buf.size > _DENSE_LIMIT:
+        v0 = np.random.default_rng(seed).standard_normal(buf.size)
+        theta, certified = _dominant_ritz(matvec, v0, min(buf.size, 40), _RESIDUAL_TOL, 50)
+        converged = certified and not supersonic
+    radius = abs(theta)
     if not converged and buf.size <= _DENSE_LIMIT:
-        # in rhs's row convention, the transpose: LAPACK's radius of an
+        # in rhs's row convention, not its transpose: LAPACK's radius of an
         # ill-conditioned spectrum depends on which of the two it is given
-        dense = sparse_operator(disc).T.toarray()
+        dense = _dense_operator(disc)
         # numpy's eigvals raises on a non-finite matrix
         if np.all(np.isfinite(dense)):
-            ritz, converged = np.linalg.eigvals(dense), True
-    radius = float(np.max(np.abs(ritz))) if len(ritz) else float("nan")
+            radius, converged = np.max(np.abs(np.linalg.eigvals(dense))), True
     if not np.isfinite(radius):
         return float("nan"), False
-    return radius, converged
+    return float(radius), converged

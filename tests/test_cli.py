@@ -542,20 +542,14 @@ def _loaded_after(tmp_path, commands):
 
 
 def test_serial_commands_load_no_scipy(tmp_path):
-    # time stepping, errors, the energy audit and the periodic spectra need
-    # numpy alone, and a serial sweep no process pool
+    # time stepping, errors, the energy audit and the spectra of both kinds
+    # of mesh need numpy alone, and a serial sweep no process pool
     mixed = dict(problem="mixed2d", w=[0.5, 0.5], n=4, T=0.02)
     assert _loaded_after(tmp_path, [
         ("converge", dict(T=0.02, n_list=[4, 6])),
         ("converge", dict(problem="periodic2d", w=[0.5, 0.5], T=0.02, n_list=[3, 4])),
-        ("run", mixed), ("energy", mixed), ("spectrum", dict(n_list=[4, 6]))]) == []
-
-
-def test_spectrum_loads_scipy_on_use(tmp_path):
-    # the physical-mesh probe imports ARPACK's scipy.sparse.linalg itself
-    loaded = _loaded_after(tmp_path, [
-        ("spectrum", dict(problem="mixed2d", w=[0.5, 0.5], n_list=[3, 4]))])
-    assert "scipy.sparse.linalg" in loaded
+        ("run", mixed), ("energy", mixed), ("spectrum", dict(n_list=[4, 6])),
+        ("spectrum", dict(problem="mixed2d", w=[0.5, 0.5], n_list=[3, 4]))]) == []
 
 
 def test_converge_bytes_do_not_depend_on_grid_order(tmp_path):
@@ -704,12 +698,9 @@ def test_spectrum_csv_repeats_in_one_process(tmp_path):
 
 
 def test_spectrum_reports_no_convergence(tmp_path, monkeypatch, capsys):
-    import scipy.sparse.linalg as sla
+    from advwave import diagnostics
 
-    def stalled(*args, **kwargs):
-        raise sla.ArpackNoConvergence("stalled", np.array([2.0 + 0j]), None)
-
-    monkeypatch.setattr(sla, "eigs", stalled)
+    monkeypatch.setattr(diagnostics, "_dominant_ritz", lambda *args, **kwargs: (2.0 + 0j, False))
     # grids above the dense fallback's size limit
     path = write_config(tmp_path, problem="mixed2d", w=[0.5, 0.5], n_list=[11, 12])
     out = tmp_path / "s"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advwave import diagnostics
 from advwave.basis import build_reference, tensor_eval, tensor_gauss
 from advwave.diagnostics import (bloch_symbols, discrete_energy, energy_identity_residual,
                                  fit_rate, l2_error, sparse_operator,
@@ -536,50 +537,48 @@ def test_periodic_radius_is_exact(dim, n, q, params):
 
 
 def test_spectral_probe_no_convergence(monkeypatch):
-    import scipy.sparse.linalg as sla
-
     def stalled(ritz):
-        def eigs(*args, **kwargs):
-            raise sla.ArpackNoConvergence("stalled", ritz, None)
-        return eigs
+        return lambda *args, **kwargs: (ritz, False)
 
     # small enough for the dense fallback: 162 unknowns
     small = make_disc(dim=2, n=3, q=2, w=(0.5, 0.5), mode="physical")
-    monkeypatch.setattr(sla, "eigs", stalled(np.array([3.0 + 4.0j])))
+    monkeypatch.setattr(diagnostics, "_dominant_ritz", stalled(3.0 + 4.0j))
     exact = np.max(np.abs(np.linalg.eigvals(dense_operator(small))))
     assert spectral_radius_probe(small) == (pytest.approx(exact, rel=1e-10), True)
     # too large for it: 2,178 unknowns
     large = make_disc(dim=2, n=11, q=2, w=(0.5, 0.5), mode="physical")
     assert spectral_radius_probe(large) == (5.0, False)
-    monkeypatch.setattr(sla, "eigs", stalled(np.zeros(0, dtype=complex)))
+    monkeypatch.setattr(diagnostics, "_dominant_ritz", stalled(complex("nan")))
     radius, converged = spectral_radius_probe(large)
     assert np.isnan(radius) and not converged
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_spectral_probe_never_raises(monkeypatch):
-    import scipy.sparse.linalg as sla
-
-    def failed(*args, **kwargs):
-        raise sla.ArpackError(-9999)
-
-    monkeypatch.setattr(sla, "eigs", failed)
-    # any ARPACK error falls back to the dense eigenvalues
-    small = make_disc(dim=2, n=3, q=2, w=(0.5, 0.5), mode="physical")
-    exact = np.max(np.abs(np.linalg.eigvals(dense_operator(small))))
-    assert spectral_radius_probe(small) == (pytest.approx(exact, rel=1e-10), True)
-    # too large for them, with no Ritz value
-    large = make_disc(dim=2, n=11, q=2, w=(0.5, 0.5), mode="physical")
+    # w near overflow: the products overflow, which ends the Arnoldi run
+    # with no Ritz value; the blocks stay finite, so the dense fallback
+    # still gives a radius below its size limit
+    small = make_disc(dim=2, n=3, q=2, w=(1e300, 0.5), mode="physical")
+    radius, converged = spectral_radius_probe(small)
+    assert np.isfinite(radius) and converged
+    # too large for it, with no Ritz value
+    large = make_disc(dim=2, n=11, q=2, w=(1e300, 0.5), mode="physical")
     radius, converged = spectral_radius_probe(large)
     assert np.isnan(radius) and not converged
-    # blocks that overflow have no finite radius, dense or from ARPACK
+    # blocks that overflow have no finite radius, dense or from Arnoldi
     small.blocks = np.full_like(small.blocks, np.inf)
     radius, converged = spectral_radius_probe(small)
     assert np.isnan(radius) and not converged
-    monkeypatch.setattr(sla, "eigs", lambda *args, **kwargs: np.array([np.inf + 0j]))
+    monkeypatch.setattr(diagnostics, "_dominant_ritz", lambda *args, **kwargs: (np.inf + 0j, False))
+    large = make_disc(dim=2, n=11, q=2, w=(0.5, 0.5), mode="physical")
     radius, converged = spectral_radius_probe(large)
     assert np.isnan(radius) and not converged
-    # on a periodic mesh too, with no ARPACK and no warning
+    # any failure falls back to the dense eigenvalues
+    small = make_disc(dim=2, n=3, q=2, w=(0.5, 0.5), mode="physical")
+    exact = np.max(np.abs(np.linalg.eigvals(dense_operator(small))))
+    assert spectral_radius_probe(small) == (pytest.approx(exact, rel=1e-10), True)
+    # on a periodic mesh too, with no Arnoldi run and no warning
     periodic = make_disc(dim=2, n=3, q=2, w=(0.5, 0.5))
     periodic.blocks = np.full_like(periodic.blocks, np.inf)
     with warnings.catch_warnings():
@@ -609,3 +608,99 @@ def test_spectral_probe_scaling():
     assert doubled / base == pytest.approx(2.0, rel=0.2)
     q4, _ = spectral_radius_probe(make_disc(n=10, q=4))
     assert q4 / base == pytest.approx(4.0, rel=0.5)
+
+
+def test_dense_operator_is_the_sparse_transpose():
+    # the dense fallback's matrix, built in numpy, in rhs's row convention
+    for disc in (make_disc(dim=2, n=4, q=2, w=(1.5, 0.3), mode="physical"),
+                 make_disc(dim=1, n=2, q=3),
+                 make_disc(dim=2, n=2, q=2, w=(0.5, 0.5))):
+        dense = diagnostics._dense_operator(disc)
+        assert np.array_equal(dense, sparse_operator(disc).T.toarray())
+
+
+def test_dominant_ritz_on_explicit_matrices():
+    rng = np.random.default_rng(3)
+    # non-normal Hessenberg matrices: on 300 unknowns the run restarts; on
+    # 120 the dominant eigenvalue is one of a complex pair
+    restarted = np.triu(rng.standard_normal((300, 300)), -1) + np.diag(np.linspace(0, 3, 300))
+    pair = np.triu(rng.standard_normal((120, 120)), -1) + np.diag(np.linspace(0, 3, 120))
+    pair[0, 1] += 7.0
+    pair[1, 0] -= 7.0
+    for a in (restarted, pair):
+        calls = []
+        theta, certified = diagnostics._dominant_ritz(lambda x: calls.append(1) or a @ x,
+                                                      rng.standard_normal(len(a)), 40, 1e-10, 50)
+        assert certified
+        assert abs(theta) == pytest.approx(np.max(np.abs(np.linalg.eigvals(a))), rel=1e-4)
+        assert len(calls) > 60 if a is restarted else theta.imag != 0
+    # ncv = N: one cycle spans the whole space
+    b = rng.standard_normal((12, 12))
+    theta, certified = diagnostics._dominant_ritz(lambda x: b @ x, rng.standard_normal(12),
+                                                  12, 1e-10, 50)
+    assert certified
+    assert abs(theta) == pytest.approx(np.max(np.abs(np.linalg.eigvals(b))), rel=1e-10)
+    # a start vector in an invariant subspace exhausts the Krylov space
+    # before it sees the dominant eigenvalue
+    d = np.diag(np.arange(1.0, 61.0))
+    theta, certified = diagnostics._dominant_ritz(lambda x: d @ x, np.eye(60)[0], 40, 1e-10, 50)
+    assert theta == pytest.approx(1.0) and not certified
+    # products that are not finite: no Ritz value, no exception
+    theta, certified = diagnostics._dominant_ritz(lambda x: np.full_like(x, np.inf),
+                                                  rng.standard_normal(50), 40, 1e-10, 50)
+    assert np.isnan(theta) and not certified
+
+
+def test_spectral_probe_supersonic_inflow_above_the_dense_limit():
+    # the supersonic case of test_spectral_probe_supersonic_inflow on a grid
+    # of 2,197 unknowns: no certificate with a supersonic axis, and no dense
+    # fallback, so the radius is the dominant Ritz value
+    disc = Discretization(build_mesh(2, 13, "physical"), build_reference(2, 1, dim=2),
+                          FluxParams.sommerfeld(), [1.5, 0.3], 1.0)
+    assert disc.input.size > diagnostics._DENSE_LIMIT
+    radius, converged = spectral_radius_probe(disc)
+    assert np.isfinite(radius) and not converged
+
+
+def test_spectral_probe_withholds_an_ill_conditioned_radius():
+    # mixed2d q=1 n=28, 6,272 unknowns: its top eigenvalues' condition
+    # number is ~1e15, and the radii the Arnoldi run settles on differ by
+    # 3e-4 between start vectors; the stop certifies none of them
+    disc = make_disc(dim=2, n=28, q=1, w=(0.5, 0.5), mode="physical")
+    radius, converged = spectral_radius_probe(disc)
+    assert radius == pytest.approx(300.6, rel=2e-3) and not converged
+
+
+@st.composite
+def physical_probe_cases(draw):
+    """Small physical meshes, at most 500 unknowns: 1D and 2D, q = 1-3,
+    s = q or q - 1, subsonic or supersonic w, and the Sommerfeld, central
+    and custom fluxes."""
+    dim = draw(st.sampled_from([1, 2]))
+    q = draw(st.integers(1, 3))
+    s = draw(st.sampled_from([q, q - 1]))
+    per_element = (q + 1) ** dim + (s + 1) ** dim
+    n = draw(st.integers(2, max(2, int((500 / per_element) ** (1 / dim)))))
+    w = draw(st.lists(st.floats(-0.6, 0.6), min_size=dim, max_size=dim))
+    if draw(st.booleans()):
+        w[0] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.2, 2.0))
+    params = draw(st.sampled_from([
+        FluxParams.sommerfeld(), FluxParams.central(),
+        FluxParams(sigma=draw(st.floats(0.0, 1.0)), beta=draw(st.floats(0.0, 2.0)),
+                   eta=draw(st.floats(0.0, 2.0)))]))
+    return dim, n, q, s, w, params, draw(st.integers(0, 2 ** 16))
+
+
+@given(physical_probe_cases())
+@settings(max_examples=40, deadline=None)
+def test_certified_radius_matches_dense_eigenvalues(case):
+    dim, n, q, s, w, params, seed = case
+    disc = Discretization(build_mesh(dim, n, "physical"), build_reference(q, s, dim=dim),
+                          params, w, 1.0)
+    assert disc.input.size <= 500
+    radius, converged = spectral_radius_probe(disc, seed=seed)
+    if converged:
+        exact = np.max(np.abs(np.linalg.eigvals(diagnostics._dense_operator(disc))))
+        assert radius == pytest.approx(exact, rel=1e-4)
+    again = spectral_radius_probe(disc, seed=seed)
+    assert np.array_equal(again, (radius, converged), equal_nan=True)
