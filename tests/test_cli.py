@@ -687,7 +687,8 @@ def test_spectrum_smoke(tmp_path):
 
 
 def test_spectrum_csv_repeats_in_one_process(tmp_path):
-    # ARPACK keeps its own random state between calls; the probe must not use it
+    # each probe draws its start vector from a generator seeded by --seed
+    # alone, so a run with another seed in between leaves the CSV unchanged
     path = write_config(tmp_path, problem="mixed2d", w=[0.5, 0.5], n_list=[4, 5])
     assert main(["spectrum", "--config", path, "--output", str(tmp_path / "a")]) == 0
     assert main(["spectrum", "--config", path, "--output", str(tmp_path / "b"),
@@ -711,8 +712,8 @@ def test_spectrum_reports_no_convergence(tmp_path, monkeypatch, capsys):
 
 
 def test_spectrum_of_an_overflowing_operator(tmp_path):
-    # w near overflow makes ARPACK fail (error -9999) on mixed2d; the probe
-    # falls back to the dense eigenvalues instead of raising
+    # w near overflow on mixed2d: the supersonic axis sends the probe
+    # straight to the dense eigenvalues, which give a radius, not an error
     path = write_config(tmp_path, problem="mixed2d", w=[1e300, 0.5], n_list=[4, 5])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

@@ -588,8 +588,8 @@ def test_spectral_probe_never_raises(monkeypatch):
 
 
 def test_spectral_probe_supersonic_inflow():
-    # supersonic in x with s = q - 1: the top eigenvalues are ill-conditioned
-    # and ARPACK stalls; the dense fallback still returns a radius
+    # supersonic in x with s = q - 1: the top eigenvalues are ill-conditioned,
+    # so the probe goes straight to the dense eigenvalues, which give a radius
     disc = Discretization(build_mesh(2, 5, "physical"), build_reference(2, 1, dim=2),
                           FluxParams.sommerfeld(), [1.5, 0.3], 1.0)
     exact = np.max(np.abs(np.linalg.eigvals(dense_operator(disc))))
@@ -598,7 +598,7 @@ def test_spectral_probe_supersonic_inflow():
     assert converged
     # ill-conditioned: LAPACK on the operator and on its transpose differ
     assert radius == pytest.approx(exact, rel=1e-3)
-    # ARPACK's bounded restarts; the dense fallback reads the blocks
+    # no Krylov run: the dense eigenvalues read the blocks, not rhs products
     assert len(calls) <= 2000
 
 

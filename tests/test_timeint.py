@@ -24,9 +24,10 @@ def _writing(rhs):
 
 
 def _stage(n_el, nu, nv):
-    """A stand-in for a discretization's stage array: a new input array and
-    its u and v column views."""
-    stage = np.empty((n_el, nu + nv))
+    """A stand-in for a discretization's stage array: a new input array,
+    coefficient-major like a discretization's, and its u and v column
+    views."""
+    stage = np.empty((nu + nv, n_el)).T
     return SimpleNamespace(input=stage, input_uv=(stage[:, :nu], stage[:, nu:]))
 
 
@@ -169,6 +170,61 @@ def test_instability_detection():
     assert err.value.step == 1
 
 
+def _with_rhs(dim, rhs):
+    """A stand-in for a periodic discretization in dim dimensions at q = 3:
+    its input array and views, stepped with rhs(u, v, t, out)."""
+    n = 6 if dim == 1 else 3
+    disc = Discretization(build_mesh(dim, n, "periodic"), build_reference(3, 3, dim=dim),
+                          FluxParams.sommerfeld(), [0.5, 0.25][:dim], 1.0)
+    return SimpleNamespace(input=disc.input, input_uv=disc.input_uv, rhs=rhs)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_one_non_finite_entry_raises_at_its_step(dim, bad):
+    # the fourth stage derivative of step 3 has one non-finite entry, the
+    # first or the last of u or of v (the first and the last in memory
+    # among them), the others zero: the update makes it the state's only
+    # non-finite entry, and the check after that step raises
+    for field in (0, 1):
+        for index in (0, -1):
+            calls, seen = [], []
+
+            def rhs(u, v, t, out):
+                calls.append(t)
+                out[...] = 0.0
+                du, dv = out[:, :u.shape[1]], out[:, u.shape[1]:]
+                if len(calls) == 12:
+                    (du, dv)[field][index, index] = bad
+                return du, dv
+
+            disc = _with_rhs(dim, rhs)
+            rng = np.random.default_rng(1)
+            n_el, nu = disc.input_uv[0].shape
+            state0 = ModalState(rng.standard_normal((n_el, nu)),
+                                rng.standard_normal((n_el, disc.input.shape[1] - nu)))
+            with pytest.raises(InstabilityError) as err:
+                evolve(state0, disc, 0.05, 5, observers=[lambda k, s: seen.append(k)])
+            assert err.value.step == 3 and seen == [0, 1, 2]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_finite_extremes_do_not_raise(dim):
+    # 0 x is 0 for the largest finite x, so a state of +-1e308 passes
+    # the check
+    def rhs(u, v, t, out):
+        out[...] = 0.0
+        return out[:, :u.shape[1]], out[:, u.shape[1]:]
+
+    disc = _with_rhs(dim, rhs)
+    nu = disc.input_uv[0].shape[1]
+    signs = np.random.default_rng(2).choice([-1.0, 1.0], size=disc.input.shape)
+    state0 = ModalState(1e308 * signs[:, :nu], 1e308 * signs[:, nu:])
+    final = evolve(state0, disc, 0.05, 5)
+    assert np.array_equal(final.u, state0.u) and np.array_equal(final.v, state0.v)
+
+
 def test_instability_error_pickles():
     # converge's worker processes send it back pickled
     err = pickle.loads(pickle.dumps(InstabilityError(124)))
@@ -216,14 +272,21 @@ def test_dt_refinement_reduces_time_error():
 
 
 def _reference_rk4(u, v, t, dt, rhs):
-    """One RK4 step on separate arrays, the formulas evolve applies in place."""
+    """One RK4 step on separate arrays, the formulas evolve applies in place.
+
+    The update is the same BLAS product as rk4_step's, over [x k1 k2 k3 k4]
+    stacked in its coefficient-major order: a BLAS kernel's rounding may
+    depend on an entry's position."""
     k1u, k1v = rhs(u, v, t)
     k2u, k2v = rhs(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, t + 0.5 * dt)
     k3u, k3v = rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, t + 0.5 * dt)
     k4u, k4v = rhs(u + dt * k3u, v + dt * k3v, t + dt)
-    un = u + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    vn = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return un, vn, t + dt
+    rows = np.stack([np.hstack(pair).T for pair in
+                     ((u, v), (k1u, k1v), (k2u, k2v), (k3u, k3v), (k4u, k4v))])
+    weights = np.array([1.0, dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0])
+    x = np.dot(weights, rows.reshape(5, -1)).reshape(rows.shape[1:]).T
+    nu = u.shape[1]
+    return x[:, :nu], x[:, nu:], t + dt
 
 
 @pytest.mark.parametrize("problem", ["periodic1d", "periodic2d", "mixed2d"])
@@ -285,8 +348,8 @@ def test_observer_copy_does_not_alias_the_stepped_state():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_evolve_buffers_follow_the_operator(dim):
     # the stages are written into the operator's input (coefficient-major)
-    # and the state and stage derivatives share its strides, so no stage
-    # operation, rhs input or rhs output transposes
+    # and the state and stage derivatives, the rows of one array, share its
+    # strides, so no stage operation, rhs input or rhs output transposes
     n = 6 if dim == 1 else 3
     disc = Discretization(build_mesh(dim, n, "periodic"), build_reference(3, 3, dim=dim),
                           FluxParams.sommerfeld(), [0.5, 0.25][:dim], 1.0)
@@ -298,8 +361,12 @@ def test_evolve_buffers_follow_the_operator(dim):
     assert buf.stage is disc.input
     assert all(a is b for a, b in zip(buf.stage_uv, disc.input_uv))
     strides = disc.input.strides
+    assert buf.rows.shape == (5,) + disc.input.T.shape and buf.rows.flags["C_CONTIGUOUS"]
+    assert all(row.T.strides == strides for row in buf.rows)
     assert buf.x.strides == strides and all(k.strides == strides for k in buf.k)
-    assert buf.finite.strides == tuple(s // buf.x.itemsize for s in strides)
+    assert all(np.shares_memory(a, row) for a, row in zip((buf.x,) + buf.k, buf.rows))
+    with pytest.raises(ValueError, match="coefficient-major"):
+        RK4Buffers(state0, SimpleNamespace(input=np.empty(disc.input.shape), input_uv=None))
 
     calls, rhs = [], disc.rhs
 
