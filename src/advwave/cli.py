@@ -329,6 +329,18 @@ def write_csv(path, header: list[str], rows) -> None:
                               for c in row) + "\n")
 
 
+def _evolve(state: ModalState, disc: Discretization, T: float, n_steps: int,
+            observers=()) -> ModalState:
+    """``evolve``, with the warnings raised during the solve held back and
+    shown once it completes.  A solve that blows up raises InstabilityError
+    alone: the overflow warnings of its last steps' arithmetic are dropped."""
+    with warnings.catch_warnings(record=True) as caught:
+        final = evolve(state, disc, T, n_steps, observers=observers)
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return final
+
+
 # --- subcommands -------------------------------------------------------------
 
 def cmd_run(cfg: RunConfig, outdir, seed: int) -> int:
@@ -346,7 +358,7 @@ def cmd_run(cfg: RunConfig, outdir, seed: int) -> int:
         eu, ev = l2_error(st, spec, st.t, disc)
         rows.append((step, st.t, e, eu, ev))
 
-    evolve(state, disc, T, n_steps, observers=[record])
+    _evolve(state, disc, T, n_steps, observers=[record])
     write_csv(outdir / "run.csv", ["step", "t", "energy", "err_u", "err_v"], rows)
     # the last row is the final state, at t = T
     _, _, energy, eu, ev = rows[-1]
@@ -368,7 +380,7 @@ def _converge_one(cfg: RunConfig, n: int):
     disc, spec = build_discretization(cfg, n=n)
     _, T, _, n_steps = time_step(cfg, disc)
     state = project_initial(spec, disc)
-    final = evolve(state, disc, T, n_steps)
+    final = _evolve(state, disc, T, n_steps)
     eu, ev = l2_error(final, spec, final.t, disc)
     return n, disc.mesh.h, eu, ev
 
@@ -447,8 +459,8 @@ def cmd_energy(cfg: RunConfig, outdir, seed: int) -> int:
     trace = []
     st = random_state(disc, rng)
     try:
-        evolve(st, disc, T, n_steps,
-               observers=[lambda k, s: trace.append(discrete_energy(s, disc))])
+        _evolve(st, disc, T, n_steps,
+                observers=[lambda k, s: trace.append(discrete_energy(s, disc))])
     except InstabilityError as e:
         print(f"instability: {e}", file=sys.stderr)
         return EXIT_INSTABILITY if ok else EXIT_ENERGY

@@ -7,6 +7,8 @@ Only ``sparse_operator`` loads scipy."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .mesh import FaceKind
@@ -14,9 +16,10 @@ from .operators import Discretization, ModalState, _grid_couplings
 
 
 def _energy_terms(disc: Discretization, u, v, du, dv):
-    """(sum v . M dv, sum u . S du) in the element energy form of disc."""
-    return (np.sum(v * (dv * disc.v_mass_diag)),
-            np.sum(u * (du @ disc.stiffness.T)))
+    """(sum v . M dv, sum u . S du) in the element energy form of disc, each
+    one BLAS dot product."""
+    return (np.vdot(v, dv * disc.v_mass_diag),
+            np.vdot(u, du @ disc.stiffness.T))
 
 
 def discrete_energy(state: ModalState, disc: Discretization) -> float:
@@ -62,14 +65,19 @@ def l2_error(state: ModalState, spec, t: float, disc: Discretization):
     every element are evaluated, per axis, on the first call for a
     discretization and kept in ``disc.error_quadrature``, the rule's
     ``FieldTable``; later calls combine them with the time factors at t.
+    The error is the norm of the difference at the points, each scaled by
+    the square root of its weight (with the element Jacobian): one BLAS dot
+    product of the scaled values with themselves.
     """
     ref, exact = disc.ref, disc.error_quadrature
-    weights = disc.jac_vol * ref.err_weights
+    root_weights = np.sqrt(disc.jac_vol * ref.err_weights)
 
     def error(coeffs, vals_t, field):
         diff = coeffs @ vals_t
         diff -= exact(field, t)
-        return float(np.sqrt(np.sum(np.square(diff, out=diff) @ weights)))
+        diff *= root_weights
+        flat = diff.ravel()
+        return math.sqrt(np.dot(flat, flat))
 
     return (error(state.u, ref.err_vals_u_t, spec.exact_u),
             error(state.v, ref.err_vals_v_t, spec.exact_v))
@@ -310,14 +318,16 @@ def spectral_radius_probe(disc: Discretization, seed: int = 0):
         radius = (float(np.max(np.abs(np.linalg.eigvals(symbols))))
                   if np.all(np.isfinite(symbols)) else float("nan"))
         return (radius, True) if np.isfinite(radius) else (float("nan"), False)
-    nu = disc.ref.n_u
-    # coefficient-major vectors: rhs then reads and writes them without a
-    # transpose
+    # coefficient-major vectors: a Krylov vector is the entries of rhs's
+    # input in memory order, copied there in one piece (the F-order ravel
+    # of the coefficient-major input is a view), and rhs writes its image
+    # without a transpose
     buf = np.empty_like(disc.input)
+    x_flat, x_uv = disc.input.ravel(order="F"), disc.input_uv
 
     def matvec(x):
-        x = x.reshape(buf.shape, order="F")
-        disc.rhs(x[:, :nu], x[:, nu:], 0.0, out=buf)
+        x_flat[...] = x
+        disc.rhs(*x_uv, 0.0, out=buf)
         return buf.ravel(order="F")
 
     # on mixed2d with w = (1.5, 0.3), q = 2, s = 1, the stop certified radii

@@ -45,6 +45,18 @@ blocks and boundary corrections.  A separable forcing sum_k tau_k(t) F_k
 rides in the same product: the projections of the F_k are rows of G, written
 at build time, and the tau_k(t) are entries of the lift factor.
 
+G holds only the rows some column of the lift factor reads.  The fluxes make
+parts of the operator exactly zero: with a dissipative flux a supersonic
+interior face takes every state from upwind, and a supersonic boundary pins
+both states or imposes nothing.  So ``_family_reference`` records, once per
+family, the rows of each lift that are not all zero; a slot holds the
+smallest run of rows that contains them, a lift that is all zero has no
+slot (the downwind neighbour across a supersonic face, a supersonic
+boundary side), and the product starts at [u v]'s second row, as no block
+reads an element's own u constant.  Of the slot rows, 12 of 64 go in mixed2d
+q = 2 with the Sommerfeld flux, and 37 of 80 with q = 3, s = 2 and
+w = (1.5, 0.3).  ``blocks`` keep every row.
+
 ``matrix_free_rhs`` keeps the face-by-face evaluation of the homogeneous
 operator, built directly at the grid's size, the reference the assembled (and
 rescaled) one is tested against.  It and the energy audit
@@ -141,8 +153,12 @@ def _stack(factors, shape):
 
 
 def _combine(g, f):
-    """sum_k g[k] * f[k] for time factors g and space factors f."""
-    return (g @ f.reshape(len(g), -1)).reshape(f.shape[1:])
+    """sum_k g[k] * f[k] for time factors g and space factors f.
+
+    np.dot, not the @ operator: with one time factor (K = 1) numpy 2.4's
+    matmul leaves BLAS for a slow loop, 11.7 us against np.dot's 3.8 at
+    7,056 points."""
+    return np.dot(g, f.reshape(len(g), -1)).reshape(f.shape[1:])
 
 
 class FieldTable:
@@ -453,22 +469,59 @@ def _reference_size(dim: int, c: float) -> float:
 @functools.lru_cache(maxsize=FAMILY_CACHE)
 def _family_reference(q: int, s: int, dim: int, params: FluxParams, w: tuple, c: float,
                       kinds: tuple):
-    """(h, blocks, lifts): the operator of a family, as ``_Element.assemble``
-    gives it at the family's reference element size h.
+    """(h, blocks, first, runs, lifts, v_rows): the operator of a family, as
+    ``_Element.assemble`` gives it at the family's reference element size
+    h, and the rows of rhs's lift factor that are not structurally zero.
 
     A family is what the assembly reads: degrees, dimension, flux, w, c and
     the flux kinds of each axis (which also tell periodic grids from
     physical ones); its grids differ only in n.  Every grid of the family
     takes its blocks and lifts from this one reference by ``_rescale``, so
-    they do not depend on which grids a process built before.  The arrays
-    are read-only; an overflow leaves them not finite.
+    they do not depend on which grids a process built before.
+
+    rhs lifts a slot's rows with the rows of a slot lift (lifts in 2D,
+    neighbour blocks and boundary corrections in 1D; see
+    ``Discretization._build_operand``), and the element's own [u v] with
+    the self block.  A row that is all zero is read by no column of the lift
+    factor: first is the self block's first row that is not (its u-constant
+    row is zero), and runs holds (slot, start, stop) for each slot lift with
+    a row that is not, rows start to stop the smallest run that holds all
+    such rows.  A slot lift that is all zero has no run: the downwind
+    neighbour of a supersonic face, or a supersonic boundary side.  In 2D
+    lifts are the rows of the runs, stacked in slot order, and v_rows tells
+    which of them ``_rescale`` takes as v rows; a 1D grid takes those rows
+    from its rescaled blocks, and both are None.  The arrays are read-only;
+    an overflow leaves them not finite, and its rows are kept.
     """
     h = _reference_size(dim, c)
-    element = _Element(build_reference(q, s, dim), np.array(w), c, h)
+    ref = build_reference(q, s, dim)
+    element = _Element(ref, np.array(w), c, h)
     with np.errstate(over="ignore", invalid="ignore"):
         blocks, lifts = element.assemble(params, kinds)
-    blocks.flags.writeable = lifts.flags.writeable = False
-    return h, blocks, lifts
+    # NaN != 0: a row that overflowed is read.  The self block has a row
+    # that is not zero (du takes v)
+    first = int(np.argmax(np.any(blocks[0] != 0, axis=-1)))
+    # a 2D slot holds the r traces of a face (11 of the 32 coefficients at
+    # q = s = 3), lifted by the lifts; a 1D one holds all N coefficients,
+    # lifted by the full blocks: with r = 2 against N = 8 the trace product
+    # costs a whole array call and saves few flops.  Per rhs call at q = 3
+    # (one thread, medians of interleaved rounds), full blocks took 1.7-1.9x
+    # as long in 2D (n = 14, 28) and traces 11-18 % longer in 1D (n = 10-160)
+    runs = []
+    for slot, lift in enumerate(blocks[1:] if dim == 1 else lifts):
+        read = np.flatnonzero(np.any(lift != 0, axis=-1))
+        if read.size:
+            runs.append((slot, int(read[0]), int(read[-1]) + 1))
+    blocks.flags.writeable = False
+    if dim == 1:
+        return h, blocks, first, tuple(runs), None, None
+    r = ref.unit_v.shape[1]
+    kept = [slot * r + i for slot, start, stop in runs for i in range(start, stop)]
+    # a lift row is a v trace where its unit trace has a v part
+    v_rows = np.tile(np.any(ref.unit_v, axis=(0, 2)), len(lifts))[kept]
+    lifts = lifts.reshape(len(lifts) * r, -1)[kept]
+    lifts.flags.writeable = v_rows.flags.writeable = False
+    return h, blocks, first, tuple(runs), lifts, v_rows
 
 
 def _rescale(a: np.ndarray, k: float, nu: int, v_rows: np.ndarray) -> np.ndarray:
@@ -542,7 +595,7 @@ class Discretization:
         # below and problems.project_initial's exact data
         self.volume_quadrature = FieldTable(mesh, ref.vol_nodes)
 
-        self.blocks, lifts = self._rescaled_reference()
+        self.blocks, first, runs, lifts = self._rescaled_reference()
         # work arrays of rhs (allocating them per call costs page faults)
         # and the fixed views it works through.  rhs reads the stacked
         # [u v] of every element from input, an (n_elements, Nu+Nv) view;
@@ -550,7 +603,7 @@ class Discretization:
         # (the RK4 stages) can write a state there directly
         nu = ref.n_u
         self._nu = nu
-        self._build_operand(lifts)
+        self._build_operand(first, runs, lifts)
         self.input_uv = self.input[:, :nu], self.input[:, nu:]
         # _tau_t is the time _tau was written at (None: not yet)
         self._forcing_time = None if forcing is None else forcing.time
@@ -562,22 +615,24 @@ class Discretization:
         return FieldTable(self.mesh, self.ref.err_nodes)
 
     def _rescaled_reference(self):
-        """(blocks, lifts) of this grid, rescaled from its family's
-        reference; lifts in 2D only (1D lifts are the blocks)."""
+        """(blocks, first, runs, lifts) of this grid: its family's reference
+        (``_family_reference``) rescaled, lifts as a list of arrays of kept
+        lift rows (in 1D, slices of the blocks)."""
         ref = self.ref
         # the key in canonical floats: + 0.0 makes a -0.0, which the key
         # does not tell from 0.0, the 0.0 the reference is built from
         params = FluxParams(**{k: float(x) + 0.0 for k, x in vars(self.params).items()})
         w = tuple(float(x) + 0.0 for x in self.w)
-        h_ref, blocks, lifts = _family_reference(ref.q, ref.s, ref.dim, params, w, self.c,
-                                                 tuple(self.face_kinds))
+        h_ref, blocks, first, runs, lifts, v_rows = _family_reference(
+            ref.q, ref.s, ref.dim, params, w, self.c, tuple(self.face_kinds))
         k, nu = h_ref / self.mesh.h, ref.n_u
         # an overflow shows as blocks that are not finite, raised below
         with np.errstate(over="ignore", invalid="ignore"):
             blocks = _rescale(blocks, k, nu, np.arange(blocks.shape[-1]) >= nu)
-            # a lift row is a v trace where its unit trace has a v part
-            lifts = (None if ref.dim == 1 else
-                     _rescale(lifts, k, nu, np.any(ref.unit_v, axis=(0, 2))))
+            # the kept rows, in groups: a 1D slot lift is a neighbour block
+            # or boundary correction
+            lifts = ([blocks[1 + slot, start:stop] for slot, start, stop in runs]
+                     if ref.dim == 1 else [_rescale(lifts, k, nu, v_rows)])
             # S du, the u equation's right side before its element solve:
             # the energy rate u S du takes the blocks through it, and a
             # large w (1e306 at q = 3) overflows it while du is finite
@@ -585,7 +640,7 @@ class Discretization:
         if not (np.all(np.isfinite(blocks)) and np.all(np.isfinite(s_du))):
             raise ValueError("the operator's blocks overflow")
         blocks.flags.writeable = False
-        return blocks, lifts
+        return blocks, first, runs, lifts
 
     # --- traces and fluxes ------------------------------------------------
 
@@ -653,38 +708,31 @@ class Discretization:
 
     # --- assembly ------------------------------------------------------------
 
-    def _build_operand(self, lifts) -> None:
+    def _build_operand(self, first, runs, lifts) -> None:
         """Work arrays and views of the stencil, all coefficient-major (one
         column per element).  The operand holds [u v] (its first N rows,
-        input's transpose), below it one slot per lift, the coefficients
-        that lift reads, and with a forcing sum_k tau_k(t) F_k the K*Nv
-        rows of its v projections (row k*Nv + i of them holds coefficient i
-        of F_k), written once.  A slot holds a neighbour's coefficients on
-        the shared face, zero where a side has no neighbour, and on a
-        physical mesh the element's own on each boundary side, zero on its
-        other sides.  Slots are copied, as whole runs of elements, from a
-        source of every element's coefficients on every side; the
-        derivative is then the lift factor, the transpose of [self block;
-        lifts] with K*Nv more columns, times the operand.  Those columns are
-        zero but for tau_k at (Nu + i, forcing row k*Nv + i), so a forced
-        derivative is the same one product; ``_tau`` is the (Nv, K) view of
-        those entries that rhs writes the time factors into.  Without a
-        forcing there are no such rows, columns or view."""
+        input's transpose), below it a slot per run (see
+        ``_family_reference``), the rows start to stop of the coefficients
+        its lift reads, and with a forcing sum_k tau_k(t) F_k the K*Nv rows
+        of its v projections (row k*Nv + i of them holds coefficient i of
+        F_k), written once.  A slot holds a neighbour's coefficients on the
+        shared face, zero where a side has no neighbour, and on a physical
+        mesh the element's own on each boundary side, zero on its other
+        sides.  Slots are copied, as whole runs of elements, from a source
+        of every element's coefficients on every side; the derivative is
+        then the lift factor, the transpose of [self block rows first to N;
+        lifts] with K*Nv more columns, times the operand from its row first
+        on.  Those columns are zero but for tau_k at (Nu + i, forcing row
+        k*Nv + i), so a forced derivative is the same one product; ``_tau``
+        is the (Nv, K) view of those entries that rhs writes the time
+        factors into.  Without a forcing there are no such rows, columns or
+        view."""
         dim, n, nb = self.mesh.dim, self.mesh.n, self.blocks.shape[-1]
         sides, n_el, nu = 2 * dim, self.mesh.n_elements, self._nu
-        # a 2D slot holds the r traces of a face (11 of the 32 coefficients
-        # at q = s = 3), lifted by the lifts; a 1D one holds all N
-        # coefficients, lifted by the full blocks: with r = 2 against N = 8
-        # the trace product costs a whole array call and saves few flops.
-        # Per rhs call at q = 3 (one thread, medians of interleaved rounds),
-        # full blocks took 1.7-1.9x as long in 2D (n = 14, 28) and traces
-        # 11-18 % longer in 1D (n = 10-160)
-        whole = dim == 1
-        if whole:
-            lifts = self.blocks[1:]
-        n_lifts, r = lifts.shape[:2]
-        n_rows, nv = nb + n_lifts * r, nb - nu
-        factor = np.concatenate([self.blocks[0], lifts.reshape(-1, nb)]).T
+        # a 1D slot holds all N coefficients (see _family_reference)
+        r = nb if dim == 1 else self.ref.trace_maps.shape[-1]
+        n_rows, nv = nb + sum(map(len, lifts)), nb - nu
+        factor = np.concatenate([self.blocks[0, first:], *lifts]).T
         if self.forcing is None:
             self._operand = np.zeros((n_rows, n_el))
             self._lift_factor = factor.copy()
@@ -693,19 +741,23 @@ class Discretization:
             n_tau = len(proj)
             self._operand = np.zeros((n_rows + n_tau * nv, n_el))
             self._operand[n_rows:] = proj.transpose(0, 2, 1).reshape(-1, n_el)
-            self._lift_factor = np.zeros((nb, n_rows + n_tau * nv))
-            self._lift_factor[:, :n_rows] = factor
-            # entry (nu + i, n_rows + k*nv + i) is column k of row i
+            self._lift_factor = np.zeros((nb, n_rows - first + n_tau * nv))
+            self._lift_factor[:, :n_rows - first] = factor
+            # entry (nu + i, n_rows - first + k*nv + i) is column k of row i
+            # (an ndarray on the factor's buffer: as_strided took 3.4 us,
+            # this 0.8)
             s0, s1 = self._lift_factor.strides
-            self._tau = np.lib.stride_tricks.as_strided(
-                self._lift_factor[nu:, n_rows:], (nv, n_tau), (s0 + s1, nv * s1))
+            self._tau = np.ndarray((nv, n_tau), buffer=self._lift_factor,
+                                   offset=nu * s0 + (n_rows - first) * s1,
+                                   strides=(s0 + s1, nv * s1))
+        self._first, self._runs = first, runs
         self.input = self._operand[:nb].T
         # the layout rhs's out must have: its transpose is the product's target
         self._out_strides = self.input.strides
-        self._lift_products = [(self._operand[:, cols], cols)
+        self._lift_products = [(self._operand[first:, cols], cols)
                                for cols in _column_blocks(self._lift_factor, n_el)]
         grid = (n,) * dim
-        if whole:
+        if dim == 1:
             self._trace_products = []
             source = [self._operand[:nb].reshape((r,) + grid)] * sides
         else:
@@ -715,14 +767,21 @@ class Discretization:
             self._trace_products = [(self._operand[:nb, cols], traces[:, cols])
                                     for cols in _column_blocks(self._trace_factor, n_el)]
             source = traces.reshape((sides, r) + grid)
-        slots = self._operand[nb:n_rows].reshape((n_lifts, r) + grid)
-        every = (slice(None),)
+        # each kept slot's rows in the operand, and the rows of a source it
+        # takes: those of its run
+        slots, at, row = self._operand[nb:n_rows].reshape((-1,) + grid), {}, 0
+        for slot, start, stop in runs:
+            at[slot] = slice(row, row + stop - start), slice(start, stop)
+            row += stop - start
         shifts, strips = _grid_couplings(dim, self.mesh.periodic)
         # the neighbour across side s meets it with its side s ^ 1
-        self._copies = [(slots[(side,) + every + dst], source[side ^ 1][every + src])
-                        for side, dst, src in shifts]
-        self._copies += [(slots[(sides + side,) + every + layer], source[side][every + layer])
-                         for side, layer in strips]
+        faces = [(side, side ^ 1, dst, src) for side, dst, src in shifts]
+        faces += [(sides + side, side, layer, layer) for side, layer in strips]
+        self._copies = []
+        for slot, face, dst, src in faces:
+            if slot in at:
+                rows, kept = at[slot]
+                self._copies.append((slots[(rows,) + dst], source[face][(kept,) + src]))
 
     # --- operator application ----------------------------------------------
 
@@ -767,10 +826,11 @@ class Discretization:
         for dst, src in self._copies:
             dst[...] = src
         result = out.T
-        if len(self._lift_products) == 1:
-            np.dot(self._lift_factor, self._operand, result)
+        lift_products = self._lift_products
+        if len(lift_products) == 1:
+            np.dot(self._lift_factor, lift_products[0][0], result)
         else:
-            for operand_cols, cols in self._lift_products:
+            for operand_cols, cols in lift_products:
                 np.matmul(self._lift_factor, operand_cols, result[:, cols])
         nu = self._nu
         return out[:, :nu], out[:, nu:]

@@ -449,6 +449,43 @@ def test_instability_exit_code(tmp_path):
     assert code == 3
 
 
+def test_unstable_run_reports_no_overflow_warnings(tmp_path):
+    # the arithmetic of the last steps before the state stops being finite
+    # overflows; those warnings are dropped with the solve, so stderr holds
+    # the step's stability warning and the one instability line
+    path = write_config(tmp_path, q=4, n=40, T=30.0, cfl=20.0)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONWARNINGS": "default",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "advwave.cli", "run", "--config", path,
+                           "--output", str(tmp_path / "u")],
+                          capture_output=True, env=env, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "UserWarning: dt = 5.000e-01 likely unstable" in proc.stderr
+    assert re.search(r"^instability: non-finite state detected at step \d+$", proc.stderr,
+                     re.M), proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_solve_warnings_are_shown_once_the_solve_completes(monkeypatch):
+    # a solve's warnings are held back: shown after it completes, dropped
+    # when it raises InstabilityError
+    def solve(state, disc, T, n_steps, observers=()):
+        warnings.warn("from the solve", RuntimeWarning)
+        if T > 1.0:
+            raise cli.InstabilityError(3)
+        return state
+
+    monkeypatch.setattr(cli, "evolve", solve)
+    with pytest.warns(RuntimeWarning, match="from the solve"):
+        assert cli._evolve("state", None, 1.0, 1) == "state"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(cli.InstabilityError):
+            cli._evolve("state", None, 2.0, 1)
+    assert caught == []
+
+
 @pytest.mark.filterwarnings("ignore")
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_converge_instability_exit_code(tmp_path, capsys, workers):

@@ -173,6 +173,58 @@ def test_assembled_rhs_matches_matrix_free(dim, mode, flux, regime):
             assert np.abs(dv - rv).max() <= 1e-13 * scale
 
 
+def full_lift_rows(disc):
+    """The self block and the slot lifts (neighbour blocks and boundary
+    corrections in 1D, the trace lifts in 2D), assembled at the grid's own
+    size, with no row dropped."""
+    element = operators._Element(disc.ref, disc.w, disc.c, disc.mesh.h)
+    blocks, lifts = element.assemble(disc.params, tuple(disc.face_kinds))
+    return blocks[0], blocks[1:] if disc.mesh.dim == 1 else lifts
+
+
+# criterion 12's family: mixed2d, q = 3, s = 2, a supersonic inflow side
+CRITERION_12 = dict(dim=2, n=4, q=3, s=2, w=[1.5, 0.3], mode="physical")
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param((dim, mode, flux, regime), id=f"{dim}-{mode}-{flux}-{regime}")
+    for dim, mode in ((1, "periodic"), (1, "physical"), (2, "periodic"), (2, "physical"))
+    for flux in sorted(FLUXES) for regime in sorted(REGIMES)] + ["criterion-12"])
+def test_dropped_lift_rows_are_zero(case):
+    # the lift factor keeps, of the self block, its rows from the first that
+    # is not zero, and of each slot lift the smallest run of rows that holds
+    # every row that is not; every row it drops is exactly zero.  A
+    # dissipative flux takes a supersonic face's states from upwind alone,
+    # so its slot lift from the downwind neighbour is zero, and on a
+    # physical mesh so are the boundary corrections of a supersonic axis
+    if case == "criterion-12":
+        discs = [make_disc(**CRITERION_12)]
+        dissipative, w, mode = True, CRITERION_12["w"], "physical"
+    else:
+        dim, mode, flux, regime = case
+        w, params = REGIMES[regime][:dim], FLUXES[flux]
+        discs = [make_disc(dim=dim, n=3, q=q, s=s, w=w, mode=mode, params=params)
+                 for q, s in ((2, 2), (3, 1))]
+        dissipative = params.dissipative and regime == "supersonic"
+    for disc in discs:
+        self_block, lifts = full_lift_rows(disc)
+        first = disc._first
+        assert first == 1 and not np.any(self_block[:first]) and np.any(self_block[first])
+        kept = np.zeros(lifts.shape[:2], dtype=bool)
+        for slot, start, stop in disc._runs:
+            kept[slot, start:stop] = True
+            assert np.any(lifts[slot, start]) and np.any(lifts[slot, stop - 1])
+        assert not np.any(lifts[~kept])
+        assert disc._lift_factor.shape == (self_block.shape[0],
+                                           self_block.shape[0] - first + kept.sum())
+        if dissipative:
+            sides = 2 * disc.mesh.dim
+            downwind = {2 * axis + (wa > 0) for axis, wa in enumerate(w) if abs(wa) > disc.c}
+            if mode == "physical":
+                downwind |= {sides + side for side in range(sides) if abs(w[side // 2]) > disc.c}
+            assert {slot for slot, _, _ in disc._runs} == set(range(len(lifts))) - downwind
+
+
 # ids: q-s in 2D, q-s-1d in 1D
 @pytest.mark.parametrize("dim,q,s", [
     pytest.param(dim, q, s, id=f"{q}-{s}" + ("-1d" if dim == 1 else ""))
@@ -217,11 +269,11 @@ def test_rhs_in_column_blocks_matches_matrix_free(monkeypatch, dim, mode):
                                       (2, "periodic"), (2, "physical")])
 def test_forced_rhs_adds_the_projected_forcing(monkeypatch, dim, mode, split):
     # the forcing's projections are operand rows (K * Nv of them, below
-    # [u v] and one r-row slot per lift: a neighbour per side, and on a
-    # physical mesh a boundary correction per side) and its time factors
-    # lift-factor entries, so the one lift product adds it: a forced rhs
-    # minus the unforced one is the forcing's L2 projection at t, in every
-    # column block, with the time factors rewritten when t changes
+    # [u v] and the rows of each kept slot, see
+    # test_dropped_lift_rows_are_zero) and its time factors lift-factor
+    # entries, so the one lift product adds it: a forced rhs minus the
+    # unforced one is the forcing's L2 projection at t, in every column
+    # block, with the time factors rewritten when t changes
     if split:
         monkeypatch.setattr(operators, "SMALL_PRODUCT", 200)
 
@@ -233,10 +285,13 @@ def test_forced_rhs_adds_the_projected_forcing(monkeypatch, dim, mode, split):
     forced, free = make_disc(forcing=forcing, **kw), make_disc(**kw)
     ref, n_el = free.ref, free.mesh.n_elements
     nb = ref.n_u + ref.n_v
-    n_lifts = 2 * dim * (1 if mode == "periodic" else 2)
-    rows = nb + n_lifts * (nb if dim == 1 else ref.trace_maps.shape[-1])
-    assert free._operand.shape == (rows, n_el) and free._lift_factor.shape == (nb, rows)
+    # the lift product reads the operand from the self block's first row
+    # that is not zero (the u constant is not read)
+    assert free._first == forced._first == 1 and free._runs == forced._runs
+    rows = nb + sum(stop - start for _, start, stop in free._runs)
+    assert free._operand.shape == (rows, n_el) and free._lift_factor.shape == (nb, rows - 1)
     assert forced._operand.shape == (rows + 3 * ref.n_v, n_el)
+    assert forced._lift_factor.shape == (nb, rows - 1 + 3 * ref.n_v)
     assert (len(forced._lift_products) > 1) == split
     state = random_state(free, 3)
     for t in (0.2, 0.9, 0.2):
