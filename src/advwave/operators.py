@@ -38,12 +38,16 @@ shifted copies of whole runs of elements move what each element shows
 across a face into the slots of the elements that read it (and on physical
 meshes an element's own into its boundary slots), and one product of
 [self block; lifts]^T with G is the derivative, written straight into the
-transpose of out.  In 2D a slot holds the r traces of a face, from one
-product of the stacked T_s^T with [u v], and the lifts are the L above; in
-1D it holds the element's N coefficients, and the lifts are the neighbour
-blocks and boundary corrections.  A separable forcing sum_k tau_k(t) F_k
-rides in the same product: the projections of the F_k are rows of G, written
-at build time, and the tau_k(t) are entries of the lift factor.
+transpose of out.  In 2D a slot holds the r traces of a face, and the lifts
+are the L above; in 1D it holds the element's N coefficients, and the lifts
+are the neighbour blocks and boundary corrections.  The 2D traces come from
+two products, one per field, of the T_s^T stacked coordinate-major: in the
+modal basis a v trace reads only v coefficients and a derivative of u only
+the u coefficients past the constant, so each product leaves out the zero
+half of T_s (1,408 multiply-adds an element become 676 at q = s = 3).  A
+separable forcing sum_k tau_k(t) F_k rides in the lift product: the
+projections of the F_k are rows of G, written at build time, and the
+tau_k(t) are entries of the lift factor.
 
 G holds only the rows some column of the lift factor reads.  The fluxes make
 parts of the operator exactly zero: with a dissipative flux a supersonic
@@ -55,7 +59,9 @@ slot (the downwind neighbour across a supersonic face, a supersonic
 boundary side), and the product starts at [u v]'s second row, as no block
 reads an element's own u constant.  Of the slot rows, 12 of 64 go in mixed2d
 q = 2 with the Sommerfeld flux, and 37 of 80 with q = 3, s = 2 and
-w = (1.5, 0.3).  ``blocks`` keep every row.
+w = (1.5, 0.3).  In 2D the trace products compute only the sides that some
+kept slot reads: 3 of 4 in that last family, 2 of 4 on a periodic grid
+supersonic on both axes.  ``blocks`` keep every row.
 
 ``matrix_free_rhs`` keeps the face-by-face evaluation of the homogeneous
 operator, built directly at the grid's size, the reference the assembled (and
@@ -254,11 +260,13 @@ def _grid_couplings(dim: int, periodic: bool):
 
 
 # OpenBLAS runs a product of at most 10^6 multiply-adds through its
-# small-matrix kernels: in column blocks of at most that many (2 each on a
-# periodic q = 3 grid of 784 elements), 2D rhs's trace product took 14 %
-# and its lift product 6 % less time than in one block (AVX-512 Xeon, one
-# thread; medians of interleaved rounds, 66 against 77 and 95 against
-# 101 us).  A product that fits in one block (every 1D lift product at the
+# small-matrix kernels: in column blocks of at most that many, 2D rhs's
+# lift product took 6 % less time than in one block on a periodic q = 3
+# grid of 784 elements (2 blocks; 95 against 101 us), and its gradient
+# trace product 40 % less on one of 3,136 (1.3 million, 2 blocks; 49
+# against 81 us), where at 784 both trace products fit in one block (0.20
+# and 0.33 million; AVX-512 Xeon, one thread; medians of interleaved
+# rounds).  A product that fits in one block (every 1D lift product at the
 # grids in use) reads and writes contiguous arrays and runs through np.dot:
 # the same BLAS product, bit for bit, for 0.5-0.8 us less a call than
 # np.matmul (the 1D q = 3 lift product at n = 10, 40, 160: 1.8, 1.1, 3.5
@@ -273,6 +281,16 @@ def _column_blocks(a: np.ndarray, n_columns: int):
     per_block = max(1, SMALL_PRODUCT // a.size)
     size = -(-n_columns // -(-n_columns // per_block))
     return [slice(i, i + size) for i in range(0, n_columns, size)]
+
+
+def _bound_products(a: np.ndarray, b: np.ndarray, out: np.ndarray):
+    """The calls that write a @ b into out, bound once: one np.dot for a
+    product in one column block, else one np.matmul per block (see
+    SMALL_PRODUCT).  b and out are C-contiguous."""
+    cols = _column_blocks(a, b.shape[1])
+    if len(cols) == 1:
+        return [functools.partial(np.dot, a, b, out)]
+    return [functools.partial(np.matmul, a, b[:, c], out[:, c]) for c in cols]
 
 
 class _Element:
@@ -466,12 +484,21 @@ def _reference_size(dim: int, c: float) -> float:
     return h
 
 
+def _slot_side(slot: int, sides: int) -> int:
+    """The side of an element whose traces (2D) or coefficients (1D) a slot
+    of its neighbour reads: the neighbour across side s meets the element
+    with its side s ^ 1, and boundary slot 2*dim + s holds the element's own
+    side s."""
+    return slot ^ 1 if slot < sides else slot - sides
+
+
 @functools.lru_cache(maxsize=FAMILY_CACHE)
 def _family_reference(q: int, s: int, dim: int, params: FluxParams, w: tuple, c: float,
                       kinds: tuple):
-    """(h, blocks, first, runs, lifts, v_rows): the operator of a family, as
-    ``_Element.assemble`` gives it at the family's reference element size
-    h, and the rows of rhs's lift factor that are not structurally zero.
+    """(h, blocks, first, runs, lifts, v_rows, trace_factors): the operator
+    of a family, as ``_Element.assemble`` gives it at the family's reference
+    element size h, the rows of rhs's lift factor that are not structurally
+    zero, and in 2D the factors of rhs's trace products.
 
     A family is what the assembly reads: degrees, dimension, flux, w, c and
     the flux kinds of each axis (which also tell periodic grids from
@@ -490,8 +517,17 @@ def _family_reference(q: int, s: int, dim: int, params: FluxParams, w: tuple, c:
     neighbour of a supersonic face, or a supersonic boundary side.  In 2D
     lifts are the rows of the runs, stacked in slot order, and v_rows tells
     which of them ``_rescale`` takes as v rows; a 1D grid takes those rows
-    from its rescaled blocks, and both are None.  The arrays are read-only;
-    an overflow leaves them not finite, and its rows are kept.
+    from its rescaled blocks, and both are None.
+
+    trace_factors is (read, v_factor, g_factor) in 2D, None in 1D.  read
+    lists, in order, the sides some kept slot reads (``_slot_side``), and
+    the factors give their traces coordinate-major, trace coordinate j of
+    the i-th read side in row j*len(read) + i: the v coordinates (the first
+    s+1) from the Nv v coefficients, v_factor @ [v], and the derivatives of
+    u from the u coefficients but the constant, g_factor @ [u 1:Nu] (see
+    ``ReferenceElement.trace_maps``).  They carry no length, so every grid
+    takes them as they are.  The arrays are read-only; an overflow leaves
+    blocks and lifts not finite, and its rows are kept.
     """
     h = _reference_size(dim, c)
     ref = build_reference(q, s, dim)
@@ -514,14 +550,22 @@ def _family_reference(q: int, s: int, dim: int, params: FluxParams, w: tuple, c:
             runs.append((slot, int(read[0]), int(read[-1]) + 1))
     blocks.flags.writeable = False
     if dim == 1:
-        return h, blocks, first, tuple(runs), None, None
+        return h, blocks, first, tuple(runs), None, None, None
     r = ref.unit_v.shape[1]
     kept = [slot * r + i for slot, start, stop in runs for i in range(start, stop)]
     # a lift row is a v trace where its unit trace has a v part
-    v_rows = np.tile(np.any(ref.unit_v, axis=(0, 2)), len(lifts))[kept]
+    v_trace = np.any(ref.unit_v, axis=(0, 2))
+    v_rows = np.tile(v_trace, len(lifts))[kept]
     lifts = lifts.reshape(len(lifts) * r, -1)[kept]
-    lifts.flags.writeable = v_rows.flags.writeable = False
-    return h, blocks, first, tuple(runs), lifts, v_rows
+    # the v coordinates come first: a v trace reads the v rows of [u v],
+    # a derivative its u rows but the constant
+    read = sorted({_slot_side(slot, 2 * dim) for slot, _, _ in runs})
+    maps, n_vt, nu = ref.trace_maps[read], int(v_trace.sum()), ref.n_u
+    v_factor = maps[:, nu:, :n_vt].transpose(2, 0, 1).reshape(-1, ref.n_v)
+    g_factor = maps[:, 1:nu, n_vt:].transpose(2, 0, 1).reshape(-1, nu - 1)
+    for a in (lifts, v_rows, v_factor, g_factor):
+        a.flags.writeable = False
+    return h, blocks, first, tuple(runs), lifts, v_rows, (tuple(read), v_factor, g_factor)
 
 
 def _rescale(a: np.ndarray, k: float, nu: int, v_rows: np.ndarray) -> np.ndarray:
@@ -595,7 +639,7 @@ class Discretization:
         # below and problems.project_initial's exact data
         self.volume_quadrature = FieldTable(mesh, ref.vol_nodes)
 
-        self.blocks, first, runs, lifts = self._rescaled_reference()
+        self.blocks, first, runs, lifts, trace_factors = self._rescaled_reference()
         # work arrays of rhs (allocating them per call costs page faults)
         # and the fixed views it works through.  rhs reads the stacked
         # [u v] of every element from input, an (n_elements, Nu+Nv) view;
@@ -603,7 +647,7 @@ class Discretization:
         # (the RK4 stages) can write a state there directly
         nu = ref.n_u
         self._nu = nu
-        self._build_operand(first, runs, lifts)
+        self._build_operand(first, runs, lifts, trace_factors)
         self.input_uv = self.input[:, :nu], self.input[:, nu:]
         # _tau_t is the time _tau was written at (None: not yet)
         self._forcing_time = None if forcing is None else forcing.time
@@ -615,15 +659,16 @@ class Discretization:
         return FieldTable(self.mesh, self.ref.err_nodes)
 
     def _rescaled_reference(self):
-        """(blocks, first, runs, lifts) of this grid: its family's reference
-        (``_family_reference``) rescaled, lifts as a list of arrays of kept
-        lift rows (in 1D, slices of the blocks)."""
+        """(blocks, first, runs, lifts, trace_factors) of this grid: its
+        family's reference (``_family_reference``) rescaled, lifts as a list
+        of arrays of kept lift rows (in 1D, slices of the blocks); the trace
+        factors are the family's."""
         ref = self.ref
         # the key in canonical floats: + 0.0 makes a -0.0, which the key
         # does not tell from 0.0, the 0.0 the reference is built from
         params = FluxParams(**{k: float(x) + 0.0 for k, x in vars(self.params).items()})
         w = tuple(float(x) + 0.0 for x in self.w)
-        h_ref, blocks, first, runs, lifts, v_rows = _family_reference(
+        h_ref, blocks, first, runs, lifts, v_rows, trace_factors = _family_reference(
             ref.q, ref.s, ref.dim, params, w, self.c, tuple(self.face_kinds))
         k, nu = h_ref / self.mesh.h, ref.n_u
         # an overflow shows as blocks that are not finite, raised below
@@ -640,7 +685,7 @@ class Discretization:
         if not (np.all(np.isfinite(blocks)) and np.all(np.isfinite(s_du))):
             raise ValueError("the operator's blocks overflow")
         blocks.flags.writeable = False
-        return blocks, first, runs, lifts
+        return blocks, first, runs, lifts, trace_factors
 
     # --- traces and fluxes ------------------------------------------------
 
@@ -708,7 +753,7 @@ class Discretization:
 
     # --- assembly ------------------------------------------------------------
 
-    def _build_operand(self, first, runs, lifts) -> None:
+    def _build_operand(self, first, runs, lifts, trace_factors) -> None:
         """Work arrays and views of the stencil, all coefficient-major (one
         column per element).  The operand holds [u v] (its first N rows,
         input's transpose), below it a slot per run (see
@@ -719,14 +764,19 @@ class Discretization:
         shared face, zero where a side has no neighbour, and on a physical
         mesh the element's own on each boundary side, zero on its other
         sides.  Slots are copied, as whole runs of elements, from a source
-        of every element's coefficients on every side; the derivative is
-        then the lift factor, the transpose of [self block rows first to N;
-        lifts] with K*Nv more columns, times the operand from its row first
-        on.  Those columns are zero but for tau_k at (Nu + i, forcing row
-        k*Nv + i), so a forced derivative is the same one product; ``_tau``
-        is the (Nv, K) view of those entries that rhs writes the time
-        factors into.  Without a forcing there are no such rows, columns or
-        view."""
+        of every element's coefficients on each side a slot reads: in 1D the
+        operand's [u v]; in 2D ``_traces``, the traces of the sides some slot
+        reads, coordinate-major ((r, read sides) + grid), from one product
+        per field of the family's trace factors (see ``_family_reference``)
+        with the operand's v rows and its u rows but the constant, so each
+        product writes one run of rows and a slot's run is one strided
+        copy.  The derivative is then the lift factor, the
+        transpose of [self block rows first to N; lifts] with K*Nv more
+        columns, times the operand from its row first on.  Those columns are
+        zero but for tau_k at (Nu + i, forcing row k*Nv + i), so a forced
+        derivative is the same one product; ``_tau`` is the (Nv, K) view of
+        those entries that rhs writes the time factors into.  Without a
+        forcing there are no such rows, columns or view."""
         dim, n, nb = self.mesh.dim, self.mesh.n, self.blocks.shape[-1]
         sides, n_el, nu = 2 * dim, self.mesh.n_elements, self._nu
         # a 1D slot holds all N coefficients (see _family_reference)
@@ -761,12 +811,14 @@ class Discretization:
             self._trace_products = []
             source = [self._operand[:nb].reshape((r,) + grid)] * sides
         else:
-            # the traces of every side: the product of the trace maps with [u v]
-            traces = np.empty((sides * r, n_el))
-            self._trace_factor = np.concatenate(self.ref.trace_maps, axis=1).T.copy()
-            self._trace_products = [(self._operand[:nb, cols], traces[:, cols])
-                                    for cols in _column_blocks(self._trace_factor, n_el)]
-            source = traces.reshape((sides, r) + grid)
+            # _traces[j, i] is trace coordinate j of side _read[i]
+            self._read, v_factor, g_factor = trace_factors
+            self._traces = np.empty((r, len(self._read)) + grid)
+            flat, n_v = self._traces.reshape(-1, n_el), len(v_factor)
+            self._trace_products = (
+                _bound_products(v_factor, self._operand[nu:nb], flat[:n_v])
+                + _bound_products(g_factor, self._operand[1:nu], flat[n_v:]))
+            source = {side: self._traces[:, i] for i, side in enumerate(self._read)}
         # each kept slot's rows in the operand, and the rows of a source it
         # takes: those of its run
         slots, at, row = self._operand[nb:n_rows].reshape((-1,) + grid), {}, 0
@@ -774,14 +826,13 @@ class Discretization:
             at[slot] = slice(row, row + stop - start), slice(start, stop)
             row += stop - start
         shifts, strips = _grid_couplings(dim, self.mesh.periodic)
-        # the neighbour across side s meets it with its side s ^ 1
-        faces = [(side, side ^ 1, dst, src) for side, dst, src in shifts]
-        faces += [(sides + side, side, layer, layer) for side, layer in strips]
+        faces = list(shifts) + [(sides + side, layer, layer) for side, layer in strips]
         self._copies = []
-        for slot, face, dst, src in faces:
+        for slot, dst, src in faces:
             if slot in at:
                 rows, kept = at[slot]
-                self._copies.append((slots[(rows,) + dst], source[face][(kept,) + src]))
+                self._copies.append((slots[(rows,) + dst],
+                                     source[_slot_side(slot, sides)][(kept,) + src]))
 
     # --- operator application ----------------------------------------------
 
@@ -809,22 +860,18 @@ class Discretization:
             out = np.empty_like(self.input)
         elif out.strides != self._out_strides:
             raise ValueError("rhs's out must be laid out like Discretization.input")
-        # the forcing's time factors into the lift factor, the coefficients
-        # each element reads copied into its slots, then one product with
-        # the operand
+        # the forcing's time factors into the lift factor, in 2D the traces
+        # of the read sides, the coefficients each element reads copied into
+        # its slots, then one product with the operand
         if self._forcing_time is not None and t != self._tau_t:
             self._tau[...] = self._forcing_time(t)
             self._tau_t = t
-        # np.dot for a product in one column block, np.matmul for blocks
-        # (see SMALL_PRODUCT)
-        trace_products = self._trace_products
-        if len(trace_products) == 1:
-            np.dot(self._trace_factor, *trace_products[0])
-        else:
-            for x_cols, trace_cols in trace_products:
-                np.matmul(self._trace_factor, x_cols, trace_cols)
+        for product in self._trace_products:
+            product()
         for dst, src in self._copies:
             dst[...] = src
+        # np.dot for a product in one column block, np.matmul for blocks
+        # (see SMALL_PRODUCT)
         result = out.T
         lift_products = self._lift_products
         if len(lift_products) == 1:

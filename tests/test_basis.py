@@ -180,6 +180,58 @@ def test_face_trace_matches_volume_basis():
     assert np.allclose(ref.face_grads_u[1], grads, atol=1e-13)
 
 
+def quadrature_trace_maps(ref):
+    """The trace maps as a Gauss projection along each face gives them,
+    unrounded: coefficient m of a trace is (m + 1/2) times the rule's
+    integral of it against P_m, in the order of ``ReferenceElement``'s
+    trace coordinates (v, then the derivative along each axis); on a 1D
+    point face it is the value."""
+    q, s, dim, nu = ref.q, ref.s, ref.dim, ref.n_u
+    nodes, weights = npleg.leggauss(ref.n_quad) if dim == 2 else (np.zeros(1), np.full(1, 2.0))
+    proj = (np.arange(q + 1)[:, None] + 0.5) * (npleg.legvander(nodes, q) * weights[:, None]).T
+    maps = np.zeros_like(ref.trace_maps)
+    for side in range(2 * dim):
+        parts = [(slice(nu, None), ref.face_vals_v[side], s)]
+        parts += [(slice(None, nu), ref.face_grads_u[side, d], q if d == side // 2 else q - 1)
+                  for d in range(dim)]
+        col = 0
+        for rows, table, degree in parts:
+            size = degree + 1 if dim == 2 else 1
+            maps[side, rows, col:col + size] = (proj[:size] @ table).T
+            col += size
+    return maps
+
+
+REFERENCES = [(q, s, dim) for dim in (1, 2) for q in range(1, 7) for s in range(q + 1)]
+
+
+@pytest.mark.parametrize("q,s,dim", REFERENCES)
+def test_trace_maps_are_exact_integers(q, s, dim):
+    # every entry is (+-1)^k, P_k'(+-1) = +-k(k+1)/2 or a sum of 2j + 1: the
+    # maps hold those integers, which the quadrature gives to roundoff
+    ref = build_reference(q, s, dim=dim)
+    maps = ref.trace_maps
+    assert np.array_equal(maps, np.rint(maps))
+    assert np.abs(quadrature_trace_maps(ref) - maps).max() <= 1e-12
+
+
+@pytest.mark.parametrize("q,s,dim", REFERENCES)
+def test_trace_coordinates_read_one_field(q, s, dim):
+    # rhs takes its v traces from the v coefficients alone and the
+    # derivatives from the u coefficients but the constant, the v
+    # coordinates first: a v coordinate reads no u coefficient, and a
+    # derivative no v coefficient and never the u constant
+    ref = build_reference(q, s, dim=dim)
+    maps, nu = ref.trace_maps, ref.n_u
+    v_trace = np.any(ref.unit_v, axis=(0, 2))
+    n_vt = (s + 1) if dim == 2 else 1
+    assert v_trace.tolist() == [True] * n_vt + [False] * (maps.shape[-1] - n_vt)
+    assert not np.any(maps[:, :nu, v_trace])
+    assert not np.any(maps[:, nu:, ~v_trace]) and not np.any(maps[:, 0, ~v_trace])
+    # and each reads something on every side
+    assert np.all(np.any(maps, axis=1))
+
+
 def test_build_reference_validation():
     with pytest.raises(ValueError):
         build_reference(0, 0)

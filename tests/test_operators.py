@@ -225,6 +225,57 @@ def test_dropped_lift_rows_are_zero(case):
             assert {slot for slot, _, _ in disc._runs} == set(range(len(lifts))) - downwind
 
 
+# (make_disc arguments, the sides some kept slot reads, trace-product
+# multiply-adds per element): every side is read on the benchmark's
+# periodic2d central and mixed2d Sommerfeld grids; criterion 12's family
+# reads no side 0, and a periodic Sommerfeld family supersonic on both axes
+# only sides 1 and 2 (it keeps the slots of its upwind neighbours, across
+# sides 0 and 3)
+TRACE_FAMILIES = {
+    "periodic2d-central": (dict(dim=2, n=5, q=3, w=[0.5, 0.5], params=FluxParams.central()),
+                           (0, 1, 2, 3), 676),
+    "mixed2d-sommerfeld": (dict(dim=2, n=5, q=2, w=[0.5, 0.5], mode="physical"),
+                           (0, 1, 2, 3), 268),
+    "criterion-12": (dict(CRITERION_12, n=5), (1, 2, 3), 396),
+    "periodic2d-supersonic": (dict(dim=2, n=5, q=3, w=[2.0, -1.5]), (1, 2), 338),
+}
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-block", "split"])
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("family", sorted(TRACE_FAMILIES))
+def test_trace_products_give_the_traces_of_the_read_sides(monkeypatch, family, forced, split):
+    # 2D rhs takes the traces of the sides its kept slots read from two
+    # products, the v coordinates from the v coefficients and the
+    # derivatives from the u coefficients but the constant: they are the
+    # trace maps times [u v], in one column block and in several
+    kw, read, madds = TRACE_FAMILIES[family]
+    if split:
+        monkeypatch.setattr(operators, "SMALL_PRODUCT", 200)
+    forcing = (Separable(lambda *x: [np.sin(2 * np.pi * x[0])], lambda t: np.array([1.0 + t]))
+               if forced else None)
+    disc = make_disc(forcing=forcing, **kw)
+    products = disc._trace_products
+    assert disc._read == read
+    if split:
+        assert len(products) > 2
+    else:
+        assert len(products) == 2 and sum(p.args[0].size for p in products) == madds
+    state = random_state(disc, 11)
+    du, dv = disc.rhs(state.u, state.v, 0.3)
+    x = np.concatenate([state.u, state.v], axis=1)
+    r = disc.ref.trace_maps.shape[-1]
+    for i, side in enumerate(read):
+        expect = x @ disc.ref.trace_maps[side]
+        got = disc._traces[:, i].reshape(r, -1).T
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+    if not forced:
+        ru, rv = disc.matrix_free_rhs(state.u, state.v, 0.3)
+        scale = max(np.abs(ru).max(), np.abs(rv).max())
+        assert np.abs(du - ru).max() <= 1e-13 * scale
+        assert np.abs(dv - rv).max() <= 1e-13 * scale
+
+
 # ids: q-s in 2D, q-s-1d in 1D
 @pytest.mark.parametrize("dim,q,s", [
     pytest.param(dim, q, s, id=f"{q}-{s}" + ("-1d" if dim == 1 else ""))
@@ -251,11 +302,12 @@ def test_face_trace_maps_reproduce_side_traces(dim, q, s):
     for dim in (2, 1) for mode in ("periodic", "physical")])
 def test_rhs_in_column_blocks_matches_matrix_free(monkeypatch, dim, mode):
     # products above SMALL_PRODUCT multiply-adds run in column blocks, one
-    # element per column; 1D makes no trace product
+    # element per column; 1D makes no trace product, 2D one per field, each
+    # in blocks
     monkeypatch.setattr(operators, "SMALL_PRODUCT", 200)
     disc = make_disc(dim=dim, n=7 if dim == 1 else 5, q=2, w=[0.5, -0.3][:dim], mode=mode)
     assert len(disc._lift_products) > 1
-    assert (len(disc._trace_products) > 1) == (dim == 2)
+    assert (len(disc._trace_products) > 2) == (dim == 2)
     state = random_state(disc, 7)
     du, dv = disc.rhs(state.u, state.v, 0.0)
     ru, rv = disc.matrix_free_rhs(state.u, state.v, 0.0)
