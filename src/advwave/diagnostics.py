@@ -1,9 +1,9 @@
 """Discrete energy, the energy-identity cross-check (one path for a state or
 a stack of states), L2 errors, rate fits, the operator's Bloch symbols and
-sparse matrix (both from ``Discretization.blocks``, without ``rhs`` calls),
+dense matrix (both from ``Discretization.blocks``, without ``rhs`` calls),
 and its spectral radius: exact from the symbols on periodic meshes, by
 thick-restart Arnoldi on ``rhs`` with a certified stop on physical ones.
-Only ``sparse_operator`` loads scipy."""
+Everything here runs on numpy alone."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .mesh import FaceKind
-from .operators import Discretization, ModalState, _grid_couplings
+from .operators import Discretization, ModalState, Separable, _combine, _grid_couplings
 
 
 def _energy_terms(disc: Discretization, u, v, du, dv):
@@ -60,24 +60,37 @@ def l2_error(state: ModalState, spec, t: float, disc: Discretization):
     """Global L2 errors of u^h and v^h against the exact solutions.
 
     Uses the reference element's err_* rule, two points per direction finer
-    than the operator's, to keep aliasing below the discretization error.
-    The space factors of spec's Separable exact fields at its points on
-    every element are evaluated, per axis, on the first call for a
-    discretization and kept in ``disc.error_quadrature``, the rule's
-    ``FieldTable``; later calls combine them with the time factors at t.
-    The error is the norm of the difference at the points, each scaled by
-    the square root of its weight (with the element Jacobian): one BLAS dot
-    product of the scaled values with themselves.
+    than the operator's, to keep aliasing below the discretization error;
+    it integrates every product of basis functions exactly.  For an exact
+    field sum_k tau_k(t) X_k, the first call for a discretization projects
+    each space factor X_k onto the basis under the rule and keeps, in
+    ``disc.error_quadrature`` (``FieldTable.projection``), the projections
+    c_k, the Gram matrix G of the remainders X_k - Pi X_k at the rule's
+    points and the square roots of the mass diagonal m (with the element
+    Jacobian).  The remainders are orthogonal to the basis under the rule,
+    so the squared error of coefficients C is
+
+        sum_e delta_e^T diag(m) delta_e + tau^T G tau,  delta = C - sum_k tau_k c_k,
+
+    two terms that are not negative.  A call takes one combination of the
+    K coefficient arrays, one dot product over n_elements * N scaled values
+    and a K x K form, and no work at the points.  Raises TypeError unless
+    both exact fields are ``Separable``.
     """
-    ref, exact = disc.ref, disc.error_quadrature
-    root_weights = np.sqrt(disc.jac_vol * ref.err_weights)
+    if not (isinstance(spec.exact_u, Separable) and isinstance(spec.exact_v, Separable)):
+        raise TypeError("exact fields must be Separable")
+    ref, rule = disc.ref, disc.error_quadrature
 
     def error(coeffs, vals_t, field):
-        diff = coeffs @ vals_t
-        diff -= exact(field, t)
-        diff *= root_weights
+        tau = field.time(t)
+        projections, gram, root_mass = rule.projection(field.space, vals_t)
+        diff = _combine(tau, projections)
+        np.subtract(coeffs, diff, out=diff)
+        diff *= root_mass
         flat = diff.ravel()
-        return math.sqrt(np.dot(flat, flat))
+        # G's form is not negative but for roundoff, which at a remainder
+        # that cancels could take the sum below zero
+        return math.sqrt(np.dot(flat, flat) + max(tau @ gram @ tau, 0.0))
 
     return (error(state.u, ref.err_vals_u_t, spec.exact_u),
             error(state.v, ref.err_vals_v_t, spec.exact_v))
@@ -151,24 +164,11 @@ def _couplings(disc: Discretization):
             + [(1 + sides + side, grid[at], grid[at]) for side, at in strips])
 
 
-def sparse_operator(disc: Discretization):
-    """The homogeneous operator as a CSR matrix A on the flattened stacked
-    [u v] layout: A @ x.ravel() is ``rhs`` of x as one raveled [du dv].
-    Each of ``_couplings`` adds the Kronecker product of its element
-    incidence with its block, transposed to act on columns."""
-    from scipy import sparse
-
-    size = disc.mesh.n_elements
-    return sum(sparse.kron(sparse.coo_matrix((np.ones(dst.size), (dst.ravel(), src.ravel())),
-                                             shape=(size, size)),
-                           disc.blocks[block].T, format="csr")
-               for block, dst, src in _couplings(disc)).tocsr()
-
-
 def _dense_operator(disc: Discretization) -> np.ndarray:
     """The homogeneous operator as a dense matrix M in ``rhs``'s row
-    convention, x.ravel() @ M is ``rhs`` of x raveled: the transpose of
-    ``sparse_operator``, from the same couplings, in numpy alone."""
+    convention on the stacked [u v] layout, x.ravel() @ M is ``rhs`` of x
+    raveled: each of ``_couplings`` adds its block at the (src, dst)
+    element pairs."""
     n_el, size = disc.mesh.n_elements, disc.blocks.shape[-1]
     dense = np.zeros((n_el, size, n_el, size))
     for block, dst, src in _couplings(disc):

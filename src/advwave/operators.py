@@ -24,7 +24,7 @@ the own-trace lift (L_{2dim+s}).  The self block is the volume block plus the
 sum over sides of T_s L_s^own; the neighbour across side s couples through
 T_{s^1} L_s and a boundary side through T_s L_{2dim+s}.  These N x N products
 are kept as ``Discretization.blocks``, the operator's one description, from
-which ``diagnostics`` builds its Bloch symbols and sparse matrix.  The
+which ``diagnostics`` builds its Bloch symbols and dense matrix.  The
 family's reference is assembled at one element size h_ref (2, unit Jacobians,
 unless c is tiny in 1D), and the operator is scale-covariant, so a grid of
 size h takes its blocks and lifts from it by scaling rows and columns with
@@ -74,6 +74,7 @@ classified once per discretization.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -116,7 +117,8 @@ class Separable:
     is a function of one coordinate or a product of such, so on a
     tensor-product rule (``FieldTable``) their sin, cos and exp run on the
     n*p coordinates of an axis, not on all (n*p)^dim points; the factors
-    are evaluated once and combined with the time factors on every call;
+    are evaluated once, and each call combines what is kept of them (their
+    values, or their projections) with the time factors;
     ``Discretization`` keeps a forcing's projections as operand rows and
     writes its time factors into its lift factor.  time must be a pure
     function of t: ``Discretization.rhs`` reuses the time factors it wrote
@@ -167,6 +169,28 @@ def _combine(g, f):
     return np.dot(g, f.reshape(len(g), -1)).reshape(f.shape[1:])
 
 
+# the most values (K factors at every point of its elements) a block of
+# ``FieldTable.projection``'s build holds: 125 KB, under glibc's default
+# 128 KiB threshold for allocating by mmap, so the blocks reuse heap memory
+# instead of faulting in fresh pages.  On periodic2d at q = 3, n = 28 (K = 4)
+# the build took 0.86 ms in 14 blocks, 1.11 in 28 (8,192 values) and 1.69
+# in 56 (4,096; best of 15 interleaved rounds, one BLAS thread, 2-vCPU
+# Xeon VM)
+PROJECTION_BLOCK = 16000
+
+
+def _element_blocks(n: int, dim: int, per: int):
+    """Blocks of at most per elements of an n^dim grid, each whole rows of
+    it or a run of one row: a run of the elements' C order.  Yields (index,
+    first): the slices of the element axes, and the first flat index."""
+    steps = (min(n, max(1, per // n)),) * (dim - 1) + (min(n, per),)
+    for corner in itertools.product(*(range(0, n, step) for step in steps)):
+        first = 0
+        for i in corner:
+            first = first * n + i
+        yield tuple(slice(i, min(i + step, n)) for i, step in zip(corner, steps)), first
+
+
 class FieldTable:
     """Separable fields at the points of a tensor-product rule on every
     element of a mesh.
@@ -178,14 +202,27 @@ class FieldTable:
     mesh's and the rule's C order; so a field's space factors are evaluated
     per axis and broadcast, with the values of an evaluation at every
     point.  Each distinct space callable is evaluated once, on first use,
-    into a (K, n_elements, p^dim) table (``factors``), so fields that share
-    one (u and v of the periodic problems, and lifted periodic1d's forcing)
-    share one table; a call then only combines it with the time factors.
-    Keying by the callable itself means a field of another problem never
-    reads another's values.
+    and kept in one of two forms.  Keying by the callable itself means a
+    field of another problem never reads another's values.
+
+    ``factors`` keeps the (K, n_elements, p^dim) values, so fields that
+    share one callable (u and v of the periodic problems, and lifted
+    periodic1d's forcing) share one table; a call then only combines it
+    with the time factors.  The volume rule's table keeps these.
+
+    ``projection``, on a rule given its weights (those of the L2-error
+    rule, with the element Jacobian), keeps instead what a field's L2
+    error against a modal state needs.  For a field u = sum_k tau_k X_k
+    and a basis V whose products the rule integrates exactly (mass m, a
+    diagonal), it is the rule's L2 projection c_k of each X_k and the
+    Gram matrix G of the remainders r_k = X_k - V c_k at the points.  The
+    r_k are orthogonal to V under the rule, so the error of coefficients C
+    is ||C - sum_k tau_k c_k||_m^2 + tau^T G tau, a sum of two terms that
+    are not negative: one combination of K coefficient arrays and one dot
+    product over n_elements * N values a call, and no work at the points.
     """
 
-    def __init__(self, mesh: MeshTopology, nodes: np.ndarray):
+    def __init__(self, mesh: MeshTopology, nodes: np.ndarray, weights=None):
         dim, n = mesh.dim, mesh.n
         p = round(len(nodes) ** (1.0 / dim))
         # in a C-order tensor grid the last coordinate of the first rows
@@ -195,6 +232,8 @@ class FieldTable:
         self.shape = (n,) * dim + (p,) * dim
         self._table_shape = (-1, n ** dim, p ** dim)
         self._tables = {}
+        self.weights = weights
+        self._projections = {}
 
     def factors(self, space: Callable) -> np.ndarray:
         """The (K, n_elements, p^dim) values of space's K factors."""
@@ -208,6 +247,57 @@ class FieldTable:
         if not isinstance(field, Separable):
             raise TypeError("expected a Separable field")
         return _combine(field.time(t), self.factors(field.space))
+
+    def projection(self, space: Callable, vals_t: np.ndarray):
+        """(c, G, root_mass) of space's K factors on the basis whose values
+        at the rule's points are vals_t, (N, p^dim): the (K, n_elements, N)
+        projections, the (K, K) Gram matrix of the remainders and the (N,)
+        square roots of the mass diagonal, each with the weights' Jacobian.
+
+        Built on first use for each callable and basis size, without the
+        point values: one evaluation of space, then element blocks of at
+        most PROJECTION_BLOCK values.  A table serves one reference
+        element, in which equal sizes are equal degrees, so u and v of one
+        callable share an entry when q = s.
+        """
+        key = (space, len(vals_t))
+        entry = self._projections.get(key)
+        if entry is None:
+            entry = self._projections[key] = self._project(space, vals_t)
+        return entry
+
+    def _project(self, space: Callable, vals_t: np.ndarray):
+        shape, n_pts = self.shape, vals_t.shape[1]
+        dim, n = len(shape) // 2, shape[0]
+        # the factors and the basis scaled by the square roots of the
+        # weights, so that a remainder's squared norm is its sum of squares.
+        # A factor is scaled before it is broadcast over the elements: it
+        # then holds every point of an element, and a block's copy runs over
+        # p^dim values at a time, not over p values of stride 0
+        root_weights = np.sqrt(self.weights)
+        scaled = vals_t * root_weights
+        mass = np.sum(scaled * scaled, axis=1)
+        proj = (scaled / mass[:, None]).T
+        root_weights = root_weights.reshape(shape[dim:])
+        factors = [np.broadcast_to(f * root_weights, shape) for f in space(*self.coords)]
+        k = len(factors)
+        coeffs = np.empty((k, n ** dim, len(vals_t)))
+        gram = np.zeros((k, k))
+        # the K factors of a block hold at most PROJECTION_BLOCK values, and
+        # at most the n_elements * p^dim of one field's values
+        per = max(1, min(PROJECTION_BLOCK // n_pts, n ** dim) // k)
+        for index, first in _element_blocks(n, dim, per):
+            block = np.empty((k,) + tuple(cut.stop - cut.start for cut in index) + shape[dim:])
+            for row, f in zip(block, factors):
+                row[...] = f[index]
+            values = block.reshape(k, -1, n_pts)
+            c = np.matmul(values, proj, out=coeffs[:, first:first + values.shape[1]])
+            # the scaled remainders at the points
+            rest = c @ scaled
+            rest -= values
+            rest = rest.reshape(k, -1)
+            gram += rest @ rest.T
+        return coeffs, gram, np.sqrt(mass)
 
 
 def element_scale(dim: int, h: float, c: float) -> float:
@@ -655,8 +745,9 @@ class Discretization:
 
     @functools.cached_property
     def error_quadrature(self) -> FieldTable:
-        """The ``FieldTable`` of ``diagnostics.l2_error``'s rule, built on first use."""
-        return FieldTable(self.mesh, self.ref.err_nodes)
+        """The ``FieldTable`` of ``diagnostics.l2_error``'s rule, with its
+        weights, built on first use."""
+        return FieldTable(self.mesh, self.ref.err_nodes, self.jac_vol * self.ref.err_weights)
 
     def _rescaled_reference(self):
         """(blocks, first, runs, lifts, trace_factors) of this grid: its

@@ -151,6 +151,32 @@ def test_workers_must_be_positive(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: --workers must be >= 1\n"
 
 
+def test_main_calls_share_one_parser_and_no_values(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; each call starts from its defaults
+    seen = []
+    monkeypatch.setattr(cli, "cmd_spectrum",
+                        lambda cfg, outdir, seed: seen.append((seed, outdir)) or 0)
+    monkeypatch.setattr(cli, "cmd_converge",
+                        lambda cfg, outdir, seed, workers: seen.append((seed, workers)) or 0)
+    path, out = write_config(tmp_path), tmp_path / "out"
+    assert main(["spectrum", "--config", path, "--seed", "7", "--output", str(out)]) == 0
+    assert main(["spectrum", "--config", path]) == 0
+    assert main(["converge", "--config", path, "--seed", "2", "--workers", "3"]) == 0
+    assert main(["converge", "--config", path]) == 0
+    assert seen == [(7, out), (0, Path(".")), (2, 3), (0, 1)]
+    assert cli._parser() is cli._parser()
+    # help and usage errors exit as argparse does, the same on every call
+    outputs = []
+    for argv, code in [(["--help"], 0), (["run", "--help"], 0), (["run"], 2),
+                       (["run", "--config", path, "--seed", "x"], 2), ([], 2)] * 2:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == code
+        outputs.append(capsys.readouterr())
+    assert outputs[:5] == outputs[5:]
+    assert "usage: advwave run" in outputs[2].err
+
+
 @pytest.mark.parametrize("problem,w", [("periodic1d", 0.5), ("mixed2d", [0.5, 0.5])])
 def test_wave_speed_that_overflows_the_operator(tmp_path, problem, w):
     # c = 1e152 leaves the element system finite but overflows the assembly

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advwave import diagnostics
+from advwave import diagnostics, operators
 from advwave.basis import build_reference, tensor_eval, tensor_gauss
 from advwave.diagnostics import (bloch_symbols, discrete_energy, energy_identity_residual,
-                                 fit_rate, l2_error, sparse_operator,
-                                 spectral_radius_probe)
+                                 fit_rate, l2_error, spectral_radius_probe)
 from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
 from advwave.operators import Discretization, ModalState, Separable
@@ -184,7 +184,7 @@ def _assert_matrix_energy_identity(dim, mode, q, s, w, c, params):
                           params, w, c)
     n_el, nu = disc.mesh.n_elements, disc.ref.n_u
     gl = np.kron(np.eye(n_el), block_diag(disc.stiffness, np.diag(disc.v_mass_diag))) @ (
-        sparse_operator(disc).toarray())
+        diagnostics._dense_operator(disc).T)
     # F by polarization, from the face rates of one stack of the unit
     # states e_i and e_i + e_j (i < j)
     size = len(gl)
@@ -338,6 +338,113 @@ def test_l2_error_rejects_plain_callable_fields():
     disc = make_disc()
     with pytest.raises(TypeError):
         l2_error(random_state(disc), plain, 0.0, disc)
+    # refused before the rule's table is built or read
+    assert "error_quadrature" not in vars(disc)
+
+
+@pytest.mark.parametrize("q,s,dim", [(q, s, dim) for dim in (1, 2) for q in range(1, 7)
+                                     for s in sorted({0, q - 1, q})])
+def test_error_rule_integrates_every_basis_product(q, s, dim):
+    # the rule's mass of each basis is the diagonal Legendre mass, so the
+    # remainders of its projections are orthogonal to the basis
+    ref = build_reference(q, s, dim=dim)
+    for vals_t, mass in ((ref.err_vals_u_t, ref.mass_u), (ref.err_vals_v_t, ref.mass_v)):
+        rule_mass = (vals_t * ref.err_weights) @ vals_t.T
+        assert np.max(np.abs(rule_mass - mass)) <= 1e-14
+
+
+@pytest.mark.parametrize("kind,q,n", [("periodic1d", 3, 160), ("periodic2d", 3, 28),
+                                      ("mixed2d", 2, 14)])
+def test_l2_error_of_a_near_exact_state_matches_reference(kind, q, n):
+    # the projected exact solution plus perturbations of L2 norm 1e-12 to
+    # 1e-6: the regime of the finest grids, where the projection term and
+    # the remainders' Gram term are both small
+    factory, args, mode = PROBLEMS[kind]
+    spec = factory(*args)   # periodic1d lifted, K = 2; periodic2d K = 4
+    disc = Discretization(build_mesh(spec.dim, n, mode), build_reference(q, q, dim=spec.dim),
+                          FluxParams.sommerfeld(), spec.w, spec.c)
+    ref, rng = disc.ref, np.random.default_rng(5)
+    mass = disc.jac_vol * np.diag(ref.mass_u)
+    t = 0.3
+    exact = ModalState(disc.volume_quadrature(spec.exact_u, t) @ ref.proj_u,
+                       disc.volume_quadrature(spec.exact_v, t) @ ref.proj_v, t)
+    for size in (1e-12, 1e-10, 1e-8, 1e-6):
+        du, dv = rng.standard_normal(exact.u.shape), rng.standard_normal(exact.v.shape)
+        du *= size / np.sqrt(np.sum(du * du * mass))
+        dv *= size / np.sqrt(np.sum(dv * dv * mass))
+        st = ModalState(exact.u + du, exact.v + dv, t)
+        got = l2_error(st, spec, t, disc)
+        expect = reference_l2_error(st, kind, spec, t, disc)
+        assert np.allclose(got, expect, rtol=1e-5, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["periodic1d", "periodic2d", "mixed2d"])
+def test_l2_error_evaluates_each_space_once_per_discretization(kind):
+    factory, args, mode = PROBLEMS[kind]
+    spec = factory(*args)
+    calls = []
+
+    def counted(space):
+        return lambda *coords: calls.append(space) or space(*coords)
+
+    spies = {}
+    fields = {name: Separable(spies.setdefault(field.space, counted(field.space)), field.time)
+              for name, field in (("exact_u", spec.exact_u), ("exact_v", spec.exact_v))}
+    spec = dataclasses.replace(spec, **fields)
+    disc = Discretization(build_mesh(spec.dim, 5, mode), build_reference(2, 2, dim=spec.dim),
+                          FluxParams.sommerfeld(), spec.w, spec.c)
+    st = random_state(disc, 2)
+    first = l2_error(st, spec, 0.4, disc)
+    # u and v share one callable on the periodic problems (and q = s)
+    assert len(calls) == len(spies) == (2 if kind == "mixed2d" else 1)
+    for t in (0.4, 0.7, 1.3):
+        got = l2_error(st, spec, t, disc)
+        assert np.allclose(got, reference_l2_error(st, kind, spec, t, disc), rtol=1e-13, atol=0.0)
+    assert got != first
+    assert len(calls) == len(spies)
+
+
+@pytest.mark.parametrize("dim,n,per", [(1, 7, 3), (1, 4, 9), (2, 5, 3), (2, 5, 12), (2, 4, 16),
+                                       (2, 3, 1)])
+def test_element_blocks_cover_the_grid_in_order(dim, n, per):
+    grid = np.arange(n ** dim).reshape((n,) * dim)
+    covered = []
+    for index, first in operators._element_blocks(n, dim, per):
+        block = grid[index].ravel()
+        assert 0 < block.size <= per
+        assert np.array_equal(block, np.arange(first, first + block.size))
+        covered += list(block)
+    assert covered == list(range(n ** dim))
+
+
+@pytest.mark.parametrize("kind", ["periodic1d", "periodic2d", "mixed2d"])
+def test_projection_in_small_blocks_matches_one_block(monkeypatch, kind):
+    # element blocks of one element, of part of a row, and of whole rows
+    factory, args, mode = PROBLEMS[kind]
+    spec = factory(*args)
+    disc = Discretization(build_mesh(spec.dim, 7, mode), build_reference(3, 2, dim=spec.dim),
+                          FluxParams.sommerfeld(), spec.w, spec.c)
+    ref, n_el, n_pts = disc.ref, disc.mesh.n_elements, disc.ref.err_weights.size
+    blocks, sizes = operators._element_blocks, []
+
+    def recorded(n, dim, per):
+        sizes.append(per)
+        return blocks(n, dim, per)
+
+    monkeypatch.setattr(operators, "_element_blocks", recorded)
+    k = len(spec.exact_v.time(0.0))   # the number of space factors
+    tables = []
+    for limit in (10 ** 9, 1, 3 * n_pts * k, 7 * 2 * n_pts * k):
+        monkeypatch.setattr(operators, "PROJECTION_BLOCK", limit)
+        rule = operators.FieldTable(disc.mesh, ref.err_nodes, disc.jac_vol * ref.err_weights)
+        tables.append(rule.projection(spec.exact_v.space, ref.err_vals_v_t))
+        # no block's K factors hold more values than one field's on the grid
+        assert sizes[-1] * k * n_pts <= max(min(limit, n_el * n_pts), k * n_pts)
+    (c, gram, root_mass), others = tables[0], tables[1:]
+    for other_c, other_gram, other_root_mass in others:
+        assert np.max(np.abs(other_c - c)) <= 1e-15 * np.max(np.abs(c))
+        assert np.max(np.abs(other_gram - gram)) <= 1e-12 * np.max(np.abs(gram))
+        assert np.array_equal(other_root_mass, root_mass)
 
 
 def test_fit_rate_needs_two_distinct_h():
@@ -421,14 +528,14 @@ def count_rhs(disc):
     (2, 5, "physical", 2, 1, [1.5, 0.3], 1.0),  # supersonic inflow in x
     (2, 3, "physical", 3, 3, [0.5, -0.5], 0.4),
 ])
-def test_sparse_operator_matches_rhs(dim, n, mode, q, s, w, c):
+def test_dense_operator_matches_rhs(dim, n, mode, q, s, w, c):
     disc = Discretization(build_mesh(dim, n, mode), build_reference(q, s, dim=dim),
                           FluxParams.sommerfeld(), w, c)
     x = np.random.default_rng(1).standard_normal(
         (disc.mesh.n_elements, disc.ref.n_u + disc.ref.n_v))
     du, dv = disc.rhs(x[:, :disc.ref.n_u], x[:, disc.ref.n_u:], 0.0)
     expected = np.hstack([du, dv]).ravel()
-    got = sparse_operator(disc) @ x.ravel()
+    got = x.ravel() @ diagnostics._dense_operator(disc)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -610,13 +717,14 @@ def test_spectral_probe_scaling():
     assert q4 / base == pytest.approx(4.0, rel=0.5)
 
 
-def test_dense_operator_is_the_sparse_transpose():
-    # the dense fallback's matrix, built in numpy, in rhs's row convention
+def test_dense_operator_matches_rhs_column_by_column():
+    # the dense fallback's matrix, built from the blocks, in rhs's row
+    # convention: its transpose is rhs applied to each unit state
     for disc in (make_disc(dim=2, n=4, q=2, w=(1.5, 0.3), mode="physical"),
                  make_disc(dim=1, n=2, q=3),
                  make_disc(dim=2, n=2, q=2, w=(0.5, 0.5))):
-        dense = diagnostics._dense_operator(disc)
-        assert np.array_equal(dense, sparse_operator(disc).T.toarray())
+        dense, probed = diagnostics._dense_operator(disc), dense_operator(disc)
+        assert np.max(np.abs(dense.T - probed)) <= 1e-13 * np.max(np.abs(probed))
 
 
 def test_dominant_ritz_on_explicit_matrices():
