@@ -4,7 +4,8 @@
 Runs ``advwave converge`` on the 1D periodic (upwind and central), 1D
 supersonic, 2D periodic (central and upwind), and 2D mixed-boundary
 (subsonic and supersonic inflow) cases; it prints each
-case's fitted rates.  Each case's config, errors.csv and rates.csv go to a
+case's rates, the slopes fitted over all its grids and over its finest 3
+(rates.csv holds both).  Each case's config, errors.csv and rates.csv go to a
 directory of its own under --output (default: a temporary directory,
 removed at exit).
 Pass --quick for a shorter grid list.

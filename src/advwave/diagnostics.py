@@ -17,9 +17,14 @@ from .operators import Discretization, ModalState, Separable, _combine, _grid_co
 
 def _energy_terms(disc: Discretization, u, v, du, dv):
     """(sum v . M dv, sum u . S du) in the element energy form of disc, each
-    one BLAS dot product."""
-    return (np.vdot(v, dv * disc.v_mass_diag),
-            np.vdot(u, du @ disc.stiffness.T))
+    one BLAS product and one dot product, on the transposes: those of
+    coefficient-major arrays (a stepped state, ``rhs``'s input and output)
+    are C-contiguous, so nothing is copied (arrays of other layouts are, by
+    the dot).  M is applied as the diagonal matrix ``v_mass``, which BLAS
+    takes where scaling by ``v_mass_diag`` would broadcast a column over the
+    elements; S is symmetric."""
+    return (np.vdot(v.T, np.dot(disc.v_mass, dv.T)),
+            np.vdot(u.T, np.dot(disc.stiffness, du.T)))
 
 
 def discrete_energy(state: ModalState, disc: Discretization) -> float:
@@ -33,7 +38,9 @@ def energy_identity_residual(state: ModalState, disc: Discretization):
 
     The two sides are independent code paths: the left is v.M dv + u.S du
     from one ``rhs`` call per state (no time differencing), the right the
-    closed-form per-face energy rates of all states in one pass.  Requires
+    per-face energy rates of all states in one pass, as the face forms
+    polarized from the closed-form densities
+    (``Discretization.boundary_energy_rate``).  Requires
     homogeneous forcing.  u and v may stack states on leading axes, as in
     ``Discretization.side_traces``.  Returns (lhs, rhs, relative residual)
     as arrays of the leading shape, numpy scalars for one state.
@@ -48,7 +55,8 @@ def energy_identity_residual(state: ModalState, disc: Discretization):
     scale = np.empty_like(lhs)
     for i in np.ndindex(lhs.shape):
         du, dv = disc.rhs(state.u[i], state.v[i], state.t)
-        kinetic, potential = _energy_terms(disc, state.u[i], state.v[i], du, dv)
+        # rhs leaves the state in its input, laid out like du and dv
+        kinetic, potential = _energy_terms(disc, *disc.input_uv, du, dv)
         lhs[i] = kinetic + potential
         scale[i] = abs(kinetic) + abs(potential)
     rhs = disc.boundary_energy_rate(state.u, state.v)
@@ -84,13 +92,14 @@ def l2_error(state: ModalState, spec, t: float, disc: Discretization):
     def error(coeffs, vals_t, field):
         tau = field.time(t)
         projections, gram, root_mass = rule.projection(field.space, vals_t)
+        # coefficient-major, (N, n_elements), as a stepped state's transpose
         diff = _combine(tau, projections)
-        np.subtract(coeffs, diff, out=diff)
+        np.subtract(coeffs.T, diff, out=diff)
         diff *= root_mass
         flat = diff.ravel()
         # G's form is not negative but for roundoff, which at a remainder
         # that cancels could take the sum below zero
-        return math.sqrt(np.dot(flat, flat) + max(tau @ gram @ tau, 0.0))
+        return math.sqrt(np.dot(flat, flat) + max(np.dot(tau, np.dot(gram, tau)), 0.0))
 
     return (error(state.u, ref.err_vals_u_t, spec.exact_u),
             error(state.v, ref.err_vals_v_t, spec.exact_v))

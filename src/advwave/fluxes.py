@@ -245,3 +245,29 @@ def energy_rate_density(kind: FaceKind, t1: Trace, t2: Trace | None,
     if kind == FaceKind.BOUNDARY_OUTFLOW:
         return outflow_energy_density(t1, w, c, p.xi)
     return supersonic_boundary_energy_density(t1, kind, w, c)
+
+
+def energy_rate_form(kind: FaceKind, sides, p: FluxParams, w, c: float,
+                     weights: np.ndarray) -> np.ndarray:
+    """A classified face's energy rate as a symmetric matrix Q on trace
+    coordinates: for the coordinates z of trace 1 and, on an interior face,
+    then of trace 2, z^T Q z is ``energy_rate_density`` integrated with the
+    face weights.  sides holds (unit_v, unit_g, n) for each trace: v and
+    grad u of its r unit coordinates at the face points, (r, nfq) and
+    (r, nfq, dim), and its outward normal.
+
+    Every density is quadratic in the traces, so Q is polarized from one
+    evaluation on the unit coordinate vectors e_i and on e_i + e_j:
+    Q_ii = rate(e_i), Q_ij = (rate(e_i + e_j) - rate(e_i) - rate(e_j)) / 2.
+    """
+    r = len(sides[0][0])
+    m = r * len(sides)
+    i, j = np.triu_indices(m, 1)
+    unit = np.eye(m)
+    z = np.concatenate([unit, unit[i] + unit[j]]).reshape(-1, len(sides), r)
+    traces = [Trace(v=z[:, k] @ unit_v, grad_u=np.tensordot(z[:, k], unit_g, 1), n=n)
+              for k, (unit_v, unit_g, n) in enumerate(sides)] + [None]
+    rates = energy_rate_density(kind, traces[0], traces[1], p, w, c) @ weights
+    form = np.diag(rates[:m])
+    form[i, j] = form[j, i] = 0.5 * (rates[m:] - rates[i] - rates[j])
+    return form

@@ -66,9 +66,16 @@ supersonic on both axes.  ``blocks`` keep every row.
 ``matrix_free_rhs`` keeps the face-by-face evaluation of the homogeneous
 operator, built directly at the grid's size, the reference the assembled (and
 rescaled) one is tested against.  It and the energy audit
-(``boundary_energy_rate``) walk the faces of ``_grid_couplings``, the grid's
-one record of adjacency, each face set with its flux kind from ``face_kinds``,
-classified once per discretization.
+(``boundary_energy_rate``) walk the face sets of ``_grid_couplings``, the
+grid's one record of adjacency (``Discretization._face_sets``), each with
+its flux kind from ``face_kinds``, classified once per discretization.  The
+audit evaluates each face's energy rate as a quadratic form z^T Q_k z on
+its trace coordinates z, stacked states included: Q_k, one per face kind,
+is polarized from the closed-form density ``fluxes.energy_rate_density``
+on the unit traces, once per family (``_family_face_forms``), and rescaled
+to the grid on first use (``Discretization.face_forms``).  The audit so
+keeps two independent sides, the assembled blocks and the closed-form
+densities, and never builds a ``Trace`` per state.
 """
 
 from __future__ import annotations
@@ -250,13 +257,15 @@ class FieldTable:
 
     def projection(self, space: Callable, vals_t: np.ndarray):
         """(c, G, root_mass) of space's K factors on the basis whose values
-        at the rule's points are vals_t, (N, p^dim): the (K, n_elements, N)
-        projections, the (K, K) Gram matrix of the remainders and the (N,)
-        square roots of the mass diagonal, each with the weights' Jacobian.
+        at the rule's points are vals_t, (N, p^dim): the (K, N, n_elements)
+        projections, coefficient-major like a stepped state, the (K, K) Gram
+        matrix of the remainders and the square roots of the mass diagonal
+        of each element, (N, n_elements), each with the weights' Jacobian.
 
         Built on first use for each callable and basis size, without the
         point values: one evaluation of space, then element blocks of at
-        most PROJECTION_BLOCK values.  A table serves one reference
+        most PROJECTION_BLOCK values, so a grid whose K factors fit is one
+        block.  A table serves one reference
         element, in which equal sizes are equal degrees, so u and v of one
         callable share an entry when q = s.
         """
@@ -281,23 +290,26 @@ class FieldTable:
         root_weights = root_weights.reshape(shape[dim:])
         factors = [np.broadcast_to(f * root_weights, shape) for f in space(*self.coords)]
         k = len(factors)
-        coeffs = np.empty((k, n ** dim, len(vals_t)))
+        coeffs = np.empty((k, len(vals_t), n ** dim))
         gram = np.zeros((k, k))
-        # the K factors of a block hold at most PROJECTION_BLOCK values, and
-        # at most the n_elements * p^dim of one field's values
-        per = max(1, min(PROJECTION_BLOCK // n_pts, n ** dim) // k)
+        # the K factors of a block hold at most PROJECTION_BLOCK values
+        per = max(1, PROJECTION_BLOCK // (n_pts * k))
         for index, first in _element_blocks(n, dim, per):
             block = np.empty((k,) + tuple(cut.stop - cut.start for cut in index) + shape[dim:])
             for row, f in zip(block, factors):
                 row[...] = f[index]
             values = block.reshape(k, -1, n_pts)
-            c = np.matmul(values, proj, out=coeffs[:, first:first + values.shape[1]])
+            c = values @ proj
+            coeffs[:, :, first:first + values.shape[1]] = c.transpose(0, 2, 1)
             # the scaled remainders at the points
             rest = c @ scaled
             rest -= values
             rest = rest.reshape(k, -1)
             gram += rest @ rest.T
-        return coeffs, gram, np.sqrt(mass)
+        # the square roots of the mass, broadcast over the elements: a call
+        # scales by them in numpy's contiguous loop
+        root_mass = np.repeat(np.sqrt(mass)[:, None], n ** dim, axis=1)
+        return coeffs, gram, root_mass
 
 
 def element_scale(dim: int, h: float, c: float) -> float:
@@ -321,8 +333,8 @@ def _grid_couplings(dim: int, periodic: bool):
     """The element couplings of a dim-dimensional grid, as index tuples on
     it; built once per process for each kind of grid.  They are the only
     record of which element meets which across which side: ``rhs`` couples
-    through them, and ``Discretization._face_traces`` takes the faces of
-    the reference and of the energy audit from them.
+    through them, and ``Discretization._face_sets`` takes the faces of the
+    reference and of the energy audit from them.
 
     Returns (shifts, strips).  shifts holds (side, dst, src), in side order:
     the elements at dst read their neighbour across side from src, one step
@@ -675,6 +687,45 @@ def _rescale(a: np.ndarray, k: float, nu: int, v_rows: np.ndarray) -> np.ndarray
     return a * factor
 
 
+def _face_sides(axis: int):
+    """The sides that hold the traces of a face of each kind of an axis, in
+    the order of ``Discretization.face_kinds``: an interior face's trace 1
+    (the high side of the low element, outward normal +e_axis) and trace 2
+    (the low side of the high element), then the low and the high
+    boundary side."""
+    lo, hi = 2 * axis, 2 * axis + 1
+    return (hi, lo), (lo,), (hi,)
+
+
+@functools.lru_cache(maxsize=FAMILY_CACHE)
+def _family_face_forms(q: int, s: int, dim: int, params: FluxParams, w: tuple, c: float,
+                       kinds: tuple):
+    """The face forms of an operator family (as ``_family_reference``
+    names it), at unit face Jacobian and gradient scale: per axis, a
+    read-only ``fluxes.energy_rate_form`` for each flux kind of
+    ``face_kinds`` on the unit traces ``unit_v``/``unit_g`` of its sides
+    (``_face_sides``), None for a kind the grid has no face of.  Every
+    density is quadratic in v and grad u, so on a grid a form changes only
+    by the face Jacobian and by the scale of the gradient coordinates
+    (``Discretization.face_forms``)."""
+    ref = build_reference(q, s, dim)
+    normals = np.eye(dim)
+    forms = []
+    for axis, axis_kinds in enumerate(kinds):
+        row = []
+        for kind, sides in zip(axis_kinds, _face_sides(axis)):
+            form = None
+            if kind is not None:
+                form = fluxes.energy_rate_form(
+                    kind, [(ref.unit_v[side], ref.unit_g[side],
+                            (1.0 if side % 2 else -1.0) * normals[axis]) for side in sides],
+                    params, w, c, ref.face_weights)
+                form.flags.writeable = False
+            row.append(form)
+        forms.append(tuple(row))
+    return tuple(forms)
+
+
 class Discretization:
     """Everything needed to apply the semidiscrete operator repeatedly.
 
@@ -696,7 +747,7 @@ class Discretization:
     of the v mass M), with the element Jacobian, are the element's energy
     form, E = 1/2 sum_e (v M v + u S u); u_system, S with the mean-value row
     in the constant slot, is the u equation's element system.  All three are
-    read-only.
+    read-only, as is v_mass, M as a diagonal matrix (built on first use).
     """
 
     def __init__(self, mesh: MeshTopology, ref: ReferenceElement,
@@ -744,10 +795,53 @@ class Discretization:
         self._tau_t = None
 
     @functools.cached_property
+    def v_mass(self) -> np.ndarray:
+        """The v mass M as a diagonal matrix, for BLAS products with
+        coefficient-major arrays: the same numbers as scaling by
+        v_mass_diag."""
+        mass = np.diag(self.v_mass_diag)
+        mass.flags.writeable = False
+        return mass
+
+    @functools.cached_property
     def error_quadrature(self) -> FieldTable:
         """The ``FieldTable`` of ``diagnostics.l2_error``'s rule, with its
         weights, built on first use."""
         return FieldTable(self.mesh, self.ref.err_nodes, self.jac_vol * self.ref.err_weights)
+
+    def _family_key(self):
+        """The arguments that name this grid's operator family in the family
+        caches (``_family_reference``, ``_family_face_forms``): degrees,
+        dimension, flux, w and c, in canonical floats, and the flux kinds."""
+        ref = self.ref
+        # + 0.0 makes a -0.0, which the key does not tell from 0.0, the 0.0
+        # the family is built from
+        params = FluxParams(**{k: float(x) + 0.0 for k, x in vars(self.params).items()})
+        w = tuple(float(x) + 0.0 for x in self.w)
+        return ref.q, ref.s, ref.dim, params, w, self.c, tuple(self.face_kinds)
+
+    @functools.cached_property
+    def face_forms(self) -> tuple:
+        """The face forms of this grid, per axis (interior, low boundary,
+        high boundary; None for a kind the grid has no face of): the
+        family's (``_family_face_forms``), built on first use and rescaled
+        to the grid.  A face's energy rate is z^T Q z in its trace
+        coordinates z, whose gradient coordinates are dscale times those of
+        the reference, and its integral carries the face Jacobian."""
+        ref = self.ref
+        # a trace coordinate is a v coordinate where its unit trace has a v part
+        scale = np.where(np.any(ref.unit_v, axis=(0, 2)), 1.0, self.dscale)
+        forms = []
+        for axis_forms in _family_face_forms(*self._family_key()):
+            row = []
+            for form in axis_forms:
+                if form is not None:
+                    z_scale = np.tile(scale, len(form) // len(scale))
+                    form = self.jac_face * (z_scale[:, None] * form * z_scale)
+                    form.flags.writeable = False
+                row.append(form)
+            forms.append(tuple(row))
+        return tuple(forms)
 
     def _rescaled_reference(self):
         """(blocks, first, runs, lifts, trace_factors) of this grid: its
@@ -755,12 +849,8 @@ class Discretization:
         of arrays of kept lift rows (in 1D, slices of the blocks); the trace
         factors are the family's."""
         ref = self.ref
-        # the key in canonical floats: + 0.0 makes a -0.0, which the key
-        # does not tell from 0.0, the 0.0 the reference is built from
-        params = FluxParams(**{k: float(x) + 0.0 for k, x in vars(self.params).items()})
-        w = tuple(float(x) + 0.0 for x in self.w)
         h_ref, blocks, first, runs, lifts, v_rows, trace_factors = _family_reference(
-            ref.q, ref.s, ref.dim, params, w, self.c, tuple(self.face_kinds))
+            *self._family_key())
         k, nu = h_ref / self.mesh.h, ref.n_u
         # an overflow shows as blocks that are not finite, raised below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -799,31 +889,42 @@ class Discretization:
         return (np.moveaxis(vtr.reshape(vtr.shape[:-1] + (sides, nfq)), -2, 0),
                 np.moveaxis(gtr.reshape(gtr.shape[:-1] + (sides, nfq, dim)), -3, 0))
 
-    def _face_traces(self, vtr, gtr):
-        """Traces of every face set of the grid, axis by axis: yields (kind,
-        sides, t1, t2), sides listing the (side, elements) pairs that hold
-        trace 1 and, on an interior face, trace 2 (None on a boundary face).
+    def _face_sets(self):
+        """The face sets of the grid, axis by axis: yields (axis, role, at),
+        role the index of the set's kind in the axis's ``face_kinds`` (0
+        interior, 1 low boundary, 2 high boundary) and at the (side, index)
+        pairs, index a tuple on the element grid, that hold trace 1 and, on
+        an interior face, trace 2 (``_face_sides``).
 
         The sets are those of ``_grid_couplings``: each shift across an
         axis's high side 2a+1 joins side 2a+1 of its dst elements (trace 1,
         outward normal +e_a) to side 2a of its src elements, and each strip
         of the axis is a set of boundary faces.
         """
+        shifts, strips = _grid_couplings(self.mesh.dim, self.mesh.periodic)
+        for axis in range(self.mesh.dim):
+            for side, dst, src in shifts:
+                if side == 2 * axis + 1:
+                    yield axis, 0, ((side, dst), (side ^ 1, src))
+            for side, layer in strips:
+                if side // 2 == axis:
+                    yield axis, 1 + side % 2, ((side, layer),)
+
+    def _face_traces(self, vtr, gtr):
+        """Traces of every face set of the grid (``_face_sets``), as
+        ``Trace`` objects: yields (kind, sides, t1, t2), sides listing the
+        (side, elements) pairs that hold trace 1 and, on an interior face,
+        trace 2 (None on a boundary face)."""
         dim, n = self.mesh.dim, self.mesh.n
         grid = np.arange(self.mesh.n_elements).reshape((n,) * dim)
-        shifts, strips = _grid_couplings(dim, self.mesh.periodic)
         eye = np.eye(dim)
-        for axis, kinds in enumerate(self.face_kinds):
-            faces = [(kinds[0], ((side, dst), (side ^ 1, src)))
-                     for side, dst, src in shifts if side == 2 * axis + 1]
-            faces += [(kinds[1 + side % 2], ((side, layer),))
-                      for side, layer in strips if side // 2 == axis]
-            for kind, at in faces:
-                sides = [(side, grid[index].ravel()) for side, index in at]
-                traces = [Trace(v=vtr[side][..., el, :], grad_u=gtr[side][..., el, :, :],
-                                n=(1.0 if side % 2 else -1.0) * eye[axis])
-                          for side, el in sides]
-                yield kind, sides, traces[0], traces[1] if len(traces) == 2 else None
+        for axis, role, at in self._face_sets():
+            sides = [(side, grid[index].ravel()) for side, index in at]
+            traces = [Trace(v=vtr[side][..., el, :], grad_u=gtr[side][..., el, :, :],
+                            n=(1.0 if side % 2 else -1.0) * eye[axis])
+                      for side, el in sides]
+            yield (self.face_kinds[axis][role], sides, traces[0],
+                   traces[1] if len(traces) == 2 else None)
 
     def face_flux_states(self, u: np.ndarray, v: np.ndarray):
         """Flux states for every element side, face by face.
@@ -989,12 +1090,26 @@ class Discretization:
 
         u and v may stack states on leading axes, as in ``side_traces``: the
         rates of all of them come from one pass, as an array of the leading
-        shape (a numpy scalar for one state).
+        shape (a numpy scalar for one state).  A face's rate is z^T Q z, with
+        z its trace coordinates (``ReferenceElement.trace_maps``) and Q its
+        kind's form (``face_forms``, polarized from
+        ``fluxes.energy_rate_density``).  A v coordinate reads only v
+        coefficients and a derivative only u coefficients, so every side's
+        coordinates come from one product per field; each face set is then
+        one product with its form and one batched dot product.
         """
-        vtr, gtr = self.side_traces(u, v)
-        wf = self.ref.face_weights
-        total = 0.0
-        for kind, _, t1, t2 in self._face_traces(vtr, gtr):
-            density = fluxes.energy_rate_density(kind, t1, t2, self.params, self.w, self.c)
-            total += self.jac_face * np.sum(density @ wf, axis=-1)
-        return total
+        maps, nu = self.ref.trace_maps, self._nu
+        sides, _, r = maps.shape
+        n_vt = int(np.sum(np.any(self.ref.unit_v, axis=(0, 2))))
+        lead = (-1,) + (self.mesh.n,) * self.mesh.dim + (sides,)
+        tv = v @ maps[:, nu:, :n_vt].transpose(1, 0, 2).reshape(-1, sides * n_vt)
+        tg = u @ maps[:, :nu, n_vt:].transpose(1, 0, 2).reshape(nu, -1)
+        tv, tg = tv.reshape(lead + (n_vt,)), tg.reshape(lead + (r - n_vt,))
+        total = np.zeros(len(tv))
+        for axis, role, at in self._face_sets():
+            z = np.concatenate([t[(slice(None),) + index + (side,)]
+                                for side, index in at for t in (tv, tg)], axis=-1)
+            z = z.reshape(len(z), -1, z.shape[-1])
+            y = z @ self.face_forms[axis][role]
+            total += (y.reshape(len(y), 1, -1) @ z.reshape(len(z), -1, 1)).ravel()
+        return total.reshape(u.shape[:-2])[()]

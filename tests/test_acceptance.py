@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from advwave.basis import build_reference
-from advwave.cli import RunConfig, run_convergence
-from advwave.diagnostics import (discrete_energy, energy_identity_residual, fit_rate,
-                                 spectral_radius_probe)
+from advwave.cli import RunConfig, fine_rates, run_convergence
+from advwave.diagnostics import discrete_energy, energy_identity_residual, spectral_radius_probe
 from advwave.fluxes import (FluxParams, Trace, inflow_flux, outflow_flux,
                             supersonic_boundary_flux, supersonic_interior_flux)
 from advwave.mesh import FaceKind, build_mesh
@@ -40,9 +39,7 @@ def rates(problem, q, flux, w, c, T, s=None, grids=None):
     cfg = RunConfig(problem=problem, q=q, s=s, flux=flux, w=w, c=c, T=T,
                     n_list=grids)
     rows, rate_u, rate_v, _ = run_convergence(cfg)
-    hs = [row[1] for row in rows[-3:]]
-    return (rate_u, rate_v, fit_rate(hs, [row[2] for row in rows[-3:]]),
-            fit_rate(hs, [row[3] for row in rows[-3:]]))
+    return (rate_u, rate_v) + fine_rates(rows)
 
 
 def near(rate, theory):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import csv
 import dataclasses
 import importlib
 import io
@@ -21,6 +22,7 @@ from advwave import cli, operators
 from advwave.cli import (ConfigError, RunConfig, build_discretization, default_cfl,
                          flux_params, load_config, main, time_step, validate_config)
 from advwave.basis import build_reference
+from advwave.diagnostics import fit_rate
 from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
 from advwave.operators import Discretization, element_scale
@@ -550,7 +552,27 @@ def test_converge_smoke_and_worker_determinism(tmp_path):
     assert (out1 / "errors.csv").read_bytes() == (out2 / "errors.csv").read_bytes()
     assert (out1 / "rates.csv").read_bytes() == (out2 / "rates.csv").read_bytes()
     header = (out1 / "rates.csv").read_text().splitlines()[0]
-    assert header == "q,s,flux,w,c,rate_u,rate_v"
+    assert header == "q,s,flux,w,c,rate_u,rate_v,rate_u_fine,rate_v_fine"
+
+
+@pytest.mark.parametrize("grids", [[4, 6], [4, 6, 8, 10]])
+def test_rates_csv_reports_the_finest_three_grids_slope(tmp_path, grids):
+    # rate_u_fine and rate_v_fine are the slopes over the finest 3 grids of
+    # errors.csv (all of them when there are fewer), from no further solve
+    path = write_config(tmp_path, T=0.05, n_list=grids)
+    out = tmp_path / "c"
+    assert main(["converge", "--config", path, "--output", str(out)]) == 0
+    with open(out / "errors.csv") as fh:
+        errors = list(csv.DictReader(fh))
+    with open(out / "rates.csv") as fh:
+        (rates,) = csv.DictReader(fh)
+    fine = errors[-3:]
+    hs = [float(row["h"]) for row in fine]
+    for field in ("u", "v"):
+        expect = fit_rate(hs, [float(row[f"err_{field}"]) for row in fine])
+        assert float(rates[f"rate_{field}_fine"]) == expect
+        if len(grids) <= 3:
+            assert rates[f"rate_{field}_fine"] == rates[f"rate_{field}"]
 
 
 # --- outputs do not depend on what the process ran before -----------------------

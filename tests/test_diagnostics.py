@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advwave import diagnostics, operators
+from advwave import diagnostics, fluxes, operators
 from advwave.basis import build_reference, tensor_eval, tensor_gauss
 from advwave.diagnostics import (bloch_symbols, discrete_energy, energy_identity_residual,
                                  fit_rate, l2_error, spectral_radius_probe)
 from advwave.fluxes import FluxParams
-from advwave.mesh import build_mesh
+from advwave.mesh import FaceKind, build_mesh
 from advwave.operators import Discretization, ModalState, Separable
 from advwave.problems import mixed_2d, periodic_1d, periodic_2d
+from advwave.timeint import evolve
 from test_problems import exact_mixed_2d, exact_periodic_1d, exact_periodic_2d
 
 
@@ -133,6 +134,82 @@ def test_energy_identity_of_a_stack_matches_one_state_at_a_time():
         assert all(np.ndim(x) == 0 and isinstance(x, np.floating) for x in one)
         assert one[0] == lhs[i, j]
         assert abs(one[1] - rhs[i, j]) <= 1e-13 * max(1.0, abs(rhs[i, j]))
+
+
+def face_by_face_energy_rate(disc, u, v):
+    """``boundary_energy_rate`` as the face walk sums it: the closed-form
+    density of every face set's kind on its ``Trace`` objects
+    (``Discretization._face_traces``), integrated with the face weights.
+    Returns the rates and the sum of the magnitudes of the face sets'
+    rates, the scale of their roundoff."""
+    vtr, gtr = disc.side_traces(u, v)
+    total = scale = 0.0
+    for kind, _, t1, t2 in disc._face_traces(vtr, gtr):
+        density = fluxes.energy_rate_density(kind, t1, t2, disc.params, disc.w, disc.c)
+        rate = disc.jac_face * np.sum(density @ disc.ref.face_weights, axis=-1)
+        total, scale = total + rate, scale + np.abs(rate)
+    return total, scale
+
+
+# (dim, mode, q, s, w, flux): every face kind, each flux branch of the
+# supersonic interior face, and fluxes whose sigma is not 1/2
+FACE_FORM_CASES = {
+    "1d-sommerfeld": (1, "periodic", 3, 3, [0.5], FluxParams.sommerfeld()),
+    "1d-supersonic": (1, "periodic", 3, 2, [2.0], FluxParams.sommerfeld(2.0)),
+    "1d-physical-central": (1, "physical", 2, 2, [-2.0], FluxParams.central()),
+    "periodic2d-central": (2, "periodic", 3, 3, [0.5, 0.25], FluxParams.central()),
+    "mixed2d-sommerfeld": (2, "physical", 2, 2, [0.5, 0.5], FluxParams.sommerfeld()),
+    "mixed2d-supersonic": (2, "physical", 3, 2, [1.5, 0.3], FluxParams.sommerfeld()),
+    "mixed2d-supersonic-out": (2, "physical", 2, 1, [-1.5, -1.3], FluxParams.sommerfeld(0.7)),
+    "mixed2d-central": (2, "physical", 2, 2, [-0.7, 1.2], FluxParams.central()),
+    "mixed2d-custom": (2, "physical", 2, 2, [0.4, -0.3],
+                       FluxParams(sigma=0.8, beta=0.3, eta=0.2, xi=0.7)),
+    "mixed2d-custom-supersonic": (2, "physical", 2, 2, [1.4, 0.0],
+                                  FluxParams(sigma=0.3, beta=0.0, eta=0.0, xi=1.3)),
+}
+
+
+def test_face_form_cases_cover_every_face_kind():
+    kinds = set()
+    for dim, mode, q, s, w, params in FACE_FORM_CASES.values():
+        disc = make_disc(dim=dim, n=3, q=q, w=w, mode=mode, params=params)
+        kinds |= {kind for axis in disc.face_kinds for kind in axis if kind is not None}
+    assert kinds == set(FaceKind)
+
+
+@pytest.mark.parametrize("case", sorted(FACE_FORM_CASES))
+def test_face_forms_match_the_face_walk(case):
+    dim, mode, q, s, w, params = FACE_FORM_CASES[case]
+    disc = Discretization(build_mesh(dim, 5, mode), build_reference(q, s, dim=dim),
+                          params, w, 1.0)
+    rng = np.random.default_rng(7)
+    n_el, nu, nv = disc.mesh.n_elements, disc.ref.n_u, disc.ref.n_v
+    for lead in [(), (4,), (2, 3)]:
+        u = rng.standard_normal(lead + (n_el, nu))
+        v = rng.standard_normal(lead + (n_el, nv))
+        got = disc.boundary_energy_rate(u, v)
+        expect, scale = face_by_face_energy_rate(disc, u, v)
+        assert np.shape(got) == lead
+        assert np.all(np.abs(got - expect) <= 1e-12 * np.maximum(scale, 1e-300))
+    # one state comes back as a numpy scalar
+    assert isinstance(disc.boundary_energy_rate(u[0, 0], v[0, 0]), np.floating)
+
+
+def test_face_forms_are_built_on_first_use_once_per_family():
+    # a Discretization builds no form until its face rates are asked for;
+    # the forms are cached per operator family and rescaled to each grid
+    operators._family_face_forms.cache_clear()
+    grids = [make_disc(dim=2, n=n, q=2, w=[0.5, 0.5], mode="physical") for n in (3, 4)]
+    assert operators._family_face_forms.cache_info().currsize == 0
+    assert all("face_forms" not in vars(disc) for disc in grids)
+    for disc in grids:
+        st = random_state(disc)
+        disc.boundary_energy_rate(st.u, st.v)
+    info = operators._family_face_forms.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for disc in grids:
+        for form in (f for axis in disc.face_forms for f in axis):
+            assert not form.flags.writeable and np.array_equal(form, form.T)
 
 
 # E = 1/2 x.G x, with G the block-diagonal energy Gram of
@@ -404,6 +481,31 @@ def test_l2_error_evaluates_each_space_once_per_discretization(kind):
     assert len(calls) == len(spies)
 
 
+@pytest.mark.parametrize("kind", sorted(PROBLEMS))
+def test_diagnostics_agree_between_layouts(kind):
+    # evolve's observers see the state coefficient-major, F-ordered views of
+    # one stepped array; C-ordered copies of the same state give the same
+    # energy, errors and energy-identity sides
+    factory, args, mode = PROBLEMS[kind]
+    spec = factory(*args)
+    disc = Discretization(build_mesh(spec.dim, 6, mode), build_reference(3, 2, dim=spec.dim),
+                          FluxParams.sommerfeld(), spec.w, spec.c)
+    seen = []
+
+    def observe(step, st):
+        if step == 3:
+            assert st.u.flags.f_contiguous and not st.u.flags.c_contiguous
+            copy = ModalState(np.ascontiguousarray(st.u), np.ascontiguousarray(st.v), st.t)
+            for state in (st, copy):
+                lhs, rhs, _ = energy_identity_residual(state, disc)
+                seen.append((discrete_energy(state, disc), *l2_error(state, spec, st.t, disc),
+                             lhs, rhs))
+
+    evolve(random_state(disc, 4), disc, 0.01, 5, observers=[observe])
+    view, copy = np.array(seen)
+    assert np.all(np.abs(view - copy) <= 1e-14 * np.abs(copy))
+
+
 @pytest.mark.parametrize("dim,n,per", [(1, 7, 3), (1, 4, 9), (2, 5, 3), (2, 5, 12), (2, 4, 16),
                                        (2, 3, 1)])
 def test_element_blocks_cover_the_grid_in_order(dim, n, per):
@@ -438,13 +540,28 @@ def test_projection_in_small_blocks_matches_one_block(monkeypatch, kind):
         monkeypatch.setattr(operators, "PROJECTION_BLOCK", limit)
         rule = operators.FieldTable(disc.mesh, ref.err_nodes, disc.jac_vol * ref.err_weights)
         tables.append(rule.projection(spec.exact_v.space, ref.err_vals_v_t))
-        # no block's K factors hold more values than one field's on the grid
-        assert sizes[-1] * k * n_pts <= max(min(limit, n_el * n_pts), k * n_pts)
+        # no block's K factors hold more values than the limit, and a block
+        # holds at least one element
+        assert sizes[-1] * k * n_pts <= max(limit, k * n_pts)
     (c, gram, root_mass), others = tables[0], tables[1:]
     for other_c, other_gram, other_root_mass in others:
         assert np.max(np.abs(other_c - c)) <= 1e-15 * np.max(np.abs(c))
         assert np.max(np.abs(other_gram - gram)) <= 1e-12 * np.max(np.abs(gram))
         assert np.array_equal(other_root_mass, root_mass)
+
+
+@pytest.mark.parametrize("n,count", [(5, 1), (7, 1), (10, 2), (28, 14)])
+def test_projection_block_is_capped_by_values_alone(monkeypatch, n, count):
+    # periodic2d q = 3 (K = 4, 49 points): a grid whose K factors fit in
+    # PROJECTION_BLOCK values is one block, however few its elements
+    spec = periodic_2d([0.5, 0.5], 1.0)
+    disc = Discretization(build_mesh(2, n, "periodic"), build_reference(3, 3, dim=2),
+                          FluxParams.central(), spec.w, spec.c)
+    blocks, seen = operators._element_blocks, []
+    monkeypatch.setattr(operators, "_element_blocks",
+                        lambda *args: (seen.append(b) or b for b in blocks(*args)))
+    l2_error(random_state(disc), spec, 0.3, disc)
+    assert len(seen) == count
 
 
 def test_fit_rate_needs_two_distinct_h():

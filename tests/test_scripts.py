@@ -43,3 +43,6 @@ def test_reproduce_rates_writes_every_case(tmp_path):
     for case in tmp_path.iterdir():
         assert sorted(p.name for p in case.iterdir()) == ["config.json", "errors.csv",
                                                          "rates.csv"]
+    # every case reports the slope over all its grids and over the finest 3
+    assert len(re.findall(r"convergence: rate_u=\S+ rate_v=\S+ .*; "
+                          r"finest 3: rate_u=\S+ rate_v=\S+", proc.stdout)) == 12, proc.stdout
