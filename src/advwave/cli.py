@@ -2,9 +2,10 @@
 and spectral-radius scans, all driven by a JSON config file.
 
 Exit codes: 0 success, 2 bad configuration (an unusable --output or a
-closed stdout among them), 3 instability during time stepping, 4
-energy-audit failure.  All CSV output is byte-deterministic
-('.' decimal separator, '\\n' line endings, repr-style float formatting).
+closed stdout among them), 3 instability (during time stepping, or errors
+that grow under refinement), 4 energy-audit failure.  All CSV output is
+byte-deterministic ('.' decimal separator, '\\n' line endings, repr-style
+float formatting).
 """
 
 from __future__ import annotations
@@ -436,6 +437,10 @@ def cmd_converge(cfg: RunConfig, outdir, seed: int, workers: int) -> int:
     print(f"convergence: rate_u={rate_u:.4f} rate_v={rate_v:.4f} "
           f"(window={window}, grids={[r[0] for r in rows]}); "
           f"finest {min(FINE_GRIDS, len(rows))}: rate_u={fine_u:.4f} rate_v={fine_v:.4f}")
+    if rate_u < 0 or rate_v < 0:
+        print(f"instability: errors grow under refinement (rate_u={rate_u:.4f}, "
+              f"rate_v={rate_v:.4f})", file=sys.stderr)
+        return EXIT_INSTABILITY
     return EXIT_OK
 
 
@@ -454,14 +459,17 @@ def cmd_energy(cfg: RunConfig, outdir, seed: int) -> int:
     rng = np.random.default_rng(seed)
     # the face side of a batch of states is one pass; a batch holds at
     # most AUDIT_UNKNOWNS unknowns
-    batch = max(1, AUDIT_UNKNOWNS // (disc.mesh.n_elements * (disc.ref.n_u + disc.ref.n_v)))
+    n_el, nu = disc.mesh.n_elements, disc.ref.n_u
+    width = n_el * (nu + disc.ref.n_v)
+    batch = max(1, AUDIT_UNKNOWNS // width)
     rows = []
     for first in range(0, cfg.n_states, batch):
-        states = [random_state(disc, rng)
-                  for _ in range(min(batch, cfg.n_states - first))]
-        stacked = ModalState(np.stack([st.u for st in states]),
-                             np.stack([st.v for st in states]))
-        rows += zip(range(first, first + len(states)),
+        # one draw: each row holds a state's u, then its v, as successive
+        # random_state draws would
+        draws = rng.standard_normal((min(batch, cfg.n_states - first), width))
+        u, v = np.split(draws, [n_el * nu], axis=1)
+        stacked = ModalState(u.reshape(len(draws), n_el, -1), v.reshape(len(draws), n_el, -1))
+        rows += zip(range(first, first + len(draws)),
                     *energy_identity_residual(stacked, disc))
     # a NaN residual fails the audit
     worst = float(np.max([row[3] for row in rows]))

@@ -72,10 +72,11 @@ its flux kind from ``face_kinds``, classified once per discretization.  The
 audit evaluates each face's energy rate as a quadratic form z^T Q_k z on
 its trace coordinates z, stacked states included: Q_k, one per face kind,
 is polarized from the closed-form density ``fluxes.energy_rate_density``
-on the unit traces, once per family (``_family_face_forms``), and rescaled
-to the grid on first use (``Discretization.face_forms``).  The audit so
-keeps two independent sides, the assembled blocks and the closed-form
-densities, and never builds a ``Trace`` per state.
+on the unit traces, once per family (``_family_face_forms``), and every
+grid of the family reads it as built: the audit scales the coordinates to
+the grid instead, the gradient ones by 2/h, and the sum by the face
+Jacobian.  The audit so keeps two independent sides, the assembled blocks
+and the closed-form densities, and never builds a ``Trace`` per state.
 """
 
 from __future__ import annotations
@@ -705,9 +706,10 @@ def _family_face_forms(q: int, s: int, dim: int, params: FluxParams, w: tuple, c
     read-only ``fluxes.energy_rate_form`` for each flux kind of
     ``face_kinds`` on the unit traces ``unit_v``/``unit_g`` of its sides
     (``_face_sides``), None for a kind the grid has no face of.  Every
-    density is quadratic in v and grad u, so on a grid a form changes only
-    by the face Jacobian and by the scale of the gradient coordinates
-    (``Discretization.face_forms``)."""
+    density is quadratic in v and grad u, so every grid of the family reads
+    these forms as they are: ``boundary_energy_rate`` scales the gradient
+    coordinates by 2/h and the summed rate by the face Jacobian, not the
+    forms."""
     ref = build_reference(q, s, dim)
     normals = np.eye(dim)
     forms = []
@@ -819,29 +821,6 @@ class Discretization:
         params = FluxParams(**{k: float(x) + 0.0 for k, x in vars(self.params).items()})
         w = tuple(float(x) + 0.0 for x in self.w)
         return ref.q, ref.s, ref.dim, params, w, self.c, tuple(self.face_kinds)
-
-    @functools.cached_property
-    def face_forms(self) -> tuple:
-        """The face forms of this grid, per axis (interior, low boundary,
-        high boundary; None for a kind the grid has no face of): the
-        family's (``_family_face_forms``), built on first use and rescaled
-        to the grid.  A face's energy rate is z^T Q z in its trace
-        coordinates z, whose gradient coordinates are dscale times those of
-        the reference, and its integral carries the face Jacobian."""
-        ref = self.ref
-        # a trace coordinate is a v coordinate where its unit trace has a v part
-        scale = np.where(np.any(ref.unit_v, axis=(0, 2)), 1.0, self.dscale)
-        forms = []
-        for axis_forms in _family_face_forms(*self._family_key()):
-            row = []
-            for form in axis_forms:
-                if form is not None:
-                    z_scale = np.tile(scale, len(form) // len(scale))
-                    form = self.jac_face * (z_scale[:, None] * form * z_scale)
-                    form.flags.writeable = False
-                row.append(form)
-            forms.append(tuple(row))
-        return tuple(forms)
 
     def _rescaled_reference(self):
         """(blocks, first, runs, lifts, trace_factors) of this grid: its
@@ -1091,25 +1070,28 @@ class Discretization:
         u and v may stack states on leading axes, as in ``side_traces``: the
         rates of all of them come from one pass, as an array of the leading
         shape (a numpy scalar for one state).  A face's rate is z^T Q z, with
-        z its trace coordinates (``ReferenceElement.trace_maps``) and Q its
-        kind's form (``face_forms``, polarized from
-        ``fluxes.energy_rate_density``).  A v coordinate reads only v
-        coefficients and a derivative only u coefficients, so every side's
-        coordinates come from one product per field; each face set is then
-        one product with its form and one batched dot product.
+        z its trace coordinates (``ReferenceElement.trace_maps``, the
+        derivatives scaled by dscale) and Q its kind's form as the family
+        built it (``_family_face_forms``, polarized from
+        ``fluxes.energy_rate_density``); the sum carries the face Jacobian.
+        A v coordinate reads only v coefficients and a derivative only u
+        coefficients, so every side's coordinates come from one product per
+        field; each face set is then one product with its form and one
+        batched dot product.
         """
         maps, nu = self.ref.trace_maps, self._nu
+        forms = _family_face_forms(*self._family_key())
         sides, _, r = maps.shape
         n_vt = int(np.sum(np.any(self.ref.unit_v, axis=(0, 2))))
         lead = (-1,) + (self.mesh.n,) * self.mesh.dim + (sides,)
         tv = v @ maps[:, nu:, :n_vt].transpose(1, 0, 2).reshape(-1, sides * n_vt)
-        tg = u @ maps[:, :nu, n_vt:].transpose(1, 0, 2).reshape(nu, -1)
+        tg = u @ (self.dscale * maps[:, :nu, n_vt:]).transpose(1, 0, 2).reshape(nu, -1)
         tv, tg = tv.reshape(lead + (n_vt,)), tg.reshape(lead + (r - n_vt,))
         total = np.zeros(len(tv))
         for axis, role, at in self._face_sets():
             z = np.concatenate([t[(slice(None),) + index + (side,)]
                                 for side, index in at for t in (tv, tg)], axis=-1)
             z = z.reshape(len(z), -1, z.shape[-1])
-            y = z @ self.face_forms[axis][role]
+            y = z @ forms[axis][role]
             total += (y.reshape(len(y), 1, -1) @ z.reshape(len(z), -1, 1)).ravel()
-        return total.reshape(u.shape[:-2])[()]
+        return (self.jac_face * total).reshape(u.shape[:-2])[()]

@@ -575,6 +575,22 @@ def test_rates_csv_reports_the_finest_three_grids_slope(tmp_path, grids):
             assert rates[f"rate_{field}_fine"] == rates[f"rate_{field}"]
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_converge_exits_3_when_errors_grow_under_refinement(tmp_path, capsys):
+    # both grids take two steps of 0.5, far beyond RK4's interval on n = 6:
+    # the errors grow as h shrinks; the sweep's files are still written
+    path = write_config(tmp_path, T=1.0, cfl=3.0, n_list=[4, 6])
+    out = tmp_path / "c"
+    assert main(["converge", "--config", path, "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"^instability: errors grow under refinement "
+                     r"\(rate_u=-\d\.\d{4}, rate_v=-\d\.\d{4}\)$", err, re.M), err
+    assert len((out / "errors.csv").read_text().splitlines()) == 3
+    with open(out / "rates.csv") as fh:
+        (rates,) = csv.DictReader(fh)
+    assert float(rates["rate_u"]) < 0 and float(rates["rate_v"]) < 0
+
+
 # --- outputs do not depend on what the process ran before -----------------------
 
 def test_energy_bytes_do_not_depend_on_history(tmp_path):
@@ -733,6 +749,38 @@ def test_failed_audit_wins_over_a_trace_that_blows_up(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "(FAIL at 1.0e-30)" in captured.out
     assert "instability: non-finite state detected at step 1" in captured.err
+
+
+def test_energy_audit_states_are_successive_random_state_draws(tmp_path, monkeypatch):
+    # each batch is one draw whose rows hold a state's u, then its v: the
+    # audited states, over three batches, and then the trace's state are
+    # the successive random_state draws of the seed's generator
+    path = write_config(tmp_path, problem="mixed2d", w=[0.5, 0.5], n=3, n_states=5)
+    disc, _ = build_discretization(load_config(path), with_forcing=False)
+    monkeypatch.setattr(cli, "AUDIT_UNKNOWNS",
+                        2 * disc.mesh.n_elements * (disc.ref.n_u + disc.ref.n_v))
+    audited, traced = [], []
+    residual, evolve = cli.energy_identity_residual, cli._evolve
+
+    def audit(state, disc):
+        audited.append(state)
+        return residual(state, disc)
+
+    def trace(state, *args, **kwargs):
+        traced.append(state.copy())
+        return evolve(state, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "energy_identity_residual", audit)
+    monkeypatch.setattr(cli, "_evolve", trace)
+    assert main(["energy", "--config", path, "--output", str(tmp_path / "e"),
+                 "--seed", "3"]) == 0
+    assert [len(state.u) for state in audited] == [2, 2, 1]
+    rng = np.random.default_rng(3)
+    expect = [cli.random_state(disc, rng) for _ in range(6)]
+    got = [(u, v) for state in audited for u, v in zip(state.u, state.v)]
+    got.append((traced[0].u, traced[0].v))
+    for (u, v), state in zip(got, expect, strict=True):
+        assert np.array_equal(u, state.u) and np.array_equal(v, state.v)
 
 
 def test_energy_csv_shape(tmp_path):
