@@ -352,11 +352,13 @@ def cmd_run(cfg: RunConfig, outdir, seed: int) -> int:
     cfl, T, dt, n_steps = time_step(cfg, disc)
     state = project_initial(spec, disc)
 
-    stride = max(1, n_steps // 100)   # about 100 rows
+    # the steps i * n_steps // 100 for i = 0..100: min(n_steps, 100) + 1
+    # rows, from t = 0 to t = T
+    kept = {i * n_steps // 100 for i in range(101)}
     rows = []
 
     def record(step: int, st: ModalState):
-        if step % stride and step != n_steps:
+        if step not in kept:
             return
         e = discrete_energy(st, disc)
         eu, ev = l2_error(st, spec, st.t, disc)

@@ -8,7 +8,8 @@ an element depends only on its own coefficients and on those of its 2*dim
 face neighbours, through the same dense blocks for every element.
 
 The couplings are assembled once per operator family (degrees, flux, w, c and
-flux kinds: ``_family_reference``, a bounded LRU cache), with the u-system
+flux kinds) into one read-only record, ``Family`` (``_family_reference``, the
+one bounded LRU cache of families), with the u-system
 solve (LAPACK's gesv through numpy, so time stepping loads no scipy) and the
 v mass inverse folded in (the LIFT = M^-1 E idiom of nodal DG methods), from
 one model: a neighbour acts on an element only through its traces on their
@@ -27,10 +28,11 @@ are kept as ``Discretization.blocks``, the operator's one description, from
 which ``diagnostics`` builds its Bloch symbols and dense matrix.  The
 family's reference is assembled at one element size h_ref (2, unit Jacobians,
 unless c is tiny in 1D), and the operator is scale-covariant, so a grid of
-size h takes its blocks and lifts from it by scaling rows and columns with
-powers of h_ref/h (``_rescale``), exactly for a power-of-two ratio and to
-roundoff otherwise.  Every grid comes from the same reference, so nothing a
-grid gets depends on what the process built before.
+size h only scales and allocates: it multiplies each entry of the family's
+blocks and lift factor by k = h_ref/h to the entry's power, which the family
+records, exactly for a power-of-two ratio and to roundoff otherwise.  Every
+grid comes from the same reference, so nothing a grid gets depends on what
+the process built before.
 
 ``rhs`` works coefficient-major (one column per element) in one operand G,
 whose first N rows are [u v] and whose other rows hold a slot per lift:
@@ -52,7 +54,7 @@ tau_k(t) are entries of the lift factor.
 G holds only the rows some column of the lift factor reads.  The fluxes make
 parts of the operator exactly zero: with a dissipative flux a supersonic
 interior face takes every state from upwind, and a supersonic boundary pins
-both states or imposes nothing.  So ``_family_reference`` records, once per
+both states or imposes nothing.  So the ``Family`` records, once per
 family, the rows of each lift that are not all zero; a slot holds the
 smallest run of rows that contains them, a lift that is all zero has no
 slot (the downwind neighbour across a supersonic face, a supersonic
@@ -65,18 +67,19 @@ supersonic on both axes.  ``blocks`` keep every row.
 
 ``matrix_free_rhs`` keeps the face-by-face evaluation of the homogeneous
 operator, built directly at the grid's size, the reference the assembled (and
-rescaled) one is tested against.  It and the energy audit
+scaled) one is tested against.  It and the energy audit
 (``boundary_energy_rate``) walk the face sets of ``_grid_couplings``, the
 grid's one record of adjacency (``Discretization._face_sets``), each with
 its flux kind from ``face_kinds``, classified once per discretization.  The
 audit evaluates each face's energy rate as a quadratic form z^T Q_k z on
 its trace coordinates z, stacked states included: Q_k, one per face kind,
 is polarized from the closed-form density ``fluxes.energy_rate_density``
-on the unit traces, once per family (``_family_face_forms``), and every
-grid of the family reads it as built: the audit scales the coordinates to
-the grid instead, the gradient ones by 2/h, and the sum by the face
-Jacobian.  The audit so keeps two independent sides, the assembled blocks
-and the closed-form densities, and never builds a ``Trace`` per state.
+on the unit traces, once per family and on first use
+(``Family.face_forms``), and every grid of the family reads it as built:
+the audit scales the coordinates to the grid instead, the gradient ones by
+2/h, and the sum by the face Jacobian.  The audit so keeps two independent
+sides, the assembled blocks and the closed-form densities, and never builds
+a ``Trace`` per state.
 """
 
 from __future__ import annotations
@@ -595,32 +598,46 @@ def _slot_side(slot: int, sides: int) -> int:
     return slot ^ 1 if slot < sides else slot - sides
 
 
-@functools.lru_cache(maxsize=FAMILY_CACHE)
-def _family_reference(q: int, s: int, dim: int, params: FluxParams, w: tuple, c: float,
-                      kinds: tuple):
-    """(h, blocks, first, runs, lifts, v_rows, trace_factors): the operator
-    of a family, as ``_Element.assemble`` gives it at the family's reference
-    element size h, the rows of rhs's lift factor that are not structurally
-    zero, and in 2D the factors of rhs's trace products.
+def _face_sides(axis: int):
+    """The sides that hold the traces of a face of each kind of an axis, in
+    the order of ``Discretization.face_kinds``: an interior face's trace 1
+    (the high side of the low element, outward normal +e_axis) and trace 2
+    (the low side of the high element), then the low and the high
+    boundary side."""
+    lo, hi = 2 * axis, 2 * axis + 1
+    return (hi, lo), (lo,), (hi,)
 
-    A family is what the assembly reads: degrees, dimension, flux, w, c and
-    the flux kinds of each axis (which also tell periodic grids from
-    physical ones); its grids differ only in n.  Every grid of the family
-    takes its blocks and lifts from this one reference by ``_rescale``, so
-    they do not depend on which grids a process built before.
 
-    rhs lifts a slot's rows with the rows of a slot lift (lifts in 2D,
-    neighbour blocks and boundary corrections in 1D; see
-    ``Discretization._build_operand``), and the element's own [u v] with
-    the self block.  A row that is all zero is read by no column of the lift
-    factor: first is the self block's first row that is not (its u-constant
-    row is zero), and runs holds (slot, start, stop) for each slot lift with
-    a row that is not, rows start to stop the smallest run that holds all
-    such rows.  A slot lift that is all zero has no run: the downwind
-    neighbour of a supersonic face, or a supersonic boundary side.  In 2D
-    lifts are the rows of the runs, stacked in slot order, and v_rows tells
-    which of them ``_rescale`` takes as v rows; a 1D grid takes those rows
-    from its rescaled blocks, and both are None.
+@dataclass(frozen=True, eq=False)
+class Family:
+    """The operator of a family at its reference element size h, and all
+    that a grid or the energy audit takes from it (``_family_reference``
+    builds it).
+
+    A family is what the assembly reads, its key (``_family_reference``'s
+    arguments): degrees, dimension, flux, w, c and the flux kinds of each
+    axis (which also tell periodic grids from physical ones); its grids
+    differ only in n.  The operator is scale-covariant: scaling space and
+    time by 1/k keeps u and multiplies v and grad u by k, and the flux
+    states are linear in the traces with coefficients that carry no length.
+    So on a grid of size h / k, a row of the derivative [du dv] of a u
+    coefficient or a grad-u trace is k du and k^2 dv, and of a v
+    coefficient or a v trace du and k dv: each entry of blocks and of
+    lift_factor takes k to its power in block_powers and factor_powers (0,
+    1 or 2), exactly for a power-of-two k and to roundoff otherwise.  Every grid comes from this one reference,
+    so nothing a grid gets depends on what the process built before.
+
+    blocks are ``_Element.assemble``'s.  rhs lifts a slot's rows with the
+    rows of a slot lift (in 2D the lifts, in 1D the neighbour blocks and
+    boundary corrections; see ``Discretization._build_operand``), and the
+    element's own [u v] with the self block.  A row that is all zero is
+    read by no column of the lift factor: first is the self block's first
+    row that is not (its u-constant row is zero), and runs holds (slot,
+    start, stop) for each slot lift with a row that is not, rows start to
+    stop the smallest run that holds all such rows.  A slot lift that is all
+    zero has no run: the downwind neighbour of a supersonic face, or a
+    supersonic boundary side.  lift_factor is the transpose of the self
+    block's rows from first on and of the runs' rows, in slot order.
 
     trace_factors is (read, v_factor, g_factor) in 2D, None in 1D.  read
     lists, in order, the sides some kept slot reads (``_slot_side``), and
@@ -628,10 +645,65 @@ def _family_reference(q: int, s: int, dim: int, params: FluxParams, w: tuple, c:
     the i-th read side in row j*len(read) + i: the v coordinates (the first
     s+1) from the Nv v coefficients, v_factor @ [v], and the derivatives of
     u from the u coefficients but the constant, g_factor @ [u 1:Nu] (see
-    ``ReferenceElement.trace_maps``).  They carry no length, so every grid
-    takes them as they are.  The arrays are read-only; an overflow leaves
-    blocks and lifts not finite, and its rows are kept.
+    ``ReferenceElement.trace_maps``).  audit_v and audit_g give every
+    side's trace coordinates side-major, [v] @ audit_v and [u] @ audit_g,
+    the derivatives at unit gradient scale.  The factors carry no length, so
+    every grid takes them as they are.  The arrays are read-only; an
+    overflow leaves blocks and lift_factor not finite, and its rows are
+    kept.
     """
+
+    key: tuple
+    h: float
+    blocks: np.ndarray
+    first: int
+    runs: tuple
+    lift_factor: np.ndarray
+    block_powers: np.ndarray
+    factor_powers: np.ndarray
+    trace_factors: tuple | None
+    audit_v: np.ndarray
+    audit_g: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.blocks, self.lift_factor, self.block_powers, self.factor_powers,
+                  self.audit_v, self.audit_g, *(self.trace_factors or ())[1:]):
+            a.flags.writeable = False
+
+    @functools.cached_property
+    def face_forms(self):
+        """The face forms at unit face Jacobian and gradient scale, built on
+        first use: per axis, a read-only ``fluxes.energy_rate_form`` for
+        each of the key's flux kinds on the unit traces ``unit_v``/``unit_g``
+        of its sides (``_face_sides``), None for a kind the grid has no face
+        of.  Every density is quadratic in v and grad u, so every grid of
+        the family reads these forms as they are: ``boundary_energy_rate``
+        scales the gradient coordinates by 2/h and the summed rate by the
+        face Jacobian, not the forms."""
+        q, s, dim, params, w, c, kinds = self.key
+        ref = build_reference(q, s, dim)
+        normals = np.eye(dim)
+        forms = []
+        for axis, axis_kinds in enumerate(kinds):
+            row = []
+            for kind, sides in zip(axis_kinds, _face_sides(axis)):
+                form = None
+                if kind is not None:
+                    form = fluxes.energy_rate_form(
+                        kind, [(ref.unit_v[side], ref.unit_g[side],
+                                (1.0 if side % 2 else -1.0) * normals[axis]) for side in sides],
+                        params, w, c, ref.face_weights)
+                    form.flags.writeable = False
+                row.append(form)
+            forms.append(tuple(row))
+        return tuple(forms)
+
+
+@functools.lru_cache(maxsize=FAMILY_CACHE)
+def _family_reference(q: int, s: int, dim: int, params: FluxParams, w: tuple, c: float,
+                      kinds: tuple) -> Family:
+    """The ``Family`` of degrees q and s in dim dimensions, with this flux,
+    w, c and flux kinds of each axis (``Discretization.face_kinds``)."""
     h = _reference_size(dim, c)
     ref = build_reference(q, s, dim)
     element = _Element(ref, np.array(w), c, h)
@@ -646,86 +718,37 @@ def _family_reference(q: int, s: int, dim: int, params: FluxParams, w: tuple, c:
     # costs a whole array call and saves few flops.  Per rhs call at q = 3
     # (one thread, medians of interleaved rounds), full blocks took 1.7-1.9x
     # as long in 2D (n = 14, 28) and traces 11-18 % longer in 1D (n = 10-160)
+    nu, maps = ref.n_u, ref.trace_maps
+    # 1 where a coefficient is a v coefficient, and where a trace coordinate
+    # is a v trace (its unit trace has a v part)
+    v_coeff = (np.arange(blocks.shape[-1]) >= nu).astype(int)
+    v_trace = np.any(ref.unit_v, axis=(0, 2)).astype(int)
+    slot_lifts, v_row = (blocks[1:], v_coeff) if dim == 1 else (lifts, v_trace)
     runs = []
-    for slot, lift in enumerate(blocks[1:] if dim == 1 else lifts):
+    for slot, lift in enumerate(slot_lifts):
         read = np.flatnonzero(np.any(lift != 0, axis=-1))
         if read.size:
             runs.append((slot, int(read[0]), int(read[-1]) + 1))
-    blocks.flags.writeable = False
-    if dim == 1:
-        return h, blocks, first, tuple(runs), None, None, None
-    r = ref.unit_v.shape[1]
-    kept = [slot * r + i for slot, start, stop in runs for i in range(start, stop)]
-    # a lift row is a v trace where its unit trace has a v part
-    v_trace = np.any(ref.unit_v, axis=(0, 2))
-    v_rows = np.tile(v_trace, len(lifts))[kept]
-    lifts = lifts.reshape(len(lifts) * r, -1)[kept]
+    rows, is_v = zip((blocks[0, first:], v_coeff[first:]),
+                     *((slot_lifts[slot, start:stop], v_row[start:stop])
+                       for slot, start, stop in runs))
+    lift_factor = np.concatenate(rows).T.copy()
+    # the power of k in the derivative [du dv] of a row: [1, 2] for a u
+    # coefficient or grad-u trace, [0, 1] for a v one
+    factor_powers = np.add.outer(1 - np.concatenate(is_v), v_coeff).T.copy()
     # the v coordinates come first: a v trace reads the v rows of [u v],
-    # a derivative its u rows but the constant
+    # a derivative its u rows
+    n_vt = v_trace.sum()
+    audit_v = maps[:, nu:, :n_vt].transpose(1, 0, 2).reshape(ref.n_v, -1)
+    audit_g = maps[:, :nu, n_vt:].transpose(1, 0, 2).reshape(nu, -1)
+    # in 2D, the sides some kept slot reads; a derivative reads no u constant
     read = sorted({_slot_side(slot, 2 * dim) for slot, _, _ in runs})
-    maps, n_vt, nu = ref.trace_maps[read], int(v_trace.sum()), ref.n_u
-    v_factor = maps[:, nu:, :n_vt].transpose(2, 0, 1).reshape(-1, ref.n_v)
-    g_factor = maps[:, 1:nu, n_vt:].transpose(2, 0, 1).reshape(-1, nu - 1)
-    for a in (lifts, v_rows, v_factor, g_factor):
-        a.flags.writeable = False
-    return h, blocks, first, tuple(runs), lifts, v_rows, (tuple(read), v_factor, g_factor)
-
-
-def _rescale(a: np.ndarray, k: float, nu: int, v_rows: np.ndarray) -> np.ndarray:
-    """Blocks or lifts a (..., rows, N) of a reference of element size h_ref,
-    on a grid of size h = h_ref / k.
-
-    The operator is scale-covariant: scaling space and time by 1/k keeps u
-    and multiplies v and grad u by k, and the flux states are linear in the
-    traces with coefficients that carry no length.  So a row of a, the
-    derivative [du dv] of a u coefficient or a grad-u trace (v_rows[i]
-    False), is k du and k^2 dv, and of a v coefficient or v trace, du and
-    k dv.  Exact for a power of two k.
-    """
-    factor = np.empty(a.shape[-2:])
-    factor[:, :nu] = np.where(v_rows, 1.0, k)[:, None]
-    factor[:, nu:] = np.where(v_rows, k, k * k)[:, None]
-    return a * factor
-
-
-def _face_sides(axis: int):
-    """The sides that hold the traces of a face of each kind of an axis, in
-    the order of ``Discretization.face_kinds``: an interior face's trace 1
-    (the high side of the low element, outward normal +e_axis) and trace 2
-    (the low side of the high element), then the low and the high
-    boundary side."""
-    lo, hi = 2 * axis, 2 * axis + 1
-    return (hi, lo), (lo,), (hi,)
-
-
-@functools.lru_cache(maxsize=FAMILY_CACHE)
-def _family_face_forms(q: int, s: int, dim: int, params: FluxParams, w: tuple, c: float,
-                       kinds: tuple):
-    """The face forms of an operator family (as ``_family_reference``
-    names it), at unit face Jacobian and gradient scale: per axis, a
-    read-only ``fluxes.energy_rate_form`` for each flux kind of
-    ``face_kinds`` on the unit traces ``unit_v``/``unit_g`` of its sides
-    (``_face_sides``), None for a kind the grid has no face of.  Every
-    density is quadratic in v and grad u, so every grid of the family reads
-    these forms as they are: ``boundary_energy_rate`` scales the gradient
-    coordinates by 2/h and the summed rate by the face Jacobian, not the
-    forms."""
-    ref = build_reference(q, s, dim)
-    normals = np.eye(dim)
-    forms = []
-    for axis, axis_kinds in enumerate(kinds):
-        row = []
-        for kind, sides in zip(axis_kinds, _face_sides(axis)):
-            form = None
-            if kind is not None:
-                form = fluxes.energy_rate_form(
-                    kind, [(ref.unit_v[side], ref.unit_g[side],
-                            (1.0 if side % 2 else -1.0) * normals[axis]) for side in sides],
-                    params, w, c, ref.face_weights)
-                form.flags.writeable = False
-            row.append(form)
-        forms.append(tuple(row))
-    return tuple(forms)
+    trace_factors = None if dim == 1 else (
+        tuple(read), maps[read][:, nu:, :n_vt].transpose(2, 0, 1).reshape(-1, ref.n_v),
+        maps[read][:, 1:nu, n_vt:].transpose(2, 0, 1).reshape(-1, nu - 1))
+    return Family((q, s, dim, params, w, c, kinds), h, blocks, first, tuple(runs),
+                  lift_factor, np.add.outer(1 - v_coeff, v_coeff), factor_powers,
+                  trace_factors, audit_v, audit_g)
 
 
 class Discretization:
@@ -738,7 +761,7 @@ class Discretization:
     + sum_s x[neighbour across side s] @ blocks[1 + s], plus
     x[e] @ blocks[1 + 2*dim + s] on each side s of e that is a boundary.
     They are the blocks of the operator family's one reference assembly
-    (``_family_reference``), rescaled to the grid.  Blocks that are not all
+    (family, a ``Family``), scaled to the grid.  Blocks that are not all
     finite raise ValueError.  volume_quadrature is the ``FieldTable`` of the
     volume rule, shared by the forcing's projection and
     ``problems.project_initial``.  input, of shape (n_elements, Nu+Nv), is the
@@ -782,15 +805,34 @@ class Discretization:
         # below and problems.project_initial's exact data
         self.volume_quadrature = FieldTable(mesh, ref.vol_nodes)
 
-        self.blocks, first, runs, lifts, trace_factors = self._rescaled_reference()
+        # the family's operator on the grid (see Family): every entry times
+        # k = h_ref / h to its power.  The key holds params, w and c in
+        # canonical floats: + 0.0 makes a -0.0, which the key does not tell
+        # from 0.0, the 0.0 the family is built from
+        key_params = FluxParams(**{name: float(x) + 0.0 for name, x in vars(params).items()})
+        self.family = family = _family_reference(
+            ref.q, ref.s, ref.dim, key_params, tuple(float(x) + 0.0 for x in self.w), self.c,
+            tuple(self.face_kinds))
+        k, nu = family.h / mesh.h, ref.n_u
+        scale = np.array([1.0, k, k * k])
+        # an overflow shows as blocks that are not finite, raised below
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.blocks = family.blocks * scale[family.block_powers]
+            lift_factor = family.lift_factor * scale[family.factor_powers]
+            # S du, the u equation's right side before its element solve:
+            # the energy rate u S du takes the blocks through it, and a
+            # large w (1e306 at q = 3) overflows it while du is finite
+            s_du = self.blocks[..., :nu] @ self.stiffness.T
+        if not (np.all(np.isfinite(self.blocks)) and np.all(np.isfinite(s_du))):
+            raise ValueError("the operator's blocks overflow")
+        self.blocks.flags.writeable = False
         # work arrays of rhs (allocating them per call costs page faults)
         # and the fixed views it works through.  rhs reads the stacked
         # [u v] of every element from input, an (n_elements, Nu+Nv) view;
         # passed input_uv, its column views, it skips the copy, so a caller
         # (the RK4 stages) can write a state there directly
-        nu = ref.n_u
         self._nu = nu
-        self._build_operand(first, runs, lifts, trace_factors)
+        self._build_operand(lift_factor)
         self.input_uv = self.input[:, :nu], self.input[:, nu:]
         # _tau_t is the time _tau was written at (None: not yet)
         self._forcing_time = None if forcing is None else forcing.time
@@ -810,42 +852,6 @@ class Discretization:
         """The ``FieldTable`` of ``diagnostics.l2_error``'s rule, with its
         weights, built on first use."""
         return FieldTable(self.mesh, self.ref.err_nodes, self.jac_vol * self.ref.err_weights)
-
-    def _family_key(self):
-        """The arguments that name this grid's operator family in the family
-        caches (``_family_reference``, ``_family_face_forms``): degrees,
-        dimension, flux, w and c, in canonical floats, and the flux kinds."""
-        ref = self.ref
-        # + 0.0 makes a -0.0, which the key does not tell from 0.0, the 0.0
-        # the family is built from
-        params = FluxParams(**{k: float(x) + 0.0 for k, x in vars(self.params).items()})
-        w = tuple(float(x) + 0.0 for x in self.w)
-        return ref.q, ref.s, ref.dim, params, w, self.c, tuple(self.face_kinds)
-
-    def _rescaled_reference(self):
-        """(blocks, first, runs, lifts, trace_factors) of this grid: its
-        family's reference (``_family_reference``) rescaled, lifts as a list
-        of arrays of kept lift rows (in 1D, slices of the blocks); the trace
-        factors are the family's."""
-        ref = self.ref
-        h_ref, blocks, first, runs, lifts, v_rows, trace_factors = _family_reference(
-            *self._family_key())
-        k, nu = h_ref / self.mesh.h, ref.n_u
-        # an overflow shows as blocks that are not finite, raised below
-        with np.errstate(over="ignore", invalid="ignore"):
-            blocks = _rescale(blocks, k, nu, np.arange(blocks.shape[-1]) >= nu)
-            # the kept rows, in groups: a 1D slot lift is a neighbour block
-            # or boundary correction
-            lifts = ([blocks[1 + slot, start:stop] for slot, start, stop in runs]
-                     if ref.dim == 1 else [_rescale(lifts, k, nu, v_rows)])
-            # S du, the u equation's right side before its element solve:
-            # the energy rate u S du takes the blocks through it, and a
-            # large w (1e306 at q = 3) overflows it while du is finite
-            s_du = blocks[..., :nu] @ self.stiffness.T
-        if not (np.all(np.isfinite(blocks)) and np.all(np.isfinite(s_du))):
-            raise ValueError("the operator's blocks overflow")
-        blocks.flags.writeable = False
-        return blocks, first, runs, lifts, trace_factors
 
     # --- traces and fluxes ------------------------------------------------
 
@@ -924,11 +930,11 @@ class Discretization:
 
     # --- assembly ------------------------------------------------------------
 
-    def _build_operand(self, first, runs, lifts, trace_factors) -> None:
+    def _build_operand(self, lift_factor) -> None:
         """Work arrays and views of the stencil, all coefficient-major (one
         column per element).  The operand holds [u v] (its first N rows,
-        input's transpose), below it a slot per run (see
-        ``_family_reference``), the rows start to stop of the coefficients
+        input's transpose), below it a slot per run (see ``Family``), the
+        rows start to stop of the coefficients
         its lift reads, and with a forcing sum_k tau_k(t) F_k the K*Nv rows
         of its v projections (row k*Nv + i of them holds coefficient i of
         F_k), written once.  A slot holds a neighbour's coefficients on the
@@ -938,40 +944,35 @@ class Discretization:
         of every element's coefficients on each side a slot reads: in 1D the
         operand's [u v]; in 2D ``_traces``, the traces of the sides some slot
         reads, coordinate-major ((r, read sides) + grid), from one product
-        per field of the family's trace factors (see ``_family_reference``)
-        with the operand's v rows and its u rows but the constant, so each
-        product writes one run of rows and a slot's run is one strided
-        copy.  The derivative is then the lift factor, the
-        transpose of [self block rows first to N; lifts] with K*Nv more
-        columns, times the operand from its row first on.  Those columns are
+        per field of the family's trace factors (see ``Family``) with the
+        operand's v rows and its u rows but the constant, so each product
+        writes one run of rows and a slot's run is one strided copy.  The
+        derivative is then the lift factor, lift_factor (the family's,
+        scaled to the grid) with K*Nv more columns, times the operand from
+        its row first on.  Those columns are
         zero but for tau_k at (Nu + i, forcing row k*Nv + i), so a forced
         derivative is the same one product; ``_tau`` is the (Nv, K) view of
         those entries that rhs writes the time factors into.  Without a
-        forcing there are no such rows, columns or view."""
+        forcing K is 0."""
         dim, n, nb = self.mesh.dim, self.mesh.n, self.blocks.shape[-1]
         sides, n_el, nu = 2 * dim, self.mesh.n_elements, self._nu
+        first, n_cols = self.family.first, lift_factor.shape[1]
         # a 1D slot holds all N coefficients (see _family_reference)
         r = nb if dim == 1 else self.ref.trace_maps.shape[-1]
-        n_rows, nv = nb + sum(map(len, lifts)), nb - nu
-        factor = np.concatenate([self.blocks[0, first:], *lifts]).T
-        if self.forcing is None:
-            self._operand = np.zeros((n_rows, n_el))
-            self._lift_factor = factor.copy()
-        else:
-            proj = self.volume_quadrature.factors(self.forcing.space) @ self.ref.proj_v
-            n_tau = len(proj)
-            self._operand = np.zeros((n_rows + n_tau * nv, n_el))
-            self._operand[n_rows:] = proj.transpose(0, 2, 1).reshape(-1, n_el)
-            self._lift_factor = np.zeros((nb, n_rows - first + n_tau * nv))
-            self._lift_factor[:, :n_rows - first] = factor
-            # entry (nu + i, n_rows - first + k*nv + i) is column k of row i
-            # (an ndarray on the factor's buffer: as_strided took 3.4 us,
-            # this 0.8)
-            s0, s1 = self._lift_factor.strides
-            self._tau = np.ndarray((nv, n_tau), buffer=self._lift_factor,
-                                   offset=nu * s0 + (n_rows - first) * s1,
-                                   strides=(s0 + s1, nv * s1))
-        self._first, self._runs = first, runs
+        n_rows, nv = first + n_cols, nb - nu
+        # the forcing's K projections, (K, n_elements, Nv); K = 0 unforced
+        proj = (np.empty((0, n_el, nv)) if self.forcing is None else
+                self.volume_quadrature.factors(self.forcing.space) @ self.ref.proj_v)
+        n_tau = len(proj)
+        self._operand = np.zeros((n_rows + n_tau * nv, n_el))
+        self._operand[n_rows:] = proj.transpose(0, 2, 1).reshape(-1, n_el)
+        self._lift_factor = np.zeros((nb, n_cols + n_tau * nv))
+        self._lift_factor[:, :n_cols] = lift_factor
+        # entry (nu + i, n_cols + k*nv + i) is column k of row i (an ndarray
+        # on the factor's buffer: as_strided took 3.4 us, this 0.8)
+        s0, s1 = self._lift_factor.strides
+        self._tau = np.ndarray((nv, n_tau), buffer=self._lift_factor,
+                               offset=nu * s0 + n_cols * s1, strides=(s0 + s1, nv * s1))
         self.input = self._operand[:nb].T
         # the layout rhs's out must have: its transpose is the product's target
         self._out_strides = self.input.strides
@@ -982,18 +983,18 @@ class Discretization:
             self._trace_products = []
             source = [self._operand[:nb].reshape((r,) + grid)] * sides
         else:
-            # _traces[j, i] is trace coordinate j of side _read[i]
-            self._read, v_factor, g_factor = trace_factors
-            self._traces = np.empty((r, len(self._read)) + grid)
+            # _traces[j, i] is trace coordinate j of side read[i]
+            read, v_factor, g_factor = self.family.trace_factors
+            self._traces = np.empty((r, len(read)) + grid)
             flat, n_v = self._traces.reshape(-1, n_el), len(v_factor)
             self._trace_products = (
                 _bound_products(v_factor, self._operand[nu:nb], flat[:n_v])
                 + _bound_products(g_factor, self._operand[1:nu], flat[n_v:]))
-            source = {side: self._traces[:, i] for i, side in enumerate(self._read)}
+            source = {side: self._traces[:, i] for i, side in enumerate(read)}
         # each kept slot's rows in the operand, and the rows of a source it
         # takes: those of its run
         slots, at, row = self._operand[nb:n_rows].reshape((-1,) + grid), {}, 0
-        for slot, start, stop in runs:
+        for slot, start, stop in self.family.runs:
             at[slot] = slice(row, row + stop - start), slice(start, stop)
             row += stop - start
         shifts, strips = _grid_couplings(dim, self.mesh.periodic)
@@ -1072,26 +1073,22 @@ class Discretization:
         shape (a numpy scalar for one state).  A face's rate is z^T Q z, with
         z its trace coordinates (``ReferenceElement.trace_maps``, the
         derivatives scaled by dscale) and Q its kind's form as the family
-        built it (``_family_face_forms``, polarized from
+        built it (``Family.face_forms``, polarized from
         ``fluxes.energy_rate_density``); the sum carries the face Jacobian.
         A v coordinate reads only v coefficients and a derivative only u
         coefficients, so every side's coordinates come from one product per
-        field; each face set is then one product with its form and one
-        batched dot product.
+        field (the family's audit_v and audit_g); each face set is then one
+        product with its form and one batched dot product.
         """
-        maps, nu = self.ref.trace_maps, self._nu
-        forms = _family_face_forms(*self._family_key())
-        sides, _, r = maps.shape
-        n_vt = int(np.sum(np.any(self.ref.unit_v, axis=(0, 2))))
-        lead = (-1,) + (self.mesh.n,) * self.mesh.dim + (sides,)
-        tv = v @ maps[:, nu:, :n_vt].transpose(1, 0, 2).reshape(-1, sides * n_vt)
-        tg = u @ (self.dscale * maps[:, :nu, n_vt:]).transpose(1, 0, 2).reshape(nu, -1)
-        tv, tg = tv.reshape(lead + (n_vt,)), tg.reshape(lead + (r - n_vt,))
+        family, sides = self.family, 2 * self.mesh.dim
+        grid = (self.mesh.n,) * self.mesh.dim
+        tv, tg = v @ family.audit_v, u @ (self.dscale * family.audit_g)
+        tv, tg = (t.reshape((-1,) + grid + (sides, t.shape[-1] // sides)) for t in (tv, tg))
         total = np.zeros(len(tv))
         for axis, role, at in self._face_sets():
             z = np.concatenate([t[(slice(None),) + index + (side,)]
                                 for side, index in at for t in (tv, tg)], axis=-1)
             z = z.reshape(len(z), -1, z.shape[-1])
-            y = z @ forms[axis][role]
+            y = z @ family.face_forms[axis][role]
             total += (y.reshape(len(y), 1, -1) @ z.reshape(len(z), -1, 1)).ravel()
         return (self.jac_face * total).reshape(u.shape[:-2])[()]

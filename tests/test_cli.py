@@ -392,6 +392,20 @@ def test_run_summary_is_the_last_row(tmp_path):
         summary["err_u"], summary["err_v"], summary["energy_final"])
 
 
+@pytest.mark.parametrize("n_steps", [50, 199, 294])
+def test_run_csv_keeps_a_hundredth_of_the_steps(tmp_path, n_steps):
+    # run.csv holds the steps i * n_steps // 100 for i = 0..100:
+    # min(n_steps, 100) + 1 rows, the first at t = 0 and the last at t = T
+    path = write_config(tmp_path, q=1, n=4, T=0.01, dt=0.01 / n_steps)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--output", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["n_steps"] == n_steps
+    rows = [line.split(",") for line in (out / "run.csv").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == sorted({i * n_steps // 100 for i in range(101)})
+    assert len(rows) == min(n_steps, 100) + 1
+    assert float(rows[0][1]) == 0.0 and float(rows[-1][1]) == 0.01
+
+
 @pytest.mark.parametrize("overrides,field", [
     ({"n": 10 ** 9}, "n"),
     ({"n_list": [4, 10 ** 6]}, "n_list"),

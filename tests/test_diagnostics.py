@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from advwave import diagnostics, fluxes, operators
@@ -199,20 +199,61 @@ def test_face_forms_match_the_face_walk(case, n):
 
 
 def test_face_forms_are_built_on_first_use_once_per_family():
-    # a Discretization builds no form until its face rates are asked for;
-    # every grid of a family reads the family's forms as built, which are
+    # a family holds no form until a grid's face rates are asked for; every
+    # grid of a family reads the family's forms as built, which are
     # read-only and symmetric
-    operators._family_face_forms.cache_clear()
-    grids = [make_disc(dim=2, n=n, q=2, w=[0.5, 0.5], mode="physical") for n in (3, 4)]
-    assert operators._family_face_forms.cache_info().currsize == 0
+    operators._family_reference.cache_clear()
+    grids = [make_disc(dim=2, n=n, q=2, w=[0.5, 0.5], mode="physical") for n in (3, 4, 5)]
+    family = grids[0].family
+    assert all(disc.family is family for disc in grids)
+    assert "face_forms" not in vars(family)
+    seen = []
     for disc in grids:
         st = random_state(disc)
         disc.boundary_energy_rate(st.u, st.v)
-    info = operators._family_face_forms.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    forms = operators._family_face_forms(*grids[0]._family_key())
-    for form in (f for axis in forms for f in axis if f is not None):
+        seen.append([form for axis in disc.family.face_forms for form in axis])
+    assert "face_forms" in vars(family)
+    assert all(a is b for forms in seen[1:] for a, b in zip(seen[0], forms))
+    for form in (f for f in seen[0] if f is not None):
         assert not form.flags.writeable and np.array_equal(form, form.T)
+
+
+@st.composite
+def sigma_half_interior_faces(draw):
+    """(dim, q, s, w, c, params) with sigma = 1/2 and w.n on axis 0's
+    interior faces subsonic; beta and eta are 0 or at least 0.05 and the
+    rule's two sides 4 c^4 beta eta and ((c^2 beta + eta) w.n)^2 are zero
+    or differ by a factor of at least 1.5, so that no draw sits on the
+    rule's boundary, where the form's largest eigenvalue is 0."""
+    dim = draw(st.sampled_from([1, 2]))
+    q = draw(st.integers(1, 3))
+    c = draw(st.floats(0.5, 2.0))
+    coefficient = st.one_of(st.just(0.0), st.floats(0.05, 5.0))
+    beta, eta = draw(coefficient), draw(coefficient)
+    wn = c * draw(st.floats(0.05, 0.95)) * draw(st.sampled_from([-1.0, 1.0]))
+    lhs, rhs = 4 * c ** 4 * beta * eta, ((c * c * beta + eta) * wn) ** 2
+    assume(lhs == rhs == 0.0 or not rhs / 1.5 < lhs < 1.5 * rhs)
+    w = [wn, draw(st.floats(-2.0, 2.0))][:dim]
+    return dim, q, draw(st.integers(0, q)), w, c, FluxParams(sigma=0.5, beta=beta, eta=eta)
+
+
+@given(sigma_half_interior_faces())
+@settings(max_examples=60, deadline=None)
+def test_interior_form_adds_no_energy_exactly_when_the_flux_is_admissible(case):
+    # with sigma = 1/2 the interior density is -(c^2 eta [[g]]^2 + c^2 beta
+    # [[v]]^2 - (c^2 beta + eta) [[g]] [[v]] w.n), a form in the two jumps
+    # that is at most 0 for every trace exactly when 4 c^4 beta eta >=
+    # ((c^2 beta + eta) w.n)^2; the family's interior form, on the trace
+    # coordinates, has the same sign
+    dim, q, s, w, c, params = case
+    disc = Discretization(build_mesh(dim, 3, "periodic"), build_reference(q, s, dim=dim),
+                          params, w, c)
+    assert disc.face_kinds[0][0] == FaceKind.INTERIOR_SUBSONIC
+    form = disc.family.face_forms[0][0]
+    admissible = 4 * c ** 4 * params.beta * params.eta >= ((c * c * params.beta + params.eta)
+                                                           * w[0]) ** 2
+    largest = np.linalg.eigvalsh(form)[-1]
+    assert (largest <= 1e-12 * np.abs(form).max(initial=0.0)) == admissible
 
 
 # E = 1/2 x.G x, with G the block-diagonal energy Gram of

@@ -208,10 +208,10 @@ def test_dropped_lift_rows_are_zero(case):
         dissipative = params.dissipative and regime == "supersonic"
     for disc in discs:
         self_block, lifts = full_lift_rows(disc)
-        first = disc._first
+        first = disc.family.first
         assert first == 1 and not np.any(self_block[:first]) and np.any(self_block[first])
         kept = np.zeros(lifts.shape[:2], dtype=bool)
-        for slot, start, stop in disc._runs:
+        for slot, start, stop in disc.family.runs:
             kept[slot, start:stop] = True
             assert np.any(lifts[slot, start]) and np.any(lifts[slot, stop - 1])
         assert not np.any(lifts[~kept])
@@ -222,7 +222,7 @@ def test_dropped_lift_rows_are_zero(case):
             downwind = {2 * axis + (wa > 0) for axis, wa in enumerate(w) if abs(wa) > disc.c}
             if mode == "physical":
                 downwind |= {sides + side for side in range(sides) if abs(w[side // 2]) > disc.c}
-            assert {slot for slot, _, _ in disc._runs} == set(range(len(lifts))) - downwind
+            assert {slot for slot, _, _ in disc.family.runs} == set(range(len(lifts))) - downwind
 
 
 # (make_disc arguments, the sides some kept slot reads, trace-product
@@ -256,7 +256,7 @@ def test_trace_products_give_the_traces_of_the_read_sides(monkeypatch, family, f
                if forced else None)
     disc = make_disc(forcing=forcing, **kw)
     products = disc._trace_products
-    assert disc._read == read
+    assert disc.family.trace_factors[0] == read
     if split:
         assert len(products) > 2
     else:
@@ -339,8 +339,8 @@ def test_forced_rhs_adds_the_projected_forcing(monkeypatch, dim, mode, split):
     nb = ref.n_u + ref.n_v
     # the lift product reads the operand from the self block's first row
     # that is not zero (the u constant is not read)
-    assert free._first == forced._first == 1 and free._runs == forced._runs
-    rows = nb + sum(stop - start for _, start, stop in free._runs)
+    assert free.family is forced.family and free.family.first == 1
+    rows = nb + sum(stop - start for _, start, stop in free.family.runs)
     assert free._operand.shape == (rows, n_el) and free._lift_factor.shape == (nb, rows - 1)
     assert forced._operand.shape == (rows + 3 * ref.n_v, n_el)
     assert forced._lift_factor.shape == (nb, rows - 1 + 3 * ref.n_v)
@@ -605,6 +605,31 @@ def test_rescale_is_exact_for_power_of_two_grids():
     for dim, n in ((1, 16), (2, 4)):
         disc = make_disc(dim=dim, n=n, q=2, w=[0.5, -0.3][:dim], mode="physical")
         assert np.array_equal(disc.blocks, direct_blocks(disc))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 8])
+@pytest.mark.parametrize("dim,mode", [(1, "periodic"), (1, "physical"),
+                                      (2, "periodic"), (2, "physical")])
+def test_grid_scales_each_family_entry_by_its_power_of_k(dim, mode, n):
+    # with k = h_ref / h, the derivative [du dv] of a u coefficient or a
+    # grad-u trace takes [k, k^2] and of a v coefficient or v trace [1, k]:
+    # a grid's blocks and lift factor, forced or not, are the family's
+    # entries times [1, k, k*k][power], bit for bit
+    forcing = Separable(lambda *x: [np.sin(2 * np.pi * x[0])], lambda t: np.array([1.0 + t]))
+    kw = dict(dim=dim, n=n, q=2, s=1, w=[0.5, -0.3][:dim], mode=mode)
+    disc, forced = make_disc(**kw), make_disc(forcing=forcing, **kw)
+    family, nu, nb = disc.family, disc.ref.n_u, disc.blocks.shape[-1]
+    is_v = (np.arange(nb) >= nu).astype(int)
+    assert forced.family is family
+    assert np.array_equal(family.block_powers, np.add.outer(1 - is_v, is_v))
+    assert all(np.array_equal(col, is_v) or np.array_equal(col, is_v + 1)
+               for col in family.factor_powers.T)
+    k = family.h / disc.mesh.h
+    scale = np.array([1.0, k, k * k])
+    assert np.array_equal(disc.blocks, family.blocks * scale[family.block_powers])
+    lift_factor = family.lift_factor * scale[family.factor_powers]
+    for grid in (disc, forced):
+        assert np.array_equal(grid._lift_factor[:, :lift_factor.shape[1]], lift_factor)
 
 
 def test_reference_size_keeps_the_stiffness_scale_normal():
