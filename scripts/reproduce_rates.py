@@ -7,11 +7,13 @@ supersonic, 2D periodic (central and upwind), and 2D mixed-boundary
 case's rates, the slopes fitted over all its grids and over its finest 3
 (rates.csv holds both).  Each case's config, errors.csv and rates.csv go to a
 directory of its own under --output (default: a temporary directory,
-removed at exit).
+removed at exit), and every case's errors to one reproduced.csv there
+(case, n, h, err_u, err_v); tests/data/reproduced.csv pins the --quick one.
 Pass --quick for a shorter grid list.
 """
 
 import argparse
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -53,7 +55,7 @@ QUICK_GRIDS = {1: [10, 14, 20, 28, 40], 2: [5, 7, 10, 14]}
 
 
 def run_cases(outdir: Path, quick: bool, workers: int) -> int:
-    failed = 0
+    failed, rows = 0, []
     for i, (label, config) in enumerate(CASES):
         config = dict(config)
         if quick:
@@ -66,6 +68,14 @@ def run_cases(outdir: Path, quick: bool, workers: int) -> int:
         code = cli.main(["converge", "--config", str(path), "--output", str(case_dir),
                          "--workers", str(workers)])
         failed += code != cli.EXIT_OK
+        errors = case_dir / "errors.csv"
+        if errors.is_file():
+            with open(errors, newline="") as fh:
+                rows += [[label] + row for row in list(csv.reader(fh))[1:]]
+    with open(outdir / "reproduced.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["case", "n", "h", "err_u", "err_v"])
+        writer.writerows(rows)
     return 1 if failed else 0
 
 

@@ -3,11 +3,12 @@
 Everything here lives on the reference element [-1, 1]^dim with an
 unnormalized Legendre basis (P_k(1) = 1).  Geometric scaling by the element
 size h is applied during operator assembly, not here.  ``ReferenceElement``
-also holds the one L2 projection of each space (values at the volume nodes
-to coefficients), the face trace maps and the L2-error rule.  In 2D the
-basis is the tensor product P_i(z0) P_j(z1) with the same degree in each
-direction; multi-indices are flattened in C order, so the constant mode is
-index 0.
+also holds the L2 projection onto the u space (values at the volume nodes
+to coefficients), the face trace maps, and one axis of the volume rule and
+of the L2-error rule, with the Legendre values at its nodes (``AxisRule``).
+In 2D the basis is the tensor product P_i(z0) P_j(z1) with the same degree
+in each direction; multi-indices are flattened in C order, so the constant
+mode is index 0.
 """
 
 from __future__ import annotations
@@ -89,6 +90,25 @@ def tensor_eval(degree: int, dim: int, pts: np.ndarray):
 
 
 @dataclass(frozen=True)
+class AxisRule:
+    """One axis of a tensor-product Gauss rule on [-1, 1]: its p nodes and
+    weights and the Legendre values legendre[j, k] = P_k(nodes[j]),
+    (p, q + 1), whose first s + 1 columns are those of the v space."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    legendre: np.ndarray
+
+
+def _axis_rule(points: int, q: int) -> AxisRule:
+    nodes, weights = gauss_points(points)
+    rule = AxisRule(nodes, weights, legendre_tables(q, nodes)[0])
+    for array in vars(rule).values():
+        array.flags.writeable = False
+    return rule
+
+
+@dataclass(frozen=True)
 class ReferenceElement:
     """Precomputed reference-element quantities shared by all elements.
 
@@ -97,11 +117,12 @@ class ReferenceElement:
     stiff_u is sum_d int dP/dz_d dP/dz_d, symmetric PSD with the constant
     mode in its nullspace; mean_row integrates each u basis function.
 
-    proj_u and proj_v are the L2 projections onto the u and v spaces by the
-    volume rule: values at vol_nodes (rows) times proj are coefficients.
-    They are exact for polynomials of degree <= q per direction, so a
-    derivative's coefficients are (vol_grads_u[d] @ a) @ proj_u and a v
-    polynomial's u coefficients are embed_v = proj_u^T vol_vals_v.
+    proj_u is the L2 projection onto the u space by the volume rule: values
+    at vol_nodes (rows) times proj_u are coefficients.  It is exact for
+    polynomials of degree <= q per direction, so a derivative's
+    coefficients are (vol_grads_u[d] @ a) @ proj_u and a v polynomial's u
+    coefficients are embed_v = proj_u^T vol_vals_v.  Fields are projected
+    by the axis rules instead (``operators.FieldTable``).
 
     trace_maps[side] takes an element's stacked [u v] coefficients to the
     Legendre coefficients of its traces along the face of side (a Gauss
@@ -112,7 +133,8 @@ class ReferenceElement:
     A v coordinate reads only v coefficients, and a derivative only u
     coefficients other than the constant.
     unit_v and unit_g are the face-point traces of the r unit coefficients.
-    err_* is the L2-error rule, n_quad + 2 Gauss points per direction.
+    vol_axis is one axis of the volume rule, and err_axis one of the
+    L2-error rule, n_quad + 2 Gauss points per direction.
     Immutable after construction (every array is read-only); safe to share.
     """
 
@@ -133,7 +155,6 @@ class ReferenceElement:
     vol_vals_v: np.ndarray       # (Nq, Nv)
     vol_grads_v: np.ndarray      # (dim, Nq, Nv)
     proj_u: np.ndarray           # (Nq, Nu): volume-node values -> u coefficients
-    proj_v: np.ndarray           # (Nq, Nv): volume-node values -> v coefficients
     embed_v: np.ndarray          # (Nu, Nv): v coefficients as u coefficients
     face_grads_u: np.ndarray     # (2*dim, dim, nfq, Nu); side index = 2*d + (0 low / 1 high)
     face_vals_v: np.ndarray      # (2*dim, nfq, Nv)
@@ -141,10 +162,8 @@ class ReferenceElement:
     trace_maps: np.ndarray       # (2*dim, Nu+Nv, r)
     unit_v: np.ndarray           # (2*dim, r, nfq)
     unit_g: np.ndarray           # (2*dim, r, nfq, dim)
-    err_nodes: np.ndarray        # (Ne, dim), Ne = (n_quad+2)^dim
-    err_weights: np.ndarray      # (Ne,)
-    err_vals_u_t: np.ndarray     # (Nu, Ne)
-    err_vals_v_t: np.ndarray     # (Nv, Ne)
+    vol_axis: AxisRule           # n_quad points
+    err_axis: AxisRule           # n_quad + 2 points
 
     @property
     def n_u(self) -> int:
@@ -181,7 +200,6 @@ def _build_reference(q: int, s: int, dim: int) -> ReferenceElement:
     nu, nv = len(modes_u), len(modes_v)
 
     vol_nodes, vol_weights = tensor_gauss(n_quad, dim)
-    err_nodes, err_weights = tensor_gauss(n_quad + 2, dim)   # the L2-error rule
 
     vol_vals_u, vol_grads_u = tensor_eval(q, dim, vol_nodes)
     vol_vals_v, vol_grads_v = tensor_eval(s, dim, vol_nodes)
@@ -196,7 +214,6 @@ def _build_reference(q: int, s: int, dim: int) -> ReferenceElement:
 
     # exact on the u space: the rule integrates degree 2q + 3 per direction
     proj_u = vol_vals_u * (vol_weights[:, None] / np.diag(mass_u))
-    proj_v = vol_vals_v * (vol_weights[:, None] / np.diag(mass_v))
     embed_v = proj_u.T @ vol_vals_v
 
     # face quadrature: the 1D rule along the tangential direction in 2D
@@ -245,13 +262,11 @@ def _build_reference(q: int, s: int, dim: int) -> ReferenceElement:
         vol_nodes=vol_nodes, vol_weights=vol_weights,
         vol_vals_u=vol_vals_u, vol_grads_u=vol_grads_u,
         vol_vals_v=vol_vals_v, vol_grads_v=vol_grads_v,
-        proj_u=proj_u, proj_v=proj_v, embed_v=embed_v,
+        proj_u=proj_u, embed_v=embed_v,
         face_grads_u=face_grads_u, face_vals_v=face_vals_v,
         face_weights=face_weights,
         trace_maps=trace_maps, unit_v=unit_v, unit_g=unit_g,
-        err_nodes=err_nodes, err_weights=err_weights,
-        err_vals_u_t=tensor_eval(q, dim, err_nodes)[0].T.copy(),
-        err_vals_v_t=tensor_eval(s, dim, err_nodes)[0].T.copy(),
+        vol_axis=_axis_rule(n_quad, q), err_axis=_axis_rule(n_quad + 2, q),
     )
     for f in fields(ref):
         value = getattr(ref, f.name)

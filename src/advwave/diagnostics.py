@@ -67,16 +67,19 @@ def energy_identity_residual(state: ModalState, disc: Discretization):
 def l2_error(state: ModalState, spec, t: float, disc: Discretization):
     """Global L2 errors of u^h and v^h against the exact solutions.
 
-    Uses the reference element's err_* rule, two points per direction finer
-    than the operator's, to keep aliasing below the discretization error;
-    it integrates every product of basis functions exactly.  For an exact
-    field sum_k tau_k(t) X_k, the first call for a discretization projects
-    each space factor X_k onto the basis under the rule and keeps, in
-    ``disc.error_quadrature`` (``FieldTable.projection``), the projections
-    c_k, the Gram matrix G of the remainders X_k - Pi X_k at the rule's
-    points and the square roots of the mass diagonal m (with the element
-    Jacobian).  The remainders are orthogonal to the basis under the rule,
-    so the squared error of coefficients C is
+    Uses the reference element's L2-error rule (``err_axis`` on each
+    axis), two points per direction finer than the operator's, to keep
+    aliasing below the discretization error; it integrates every product
+    of basis functions exactly.  For an exact field sum_k tau_k(t) X_k, the
+    first call for a discretization projects each space factor X_k onto
+    the basis under the rule, one axis at a time, and keeps, in
+    ``disc.error_quadrature``, the projections c_k
+    (``FieldTable.projection``), the Gram matrix G of the remainders
+    X_k - Pi X_k at the rule's points, summed per axis and never a
+    difference of full products, and the square roots of the mass diagonal
+    m, with the element Jacobian (``FieldTable.remainders``).
+    The remainders are orthogonal to the basis under the rule, so the
+    squared error of coefficients C is
 
         sum_e delta_e^T diag(m) delta_e + tau^T G tau,  delta = C - sum_k tau_k c_k,
 
@@ -89,11 +92,11 @@ def l2_error(state: ModalState, spec, t: float, disc: Discretization):
         raise TypeError("exact fields must be Separable")
     ref, rule = disc.ref, disc.error_quadrature
 
-    def error(coeffs, vals_t, field):
+    def error(coeffs, degree, field):
         tau = field.time(t)
-        projections, gram, root_mass = rule.projection(field.space, vals_t)
+        gram, root_mass = rule.remainders(field.space, degree)
         # coefficient-major, (N, n_elements), as a stepped state's transpose
-        diff = _combine(tau, projections)
+        diff = _combine(tau, rule.projection(field.space, degree))
         np.subtract(coeffs.T, diff, out=diff)
         diff *= root_mass
         flat = diff.ravel()
@@ -101,8 +104,7 @@ def l2_error(state: ModalState, spec, t: float, disc: Discretization):
         # that cancels could take the sum below zero
         return math.sqrt(np.dot(flat, flat) + max(np.dot(tau, np.dot(gram, tau)), 0.0))
 
-    return (error(state.u, ref.err_vals_u_t, spec.exact_u),
-            error(state.v, ref.err_vals_v_t, spec.exact_v))
+    return error(state.u, ref.q, spec.exact_u), error(state.v, ref.s, spec.exact_v)
 
 
 FIT_WINDOW = 10

@@ -48,8 +48,11 @@ modal basis a v trace reads only v coefficients and a derivative of u only
 the u coefficients past the constant, so each product leaves out the zero
 half of T_s (1,408 multiply-adds an element become 676 at q = s = 3).  A
 separable forcing sum_k tau_k(t) F_k rides in the lift product: the
-projections of the F_k are rows of G, written at build time, and the
-tau_k(t) are entries of the lift factor.
+projections of the F_k, made one axis at a time by the volume rule's
+``FieldTable`` (the one form in which a separable field is read: by the
+forcing, ``problems.project_initial`` and ``diagnostics.l2_error``), are
+rows of G, written at build time, and the tau_k(t) are entries of the lift
+factor.
 
 G holds only the rows some column of the lift factor reads.  The fluxes make
 parts of the operator exactly zero: with a dissipative flux a supersonic
@@ -85,7 +88,7 @@ a ``Trace`` per state.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -120,22 +123,26 @@ class ModalState:
 class Separable:
     """A field f(x, t) = sum_k time(t)[k] * space(x_0, ..., x_{dim-1})[k].
 
-    space takes one coordinate array per axis, ``space(*coords)``; the
-    arrays broadcast against each other, and it returns K factors (a
-    sequence, or a (K, ...) array) that broadcast to their common shape.
-    time maps a scalar time to an array (K,).  The v-equation forcing and
-    the exact solutions have this form, and each of their space factors
-    is a function of one coordinate or a product of such, so on a
-    tensor-product rule (``FieldTable``) their sin, cos and exp run on the
-    n*p coordinates of an axis, not on all (n*p)^dim points; the factors
-    are evaluated once, and each call combines what is kept of them (their
-    values, or their projections) with the time factors;
-    ``Discretization`` keeps a forcing's projections as operand rows and
-    writes its time factors into its lift factor.  time must be a pure
-    function of t: ``Discretization.rhs`` reuses the time factors it wrote
-    at the time of its previous call.
+    space takes one coordinate array per axis, ``space(*coords)``, the
+    arrays broadcasting against each other, and returns K factors (a
+    sequence, or a (K, ...) array).  A factor is either a function of one
+    coordinate, an array of that coordinate array's shape, or a scalar, or
+    a list of terms whose sum it is, each term a tuple of one such array
+    (or scalar) per axis, in axis order, whose product it is.  The exact
+    solutions and the forcing have this form: the periodic problems'
+    factors are sines and cosines of one coordinate, mixed2d's sums of
+    products of functions of one coordinate.  So on a tensor-product rule
+    (``FieldTable``) their sin, cos and exp run on the n*p coordinates of
+    an axis, not on all (n*p)^dim points, and they are projected one axis
+    at a time.
+    time maps a scalar time to an array (K,).  ``Discretization`` keeps a
+    forcing's projections as operand rows and writes its time factors into
+    its lift factor; time must be a pure function of t:
+    ``Discretization.rhs`` reuses the time factors it wrote at the time of
+    its previous call.
     Called with positions x of shape (..., dim), the field is evaluated at
-    those points, with ``x[..., d]`` as axis d's coordinates.
+    those points, with ``x[..., d]`` as axis d's coordinates: every term's
+    product and every factor's sum of terms at every point.
     """
 
     space: Callable
@@ -144,31 +151,10 @@ class Separable:
     def __call__(self, x, t):
         x = np.asarray(x, dtype=float)
         factors = self.space(*(x[..., d] for d in range(x.shape[-1])))
-        return _combine(self.time(t), _stack(factors, x.shape[:-1]))
-
-
-def _stack(factors, shape):
-    """The K space factors as one (K,) + shape array: factors already of that
-    shape as they are, others broadcast into a new array.
-
-    A factor with all of shape's axes is broadcast over the trailing half (a
-    tensor rule's points) first, then over the leading half (the elements):
-    numpy's assignment loop runs over the last axis alone, p long and of
-    stride 0 for a factor of one axis.  A periodic2d factor at q = 3, n = 28
-    took 21-37 us written straight into its table and 9-16 us in two steps
-    (medians of 300 calls, 2-vCPU Xeon VM).
-    """
-    if isinstance(factors, np.ndarray) and factors.shape[1:] == shape:
-        return factors
-    out = np.empty((len(factors),) + shape)
-    half = len(shape) // 2
-    for row, factor in zip(out, factors):
-        if np.ndim(factor) == len(shape) and np.shape(factor)[half:] != shape[half:]:
-            inner = np.empty(np.shape(factor)[:half] + shape[half:])
-            inner[...] = factor
-            factor = inner
-        row[...] = factor
-    return out
+        values = np.empty((len(factors),) + x.shape[:-1])
+        for row, factor in zip(values, factors):
+            row[...] = sum(map(math.prod, factor)) if isinstance(factor, list) else factor
+        return _combine(self.time(t), values)
 
 
 def _combine(g, f):
@@ -180,140 +166,146 @@ def _combine(g, f):
     return np.dot(g, f.reshape(len(g), -1)).reshape(f.shape[1:])
 
 
-# the most values (K factors at every point of its elements) a block of
-# ``FieldTable.projection``'s build holds: 125 KB, under glibc's default
-# 128 KiB threshold for allocating by mmap, so the blocks reuse heap memory
-# instead of faulting in fresh pages.  On periodic2d at q = 3, n = 28 (K = 4)
-# the build took 0.86 ms in 14 blocks, 1.11 in 28 (8,192 values) and 1.69
-# in 56 (4,096; best of 15 interleaved rounds, one BLAS thread, 2-vCPU
-# Xeon VM)
-PROJECTION_BLOCK = 16000
-
-
-def _element_blocks(n: int, dim: int, per: int):
-    """Blocks of at most per elements of an n^dim grid, each whole rows of
-    it or a run of one row: a run of the elements' C order.  Yields (index,
-    first): the slices of the element axes, and the first flat index."""
-    steps = (min(n, max(1, per // n)),) * (dim - 1) + (min(n, per),)
-    for corner in itertools.product(*(range(0, n, step) for step in steps)):
-        first = 0
-        for i in corner:
-            first = first * n + i
-        yield tuple(slice(i, min(i + step, n)) for i, step in zip(corner, steps)), first
-
-
 class FieldTable:
-    """Separable fields at the points of a tensor-product rule on every
-    element of a mesh.
+    """The L2 projections of separable fields onto the Legendre basis on
+    every element of a mesh, by a tensor-product Gauss rule, one axis at a
+    time (sum factorization).
 
-    nodes are the rule's points on the reference element, (p^dim, dim) in C
-    order.  The coordinates of axis d are the n*p values center + (h/2) node
-    of that axis, placed at axes d and dim + d of the broadcast shape
-    (n,)*dim + (p,)*dim, which reshapes to (n_elements, p^dim) in the
-    mesh's and the rule's C order; so a field's space factors are evaluated
-    per axis and broadcast, with the values of an evaluation at every
-    point.  Each distinct space callable is evaluated once, on first use,
-    and kept in one of two forms.  Keying by the callable itself means a
-    field of another problem never reads another's values.
+    rule is one axis of the rule (a ``basis.AxisRule`` of p points).  The
+    coordinates of axis d are the n*p values center + (h/2) node of that
+    axis, an (n, p) array placed at axes d and dim + d of the broadcast
+    shape (n,)*dim + (p,)*dim (``coords``), and each distinct space
+    callable is called once on them, on first use.  Keying by the callable
+    itself means a field of another problem never reads another's values.
+    Each factor is kept as its terms (``Separable``; an array of one axis
+    is a term whose other axes' functions are 1): the (n, p) values of
+    each term's function of each axis, and no values at the (n*p)^dim
+    points.
 
-    ``factors`` keeps the (K, n_elements, p^dim) values, so fields that
-    share one callable (u and v of the periodic problems, and lifted
-    periodic1d's forcing) share one table; a call then only combines it
-    with the time factors.  The volume rule's table keeps these.
-
-    ``projection``, on a rule given its weights (those of the L2-error
-    rule, with the element Jacobian), keeps instead what a field's L2
-    error against a modal state needs.  For a field u = sum_k tau_k X_k
-    and a basis V whose products the rule integrates exactly (mass m, a
-    diagonal), it is the rule's L2 projection c_k of each X_k and the
-    Gram matrix G of the remainders r_k = X_k - V c_k at the points.  The
-    r_k are orthogonal to V under the rule, so the error of coefficients C
-    is ||C - sum_k tau_k c_k||_m^2 + tau^T G tau, a sum of two terms that
-    are not negative: one combination of K coefficient arrays and one dot
-    product over n_elements * N values a call, and no work at the points.
+    ``projection`` is the one form in which a field is read: by
+    ``problems.project_initial`` and the forcing's operand rows on the
+    volume rule, and by ``diagnostics.l2_error`` on the finer L2-error
+    rule, which also reads ``remainders``.  For a field
+    u = sum_k tau_k X_k they are the rule's L2 projections c_k of the X_k
+    on the tensor basis and the Gram matrix G of the remainders
+    X_k - Pi X_k at the rule's points.  Per axis, each function A of a
+    term is projected on each element (Pi A, from its 1D coefficients) and
+    leaves the remainder rA = A - Pi A.  A term's coefficients are the
+    outer product of its axes' ones, and the remainder of a term A B is
+    rA B + Pi A rB, two parts orthogonal under the rule, so G is the sum
+    over term pairs (t, u) of
+    S(rA_t rA_u) S(B_t B_u) + S(Pi A_t Pi A_u) S(rB_t rB_u), with S the sum
+    of an axis's per-element integrals (one part per axis in general, one
+    in 1D).  It is never a difference of full products: on fine grids the
+    entries of G are ~1e-13 against O(1) products, which would cancel.
     """
 
-    def __init__(self, mesh: MeshTopology, nodes: np.ndarray, weights=None):
+    def __init__(self, mesh: MeshTopology, rule):
         dim, n = mesh.dim, mesh.n
-        p = round(len(nodes) ** (1.0 / dim))
         # in a C-order tensor grid the last coordinate of the first rows
         # runs through the 1D values
-        axis = mesh.element_centers[:n, -1][:, None] + (mesh.h / 2.0) * nodes[:p, -1]
+        axis = mesh.element_centers[:n, -1][:, None] + (mesh.h / 2.0) * rule.nodes
         self.coords = (axis,) if dim == 1 else (axis[:, None, :, None], axis[None, :, None, :])
-        self.shape = (n,) * dim + (p,) * dim
-        self._table_shape = (-1, n ** dim, p ** dim)
-        self._tables = {}
-        self.weights = weights
-        self._projections = {}
+        self._axis_shape, self._cache = axis.shape, {}
+        # an axis's weights with its Jacobian h/2, as square roots that
+        # scale the values and the Legendre values, so that an integral is a
+        # sum of products; the masses of the scaled P_k, and the projection
+        self._root_weights = np.sqrt((mesh.h / 2.0) * rule.weights)
+        self._basis = rule.legendre * self._root_weights[:, None]
+        self._mass = (self._basis * self._basis).sum(axis=0)
+        self._projection = self._basis / self._mass
 
-    def factors(self, space: Callable) -> np.ndarray:
-        """The (K, n_elements, p^dim) values of space's K factors."""
-        table = self._tables.get(space)
-        if table is None:
-            table = self._tables[space] = _stack(space(*self.coords),
-                                                 self.shape).reshape(self._table_shape)
-        return table
-
-    def __call__(self, field: Separable, t: float) -> np.ndarray:
-        if not isinstance(field, Separable):
-            raise TypeError("expected a Separable field")
-        return _combine(field.time(t), self.factors(field.space))
-
-    def projection(self, space: Callable, vals_t: np.ndarray):
-        """(c, G, root_mass) of space's K factors on the basis whose values
-        at the rule's points are vals_t, (N, p^dim): the (K, N, n_elements)
-        projections, coefficient-major like a stepped state, the (K, K) Gram
-        matrix of the remainders and the square roots of the mass diagonal
-        of each element, (N, n_elements), each with the weights' Jacobian.
-
-        Built on first use for each callable and basis size, without the
-        point values: one evaluation of space, then element blocks of at
-        most PROJECTION_BLOCK values, so a grid whose K factors fit is one
-        block.  A table serves one reference
-        element, in which equal sizes are equal degrees, so u and v of one
-        callable share an entry when q = s.
-        """
-        key = (space, len(vals_t))
-        entry = self._projections.get(key)
-        if entry is None:
-            entry = self._projections[key] = self._project(space, vals_t)
+    def _cached(self, build: Callable, *key):
+        """build(self, *key), computed on first use and kept (keyed by the
+        function, not a bound method, which would make the table a cycle
+        that outlives its last reference)."""
+        if (entry := self._cache.get((build, *key))) is None:
+            entry = self._cache[(build, *key)] = build(self, *key)
         return entry
 
-    def _project(self, space: Callable, vals_t: np.ndarray):
-        shape, n_pts = self.shape, vals_t.shape[1]
-        dim, n = len(shape) // 2, shape[0]
-        # the factors and the basis scaled by the square roots of the
-        # weights, so that a remainder's squared norm is its sum of squares.
-        # A factor is scaled before it is broadcast over the elements: it
-        # then holds every point of an element, and a block's copy runs over
-        # p^dim values at a time, not over p values of stride 0
-        root_weights = np.sqrt(self.weights)
-        scaled = vals_t * root_weights
-        mass = np.sum(scaled * scaled, axis=1)
-        proj = (scaled / mass[:, None]).T
-        root_weights = root_weights.reshape(shape[dim:])
-        factors = [np.broadcast_to(f * root_weights, shape) for f in space(*self.coords)]
-        k = len(factors)
-        coeffs = np.empty((k, len(vals_t), n ** dim))
-        gram = np.zeros((k, k))
-        # the K factors of a block hold at most PROJECTION_BLOCK values
-        per = max(1, PROJECTION_BLOCK // (n_pts * k))
-        for index, first in _element_blocks(n, dim, per):
-            block = np.empty((k,) + tuple(cut.stop - cut.start for cut in index) + shape[dim:])
-            for row, f in zip(block, factors):
-                row[...] = f[index]
-            values = block.reshape(k, -1, n_pts)
-            c = values @ proj
-            coeffs[:, :, first:first + values.shape[1]] = c.transpose(0, 2, 1)
-            # the scaled remainders at the points
-            rest = c @ scaled
-            rest -= values
-            rest = rest.reshape(k, -1)
-            gram += rest @ rest.T
+    def projection(self, space: Callable, degree: int) -> np.ndarray:
+        """The (K, N, n_elements) L2 projections of space's K factors on the
+        tensor basis of degree per axis, coefficient-major like a stepped
+        state.  Built on first use for each callable and degree; a table
+        serves one reference element, so u and v of one callable share an
+        entry when q = s."""
+        return self._cached(FieldTable._project, space, degree)[0]
+
+    def remainders(self, space: Callable, degree: int):
+        """(G, root_mass): the (K, K) Gram matrix of the remainders of
+        ``projection``'s factors, and the square roots of the mass diagonal
+        of each element, (N, n_elements), each with the element's Jacobian:
+        what an L2 error needs besides the projections.  Built on first
+        use, from the projection's per-axis coefficients."""
+        return self._cached(FieldTable._remainders, space, degree)
+
+    def _axis_terms(self, space: Callable):
+        """(owner, values) of space's K factors: values, (dim, T, n, p) for
+        T terms, are the values of each term's function of each axis times
+        the root weights, and
+        owner, (T, K), is 1 where term t belongs to factor k and 0
+        elsewhere, or None when each factor is one term."""
+        coords, owner, terms = self.coords, [], []
+        dim = len(coords)
+        factors = space(*coords)
+        for k, factor in enumerate(factors):
+            if not isinstance(factor, list):
+                # an array has the shape of its axis's coordinates, a
+                # scalar none; the term of it, and 1 on the other axes
+                shape = np.shape(factor)
+                axis = next((d for d, x in enumerate(coords) if shape == x.shape),
+                            None if shape else 0)
+                if axis is None:
+                    raise ValueError("a factor that is an array has the shape of one axis's "
+                                     "coordinates; give a product as a list of terms")
+                factor = [tuple(factor if d == axis else 1.0 for d in range(dim))]
+            owner += [k] * len(factor)
+            terms += factor
+        values = np.empty((dim, len(terms)) + self._axis_shape)
+        for d, x in enumerate(coords):
+            # axis d's values, shaped like its coordinates
+            axis_values = values[d].reshape((len(terms),) + x.shape)
+            for t, term in enumerate(terms):
+                axis_values[t] = term[d]
+        values *= self._root_weights
+        return np.eye(len(factors))[owner] if len(terms) > len(factors) else None, values
+
+    def _project(self, space: Callable, degree: int):
+        """(c, coeffs): the factors' projections and each term's 1D
+        coefficients of each axis, (dim, T, n, degree + 1)."""
+        owner, values = self._cached(FieldTable._axis_terms, space)
+        coeffs = values @ self._projection[:, :degree + 1]
+        # a term's coefficients are the outer product of its axes', the
+        # modes and the elements each in C order, and a factor's the sum of
+        # its terms'
+        axes = np.ascontiguousarray(coeffs.transpose(0, 1, 3, 2))
+        c, n_terms = axes[0], values.shape[1]
+        for a in axes[1:]:
+            c = (c[:, :, None, :, None] * a[:, None, :, None, :]).reshape(
+                n_terms, c.shape[1] * a.shape[1], -1)
+        if owner is not None:
+            c = (owner.T @ c.reshape(n_terms, -1)).reshape((-1,) + c.shape[1:])
+        return c, coeffs
+
+    def _remainders(self, space: Callable, degree: int):
+        owner, values = self._cached(FieldTable._axis_terms, space)
+        coeffs = self._cached(FieldTable._project, space, degree)[1]
+        dim, n_terms, n = values.shape[:3]
+        m = degree + 1
+        # each term's functions, their projections and their remainders at
+        # the points, and per axis the sums S over its elements of each term
+        # pair's products of them, each (dim, T, T)
+        projected = coeffs @ self._basis[:, :m].T
+        parts = np.stack([values, projected, values - projected]).reshape(3, dim, n_terms, -1)
+        full, proj, rest = parts @ parts.transpose(0, 1, 3, 2)
+        gram = sum(np.prod(proj[:d], axis=0) * rest[d] * np.prod(full[d + 1:], axis=0)
+                   for d in range(dim))
+        if owner is not None:
+            gram = owner.T @ gram @ owner
         # the square roots of the mass, broadcast over the elements: a call
         # scales by them in numpy's contiguous loop
-        root_mass = np.repeat(np.sqrt(mass)[:, None], n ** dim, axis=1)
-        return coeffs, gram, root_mass
+        mass = functools.reduce(np.multiply.outer, [self._mass[:m]] * dim)
+        return gram, np.repeat(np.sqrt(mass).reshape(-1, 1), n ** dim, axis=1)
 
 
 def element_scale(dim: int, h: float, c: float) -> float:
@@ -801,9 +793,9 @@ class Discretization:
         # (interior, low boundary, high boundary) flux kinds of each axis
         self.face_kinds = classify_mesh(mesh, self.w, self.c)
 
-        # the fields at the volume rule's points: the forcing's projection
-        # below and problems.project_initial's exact data
-        self.volume_quadrature = FieldTable(mesh, ref.vol_nodes)
+        # the fields' projections by the volume rule: the forcing's below
+        # and problems.project_initial's exact data
+        self.volume_quadrature = FieldTable(mesh, ref.vol_axis)
 
         # the family's operator on the grid (see Family): every entry times
         # k = h_ref / h to its power.  The key holds params, w and c in
@@ -849,9 +841,9 @@ class Discretization:
 
     @functools.cached_property
     def error_quadrature(self) -> FieldTable:
-        """The ``FieldTable`` of ``diagnostics.l2_error``'s rule, with its
-        weights, built on first use."""
-        return FieldTable(self.mesh, self.ref.err_nodes, self.jac_vol * self.ref.err_weights)
+        """The ``FieldTable`` of ``diagnostics.l2_error``'s rule, built on
+        first use."""
+        return FieldTable(self.mesh, self.ref.err_axis)
 
     # --- traces and fluxes ------------------------------------------------
 
@@ -960,12 +952,12 @@ class Discretization:
         # a 1D slot holds all N coefficients (see _family_reference)
         r = nb if dim == 1 else self.ref.trace_maps.shape[-1]
         n_rows, nv = first + n_cols, nb - nu
-        # the forcing's K projections, (K, n_elements, Nv); K = 0 unforced
-        proj = (np.empty((0, n_el, nv)) if self.forcing is None else
-                self.volume_quadrature.factors(self.forcing.space) @ self.ref.proj_v)
+        # the forcing's K projections, (K, Nv, n_elements); K = 0 unforced
+        proj = (np.empty((0, nv, n_el)) if self.forcing is None else
+                self.volume_quadrature.projection(self.forcing.space, self.ref.s))
         n_tau = len(proj)
         self._operand = np.zeros((n_rows + n_tau * nv, n_el))
-        self._operand[n_rows:] = proj.transpose(0, 2, 1).reshape(-1, n_el)
+        self._operand[n_rows:] = proj.reshape(-1, n_el)
         self._lift_factor = np.zeros((nb, n_cols + n_tau * nv))
         self._lift_factor[:, :n_cols] = lift_factor
         # entry (nu + i, n_cols + k*nv + i) is column k of row i (an ndarray

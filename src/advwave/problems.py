@@ -1,11 +1,13 @@
 """Manufactured solutions, forcing terms and the initial projection.
 
 The exact solutions and the forcing are ``Separable`` fields: a few space
-factors, each a function of one coordinate or a product of such, taking one
-coordinate array per axis, combined with time factors.  The v solution is
-always the advective derivative of u.  ``project_initial`` takes the exact
-fields at t = 0 to coefficients by the reference element's L2 projection of
-each space, as the operator does its forcing.
+factors taking one coordinate array per axis, combined with time factors.
+A factor is a function of one coordinate (the periodic problems' sines and
+cosines) or a list of terms, each a product of functions of one coordinate
+(mixed2d's X(x) Y(y) and its derivatives).  The v solution is always the
+advective derivative of u.  ``project_initial`` takes the exact fields at
+t = 0 to coefficients by the volume rule's L2 projection, one axis at a
+time (``FieldTable.projection``), as the operator does its forcing.
 
 periodic1d is the only problem whose initial displacement is not zero.  By
 default it is lifted: u0(x) e^{-t^2} is subtracted, so the solved problem
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Discretization, ModalState, Separable
+from .operators import Discretization, ModalState, Separable, _combine
 
 TWO_PI = 2.0 * np.pi
 
@@ -50,15 +52,15 @@ def _poly_factors(z):
 
 
 def forcing_mixed_2d_factors(x, y, w, c: float):
-    """Space factors (a, b) of the mixed-BC forcing f = a sin t + b cos t,
-    for x and y coordinate arrays that broadcast against each other."""
+    """Space factors (a, b) of the mixed-BC forcing
+    f = a sin t + b cos t = (d/dt + w . grad)^2 u - c^2 Lap u for
+    u = X(x) X(y) sin t, for x and y coordinate arrays: each a list of
+    terms, products of a function of x and one of y (``Separable``)."""
     X, Xp, Xpp = _poly_factors(np.asarray(x, dtype=float))
     Y, Yp, Ypp = _poly_factors(np.asarray(y, dtype=float))
-    utt = -X * Y
-    adv2 = w[0] ** 2 * Xpp * Y + 2.0 * w[0] * w[1] * Xp * Yp + w[1] ** 2 * X * Ypp
-    lap = Xpp * Y + X * Ypp
-    cross = 2.0 * (w[0] * Xp * Y + w[1] * X * Yp)
-    return utt + adv2 - c * c * lap, cross
+    a = [((w[0] ** 2 - c * c) * Xpp - X, Y), ((w[1] ** 2 - c * c) * X, Ypp),
+         (2.0 * w[0] * w[1] * Xp, Yp)]
+    return a, [(2.0 * w[0] * Xp, Y), (2.0 * w[1] * X, Yp)]
 
 
 def _traveling_sines(w: np.ndarray):
@@ -144,12 +146,12 @@ def mixed_2d(w, c: float) -> ProblemSpec:
     w_vec = np.asarray(w, dtype=float)
 
     def u_space(x, y):
-        return (_poly_factors(x)[0] * _poly_factors(y)[0])[None]
+        return [[(_poly_factors(x)[0], _poly_factors(y)[0])]]
 
     def v_space(x, y):
         X, Xp, _ = _poly_factors(x)
         Y, Yp, _ = _poly_factors(y)
-        return [X * Y, w_vec[0] * Xp * Y + w_vec[1] * X * Yp]
+        return [[(X, Y)], [(w_vec[0] * Xp, Y), (w_vec[1] * X, Yp)]]
 
     eu = Separable(u_space, lambda t: np.array([np.sin(t)]))
     ev = Separable(v_space, lambda t: np.array([np.cos(t), np.sin(t)]))
@@ -166,11 +168,12 @@ def mixed_2d(w, c: float) -> ProblemSpec:
 
 def project_initial(spec: ProblemSpec, disc: Discretization) -> ModalState:
     """Elementwise L2 projection of the exact data at t = 0 onto (q, s), by
-    the reference element's projections ``proj_u`` and ``proj_v``.  The
-    exact fields come from ``disc.volume_quadrature``, the volume rule's
-    ``FieldTable``, which the forcing's projection shares: lifted periodic1d's
-    one space callable is evaluated once per grid."""
-    ref = disc.ref
-    exact = disc.volume_quadrature
-    return ModalState(u=exact(spec.exact_u, 0.0) @ ref.proj_u,
-                      v=exact(spec.exact_v, 0.0) @ ref.proj_v, t=0.0)
+    the volume rule one axis at a time: ``FieldTable.projection`` of
+    ``disc.volume_quadrature``, which the forcing's projection shares, so
+    lifted periodic1d's one space callable is evaluated once per grid.  The
+    coefficients are coefficient-major, like a stepped state: u and v are
+    F-ordered (n_elements, N) views."""
+    table, ref = disc.volume_quadrature, disc.ref
+    u, v = (_combine(field.time(0.0), table.projection(field.space, degree)).T
+            for field, degree in ((spec.exact_u, ref.q), (spec.exact_v, ref.s)))
+    return ModalState(u=u, v=v, t=0.0)

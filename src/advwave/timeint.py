@@ -113,7 +113,9 @@ def evolve(state0: ModalState, disc: Discretization, T: float, n_steps: int,
     that keeps it must copy it.  The returned state is a copy of the last
     one, laid out like it, whose arrays belong to it alone; state0 is not
     modified.  A state that stops being finite raises InstabilityError at
-    the step that made it so.
+    the step that made it so, without numpy's warning for an invalid
+    operation: the steps and the observers after step 0 run under
+    np.errstate(invalid="ignore").
     """
     if not (n_steps >= 1 if T > 0 else T == 0 and n_steps == 0):
         raise ValueError(f"{n_steps!r} steps do not reach T = {T!r}")
@@ -125,18 +127,22 @@ def evolve(state0: ModalState, disc: Discretization, T: float, n_steps: int,
         obs(0, state)
     dt = T / n_steps if n_steps else 0.0
     rhs = disc.rhs
-    for step in range(1, n_steps + 1):
-        t = rk4_step(buf, state.t, dt, rhs)
-        # the last step lands exactly on T, before its observers see it (the
-        # accumulated time differs from it only by roundoff)
-        state.t = T if step == n_steps else t
-        # one product covers u and v: 0 x = 0 for every finite x, and
-        # 0 inf and 0 NaN are NaN, so the sum is 0 exactly when the state
-        # is finite
-        if not np.dot(buf.x_flat, buf.zeros) == 0.0:
-            raise InstabilityError(step)
-        for obs in observers:
-            obs(step, state)
+    # an invalid operation in a step leaves a value that is not finite, and
+    # so ends in InstabilityError; the check's own 0 inf would warn beside it.
+    # One context for the loop: one per step costs ~1 us a step
+    with np.errstate(invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            t = rk4_step(buf, state.t, dt, rhs)
+            # the last step lands exactly on T, before its observers see it
+            # (the accumulated time differs from it only by roundoff)
+            state.t = T if step == n_steps else t
+            # one product covers u and v: 0 x = 0 for every finite x, and
+            # 0 inf and 0 NaN are NaN, so the sum is 0 exactly when the state
+            # is finite
+            if not np.dot(buf.x_flat, buf.zeros) == 0.0:
+                raise InstabilityError(step)
+            for obs in observers:
+                obs(step, state)
     # a copy in the buffers' layout, so that the returned state does not
     # keep the solve's five rows alive.  Its array is allocated before them:
     # returning the rows, or a copy allocated after them, cost a sweep-2d

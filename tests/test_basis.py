@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 
-from advwave.basis import (build_reference, gauss_points, legendre_tables, tensor_eval,
+from advwave.basis import (AxisRule, build_reference, gauss_points, legendre_tables, tensor_eval,
                            tensor_modes)
 
 # closed-form values frozen from the explicit low-degree polynomials:
@@ -250,8 +250,11 @@ def test_build_reference_built_once():
 
 def test_reference_arrays_read_only():
     ref = build_reference(2, 1, dim=2)
-    arrays = [value for value in vars(ref).values() if isinstance(value, np.ndarray)]
-    assert len(arrays) == 25
+    # the arrays of the element and of its two axis rules
+    values = [value for value in vars(ref).values()]
+    values += [a for value in values if isinstance(value, AxisRule) for a in vars(value).values()]
+    arrays = [value for value in values if isinstance(value, np.ndarray)]
+    assert len(arrays) == 26
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = 1.0

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from advwave import diagnostics, fluxes, operators
-from advwave.basis import build_reference, tensor_eval, tensor_gauss
+from advwave.basis import build_reference, gauss_points, legendre_tables, tensor_eval
 from advwave.diagnostics import (bloch_symbols, discrete_energy, energy_identity_residual,
                                  fit_rate, l2_error, spectral_radius_probe)
 from advwave.fluxes import FluxParams
@@ -15,7 +15,8 @@ from advwave.mesh import FaceKind, build_mesh
 from advwave.operators import Discretization, ModalState, Separable
 from advwave.problems import mixed_2d, periodic_1d, periodic_2d
 from advwave.timeint import evolve
-from test_problems import exact_mixed_2d, exact_periodic_1d, exact_periodic_2d
+from test_problems import (assert_matches_dense, exact_mixed_2d, exact_periodic_1d,
+                           exact_periodic_2d, proj_v)
 
 
 def make_disc(dim=1, n=8, q=2, w=(0.5,), c=1.0, mode="periodic", params=None):
@@ -413,29 +414,29 @@ def test_l2_error_matches_reference(kind, lift):
 
 def test_l2_error_builds_tables_once(monkeypatch):
     import advwave.basis as basis
-    err_nodes = tensor_gauss(3 + 4, 2)[0]   # the q + 4 error rule at q = 3
+    err_nodes = gauss_points(3 + 4)[0]   # one axis of the q + 4 error rule at q = 3
     calls = []
 
-    def counting(*args):
-        if np.array_equal(args[2], err_nodes):
-            calls.append(args[:2])
-        return tensor_eval(*args)
+    def counting(degree, x):
+        if np.array_equal(x, err_nodes):
+            calls.append(degree)
+        return legendre_tables(degree, x)
 
-    monkeypatch.setattr(basis, "tensor_eval", counting)
-    # the tables are built with the reference element, once per process
+    monkeypatch.setattr(basis, "legendre_tables", counting)
+    # the table is built with the reference element, once per process
     basis._build_reference.cache_clear()
     spec = periodic_2d([0.5, 0.25], 1.0)
     disc = make_disc(dim=2, n=3, q=3, w=spec.w)
     st = random_state(disc)
     for k in range(10):
         l2_error(st, spec, 0.1 * k, disc)
-    assert len(calls) == 2   # u and v tables of the one finer rule
-    # a second grid of the same reference element reuses them
+    assert calls == [3]   # one table of degree q; the v space reads its first s + 1 columns
+    # a second grid of the same reference element reuses it
     other = make_disc(dim=2, n=4, q=3, w=spec.w)
     expect = reference_l2_error(random_state(other), "periodic2d", spec, 0.3, other)
     got = l2_error(random_state(other), spec, 0.3, other)
     assert np.allclose(got, expect, rtol=1e-13, atol=0.0)
-    assert len(calls) == 2
+    assert calls == [3]
 
 
 def test_l2_error_cache_not_stale_across_specs():
@@ -467,10 +468,15 @@ def test_l2_error_rejects_plain_callable_fields():
                                      for s in sorted({0, q - 1, q})])
 def test_error_rule_integrates_every_basis_product(q, s, dim):
     # the rule's mass of each basis is the diagonal Legendre mass, so the
-    # remainders of its projections are orthogonal to the basis
+    # remainders of its projections are orthogonal to the basis; a tensor
+    # basis's is the product of its axes'
     ref = build_reference(q, s, dim=dim)
-    for vals_t, mass in ((ref.err_vals_u_t, ref.mass_u), (ref.err_vals_v_t, ref.mass_v)):
-        rule_mass = (vals_t * ref.err_weights) @ vals_t.T
+    rule = ref.err_axis
+    axis_mass = rule.legendre.T @ (rule.weights[:, None] * rule.legendre)
+    for degree, mass in ((q, ref.mass_u), (s, ref.mass_v)):
+        rule_mass = axis_mass[:degree + 1, :degree + 1]
+        if dim == 2:
+            rule_mass = np.kron(rule_mass, rule_mass)
         assert np.max(np.abs(rule_mass - mass)) <= 1e-14
 
 
@@ -487,8 +493,9 @@ def test_l2_error_of_a_near_exact_state_matches_reference(kind, q, n):
     ref, rng = disc.ref, np.random.default_rng(5)
     mass = disc.jac_vol * np.diag(ref.mass_u)
     t = 0.3
-    exact = ModalState(disc.volume_quadrature(spec.exact_u, t) @ ref.proj_u,
-                       disc.volume_quadrature(spec.exact_v, t) @ ref.proj_v, t)
+    points = disc.mesh.element_centers[:, None, :] + (disc.mesh.h / 2.0) * ref.vol_nodes
+    exact = ModalState(spec.exact_u(points, t) @ ref.proj_u,
+                       spec.exact_v(points, t) @ proj_v(ref), t)
     for size in (1e-12, 1e-10, 1e-8, 1e-6):
         du, dv = rng.standard_normal(exact.u.shape), rng.standard_normal(exact.v.shape)
         du *= size / np.sqrt(np.sum(du * du * mass))
@@ -497,6 +504,39 @@ def test_l2_error_of_a_near_exact_state_matches_reference(kind, q, n):
         got = l2_error(st, spec, t, disc)
         expect = reference_l2_error(st, kind, spec, t, disc)
         assert np.allclose(got, expect, rtol=1e-5, atol=0.0)
+
+
+@pytest.mark.parametrize("kind,q,s,n", [("periodic2d", 3, 3, 40), ("periodic1d", 4, 4, 160),
+                                        ("mixed2d", 3, 2, 20)])
+def test_per_axis_projection_matches_the_dense_one_on_fine_grids(kind, q, s, n):
+    # where a Gram matrix taken as a difference of full products would
+    # cancel (its entries 1e-25 to 1e-13 against O(1) products), with
+    # mixed2d's sums of products and q != s: the coefficients and the Gram
+    # matrix against the dense projection at every point
+    # (test_problems.assert_matches_dense), and the errors of near-exact
+    # states, mostly the remainder term, against the dense tables' errors
+    factory, args, mode = PROBLEMS[kind]
+    spec = factory(*args)   # periodic1d lifted, K = 2; periodic2d K = 4
+    ref = build_reference(q, s, dim=spec.dim)
+    disc = Discretization(build_mesh(spec.dim, n, mode), ref, FluxParams.sommerfeld(),
+                          spec.w, spec.c)
+    rng, t = np.random.default_rng(7), 0.3
+    coeffs, expect, tols = [], [], []
+    for field, degree in ((spec.exact_u, q), (spec.exact_v, s)):
+        c0, gram0, root_mass0, bound = assert_matches_dense(
+            disc.error_quadrature, field.space, degree, disc.mesh, ref.n_quad + 2)
+        tau = field.time(t)
+        remainder = tau @ gram0 @ tau
+        # the projection plus a perturbation of a tenth of the remainder's norm
+        delta = rng.standard_normal(c0.shape[1:])
+        delta *= 0.1 * np.sqrt(remainder) / np.linalg.norm(delta * root_mass0[:, None])
+        coeffs.append((np.tensordot(tau, c0, 1) + delta).T)
+        err = np.sqrt(np.sum((delta * root_mass0[:, None]) ** 2) + remainder)
+        expect.append(err)
+        # rtol, and the bound on G carried to the error
+        tols.append(1e-10 * err + np.abs(tau) @ bound @ np.abs(tau) / (2.0 * err))
+    got = l2_error(ModalState(*coeffs, t), spec, t, disc)
+    assert np.all(np.abs(np.array(got) - expect) <= tols)
 
 
 @pytest.mark.parametrize("kind", ["periodic1d", "periodic2d", "mixed2d"])
@@ -548,64 +588,6 @@ def test_diagnostics_agree_between_layouts(kind):
     evolve(random_state(disc, 4), disc, 0.01, 5, observers=[observe])
     view, copy = np.array(seen)
     assert np.all(np.abs(view - copy) <= 1e-14 * np.abs(copy))
-
-
-@pytest.mark.parametrize("dim,n,per", [(1, 7, 3), (1, 4, 9), (2, 5, 3), (2, 5, 12), (2, 4, 16),
-                                       (2, 3, 1)])
-def test_element_blocks_cover_the_grid_in_order(dim, n, per):
-    grid = np.arange(n ** dim).reshape((n,) * dim)
-    covered = []
-    for index, first in operators._element_blocks(n, dim, per):
-        block = grid[index].ravel()
-        assert 0 < block.size <= per
-        assert np.array_equal(block, np.arange(first, first + block.size))
-        covered += list(block)
-    assert covered == list(range(n ** dim))
-
-
-@pytest.mark.parametrize("kind", ["periodic1d", "periodic2d", "mixed2d"])
-def test_projection_in_small_blocks_matches_one_block(monkeypatch, kind):
-    # element blocks of one element, of part of a row, and of whole rows
-    factory, args, mode = PROBLEMS[kind]
-    spec = factory(*args)
-    disc = Discretization(build_mesh(spec.dim, 7, mode), build_reference(3, 2, dim=spec.dim),
-                          FluxParams.sommerfeld(), spec.w, spec.c)
-    ref, n_el, n_pts = disc.ref, disc.mesh.n_elements, disc.ref.err_weights.size
-    blocks, sizes = operators._element_blocks, []
-
-    def recorded(n, dim, per):
-        sizes.append(per)
-        return blocks(n, dim, per)
-
-    monkeypatch.setattr(operators, "_element_blocks", recorded)
-    k = len(spec.exact_v.time(0.0))   # the number of space factors
-    tables = []
-    for limit in (10 ** 9, 1, 3 * n_pts * k, 7 * 2 * n_pts * k):
-        monkeypatch.setattr(operators, "PROJECTION_BLOCK", limit)
-        rule = operators.FieldTable(disc.mesh, ref.err_nodes, disc.jac_vol * ref.err_weights)
-        tables.append(rule.projection(spec.exact_v.space, ref.err_vals_v_t))
-        # no block's K factors hold more values than the limit, and a block
-        # holds at least one element
-        assert sizes[-1] * k * n_pts <= max(limit, k * n_pts)
-    (c, gram, root_mass), others = tables[0], tables[1:]
-    for other_c, other_gram, other_root_mass in others:
-        assert np.max(np.abs(other_c - c)) <= 1e-15 * np.max(np.abs(c))
-        assert np.max(np.abs(other_gram - gram)) <= 1e-12 * np.max(np.abs(gram))
-        assert np.array_equal(other_root_mass, root_mass)
-
-
-@pytest.mark.parametrize("n,count", [(5, 1), (7, 1), (10, 2), (28, 14)])
-def test_projection_block_is_capped_by_values_alone(monkeypatch, n, count):
-    # periodic2d q = 3 (K = 4, 49 points): a grid whose K factors fit in
-    # PROJECTION_BLOCK values is one block, however few its elements
-    spec = periodic_2d([0.5, 0.5], 1.0)
-    disc = Discretization(build_mesh(2, n, "periodic"), build_reference(3, 3, dim=2),
-                          FluxParams.central(), spec.w, spec.c)
-    blocks, seen = operators._element_blocks, []
-    monkeypatch.setattr(operators, "_element_blocks",
-                        lambda *args: (seen.append(b) or b for b in blocks(*args)))
-    l2_error(random_state(disc), spec, 0.3, disc)
-    assert len(seen) == count
 
 
 def test_fit_rate_needs_two_distinct_h():

@@ -1,11 +1,13 @@
+import gc
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from advwave import cli
-from advwave.basis import build_reference
+from advwave.basis import build_reference, tensor_eval, tensor_gauss
 from advwave.diagnostics import l2_error
 from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
@@ -19,6 +21,13 @@ def quad_points(disc):
     """The volume rule's points on every element, (n_elements, Nq, dim)."""
     mesh = disc.mesh
     return mesh.element_centers[:, None, :] + (mesh.h / 2.0) * disc.ref.vol_nodes
+
+
+def proj_v(ref):
+    """The volume rule's L2 projection onto the v space, (Nq, Nv): values at
+    the rule's points times it are coefficients (the dense oracle of a
+    field's projection)."""
+    return ref.vol_vals_v * (ref.vol_weights[:, None] / np.diag(ref.mass_v))
 
 
 # The manufactured solutions in closed form, written apart from the factored
@@ -330,53 +339,122 @@ def test_projection_convergence_order():
 
 # --- the per-axis tables --------------------------------------------------------
 
+EPS = np.finfo(float).eps
+
+
+def dense_projection(space, mesh, points, degree):
+    """The rule's L2 projection of space's K factors on every element, from
+    their values at all (n p)^dim points of the tensor Gauss rule of points
+    per axis (Separable's pointwise evaluation), on the tensor basis of
+    degree: (c, G, root_mass) as FieldTable.projection gives them, but
+    root_mass (N,) unbroadcast, and the factors' L2 norms under the rule."""
+    dim = mesh.dim
+    nodes, weights = tensor_gauss(points, dim)
+    x = mesh.element_centers[:, None, :] + (mesh.h / 2.0) * nodes
+    k = len(space(*(x[..., d] for d in range(dim))))
+    values = np.stack([Separable(space, lambda t, e=e: e)(x, 0.0) for e in np.eye(k)])
+    basis = tensor_eval(degree, dim, nodes)[0]
+    w = (mesh.h / 2.0) ** dim * weights
+    mass = w @ (basis * basis)
+    c = (values * w) @ basis / mass
+    rest = values - c @ basis.T
+    gram = np.einsum("kep,lep,p->kl", rest, rest, w)
+    norms = np.sqrt(np.einsum("kep,kep,p->k", values, values, w))
+    return c.transpose(0, 2, 1), gram, np.sqrt(mass), norms
+
+
+def assert_matches_dense(table, space, degree, mesh, points, rtol=1e-10):
+    """FieldTable.projection of space against dense_projection: c to rtol of
+    its largest entry, and G to rtol of its largest entry plus the two
+    paths' roundoff in the remainders at the points.  That is a few ulps of
+    the factor's value a point, so by Cauchy-Schwarz at most a few
+    eps (|X_k| |r_l| + |X_l| |r_k|) an entry (with |r_k| = sqrt(G_kk)):
+    where the remainders are ~1e-12, as at periodic1d q = 4 n = 160, it is
+    ~1e-5 of G, and a G taken as a difference of full products would miss
+    by ~eps |X|^2, a billion times that.  Returns the dense (c, G, root_mass)
+    and the (K, K) bound on G's entries."""
+    c, (gram, root_mass) = table.projection(space, degree), table.remainders(space, degree)
+    c0, gram0, root_mass0, norms = dense_projection(space, mesh, points, degree)
+    assert np.max(np.abs(c - c0)) <= rtol * np.max(np.abs(c0))
+    rest = np.sqrt(np.diag(gram0))
+    bound = rtol * np.max(np.abs(gram0)) + 8 * EPS * (np.outer(norms, rest)
+                                                      + np.outer(rest, norms))
+    assert np.all(np.abs(gram - gram0) <= bound)
+    assert np.allclose(root_mass, root_mass0[:, None], rtol=1e-14, atol=0.0)
+    return c0, gram0, root_mass0, bound
+
+
 SPECS = {"periodic1d": lambda: periodic_1d(0.5, 1.0, lift=False),
          "periodic1d-lifted": lambda: periodic_1d(0.5, 1.0),
          "periodic2d": lambda: periodic_2d([0.5, 0.25], 1.3),
          "mixed2d": lambda: mixed_2d([0.5, 0.25], 1.0)}
 
+# each rule's axis and its Gauss points per axis beyond n_quad
+RULES = {"vol_nodes": ("vol_axis", 0), "err_nodes": ("err_axis", 2)}
+
 
 @pytest.mark.parametrize("problem", SPECS)
-@pytest.mark.parametrize("rule", ["vol_nodes", "err_nodes"])
+@pytest.mark.parametrize("rule", RULES)
 @pytest.mark.parametrize("mode", ["periodic", "physical"])
 @pytest.mark.parametrize("n", [3, 7])
 def test_axis_tables_equal_the_evaluation_at_every_point(problem, rule, mode, n):
-    # a FieldTable evaluates each space factor on the coordinates of one axis
-    # and broadcasts it; the values are those of the factor at every point
+    # a FieldTable evaluates each space factor on the coordinates of one
+    # axis and projects it axis by axis; the projections and the remainders'
+    # Gram matrix are those of the values at every point, on both degrees
     spec = SPECS[problem]()
-    ref = build_reference(2, 2, dim=spec.dim)
+    ref = build_reference(3, 2, dim=spec.dim)
     mesh = build_mesh(spec.dim, n, mode)
-    nodes = getattr(ref, rule)
-    points = mesh.element_centers[:, None, :] + (mesh.h / 2.0) * nodes
-    table = FieldTable(mesh, nodes)
+    axis, extra = RULES[rule]
+    table = FieldTable(mesh, getattr(ref, axis))
     fields = [f for f in (spec.exact_u, spec.exact_v, spec.forcing) if f is not None]
     assert len(fields) == (3 if problem in ("periodic1d-lifted", "mixed2d") else 2)
     for field in fields:
-        factors = field.space(*(points[..., d] for d in range(spec.dim)))
-        every = np.stack([np.broadcast_to(f, points.shape[:-1]) for f in factors])
-        assert np.array_equal(table.factors(field.space), every)
-        for t in (0.0, 0.37):
-            assert np.array_equal(table(field, t), field(points, t))
+        for degree in (ref.q, ref.s):
+            assert_matches_dense(table, field.space, degree, mesh, ref.n_quad + extra)
 
 
 @pytest.mark.parametrize("dim,mode", [(1, "periodic"), (2, "periodic"), (2, "physical")])
 @pytest.mark.parametrize("n", [3, 7])
 def test_factor_tables_equal_their_direct_broadcast(dim, mode, n):
-    # the table stacks each factor, of one axis, of all axes or a scalar, as
-    # np.broadcast_to of it onto the rule's shape, bit for bit
+    # every form of a factor: an array of one axis (any axis, in a sequence
+    # or as a row of a (K, ...) array), a scalar, and a list of terms, each
+    # a product of one array or scalar per axis; a factor that is an array
+    # of two axes is refused
     ref = build_reference(3, 3, dim=dim)
-    table = FieldTable(build_mesh(dim, n, mode), ref.vol_nodes)
+    mesh = build_mesh(dim, n, mode)
+    table = FieldTable(mesh, ref.vol_axis)
     if dim == 1:
-        spaces = [lambda x: (np.sin(x), 2.0, np.exp(x) * x)]
+        spaces = [lambda x: (np.sin(x), 2.0, np.exp(x) * x, [(np.cos(x),), (3.0,)]),
+                  lambda x: np.stack([np.sin(x), np.exp(x)])]
     else:
         mixed = mixed_2d([0.5, 0.25], 1.0)
-        spaces = [lambda x, y: (np.sin(x), np.cos(y), 2.0, np.exp(x) * np.sin(y)),
-                  lambda x, y: np.stack(np.broadcast_arrays(np.sin(x), np.cos(y))),
+        spaces = [lambda x, y: (np.sin(x), np.cos(y), 2.0,
+                                [(np.exp(x), np.sin(y)), (1.5, np.cos(y)), (x, 2.0)]),
+                  lambda x, y: np.stack([np.sin(y), np.exp(y)]),
                   periodic_2d([0.5, 0.25], 1.3).exact_u.space, mixed.exact_v.space,
                   mixed.forcing.space]
+        with pytest.raises(ValueError, match="one axis"):
+            table.projection(lambda x, y: [np.sin(x) * np.cos(y)], 3)
     for space in spaces:
-        direct = np.stack([np.broadcast_to(f, table.shape) for f in space(*table.coords)])
-        assert np.array_equal(table.factors(space), direct.reshape(len(direct), n ** dim, -1))
+        assert_matches_dense(table, space, 3, mesh, ref.n_quad)
+
+
+@pytest.mark.parametrize("problem", ["periodic1d", "mixed2d"])
+def test_discretization_is_freed_without_the_cycle_collector(problem):
+    # the tables' caches hold no reference back to them, so a grid's
+    # discretization and its FieldTables go with their last reference; in
+    # a cycle their arrays would stay until a collection, raising a
+    # sweep's peak memory
+    cfg = cli.RunConfig(problem=problem, q=3, n=4, w=0.5 if problem == "periodic1d" else [0.5, 0.5])
+    gc.disable()
+    try:
+        disc, spec = cli.build_discretization(cfg)
+        l2_error(project_initial(spec, disc), spec, 0.1, disc)
+        refs = [weakref.ref(x) for x in (disc, disc.volume_quadrature, disc.error_quadrature)]
+        del disc
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()
 
 
 def _spy_spaces(spec, calls):

@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 import subprocess
@@ -39,10 +40,22 @@ def test_reproduce_rates_writes_every_case(tmp_path):
     # twelve converge sweeps on the quick grids, each case in a directory of its own
     proc = run_script("reproduce_rates.py", "--quick", "--output", str(tmp_path), timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"case{i}" for i in range(12))
-    for case in tmp_path.iterdir():
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"case{i}" for i in range(12)] + ["reproduced.csv"])
+    for case in tmp_path.glob("case*"):
         assert sorted(p.name for p in case.iterdir()) == ["config.json", "errors.csv",
                                                          "rates.csv"]
     # every case reports the slope over all its grids and over the finest 3
     assert len(re.findall(r"convergence: rate_u=\S+ rate_v=\S+ .*; "
                           r"finest 3: rate_u=\S+ rate_v=\S+", proc.stdout)) == 12, proc.stdout
+    # every error of every case against the pinned file, to 1e-6 relative:
+    # BLAS kernels move them by a few 1e-9 at most
+    with open(tmp_path / "reproduced.csv", newline="") as fh:
+        got = list(csv.reader(fh))
+    with open(ROOT / "tests" / "data" / "reproduced.csv", newline="") as fh:
+        pinned = list(csv.reader(fh))
+    assert got[0] == pinned[0] == ["case", "n", "h", "err_u", "err_v"]
+    assert [row[:3] for row in got] == [row[:3] for row in pinned]
+    for row, expect in zip(got[1:], pinned[1:]):
+        for value, reference in zip(row[3:], expect[3:]):
+            assert float(value) == pytest.approx(float(reference), rel=1e-6, abs=0.0), row
