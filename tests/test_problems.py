@@ -1,13 +1,15 @@
 import gc
 import itertools
+import math
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
 from advwave import cli
-from advwave.basis import build_reference, tensor_eval, tensor_gauss
+from advwave.basis import build_reference, tensor_eval, tensor_gauss, tensor_modes
 from advwave.diagnostics import l2_error
 from advwave.fluxes import FluxParams
 from advwave.mesh import build_mesh
@@ -437,6 +439,45 @@ def test_factor_tables_equal_their_direct_broadcast(dim, mode, n):
             table.projection(lambda x, y: [np.sin(x) * np.cos(y)], 3)
     for space in spaces:
         assert_matches_dense(table, space, 3, mesh, ref.n_quad)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_axis_tables_of_monomials_match_closed_forms(dim, degree):
+    # against closed forms, not the dense oracle: a polynomial of degree m
+    # per axis, (x y)^m, is its own projection and leaves no remainder; the
+    # remainder of z^(m+1), z the last axis, is (h/2)^(m+1) P_{m+1}(zeta) / a
+    # on each element, a the leading coefficient of P_{m+1}, so its Gram
+    # entry is n (h/2)^(2m+3) 2 / ((2m+3) a^2) over the unit interval or square
+    m, n = degree, 3
+    ref = build_reference(4, 4, dim=dim)
+    mesh = build_mesh(dim, n, "periodic")
+    h = mesh.h
+    a = math.factorial(2 * m + 2) / (2 ** (m + 1) * math.factorial(m + 1) ** 2)
+    gram_rest = n * (h / 2.0) ** (2 * m + 3) * 2.0 / ((2 * m + 3) * a * a)
+    legendre = [0.0] * (m + 1) + [1.0]
+
+    def space(*x):
+        return [[tuple(xd ** m for xd in x)], x[-1] ** (m + 1)]
+
+    local = np.random.default_rng(3).uniform(-1.0, 1.0, (20, dim))
+    basis = tensor_eval(m, dim, local)[0]
+    points = mesh.element_centers[:, None, :] + (h / 2.0) * local
+    expect = [np.prod(points, axis=-1) ** m,
+              points[..., -1] ** (m + 1) - (h / 2.0) ** (m + 1) / a
+              * npleg.legval(local[:, -1], legendre)]
+    for axis in ("vol_axis", "err_axis"):
+        table = FieldTable(mesh, getattr(ref, axis))
+        c, (gram, root_mass) = table.projection(space, m), table.remainders(space, m)
+        assert c.shape == (2, (m + 1) ** dim, n ** dim)
+        for k in range(2):
+            assert np.max(np.abs(c[k].T @ basis.T - expect[k])) <= 1e-13
+        assert gram[1, 1] == pytest.approx(gram_rest, rel=1e-10)
+        # the first factor's remainder is roundoff at the points, |x^m| <= 1
+        assert np.max(np.abs([gram[0, 0], gram[0, 1], gram[1, 0]])) <= 8 * EPS * np.sqrt(gram_rest)
+        mass = np.prod(2.0 / (2 * tensor_modes(m, dim) + 1), axis=1)
+        assert np.allclose(root_mass, np.sqrt((h / 2.0) ** dim * mass)[:, None],
+                           rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("problem", ["periodic1d", "mixed2d"])
