@@ -207,6 +207,9 @@ class FieldTable:
         axis = mesh.element_centers[:n, -1][:, None] + (mesh.h / 2.0) * rule.nodes
         self.coords = (axis,) if dim == 1 else (axis[:, None, :, None], axis[None, :, None, :])
         self._axis_shape, self._cache = axis.shape, {}
+        # the axis of a factor that is an array, by its shape (a scalar's is
+        # ())
+        self._axis_of = {(): 0} | {x.shape: d for d, x in enumerate(self.coords)}
         # an axis's weights with its Jacobian h/2, as square roots that
         # scale the values and the Legendre values, so that an integral is a
         # sum of products; the masses of the scaled P_k, and the projection
@@ -242,9 +245,8 @@ class FieldTable:
     def _axis_terms(self, space: Callable):
         """(owner, values) of space's K factors: values, (dim, T, n, p) for
         T terms, are the values of each term's function of each axis times
-        the root weights, and
-        owner, (T, K), is 1 where term t belongs to factor k and 0
-        elsewhere, or None when each factor is one term."""
+        the root weights, and owner, (T, K), is 1 where term t belongs to
+        factor k and 0 elsewhere."""
         coords, owner, terms = self.coords, [], []
         dim = len(coords)
         factors = space(*coords)
@@ -252,13 +254,11 @@ class FieldTable:
             if not isinstance(factor, list):
                 # an array has the shape of its axis's coordinates, a
                 # scalar none; the term of it, and 1 on the other axes
-                shape = np.shape(factor)
-                axis = next((d for d, x in enumerate(coords) if shape == x.shape),
-                            None if shape else 0)
+                axis = self._axis_of.get(np.shape(factor))
                 if axis is None:
                     raise ValueError("a factor that is an array has the shape of one axis's "
                                      "coordinates; give a product as a list of terms")
-                factor = [tuple(factor if d == axis else 1.0 for d in range(dim))]
+                factor = [(1.0,) * axis + (factor,) + (1.0,) * (dim - 1 - axis)]
             owner += [k] * len(factor)
             terms += factor
         values = np.empty((dim, len(terms)) + self._axis_shape)
@@ -268,24 +268,24 @@ class FieldTable:
             for t, term in enumerate(terms):
                 axis_values[t] = term[d]
         values *= self._root_weights
-        return np.eye(len(factors))[owner] if len(terms) > len(factors) else None, values
+        return np.eye(len(factors))[owner], values
 
     def _project(self, space: Callable, degree: int):
         """(c, coeffs): the factors' projections and each term's 1D
         coefficients of each axis, (dim, T, n, degree + 1)."""
         owner, values = self._cached(FieldTable._axis_terms, space)
         coeffs = values @ self._projection[:, :degree + 1]
-        # a term's coefficients are the outer product of its axes', the
-        # modes and the elements each in C order, and a factor's the sum of
-        # its terms'
-        axes = np.ascontiguousarray(coeffs.transpose(0, 1, 3, 2))
-        c, n_terms = axes[0], values.shape[1]
-        for a in axes[1:]:
-            c = (c[:, :, None, :, None] * a[:, None, :, None, :]).reshape(
-                n_terms, c.shape[1] * a.shape[1], -1)
-        if owner is not None:
-            c = (owner.T @ c.reshape(n_terms, -1)).reshape((-1,) + c.shape[1:])
-        return c, coeffs
+        # a factor's coefficients are the sum over its terms of the outer
+        # products of their axes', the modes and the elements each in C
+        # order: in 2D the first axis's, (K, m, n, T) with each term's in
+        # the column of its factor, times the second's (T, n) for each pair
+        # of modes
+        if len(coeffs) == 1:
+            c = np.einsum("tk,tei->kie", owner, coeffs[0], order="C")
+        else:
+            first = owner.T[:, None, None, :] * coeffs[0].transpose(2, 1, 0)
+            c = first[:, :, None] @ coeffs[1].transpose(2, 0, 1)
+        return c.reshape(owner.shape[1], (degree + 1) ** len(coeffs), -1), coeffs
 
     def _remainders(self, space: Callable, degree: int):
         owner, values = self._cached(FieldTable._axis_terms, space)
@@ -300,8 +300,7 @@ class FieldTable:
         full, proj, rest = parts @ parts.transpose(0, 1, 3, 2)
         gram = sum(np.prod(proj[:d], axis=0) * rest[d] * np.prod(full[d + 1:], axis=0)
                    for d in range(dim))
-        if owner is not None:
-            gram = owner.T @ gram @ owner
+        gram = owner.T @ gram @ owner
         # the square roots of the mass, broadcast over the elements: a call
         # scales by them in numpy's contiguous loop
         mass = functools.reduce(np.multiply.outer, [self._mass[:m]] * dim)

@@ -114,8 +114,8 @@ def evolve(state0: ModalState, disc: Discretization, T: float, n_steps: int,
     one, laid out like it, whose arrays belong to it alone; state0 is not
     modified.  A state that stops being finite raises InstabilityError at
     the step that made it so, without numpy's warning for an invalid
-    operation: the steps and the observers after step 0 run under
-    np.errstate(invalid="ignore").
+    operation: the steps run under np.errstate(invalid="ignore"), the
+    observers under the caller's settings.
     """
     if not (n_steps >= 1 if T > 0 else T == 0 and n_steps == 0):
         raise ValueError(f"{n_steps!r} steps do not reach T = {T!r}")
@@ -129,7 +129,9 @@ def evolve(state0: ModalState, disc: Discretization, T: float, n_steps: int,
     rhs = disc.rhs
     # an invalid operation in a step leaves a value that is not finite, and
     # so ends in InstabilityError; the check's own 0 inf would warn beside it.
-    # One context for the loop: one per step costs ~1 us a step
+    # One context for the steps (one per step costs ~1 us a step); the
+    # observers run under the caller's settings
+    caller = np.geterr()
     with np.errstate(invalid="ignore"):
         for step in range(1, n_steps + 1):
             t = rk4_step(buf, state.t, dt, rhs)
@@ -141,8 +143,10 @@ def evolve(state0: ModalState, disc: Discretization, T: float, n_steps: int,
             # is finite
             if not np.dot(buf.x_flat, buf.zeros) == 0.0:
                 raise InstabilityError(step)
-            for obs in observers:
-                obs(step, state)
+            if observers:
+                with np.errstate(**caller):
+                    for obs in observers:
+                        obs(step, state)
     # a copy in the buffers' layout, so that the returned state does not
     # keep the solve's five rows alive.  Its array is allocated before them:
     # returning the rows, or a copy allocated after them, cost a sweep-2d

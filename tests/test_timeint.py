@@ -173,6 +173,20 @@ def test_instability_detection():
     assert err.value.step == 1
 
 
+def test_observers_keep_the_callers_warnings():
+    # the steps' np.errstate does not reach the observers: an invalid
+    # operation of an observer on a finite state warns as it would outside
+    # evolve, at every step after step 0 too
+    def observe(k, s):
+        np.sqrt(-s.u)
+
+    disc = _FakeDisc(lambda u, v, t: (np.zeros_like(u), v))
+    s0 = ModalState(np.ones((1, 1)), np.ones((1, 1)), 0.0)
+    with pytest.warns(RuntimeWarning, match="invalid value") as caught:
+        evolve(s0, disc, 1.0, 3, observers=[observe])
+    assert len(caught) == 4
+
+
 def _with_rhs(dim, rhs):
     """A stand-in for a periodic discretization in dim dimensions at q = 3:
     its input array and views, stepped with rhs(u, v, t, out)."""
