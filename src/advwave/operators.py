@@ -268,7 +268,7 @@ class FieldTable:
             for t, term in enumerate(terms):
                 axis_values[t] = term[d]
         values *= self._root_weights
-        return np.eye(len(factors))[owner], values
+        return np.eye(len(factors)).take(owner, axis=0), values
 
     def _project(self, space: Callable, degree: int):
         """(c, coeffs): the factors' projections and each term's 1D
@@ -277,11 +277,11 @@ class FieldTable:
         coeffs = values @ self._projection[:, :degree + 1]
         # a factor's coefficients are the sum over its terms of the outer
         # products of their axes', the modes and the elements each in C
-        # order: in 2D the first axis's, (K, m, n, T) with each term's in
-        # the column of its factor, times the second's (T, n) for each pair
-        # of modes
+        # order: in 1D the owner's product with the terms', in 2D the first
+        # axis's, (K, m, n, T) with each term's in the column of its factor,
+        # times the second's (T, n) for each pair of modes
         if len(coeffs) == 1:
-            c = np.einsum("tk,tei->kie", owner, coeffs[0], order="C")
+            c = owner.T @ np.ascontiguousarray(coeffs[0].transpose(0, 2, 1)).reshape(len(owner), -1)
         else:
             first = owner.T[:, None, None, :] * coeffs[0].transpose(2, 1, 0)
             c = first[:, :, None] @ coeffs[1].transpose(2, 0, 1)
