@@ -5,7 +5,8 @@ unnormalized Legendre basis (P_k(1) = 1).  Geometric scaling by the element
 size h is applied during operator assembly, not here.  ``ReferenceElement``
 also holds the L2 projection onto the u space (values at the volume nodes
 to coefficients), the face trace maps, and one axis of the volume rule and
-of the L2-error rule, with the Legendre values at its nodes (``AxisRule``).
+of the L2-error rule, with the Legendre values at its nodes and the
+unit-weight projection tables that every grid reads (``AxisRule``).
 In 2D the basis is the tensor product P_i(z0) P_j(z1) with the same degree
 in each direction; multi-indices are flattened in C order, so the constant
 mode is index 0.
@@ -91,18 +92,37 @@ def tensor_eval(degree: int, dim: int, pts: np.ndarray):
 
 @dataclass(frozen=True)
 class AxisRule:
-    """One axis of a tensor-product Gauss rule on [-1, 1]: its p nodes and
-    weights and the Legendre values legendre[j, k] = P_k(nodes[j]),
-    (p, q + 1), whose first s + 1 columns are those of the v space."""
+    """One axis of a tensor-product Gauss rule on [-1, 1] and the tables of
+    the L2 projection by it that no element size enters, built once per
+    rule and shared by every grid's ``operators.FieldTable``.
+
+    nodes and weights are the rule's p points; legendre[j, k] = P_k(nodes[j]),
+    (p, q + 1), whose first s + 1 columns are those of the v space.  The
+    unit-weight tables: root_weights, the square roots of the weights;
+    basis, the Legendre values times them, so that an integral on [-1, 1] is
+    a sum of products; mass, (q + 1,), the rule's masses of the P_k, the
+    column sums of basis squared; and projection = legendre * weights / mass,
+    (p, q + 1): a function's values at the nodes times its first m columns
+    are its Legendre coefficients of degree < m, on any element (a grid's
+    Jacobian h/2 cancels)."""
 
     nodes: np.ndarray
     weights: np.ndarray
     legendre: np.ndarray
+    root_weights: np.ndarray
+    basis: np.ndarray
+    mass: np.ndarray
+    projection: np.ndarray
 
 
 def _axis_rule(points: int, q: int) -> AxisRule:
     nodes, weights = gauss_points(points)
-    rule = AxisRule(nodes, weights, legendre_tables(q, nodes)[0])
+    legendre = legendre_tables(q, nodes)[0]
+    root_weights = np.sqrt(weights)
+    basis = legendre * root_weights[:, None]
+    mass = (basis * basis).sum(axis=0)
+    rule = AxisRule(nodes, weights, legendre, root_weights, basis, mass,
+                    legendre * (weights[:, None] / mass))
     for array in vars(rule).values():
         array.flags.writeable = False
     return rule

@@ -29,12 +29,21 @@ class FaceKind(IntEnum):
 
 @dataclass(frozen=True)
 class MeshTopology:
+    """A uniform grid of n elements of size h = 1/n per direction on the
+    unit interval or square, periodic or physical.  It holds no per-element
+    table: what the operator and the field projections read is the grid's
+    size, and element_centers, (n_elements, dim) in C order, is computed on
+    use."""
+
     dim: int
     n: int
     h: float
     periodic: bool
     n_elements: int
-    element_centers: np.ndarray  # (n_elements, dim)
+
+    @property
+    def element_centers(self) -> np.ndarray:
+        return tensor_points((np.arange(self.n) + 0.5) * self.h, self.dim)
 
 
 def build_mesh(dim: int, n: int, boundary_mode: str = "periodic") -> MeshTopology:
@@ -45,11 +54,8 @@ def build_mesh(dim: int, n: int, boundary_mode: str = "periodic") -> MeshTopolog
         raise ValueError("need at least 2 elements per direction")
     if boundary_mode not in ("periodic", "physical"):
         raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
-    h = 1.0 / n
-    return MeshTopology(
-        dim=dim, n=n, h=h, periodic=boundary_mode == "periodic", n_elements=n ** dim,
-        element_centers=tensor_points((np.arange(n) + 0.5) * h, dim),
-    )
+    return MeshTopology(dim=dim, n=n, h=1.0 / n, periodic=boundary_mode == "periodic",
+                        n_elements=n ** dim)
 
 
 def classify_wn(wn: float, c: float, interior: bool) -> FaceKind:
@@ -79,7 +85,7 @@ def classify_mesh(mesh: MeshTopology, w, c: float) -> list[tuple]:
     (interior, low boundary, high boundary), the low boundary having
     outward normal -e_axis.  The boundary kinds are None on a periodic mesh.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
+    w = np.atleast_1d(np.asarray(w, dtype=float)).tolist()
     boundary = not mesh.periodic
     return [(classify_wn(w[a], c, True),
              classify_wn(-w[a], c, False) if boundary else None,

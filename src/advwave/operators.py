@@ -89,6 +89,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -171,16 +172,18 @@ class FieldTable:
     every element of a mesh, by a tensor-product Gauss rule, one axis at a
     time (sum factorization).
 
-    rule is one axis of the rule (a ``basis.AxisRule`` of p points).  The
-    coordinates of axis d are the n*p values center + (h/2) node of that
-    axis, an (n, p) array placed at axes d and dim + d of the broadcast
-    shape (n,)*dim + (p,)*dim (``coords``), and each distinct space
-    callable is called once on them, on first use.  Keying by the callable
-    itself means a field of another problem never reads another's values.
-    Each factor is kept as its terms (``Separable``; an array of one axis
-    is a term whose other axes' functions are 1): the (n, p) values of
-    each term's function of each axis, and no values at the (n*p)^dim
-    points.
+    rule is one axis of the rule (a ``basis.AxisRule`` of p points), whose
+    unit-weight tables (its projection, root weights, weighted Legendre
+    values and masses) serve every grid as built.  A table keeps only what
+    depends on the grid: the coordinates of each axis, the n*p values
+    (i + 1/2) h + (h/2) node, an (n, p) array placed at axes d and dim + d
+    of the broadcast shape (n,)*dim + (p,)*dim (``coords``), and the element
+    Jacobian (h/2)^dim.  Each distinct space callable is called once on the
+    coordinates, on first use.  Keying by the callable itself means a field
+    of another problem never reads another's values.  Each factor is kept
+    as its terms (``Separable``; an array of one axis is a term whose other
+    axes' functions are 1): the (n, p) values of each term's function of
+    each axis, and no values at the (n*p)^dim points.
 
     ``projection`` is the one form in which a field is read: by
     ``problems.project_initial`` and the forcing's operand rows on the
@@ -189,34 +192,24 @@ class FieldTable:
     u = sum_k tau_k X_k they are the rule's L2 projections c_k of the X_k
     on the tensor basis and the Gram matrix G of the remainders
     X_k - Pi X_k at the rule's points.  Per axis, each function A of a
-    term is projected on each element (Pi A, from its 1D coefficients) and
-    leaves the remainder rA = A - Pi A.  A term's coefficients are the
-    outer product of its axes' ones, and the remainder of a term A B is
-    rA B + Pi A rB, two parts orthogonal under the rule, so G is the sum
-    over term pairs (t, u) of
+    term is projected on each element (Pi A, its values times the rule's
+    projection) and leaves the remainder rA = A - Pi A.  A term's
+    coefficients are the outer product of its axes' ones, and the remainder
+    of a term A B is rA B + Pi A rB, two parts orthogonal under the rule, so
+    G is the Jacobian times the sum over term pairs (t, u) of
     S(rA_t rA_u) S(B_t B_u) + S(Pi A_t Pi A_u) S(rB_t rB_u), with S the sum
-    of an axis's per-element integrals (one part per axis in general, one
-    in 1D).  It is never a difference of full products: on fine grids the
-    entries of G are ~1e-13 against O(1) products, which would cancel.
+    over an axis's elements of the unit-weight integrals (one part per axis
+    in general, one in 1D).  It is never a difference of full products: on
+    fine grids the entries of G are ~1e-13 against O(1) products, which
+    would cancel.
     """
 
     def __init__(self, mesh: MeshTopology, rule):
-        dim, n = mesh.dim, mesh.n
-        # in a C-order tensor grid the last coordinate of the first rows
-        # runs through the 1D values
-        axis = mesh.element_centers[:n, -1][:, None] + (mesh.h / 2.0) * rule.nodes
-        self.coords = (axis,) if dim == 1 else (axis[:, None, :, None], axis[None, :, None, :])
-        self._axis_shape, self._cache = axis.shape, {}
-        # the axis of a factor that is an array, by its shape (a scalar's is
-        # ())
-        self._axis_of = {(): 0} | {x.shape: d for d, x in enumerate(self.coords)}
-        # an axis's weights with its Jacobian h/2, as square roots that
-        # scale the values and the Legendre values, so that an integral is a
-        # sum of products; the masses of the scaled P_k, and the projection
-        self._root_weights = np.sqrt((mesh.h / 2.0) * rule.weights)
-        self._basis = rule.legendre * self._root_weights[:, None]
-        self._mass = (self._basis * self._basis).sum(axis=0)
-        self._projection = self._basis / self._mass
+        n, h = mesh.n, mesh.h
+        axis = (np.arange(0.5, n) * h)[:, None] + (h / 2.0) * rule.nodes
+        self.coords = (axis,) if mesh.dim == 1 else (axis[:, None, :, None],
+                                                     axis[None, :, None, :])
+        self.rule, self._jacobian, self._cache = rule, (h / 2.0) ** mesh.dim, {}
 
     def _cached(self, build: Callable, *key):
         """build(self, *key), computed on first use and kept (keyed by the
@@ -234,6 +227,11 @@ class FieldTable:
         entry when q = s."""
         return self._cached(FieldTable._project, space, degree)[0]
 
+    def factor_count(self, space: Callable) -> int:
+        """K, the number of space's factors (its terms are built on first
+        use, as for ``projection``)."""
+        return self._cached(FieldTable._axis_terms, space)[0].shape[1]
+
     def remainders(self, space: Callable, degree: int):
         """(G, root_mass): the (K, K) Gram matrix of the remainders of
         ``projection``'s factors, and the square roots of the mass diagonal
@@ -244,44 +242,52 @@ class FieldTable:
 
     def _axis_terms(self, space: Callable):
         """(owner, values) of space's K factors: values, (dim, T, n, p) for
-        T terms, are the values of each term's function of each axis times
-        the root weights, and owner, (T, K), is 1 where term t belongs to
-        factor k and 0 elsewhere."""
-        coords, owner, terms = self.coords, [], []
-        dim = len(coords)
+        T terms, are the values of each term's function of each axis, and
+        owner, (T, K), is 1 where term t belongs to factor k and 0
+        elsewhere."""
+        coords = self.coords
+        dim, shapes = len(coords), [x.shape for x in coords]
         factors = space(*coords)
-        for k, factor in enumerate(factors):
-            if not isinstance(factor, list):
+        n_terms = [len(f) if isinstance(f, list) else 1 for f in factors]
+        # a term's functions of the axes it does not name are 1
+        n, p = coords[0].shape[0], coords[0].shape[dim]
+        values = np.ones((dim, sum(n_terms), n, p))
+        axis_values = [values[d].reshape((-1,) + x) for d, x in enumerate(shapes)]
+        t = 0
+        for factor in factors:
+            if isinstance(factor, list):
+                for term in factor:
+                    for d in range(dim):
+                        axis_values[d][t] = term[d]
+                    t += 1
+            else:
                 # an array has the shape of its axis's coordinates, a
-                # scalar none; the term of it, and 1 on the other axes
-                axis = self._axis_of.get(np.shape(factor))
-                if axis is None:
+                # scalar none
+                shape = np.shape(factor)
+                if shape not in shapes and shape != ():
                     raise ValueError("a factor that is an array has the shape of one axis's "
                                      "coordinates; give a product as a list of terms")
-                factor = [(1.0,) * axis + (factor,) + (1.0,) * (dim - 1 - axis)]
-            owner += [k] * len(factor)
-            terms += factor
-        values = np.empty((dim, len(terms)) + self._axis_shape)
-        for d, x in enumerate(coords):
-            # axis d's values, shaped like its coordinates
-            axis_values = values[d].reshape((len(terms),) + x.shape)
-            for t, term in enumerate(terms):
-                axis_values[t] = term[d]
-        values *= self._root_weights
-        return np.eye(len(factors)).take(owner, axis=0), values
+                axis_values[shapes.index(shape) if shape else 0][t] = factor
+                t += 1
+        return np.repeat(np.eye(len(n_terms)), n_terms, axis=0), values
 
     def _project(self, space: Callable, degree: int):
         """(c, coeffs): the factors' projections and each term's 1D
         coefficients of each axis, (dim, T, n, degree + 1)."""
         owner, values = self._cached(FieldTable._axis_terms, space)
-        coeffs = values @ self._projection[:, :degree + 1]
+        coeffs = values @ self.rule.projection[:, :degree + 1]
         # a factor's coefficients are the sum over its terms of the outer
         # products of their axes', the modes and the elements each in C
         # order: in 1D the owner's product with the terms', in 2D the first
         # axis's, (K, m, n, T) with each term's in the column of its factor,
-        # times the second's (T, n) for each pair of modes
+        # times the second's (T, n) for each pair of modes.  That batch of
+        # K m^2 small products writes the layout as it goes; one product of
+        # (K m n, T) rows by (T, m n) columns and a copy that moves the
+        # element index past the mode won only at n = 5 (periodic2d q = 3:
+        # 9.8 against 11.6 us) and took 1.1-1.3x as long at n = 7-14 and 6x
+        # at n = 20 and 28, where the copy's fresh pages dominate
         if len(coeffs) == 1:
-            c = owner.T @ np.ascontiguousarray(coeffs[0].transpose(0, 2, 1)).reshape(len(owner), -1)
+            c = owner.T @ coeffs[0].transpose(0, 2, 1).reshape(len(owner), -1)
         else:
             first = owner.T[:, None, None, :] * coeffs[0].transpose(2, 1, 0)
             c = first[:, :, None] @ coeffs[1].transpose(2, 0, 1)
@@ -291,19 +297,20 @@ class FieldTable:
         owner, values = self._cached(FieldTable._axis_terms, space)
         coeffs = self._cached(FieldTable._project, space, degree)[1]
         dim, n_terms, n = values.shape[:3]
-        m = degree + 1
+        m, rule = degree + 1, self.rule
         # each term's functions, their projections and their remainders at
-        # the points, and per axis the sums S over its elements of each term
-        # pair's products of them, each (dim, T, T)
-        projected = coeffs @ self._basis[:, :m].T
-        parts = np.stack([values, projected, values - projected]).reshape(3, dim, n_terms, -1)
+        # the points, times the root weights, and per axis the sums S over
+        # its elements of each term pair's products of them, each (dim, T, T)
+        weighted = values * rule.root_weights
+        projected = coeffs @ rule.basis[:, :m].T
+        parts = np.stack([weighted, projected, weighted - projected]).reshape(3, dim, n_terms, -1)
         full, proj, rest = parts @ parts.transpose(0, 1, 3, 2)
         gram = sum(np.prod(proj[:d], axis=0) * rest[d] * np.prod(full[d + 1:], axis=0)
                    for d in range(dim))
-        gram = owner.T @ gram @ owner
+        gram = self._jacobian * (owner.T @ gram @ owner)
         # the square roots of the mass, broadcast over the elements: a call
         # scales by them in numpy's contiguous loop
-        mass = functools.reduce(np.multiply.outer, [self._mass[:m]] * dim)
+        mass = self._jacobian * functools.reduce(np.multiply.outer, [rule.mass[:m]] * dim)
         return gram, np.repeat(np.sqrt(mass).reshape(-1, 1), n ** dim, axis=1)
 
 
@@ -317,7 +324,7 @@ def element_scale(dim: int, h: float, c: float) -> float:
     # c (c (2/h)^(2 - dim)), the same number: c^2 alone underflows to a
     # subnormal for a c whose scale is normal (in 1D, at a fine grid)
     scale = c * (c * (2.0 / h) ** (2 - dim))
-    if not np.finfo(float).tiny <= scale < np.inf:
+    if not sys.float_info.min <= scale < math.inf:
         raise ValueError(f"wave speed c = {c!r} makes the element system infinite or "
                          f"singular: its scale c^2 (h/2)^dim (2/h)^2 is {scale!r}")
     return scale
@@ -412,7 +419,7 @@ class _Element:
         self.stiffness = self.scale * ref.stiff_u
         self.u_system = self.stiffness.copy()
         self.u_system[0, :] = self.jac_vol * ref.mean_row
-        self.v_mass_diag = self.jac_vol * np.diag(ref.mass_v)
+        self.v_mass_diag = self.jac_vol * ref.mass_v.diagonal()
         for form in (self.stiffness, self.u_system, self.v_mass_diag):
             form.flags.writeable = False
 
@@ -636,12 +643,27 @@ class Family:
     the i-th read side in row j*len(read) + i: the v coordinates (the first
     s+1) from the Nv v coefficients, v_factor @ [v], and the derivatives of
     u from the u coefficients but the constant, g_factor @ [u 1:Nu] (see
-    ``ReferenceElement.trace_maps``).  audit_v and audit_g give every
-    side's trace coordinates side-major, [v] @ audit_v and [u] @ audit_g,
-    the derivatives at unit gradient scale.  The factors carry no length, so
+    ``ReferenceElement.trace_maps``).  copies holds, for each face of the
+    grid's couplings (``_grid_couplings``) whose slot is kept, the index of
+    the slot's rows and the face's elements in the operand's slot rows,
+    (slot rows,) + grid, and the index of the run of rows the slot takes
+    and the elements across the face in its source, every element's [u v]
+    in 1D, (N,) + grid, and ``_traces`` in 2D, (r, read sides) + grid: no
+    n enters them, so a grid only takes the views.  audit_v and audit_g
+    give every side's trace coordinates side-major, [v] @ audit_v and
+    [u] @ audit_g, the derivatives at unit gradient scale.  The factors carry no length, so
     every grid takes them as they are.  The arrays are read-only; an
     overflow leaves blocks and lift_factor not finite, and its rows are
     kept.
+
+    peaks[p] is the largest magnitude among the entries that a grid scales
+    by k^p: those of blocks, of lift_factor and of S du, the u equation's
+    right side before its element solve (the energy rate u S du takes the
+    blocks through it, and a large w, 1e306 at q = 3, overflows it while du
+    is finite).  Rounding is monotone, so a grid's blocks and lift factor
+    are finite exactly when peaks[p] k^p is for every p, and its S du to
+    roundoff; NaN, which an overflow of the reference leaves, fails that
+    test too.
     """
 
     key: tuple
@@ -653,8 +675,10 @@ class Family:
     block_powers: np.ndarray
     factor_powers: np.ndarray
     trace_factors: tuple | None
+    copies: tuple
     audit_v: np.ndarray
     audit_g: np.ndarray
+    peaks: tuple
 
     def __post_init__(self):
         for a in (self.blocks, self.lift_factor, self.block_powers, self.factor_powers,
@@ -691,10 +715,12 @@ class Family:
 
 
 @functools.lru_cache(maxsize=FAMILY_CACHE)
-def _family_reference(q: int, s: int, dim: int, params: FluxParams, w: tuple, c: float,
+def _family_reference(q: int, s: int, dim: int, params: tuple, w: tuple, c: float,
                       kinds: tuple) -> Family:
-    """The ``Family`` of degrees q and s in dim dimensions, with this flux,
-    w, c and flux kinds of each axis (``Discretization.face_kinds``)."""
+    """The ``Family`` of degrees q and s in dim dimensions, with the flux of
+    the ``FluxParams`` fields params, w, c and flux kinds of each axis
+    (``Discretization.face_kinds``)."""
+    params = FluxParams(*params)
     h = _reference_size(dim, c)
     ref = build_reference(q, s, dim)
     element = _Element(ref, np.array(w), c, h)
@@ -733,13 +759,37 @@ def _family_reference(q: int, s: int, dim: int, params: FluxParams, w: tuple, c:
     audit_v = maps[:, nu:, :n_vt].transpose(1, 0, 2).reshape(ref.n_v, -1)
     audit_g = maps[:, :nu, n_vt:].transpose(1, 0, 2).reshape(nu, -1)
     # in 2D, the sides some kept slot reads; a derivative reads no u constant
-    read = sorted({_slot_side(slot, 2 * dim) for slot, _, _ in runs})
+    sides = 2 * dim
+    read = sorted({_slot_side(slot, sides) for slot, _, _ in runs})
     trace_factors = None if dim == 1 else (
         tuple(read), maps[read][:, nu:, :n_vt].transpose(2, 0, 1).reshape(-1, ref.n_v),
         maps[read][:, 1:nu, n_vt:].transpose(2, 0, 1).reshape(-1, nu - 1))
+    # each kept slot's rows in the operand's slot rows, and the rows of its
+    # source it takes: those of its run
+    at, row = {}, 0
+    for slot, start, stop in runs:
+        at[slot] = slice(row, row + stop - start), slice(start, stop)
+        row += stop - start
+    shifts, strips = _grid_couplings(dim, kinds[0][1] is None)
+    copies = []
+    for slot, dst, src in list(shifts) + [(sides + side, layer, layer) for side, layer in strips]:
+        if slot in at:
+            rows, kept = at[slot]
+            side = () if dim == 1 else (read.index(_slot_side(slot, sides)),)
+            copies.append(((rows,) + dst, (kept,) + side + src))
+    block_powers = np.add.outer(1 - v_coeff, v_coeff)
+    # S du at the reference; the stiffness takes k^(2 - dim), so a row of a
+    # u coefficient takes k^(3 - dim) and of a v one k^(2 - dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_du = blocks[..., :nu] @ element.stiffness.T
+    scaled = [(blocks, block_powers), (lift_factor, factor_powers),
+              (s_du, (1 - v_coeff)[:, None] + (2 - dim))]
+    magnitudes = np.concatenate([np.abs(a).ravel() for a, _ in scaled])
+    powers = np.concatenate([np.broadcast_to(p, a.shape).ravel() for a, p in scaled])
+    peaks = tuple(float(np.max(magnitudes[powers == p], initial=0.0)) for p in range(3))
     return Family((q, s, dim, params, w, c, kinds), h, blocks, first, tuple(runs),
-                  lift_factor, np.add.outer(1 - v_coeff, v_coeff), factor_powers,
-                  trace_factors, audit_v, audit_g)
+                  lift_factor, block_powers, factor_powers, trace_factors, tuple(copies),
+                  audit_v, audit_g, peaks)
 
 
 class Discretization:
@@ -752,12 +802,20 @@ class Discretization:
     + sum_s x[neighbour across side s] @ blocks[1 + s], plus
     x[e] @ blocks[1 + 2*dim + s] on each side s of e that is a boundary.
     They are the blocks of the operator family's one reference assembly
-    (family, a ``Family``), scaled to the grid.  Blocks that are not all
-    finite raise ValueError.  volume_quadrature is the ``FieldTable`` of the
-    volume rule, shared by the forcing's projection and
-    ``problems.project_initial``.  input, of shape (n_elements, Nu+Nv), is the
-    array rhs reads [u v] from (an F-ordered view of its coefficient-major
-    operand), and input_uv are its u and v column views.
+    (family, a ``Family``), scaled to the grid.  Blocks, a lift factor or
+    an S du that would not be all finite raise ValueError, told from the
+    family's peaks before any product.  volume_quadrature is the
+    ``FieldTable`` of the volume rule, shared by the forcing's projection
+    and ``problems.project_initial``.  input, of shape (n_elements, Nu+Nv),
+    is the array rhs reads [u v] from (an F-ordered view of its
+    coefficient-major operand), and input_uv are its u and v column views.
+
+    A grid computes only its own arrays: what no n enters is read from the
+    family (blocks, lift factor, trace factors, the slot copies' indices,
+    the peaks) and from the rules (``basis.AxisRule``'s projection tables).
+    rhs's work arrays are allocated first, before the forcing's projection
+    and the blocks, so that no temporary of the set-up decides where they
+    land.
 
     stiffness S (c^2 times the grad-grad form) and v_mass_diag (the diagonal
     of the v mass M), with the element Jacobian, are the element's energy
@@ -792,39 +850,32 @@ class Discretization:
         # (interior, low boundary, high boundary) flux kinds of each axis
         self.face_kinds = classify_mesh(mesh, self.w, self.c)
 
-        # the fields' projections by the volume rule: the forcing's below
-        # and problems.project_initial's exact data
-        self.volume_quadrature = FieldTable(mesh, ref.vol_axis)
-
         # the family's operator on the grid (see Family): every entry times
-        # k = h_ref / h to its power.  The key holds params, w and c in
-        # canonical floats: + 0.0 makes a -0.0, which the key does not tell
-        # from 0.0, the 0.0 the family is built from
-        key_params = FluxParams(**{name: float(x) + 0.0 for name, x in vars(params).items()})
+        # k = h_ref / h to its power, which overflows exactly when the
+        # family's peak of that power does.  The key holds params, w and c
+        # in canonical floats: + 0.0 makes a -0.0, which the key does not
+        # tell from 0.0, the 0.0 the family is built from
         self.family = family = _family_reference(
-            ref.q, ref.s, ref.dim, key_params, tuple(float(x) + 0.0 for x in self.w), self.c,
-            tuple(self.face_kinds))
-        k, nu = family.h / mesh.h, ref.n_u
-        scale = np.array([1.0, k, k * k])
-        # an overflow shows as blocks that are not finite, raised below
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.blocks = family.blocks * scale[family.block_powers]
-            lift_factor = family.lift_factor * scale[family.factor_powers]
-            # S du, the u equation's right side before its element solve:
-            # the energy rate u S du takes the blocks through it, and a
-            # large w (1e306 at q = 3) overflows it while du is finite
-            s_du = self.blocks[..., :nu] @ self.stiffness.T
-        if not (np.all(np.isfinite(self.blocks)) and np.all(np.isfinite(s_du))):
+            ref.q, ref.s, ref.dim, tuple(float(x) + 0.0 for x in vars(params).values()),
+            tuple(x + 0.0 for x in self.w.tolist()), self.c, tuple(self.face_kinds))
+        k = family.h / mesh.h
+        if not all(peak * power < math.inf for peak, power in zip(family.peaks, (1.0, k, k * k))):
             raise ValueError("the operator's blocks overflow")
-        self.blocks.flags.writeable = False
+        scale = np.array([1.0, k, k * k])
+        # the fields' projections by the volume rule: the forcing's operand
+        # rows and problems.project_initial's exact data
+        self.volume_quadrature = FieldTable(mesh, ref.vol_axis)
         # work arrays of rhs (allocating them per call costs page faults)
-        # and the fixed views it works through.  rhs reads the stacked
-        # [u v] of every element from input, an (n_elements, Nu+Nv) view;
-        # passed input_uv, its column views, it skips the copy, so a caller
-        # (the RK4 stages) can write a state there directly
-        self._nu = nu
-        self._build_operand(lift_factor)
+        # and the fixed views it works through, before any temporary of the
+        # set-up, so that none decides where they land.  rhs reads the
+        # stacked [u v] of every element from input, an (n_elements, Nu+Nv)
+        # view; passed input_uv, its column views, it skips the copy, so a
+        # caller (the RK4 stages) can write a state there directly
+        self._nu = nu = ref.n_u
+        self._build_operand(scale)
         self.input_uv = self.input[:, :nu], self.input[:, nu:]
+        self.blocks = family.blocks * scale[family.block_powers]
+        self.blocks.flags.writeable = False
         # _tau_t is the time _tau was written at (None: not yet)
         self._forcing_time = None if forcing is None else forcing.time
         self._tau_t = None
@@ -921,7 +972,7 @@ class Discretization:
 
     # --- assembly ------------------------------------------------------------
 
-    def _build_operand(self, lift_factor) -> None:
+    def _build_operand(self, scale) -> None:
         """Work arrays and views of the stencil, all coefficient-major (one
         column per element).  The operand holds [u v] (its first N rows,
         input's transpose), below it a slot per run (see ``Family``), the
@@ -938,27 +989,30 @@ class Discretization:
         per field of the family's trace factors (see ``Family``) with the
         operand's v rows and its u rows but the constant, so each product
         writes one run of rows and a slot's run is one strided copy.  The
-        derivative is then the lift factor, lift_factor (the family's,
-        scaled to the grid) with K*Nv more columns, times the operand from
-        its row first on.  Those columns are
-        zero but for tau_k at (Nu + i, forcing row k*Nv + i), so a forced
-        derivative is the same one product; ``_tau`` is the (Nv, K) view of
-        those entries that rhs writes the time factors into.  Without a
-        forcing K is 0."""
-        dim, n, nb = self.mesh.dim, self.mesh.n, self.blocks.shape[-1]
-        sides, n_el, nu = 2 * dim, self.mesh.n_elements, self._nu
-        first, n_cols = self.family.first, lift_factor.shape[1]
-        # a 1D slot holds all N coefficients (see _family_reference)
-        r = nb if dim == 1 else self.ref.trace_maps.shape[-1]
-        n_rows, nv = first + n_cols, nb - nu
-        # the forcing's K projections, (K, Nv, n_elements); K = 0 unforced
-        proj = (np.empty((0, nv, n_el)) if self.forcing is None else
-                self.volume_quadrature.projection(self.forcing.space, self.ref.s))
-        n_tau = len(proj)
+        derivative is then the lift factor, the family's scaled to the grid
+        (scale[p] = k^p, see ``Family``) with K*Nv more columns, times the
+        operand from its row first on.  Those columns are zero but for
+        tau_k at (Nu + i, forcing row k*Nv + i), so a forced derivative is
+        the same one product; ``_tau`` is the (Nv, K) view of those entries
+        that rhs writes the time factors into.  Without a forcing K is 0."""
+        dim, n, family, n_el = self.mesh.dim, self.mesh.n, self.family, self.mesh.n_elements
+        nu, nv = self._nu, self.ref.n_v
+        nb, first, n_cols = nu + nv, family.first, family.lift_factor.shape[1]
+        n_rows, grid = first + n_cols, (n,) * dim
+        # the forcing's factor count K, from its terms: its projections are
+        # written once the work arrays are allocated
+        table, forcing = self.volume_quadrature, self.forcing
+        n_tau = 0 if forcing is None else table.factor_count(forcing.space)
         self._operand = np.zeros((n_rows + n_tau * nv, n_el))
-        self._operand[n_rows:] = proj.reshape(-1, n_el)
         self._lift_factor = np.zeros((nb, n_cols + n_tau * nv))
-        self._lift_factor[:, :n_cols] = lift_factor
+        if dim == 2:
+            # _traces[j, i] is trace coordinate j of side read[i]
+            read, v_factor, g_factor = family.trace_factors
+            self._traces = np.empty((self.ref.trace_maps.shape[-1], len(read)) + grid)
+        np.multiply(family.lift_factor, scale[family.factor_powers],
+                    out=self._lift_factor[:, :n_cols])
+        if forcing is not None:
+            self._operand[n_rows:] = table.projection(forcing.space, self.ref.s).reshape(-1, n_el)
         # entry (nu + i, n_cols + k*nv + i) is column k of row i (an ndarray
         # on the factor's buffer: as_strided took 3.4 us, this 0.8)
         s0, s1 = self._lift_factor.strides
@@ -969,33 +1023,16 @@ class Discretization:
         self._out_strides = self.input.strides
         self._lift_products = [(self._operand[first:, cols], cols)
                                for cols in _column_blocks(self._lift_factor, n_el)]
-        grid = (n,) * dim
         if dim == 1:
             self._trace_products = []
-            source = [self._operand[:nb].reshape((r,) + grid)] * sides
+            source = self._operand[:nb].reshape((nb,) + grid)
         else:
-            # _traces[j, i] is trace coordinate j of side read[i]
-            read, v_factor, g_factor = self.family.trace_factors
-            self._traces = np.empty((r, len(read)) + grid)
-            flat, n_v = self._traces.reshape(-1, n_el), len(v_factor)
+            source, flat, n_v = self._traces, self._traces.reshape(-1, n_el), len(v_factor)
             self._trace_products = (
                 _bound_products(v_factor, self._operand[nu:nb], flat[:n_v])
                 + _bound_products(g_factor, self._operand[1:nu], flat[n_v:]))
-            source = {side: self._traces[:, i] for i, side in enumerate(read)}
-        # each kept slot's rows in the operand, and the rows of a source it
-        # takes: those of its run
-        slots, at, row = self._operand[nb:n_rows].reshape((-1,) + grid), {}, 0
-        for slot, start, stop in self.family.runs:
-            at[slot] = slice(row, row + stop - start), slice(start, stop)
-            row += stop - start
-        shifts, strips = _grid_couplings(dim, self.mesh.periodic)
-        faces = list(shifts) + [(sides + side, layer, layer) for side, layer in strips]
-        self._copies = []
-        for slot, dst, src in faces:
-            if slot in at:
-                rows, kept = at[slot]
-                self._copies.append((slots[(rows,) + dst],
-                                     source[_slot_side(slot, sides)][(kept,) + src]))
+        slots = self._operand[nb:n_rows].reshape((-1,) + grid)
+        self._copies = [(slots[dst], source[src]) for dst, src in family.copies]
 
     # --- operator application ----------------------------------------------
 
@@ -1075,11 +1112,21 @@ class Discretization:
         grid = (self.mesh.n,) * self.mesh.dim
         tv, tg = v @ family.audit_v, u @ (self.dscale * family.audit_g)
         tv, tg = (t.reshape((-1,) + grid + (sides, t.shape[-1] // sides)) for t in (tv, tg))
+        sets = [(family.face_forms[axis][role],
+                 [t[(slice(None),) + index + (side,)] for side, index in at for t in (tv, tg)])
+                for axis, role, at in self._face_sets()]
+        # every set's z and z Q in one pair of buffers, as large as the
+        # largest set's: the sets reuse their pages, which a fresh array per
+        # set faults in again (a first 20-state audit at mixed2d q = 2
+        # n = 10 took 321 minor page faults that way, 196 this way)
+        shapes = [pieces[0].shape[:-1] + (len(form),) for form, pieces in sets]
+        size = max(math.prod(shape) for shape in shapes)
+        z_buffer, y_buffer = np.empty(size), np.empty(size)
         total = np.zeros(len(tv))
-        for axis, role, at in self._face_sets():
-            z = np.concatenate([t[(slice(None),) + index + (side,)]
-                                for side, index in at for t in (tv, tg)], axis=-1)
-            z = z.reshape(len(z), -1, z.shape[-1])
-            y = z @ family.face_forms[axis][role]
+        for (form, pieces), shape in zip(sets, shapes):
+            z = z_buffer[:math.prod(shape)].reshape(shape)
+            np.concatenate(pieces, axis=-1, out=z)
+            z = z.reshape(len(z), -1, len(form))
+            y = np.matmul(z, form, out=y_buffer[:z.size].reshape(z.shape))
             total += (y.reshape(len(y), 1, -1) @ z.reshape(len(z), -1, 1)).ravel()
         return (self.jac_face * total).reshape(u.shape[:-2])[()]

@@ -250,11 +250,11 @@ def test_build_reference_built_once():
 
 def test_reference_arrays_read_only():
     ref = build_reference(2, 1, dim=2)
-    # the arrays of the element and of its two axis rules
+    # the arrays of the element and of its two axis rules, seven each
     values = [value for value in vars(ref).values()]
     values += [a for value in values if isinstance(value, AxisRule) for a in vars(value).values()]
     arrays = [value for value in values if isinstance(value, np.ndarray)]
-    assert len(arrays) == 26
+    assert len(arrays) == 34
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = 1.0
