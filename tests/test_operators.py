@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -678,6 +679,63 @@ def test_family_reference_is_shared_and_history_free():
     second = build([(b, 3), (a, 5), (a, 3)])
     for x, y in zip(first, second[::-1]):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2])
+def test_family_peaks_tell_an_overflow_as_the_scaled_arrays_do(dim):
+    # a grid raises before any product exactly when its blocks, lift factor
+    # or S du, scaled from the family's, would not be all finite: c from a
+    # finite operator across the overflow to an infinite element system
+    ref, mesh, w = build_reference(3, 3, dim), build_mesh(dim, 5, "periodic"), [0.5, 0.25][:dim]
+    params = FluxParams.central()
+    raised = []
+    for c in np.geomspace(1e150, 1e154, 25).tolist():
+        try:
+            stiffness = operators.element_scale(dim, mesh.h, c) * ref.stiff_u
+            kinds = tuple(operators.classify_mesh(mesh, w, c))
+            family = operators._family_reference(3, 3, dim, tuple(vars(params).values()),
+                                                 tuple(w), c, kinds)
+            k = family.h / mesh.h
+            scale = np.array([1.0, k, k * k])
+            with np.errstate(over="ignore", invalid="ignore"):
+                blocks = family.blocks * scale[family.block_powers]
+                arrays = (blocks, family.lift_factor * scale[family.factor_powers],
+                          blocks[..., :ref.n_u] @ stiffness.T)
+            finite = all(np.all(np.isfinite(a)) for a in arrays)
+        except ValueError:
+            finite = False
+        try:
+            Discretization(mesh, ref, params, w, c)
+            raised.append(False)
+        except ValueError:
+            raised.append(True)
+        assert raised[-1] == (not finite), c
+    assert raised[0] is False and raised[-1] is True
+
+
+def test_rhs_work_arrays_come_before_the_set_up_temporaries(monkeypatch):
+    # rhs's work arrays (the operand, the lift factor, the 2D traces) are
+    # allocated first, before the forcing's projection and the blocks, so
+    # that no temporary of a grid's set-up decides where they land
+    seen = []
+    project = operators.FieldTable.projection
+
+    def spy(table, space, degree):
+        frame = sys._getframe(1)
+        while not isinstance(frame.f_locals.get("self"), Discretization):
+            frame = frame.f_back
+        made = vars(frame.f_locals["self"])
+        seen.append({name for name in ("_operand", "_lift_factor", "_traces", "blocks")
+                     if name in made})
+        return project(table, space, degree)
+
+    monkeypatch.setattr(operators.FieldTable, "projection", spy)
+    forcing = Separable(lambda *x: [np.sin(2 * np.pi * x[0])], lambda t: np.array([1.0]))
+    for dim in (1, 2):
+        seen.clear()
+        make_disc(dim=dim, n=5, q=2, w=(0.5,) * dim, forcing=forcing)
+        assert seen == [{"_operand", "_lift_factor"} | ({"_traces"} if dim == 2 else set())]
 
 
 def test_blocks_overflowing_the_energy_form_are_rejected():

@@ -480,6 +480,49 @@ def test_axis_tables_of_monomials_match_closed_forms(dim, degree):
                            rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("dim,n", [(1, 3), (1, 10), (1, 160), (2, 3), (2, 7)])
+def test_unit_weight_projection_is_the_quadrature_projection(dim, n):
+    # the rule's unit-weight projection of each axis's node values is the
+    # direct L2 projection by the tensor rule (dense_projection) to 1e-13 of
+    # the largest coefficient, and G and the root masses are its direct
+    # formula's, on trig and polynomial data, mixed2d's sums of products
+    # included, on both rules and both degrees
+    ref = build_reference(3, 2, dim=dim)
+    mesh = build_mesh(dim, n, "periodic" if dim == 1 else "physical")
+    if dim == 1:
+        spaces = [periodic_1d(0.5, 1.0).forcing.space,
+                  lambda x: [x ** 3 - x, [(x * x,), (0.5,)], 2.0]]
+    else:
+        mixed = mixed_2d([0.5, 0.25], 1.0)
+        spaces = [periodic_2d([0.5, 0.25], 1.3).exact_u.space, mixed.exact_v.space,
+                  mixed.forcing.space,
+                  lambda x, y: [[(x ** 3, y * y - y)], y ** 4, [(x, 1.0), (2.0, y ** 3)]]]
+    for axis, extra in RULES.values():
+        table = FieldTable(mesh, getattr(ref, axis))
+        for space in spaces:
+            for degree in (ref.q, ref.s):
+                assert_matches_dense(table, space, degree, mesh, ref.n_quad + extra, rtol=1e-13)
+
+
+def test_grids_share_their_rules_unit_tables():
+    # a grid's FieldTable reads the unit-weight tables of its rule as built:
+    # two grids of one reference hold the same rule, and neither table keeps
+    # an array of its own but its coordinates (and its cache's per-field
+    # entries)
+    ref = build_reference(3, 3, dim=2)
+    discs = [Discretization(build_mesh(2, n, "periodic"), ref, FluxParams.central(),
+                            [0.5, 0.25], 1.0) for n in (3, 5)]
+    for axis, table_of in (("vol_axis", lambda d: d.volume_quadrature),
+                           ("err_axis", lambda d: d.error_quadrature)):
+        rule = getattr(ref, axis)
+        tables = [table_of(d) for d in discs]
+        assert all(t.rule is rule for t in tables)
+        for t in tables:
+            own = [v for k, v in vars(t).items() if k not in ("coords", "_cache")]
+            assert not any(isinstance(v, np.ndarray) for v in own)
+            assert all(x.size == t.coords[0].shape[0] * len(rule.nodes) for x in t.coords)
+
+
 @pytest.mark.parametrize("problem", ["periodic1d", "mixed2d"])
 def test_discretization_is_freed_without_the_cycle_collector(problem):
     # the tables' caches hold no reference back to them, so a grid's
