@@ -249,7 +249,7 @@ class FieldTable:
         dim, shapes = len(coords), [x.shape for x in coords]
         factors = space(*coords)
         n_terms = [len(f) if isinstance(f, list) else 1 for f in factors]
-        # a term's functions of the axes it does not name are 1
+        # an array of one axis is a term that is 1 on the other axes
         n, p = coords[0].shape[0], coords[0].shape[dim]
         values = np.ones((dim, sum(n_terms), n, p))
         axis_values = [values[d].reshape((-1,) + x) for d, x in enumerate(shapes)]
